@@ -22,7 +22,6 @@ def main() -> int:
     ap.add_argument("--stations", type=int, default=15)
     ap.add_argument("--lambda", dest="lam", type=float, default=1.0)
     ap.add_argument("--rho", type=float, default=1.0)
-    ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--covariates", action="store_true",
                     help="add a covariate effect and include css-features")
     ap.add_argument("--svg", help="write a mean-MRE bar chart here")
@@ -34,8 +33,7 @@ def main() -> int:
         methods.append(CSS_FEATURES)
         beta = (0.5, 2.0, 1.5)
     spec = EnsembleSpec(n_stations=args.stations, lam=args.lam, rho=args.rho, beta=beta)
-    outcomes = compare_methods(spec, tuple(range(args.seeds)), tuple(methods),
-                               jobs=args.jobs)
+    outcomes = compare_methods(spec, tuple(range(args.seeds)), tuple(methods))
 
     means = {m: mean_mre(outcomes, m) for m in methods}
     print(f"{'method':<14} mean MRE")

@@ -52,7 +52,6 @@ def main() -> int:
     ap.add_argument("--lambdas", type=float, nargs="+", default=[1.0, 10.0])
     ap.add_argument("--rho", type=float, default=1.0)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--out", required=True)
     args = ap.parse_args()
 
@@ -81,8 +80,7 @@ def main() -> int:
         for lam in args.lambdas:
             tag = f"m{n_st}_lam{lam:g}"
             res = run_pipeline(truth, covariates=covariates, n_stations=n_st,
-                               lam=lam, rho=args.rho, seed=args.seed,
-                               jobs=args.jobs)
+                               lam=lam, rho=args.rho, seed=args.seed)
             reports = [res.reports[m] for m in res.estimates]
             write_report_csv(reports, out / f"report_{tag}.csv")
             series = []

@@ -7,11 +7,9 @@ with the volumes by an alternating projection scheme.
 """
 from .admm import (
     AdmmConfig,
-    AdmmState,
     RecoveryResult,
     css_recover,
     dual_update,
-    smooth_update,
     volume_projection,
     waterfill,
 )
@@ -56,7 +54,6 @@ from .methods import (
     PE_SSR1,
     PE_SSR2,
     MethodSpec,
-    run_method,
     run_method_full,
 )
 from .metrics import EvalReport, relative_errors
@@ -77,7 +74,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdmmConfig",
-    "AdmmState",
     "AggregateObservations",
     "ALL_METHODS",
     "CollinearCovariates",
@@ -127,12 +123,10 @@ __all__ = [
     "mean_mre",
     "patched_estimate",
     "relative_errors",
-    "run_method",
     "run_method_full",
     "run_pipeline",
     "run_seed",
     "sample_stations",
-    "smooth_update",
     "ssr_eval",
     "ssr_fit",
     "triangulate",

@@ -37,10 +37,12 @@ _CONSTRAINT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class AdmmConfig:
-    """Knobs for css_recover.
+    """Settings for css_recover.
 
-    ``halved_target`` switches the smoothing step to the alternative target
-    (dual + rho * g) / 2 with unit data weight; the two coincide at rho = 2.
+    ``lam`` weights the roughness penalty and ``rho`` the coupling between
+    the smooth and constrained copies. The loop stops after ``max_iter``
+    sweeps or once the primal and dual residuals fall below ``tol_primal``
+    and ``tol_dual`` times sqrt(n).
     """
 
     lam: float = 1.0
@@ -48,8 +50,6 @@ class AdmmConfig:
     max_iter: int = 500
     tol_primal: float = 1e-6
     tol_dual: float = 1e-6
-    report_every: int = 1
-    halved_target: bool = False
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.lam) and self.lam > 0):
@@ -62,22 +62,14 @@ class AdmmConfig:
             raise ConfigError("tolerances must be nonnegative")
 
 
-@dataclass
-class AdmmState:
-    """Mutable iterate carried across sweeps."""
-
-    smooth: np.ndarray        # f at cell centers, covariate part included
-    constrained: np.ndarray   # g
-    dual: np.ndarray
-    beta: np.ndarray
-    iteration: int = 0
-
-
 @dataclass(frozen=True, eq=False)
 class RecoveryResult:
     estimate: SpatialField          # final g; volume-exact and nonnegative
-    smooth_component: np.ndarray    # surface part of f (covariate effect excluded)
-    beta: np.ndarray
+    smooth_component: np.ndarray    # surface part of f: f - W beta
+    beta: np.ndarray                # minimum-norm covariate coefficients; a
+                                    # combination affine at the cells (such as
+                                    # a constant column) gets 0 and its effect
+                                    # stays in smooth_component
     iterations: int
     converged: bool
     primal_residuals: np.ndarray
@@ -130,23 +122,6 @@ def volume_projection(
     return g
 
 
-def smooth_update(
-    fem: FemSystem,
-    g: np.ndarray,
-    dual: np.ndarray,
-    rho: float,
-    lam: float,
-    covariates: CovariateMatrix | None = None,
-    halved_target: bool = False,
-):
-    """f-step: penalized fit toward the constrained iterate. Returns (f, beta)."""
-    weight = 1.0 if halved_target else rho / 2.0
-    solver = SsrSolver(fem, lam, weight=weight)
-    target = (dual + rho * g) / 2.0 if halved_target else g + dual / rho
-    model = solver.solve(target, covariates)
-    return model.fitted, model.beta
-
-
 def dual_update(dual: np.ndarray, f: np.ndarray, g: np.ndarray, rho: float) -> np.ndarray:
     """Ascent step on the gap between the copies: dual + rho * (g - f)."""
     return dual + rho * (g - f)
@@ -189,50 +164,34 @@ def css_recover(
     if fem is None:
         fem = assemble(triangulate(domain))
 
-    start = patched_estimate(partition, volumes).values
-    state = AdmmState(
-        smooth=start.copy(),
-        constrained=start.copy(),
-        dual=np.zeros(domain.n),
-        beta=np.zeros(0 if covariates is None else covariates.q),
-    )
+    g = patched_estimate(partition, volumes).values
+    f = g.copy()
+    dual = np.zeros(domain.n)
 
-    weight = 1.0 if cfg.halved_target else cfg.rho / 2.0
-    solver = SsrSolver(fem, cfg.lam, weight=weight)
+    solver = SsrSolver(fem, cfg.lam, weight=cfg.rho / 2.0)
     sqrt_n = float(np.sqrt(domain.n))
     primal_hist: list[float] = []
     dual_hist: list[float] = []
     objective_hist: list[float] = []
     worst_violation = 0.0
     converged = False
-    model = None
 
     for k in range(1, cfg.max_iter + 1):
-        g_prev = state.constrained
-        g = volume_projection(partition, state.smooth, state.dual, cfg.rho, volumes)
+        g_prev = g
+        g = volume_projection(partition, f, dual, cfg.rho, volumes)
         worst_violation = max(worst_violation, _check_constraints(partition, g, volumes))
 
-        if cfg.halved_target:
-            target = (state.dual + cfg.rho * g) / 2.0
-        else:
-            target = g + state.dual / cfg.rho
-        # warm-started backfit: the target drifts slowly between iterations,
-        # so the previous beta is a far better start than the OLS estimate
-        model = solver.solve(target, covariates, beta0=None if k == 1 else state.beta)
+        model = solver.solve(g + dual / cfg.rho, covariates)
+        f = model.fitted
 
-        state.constrained = g
-        state.smooth = model.fitted
-        state.beta = model.beta
-        state.iteration = k
-
-        gap = g - state.smooth
+        gap = g - f
         primal = float(np.linalg.norm(gap))
         dual_res = cfg.rho * float(np.linalg.norm(g - g_prev))
-        state.dual = dual_update(state.dual, state.smooth, g, cfg.rho)
+        dual = dual_update(dual, f, g, cfg.rho)
         # augmented Lagrangian at the end of the sweep, ascended dual included
         objective = (
             cfg.lam * model.roughness
-            + float(state.dual @ gap)
+            + float(dual @ gap)
             + 0.5 * cfg.rho * float(gap @ gap)
         )
 
@@ -244,13 +203,13 @@ def css_recover(
             break
 
     covariate_effect = (
-        np.zeros(domain.n) if covariates is None else covariates.values @ state.beta
+        np.zeros(domain.n) if covariates is None else covariates.values @ model.beta
     )
     return RecoveryResult(
-        estimate=SpatialField(domain, state.constrained, nonnegative=True),
-        smooth_component=state.smooth - covariate_effect,
-        beta=state.beta,
-        iterations=state.iteration,
+        estimate=SpatialField(domain, g, nonnegative=True),
+        smooth_component=f - covariate_effect,
+        beta=model.beta,
+        iterations=k,
         converged=converged,
         primal_residuals=np.asarray(primal_hist),
         dual_residuals=np.asarray(dual_hist),

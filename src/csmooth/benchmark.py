@@ -6,7 +6,6 @@ is assembled once per grid shape and shared across seeds.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -104,16 +103,13 @@ def compare_methods(
     spec: EnsembleSpec,
     seeds: tuple[int, ...],
     methods: tuple[str, ...],
-    jobs: int = 1,
 ) -> list[SeedOutcome]:
-    """Run every method on every seed; seeds may run on a thread pool."""
+    """Run every method on every seed, in seed order."""
+    if not seeds:
+        raise ValueError("at least one seed is required")
     if CSS_FEATURES in methods and spec.beta is None:
         raise ValueError("css-features in the method list needs spec.beta set")
     fem = assemble(triangulate(generate_field(spec.synth_spec(seeds[0]))[0].domain))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(run_seed, spec, s, methods, fem) for s in seeds]
-            return [f.result() for f in futures]
     return [run_seed(spec, s, methods, fem) for s in seeds]
 
 
@@ -147,7 +143,6 @@ def run_pipeline(
     rho: float = 1.0,
     seed: int = 0,
     methods: tuple[str, ...] | None = None,
-    jobs: int = 1,
 ) -> PipelineResult:
     """Aggregate ``truth`` at sampled stations, recover with each method, score.
 
@@ -161,23 +156,13 @@ def run_pipeline(
     volumes = aggregate(part, truth)
     fem = assemble(triangulate(truth.domain))
     admm = AdmmConfig(lam=lam, rho=rho)
-
-    def one(method: str):
-        mspec = MethodSpec(method, lam=lam, admm=admm)
-        return run_method_full(
-            mspec, truth.domain, part, volumes, covariates=covariates, fem=fem
-        )
-
     estimates: dict[str, SpatialField] = {}
     results: dict[str, RecoveryResult | None] = {}
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {m: pool.submit(one, m) for m in methods}
-            for m in methods:
-                estimates[m], results[m] = futures[m].result()
-    else:
-        for m in methods:
-            estimates[m], results[m] = one(m)
+    for m in methods:
+        estimates[m], results[m] = run_method_full(
+            MethodSpec(m, lam=lam, admm=admm),
+            truth.domain, part, volumes, covariates=covariates, fem=fem,
+        )
     reports = {
         m: relative_errors(estimates[m], truth, method=m, seed=seed) for m in methods
     }

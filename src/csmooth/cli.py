@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
@@ -69,10 +68,10 @@ def _floats(text: str) -> list[float]:
 
 # ------------------------------------------------------------- handlers
 #
-# Each handler takes (inputs, params, out_dir, jobs) so a manifest's stored
+# Each handler takes (inputs, params, out_dir) so a manifest's stored
 # inputs/params can be replayed through exactly the same code path.
 
-def _cmd_synth(inputs: dict, params: dict, out: Path, jobs: int) -> dict:
+def _cmd_synth(inputs: dict, params: dict, out: Path) -> dict:
     spec = SynthSpec(
         n_rows=int(params["rows"]),
         n_cols=int(params["cols"]),
@@ -94,7 +93,7 @@ def _cmd_synth(inputs: dict, params: dict, out: Path, jobs: int) -> dict:
     return {"outputs": outputs, "results": {"total": truth.total()}}
 
 
-def _cmd_stations(inputs: dict, params: dict, out: Path, jobs: int) -> dict:
+def _cmd_stations(inputs: dict, params: dict, out: Path) -> dict:
     field = read_field_csv(inputs["field"])
     stations = sample_stations(field, int(params["stations"]), seed=int(params["seed"]))
     write_stations_csv(stations, out / "stations.csv")
@@ -102,7 +101,7 @@ def _cmd_stations(inputs: dict, params: dict, out: Path, jobs: int) -> dict:
     return {"outputs": ["stations.csv"], "results": {"stations": stations.m}}
 
 
-def _cmd_aggregate(inputs: dict, params: dict, out: Path, jobs: int) -> dict:
+def _cmd_aggregate(inputs: dict, params: dict, out: Path) -> dict:
     field = read_field_csv(inputs["field"])
     stations = read_stations_csv(inputs["stations"], field.domain)
     part = build_partition(field.domain, stations)
@@ -115,7 +114,7 @@ def _cmd_aggregate(inputs: dict, params: dict, out: Path, jobs: int) -> dict:
     }
 
 
-def _cmd_recover(inputs: dict, params: dict, out: Path, jobs: int) -> dict:
+def _cmd_recover(inputs: dict, params: dict, out: Path) -> dict:
     if inputs.get("truth") is not None:
         if inputs.get("stations") or inputs.get("aggregates"):
             raise ConfigError("--truth samples stations internally; drop "
@@ -156,20 +155,12 @@ def _cmd_recover(inputs: dict, params: dict, out: Path, jobs: int) -> dict:
     )
     fem = assemble(triangulate(domain))
 
-    def one(method: str):
-        spec = MethodSpec(method, lam=float(params["lambda"]), admm=admm)
-        return run_method_full(spec, domain, part, volumes, covariates=covariates, fem=fem)
-
-    runs = {}
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {m: pool.submit(one, m) for m in methods}
-            for m in methods:
-                runs[m] = futures[m].result()
-    else:
-        for m in methods:
-            runs[m] = one(m)
-
+    # every method runs before any estimate is written
+    runs = {
+        m: run_method_full(MethodSpec(m, lam=float(params["lambda"]), admm=admm),
+                           domain, part, volumes, covariates=covariates, fem=fem)
+        for m in methods
+    }
     outputs, results = [], {}
     for m in methods:
         est, res = runs[m]
@@ -178,7 +169,7 @@ def _cmd_recover(inputs: dict, params: dict, out: Path, jobs: int) -> dict:
         outputs.append(name)
         if res is not None:
             diag = f"diagnostics_{m}.csv"
-            write_diagnostics_csv(res, out / diag, report_every=res.config.report_every)
+            write_diagnostics_csv(res, out / diag)
             outputs.append(diag)
             results[m] = {
                 "iterations": res.iterations,
@@ -197,7 +188,7 @@ def _cmd_recover(inputs: dict, params: dict, out: Path, jobs: int) -> dict:
     return {"outputs": outputs, "results": results}
 
 
-def _cmd_evaluate(inputs: dict, params: dict, out: Path, jobs: int) -> dict:
+def _cmd_evaluate(inputs: dict, params: dict, out: Path) -> dict:
     truth = read_field_csv(inputs["truth"])
     reports = []
     outputs = []
@@ -226,9 +217,9 @@ _HANDLERS = {
 }
 
 
-def _run_command(command: str, inputs: dict, params: dict, out: Path, jobs: int) -> int:
+def _run_command(command: str, inputs: dict, params: dict, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
-    info = _HANDLERS[command](inputs, params, out, jobs)
+    info = _HANDLERS[command](inputs, params, out)
     manifest = {
         "command": command,
         "inputs": inputs,
@@ -243,7 +234,7 @@ def _run_command(command: str, inputs: dict, params: dict, out: Path, jobs: int)
     return 0
 
 
-def _rerun_manifest(command: str, manifest_path: str, out: str | None, jobs: int) -> int:
+def _rerun_manifest(command: str, manifest_path: str, out: str | None) -> int:
     manifest = read_manifest(manifest_path)
     stored = manifest.get("command")
     if stored != command:
@@ -258,7 +249,7 @@ def _rerun_manifest(command: str, manifest_path: str, out: str | None, jobs: int
         inputs = dict(inputs)
         inputs["estimates"] = [tuple(e) for e in inputs["estimates"]]
     out_dir = Path(out) if out is not None else Path(manifest_path).parent
-    return _run_command(command, inputs, manifest["params"], out_dir, jobs)
+    return _run_command(command, inputs, manifest["params"], out_dir)
 
 
 def _cmd_plot(args) -> int:
@@ -356,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float, default=1.0)
     p.add_argument("--max-iter", type=int, default=500)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--jobs", type=int, default=1)
     add_common(p)
 
     p = sub.add_parser("evaluate", help="score estimates against a truth field")
@@ -380,9 +370,8 @@ def _dispatch(args) -> int:
     if args.command == "plot":
         return _cmd_plot(args)
 
-    jobs = getattr(args, "jobs", 1)
     if args.from_manifest is not None:
-        return _rerun_manifest(args.command, args.from_manifest, args.out, jobs)
+        return _rerun_manifest(args.command, args.from_manifest, args.out)
     if args.out is None:
         raise ConfigError("--out is required (or use --from-manifest)")
 
@@ -427,7 +416,7 @@ def _dispatch(args) -> int:
     else:  # pragma: no cover - argparse enforces the choices
         raise ConfigError(f"unknown command {args.command!r}")
 
-    return _run_command(args.command, inputs, params, Path(args.out), jobs)
+    return _run_command(args.command, inputs, params, Path(args.out))
 
 
 def main(argv=None) -> int:

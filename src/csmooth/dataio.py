@@ -294,17 +294,12 @@ def read_cdf_csv(path: str | Path) -> tuple[str, np.ndarray, np.ndarray]:
     return method, np.asarray(errors), np.asarray(values)
 
 
-def write_diagnostics_csv(result: RecoveryResult, path: str | Path, report_every: int = 1) -> None:
-    """Per-iteration residuals and objective, one row per report_every-th sweep."""
-    if report_every < 1:
-        return
-    last = result.iterations - 1
+def write_diagnostics_csv(result: RecoveryResult, path: str | Path) -> None:
+    """Per-iteration residuals and objective, one row per sweep."""
     with open(path, "w", newline="") as out:
         w = csv.writer(out)
         w.writerow(["iter", "primal_residual", "dual_residual", "objective"])
         for k in range(result.iterations):
-            if k % report_every and k != last:
-                continue
             w.writerow([
                 k + 1,
                 _fmt(result.primal_residuals[k]),

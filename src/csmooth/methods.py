@@ -88,13 +88,3 @@ def run_method_full(
     )
     return result.estimate, result
 
-
-def run_method(
-    spec: MethodSpec,
-    domain: GridDomain,
-    partition: Partition,
-    volumes: AggregateObservations,
-    covariates: CovariateMatrix | None = None,
-    fem: FemSystem | None = None,
-) -> SpatialField:
-    return run_method_full(spec, domain, partition, volumes, covariates, fem)[0]

@@ -9,18 +9,28 @@ smoothing weight lam, the fit solves
 where c are vertex coefficients of a piecewise-linear surface, J is the
 interior-edge jump operator of the mesh (see fem), M_E = diag(edge_length),
 and d is the per-length jump density along each edge, so the penalty
-equals lam times the integrated squared normal-derivative jump. Eliminating nothing, stationarity gives one sparse symmetric
-indefinite block system in (c, d):
+equals lam times the integrated squared normal-derivative jump. For fixed
+beta, stationarity in (c, d) is one sparse symmetric indefinite block
+system:
 
     [ weight * Psi'Psi   lam * J' ] [c]   [ weight * Psi'(h - W beta) ]
     [ lam * J           -lam * M_E] [d] = [ 0                         ]
 
-which is factorized once (LU) and reused; covariates are handled by
-backfitting ordinary least squares against the current surface until the
-coefficients settle. The penalty vanishes exactly on affine surfaces, so
-those are reproduced for every lam; ``weight`` scales the data term so
-callers embedding this solve in a larger objective can pass their own
-multiplier instead of re-deriving lam.
+which is factorized once (LU) and reused. Write S for the linear map from
+data-cell targets to fitted surface values at the data cells. The
+coefficients are the partial-spline estimate (Green & Silverman 1994,
+section 4.3): beta solves the q x q system
+
+    W'(W - S W) beta = W'(h - S h),
+
+and the surface is the fit to h - W beta. The penalty vanishes exactly on
+affine surfaces, so those are reproduced for every lam and S leaves them
+unchanged. A covariate combination that is affine at the data cells (a
+constant column always is) therefore lies in the null space of that
+system; beta is its minimum-norm solution, which gives such combinations
+coefficient 0 and leaves their effect to the surface. ``weight`` scales
+the data term so callers embedding this solve in a larger objective can
+pass their own multiplier instead of re-deriving lam.
 """
 from __future__ import annotations
 
@@ -35,9 +45,12 @@ from .domain import CovariateMatrix, GridDomain, SpatialField
 from .errors import CollinearCovariates, NumericalFailure, ShapeMismatch
 from .fem import FemSystem
 
-_BACKFIT_TOL = 1e-10
-_BACKFIT_MAX = 1000
 _RESIDUAL_TOL = 1e-8
+# eigenvalues of W'(W - S W) below this fraction of the largest eigenvalue
+# of W'W count as zero: those directions are affine at the data cells. The
+# scale is W'W, not the system itself, so an all-affine W (a system that is
+# zero up to rounding) still gets beta = 0.
+_RANK_RCOND = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,7 +61,8 @@ class SsrModel:
     lam: float
     coeffs: np.ndarray      # vertex coefficients c
     laplacian: np.ndarray   # edge density d
-    beta: np.ndarray        # covariate coefficients (empty without covariates)
+    beta: np.ndarray        # covariate coefficients (empty without covariates);
+                            # minimum-norm, so 0 on combinations affine at the data
     fitted: np.ndarray      # Psi c + W beta at every active cell
     roughness: float        # d' M_E d
     residual: float         # relative residual of the block solve
@@ -97,7 +111,7 @@ class SsrSolver:
         )
         self._block = block
         self._n_v, self._n_e = n_v, n_e
-        self._smoothed_cov: tuple[CovariateMatrix, np.ndarray] | None = None
+        self._covariate_cache: tuple[CovariateMatrix, tuple] | None = None
         try:
             self._lu = spla.splu(block)
         except RuntimeError as exc:
@@ -113,26 +127,34 @@ class SsrSolver:
             raise NumericalFailure("block solve produced non-finite coefficients")
         return x
 
-    def _smoothed_columns(self, covariates: CovariateMatrix, w_data: np.ndarray) -> np.ndarray:
-        # fitted surfaces of the covariate columns; cached per covariate
-        # matrix so repeated solves against the same covariates pay for the
+    def _covariate_system(
+        self, covariates: CovariateMatrix
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # (W at the data cells, block solutions of its columns, pseudo-inverse
+        # of W'(W - S W)); everything here depends on the covariates alone, so
+        # it is cached per covariate matrix and repeated solves pay for the
         # column solves once
-        cached = self._smoothed_cov
+        cached = self._covariate_cache
         if cached is not None and cached[0] is covariates:
             return cached[1]
-        cols = np.empty_like(w_data)
-        for j in range(w_data.shape[1]):
-            xj = self._solve_block(w_data[:, j])
-            cols[:, j] = self.psi_data @ xj[: self._n_v]
-        self._smoothed_cov = (covariates, cols)
-        return cols
+        if not covariates.domain.same_grid(self.fem.tri.domain):
+            raise ShapeMismatch("covariates live on a different domain")
+        w_full = covariates.values
+        w_data = w_full if self.subset is None else w_full[self.subset]
+        gram = w_data.T @ w_data
+        try:
+            scipy.linalg.cho_factor(gram)
+        except scipy.linalg.LinAlgError as exc:
+            raise CollinearCovariates("covariate columns are linearly dependent") from exc
+        x_w = np.column_stack([self._solve_block(col) for col in w_data.T])
+        a = w_data.T @ (w_data - self.psi_data @ x_w[: self._n_v])
+        # a is symmetric up to rounding; pinvh reads its lower triangle
+        a_pinv = scipy.linalg.pinvh(a, atol=_RANK_RCOND * np.linalg.norm(gram, 2), rtol=0.0)
+        system = (w_data, x_w, a_pinv)
+        self._covariate_cache = (covariates, system)
+        return system
 
-    def solve(
-        self,
-        h: np.ndarray,
-        covariates: CovariateMatrix | None = None,
-        beta0: np.ndarray | None = None,
-    ) -> SsrModel:
+    def solve(self, h: np.ndarray, covariates: CovariateMatrix | None = None) -> SsrModel:
         h = np.asarray(h, dtype=float).ravel()
         n_data = self.psi_data.shape[0]
         if h.size != n_data:
@@ -140,48 +162,19 @@ class SsrSolver:
         if not np.isfinite(h).all():
             raise ShapeMismatch("targets must be finite")
 
+        x = self._solve_block(h)
         if covariates is None:
-            x = self._solve_block(h)
             beta = np.zeros(0)
-            w_data = None
+            target = h
         else:
-            if not covariates.domain.same_grid(self.fem.tri.domain):
-                raise ShapeMismatch("covariates live on a different domain")
-            w_full = covariates.values
-            w_data = w_full if self.subset is None else w_full[self.subset]
-            gram = w_data.T @ w_data
-            try:
-                cho = scipy.linalg.cho_factor(gram)
-            except scipy.linalg.LinAlgError as exc:
-                raise CollinearCovariates(
-                    "covariate columns are linearly dependent"
-                ) from exc
-            if beta0 is None:
-                beta = scipy.linalg.cho_solve(cho, w_data.T @ h)
-            else:
-                beta = np.asarray(beta0, dtype=float).ravel()
-                if beta.size != covariates.q:
-                    raise ShapeMismatch(
-                        f"warm-start beta has {beta.size} entries for {covariates.q} covariates"
-                    )
-            # each sweep fits the surface to h - W beta and refits beta by
-            # OLS against the remainder; by linearity of the block solve the
-            # surface is smooth_h - smooth_w beta, so the sweeps cost q-vector
-            # algebra instead of one block solve apiece
-            smooth_w = self._smoothed_columns(covariates, w_data)
-            smooth_h = self.psi_data @ self._solve_block(h)[: self._n_v]
-            for _ in range(_BACKFIT_MAX):
-                surface = smooth_h - smooth_w @ beta
-                new_beta = scipy.linalg.cho_solve(cho, w_data.T @ (h - surface))
-                step = np.max(np.abs(new_beta - beta)) if beta.size else 0.0
-                beta = new_beta
-                if step < _BACKFIT_TOL:
-                    break
-            else:
-                raise NumericalFailure("covariate backfitting did not converge")
-            x = self._solve_block(h - w_data @ beta)
+            # partial-spline coefficients: minimum-norm solution of
+            # W'(W - S W) beta = W'(h - S h); by linearity of the block solve
+            # the fit to h - W beta is x_h - x_W beta
+            w_data, x_w, a_pinv = self._covariate_system(covariates)
+            beta = a_pinv @ (w_data.T @ (h - self.psi_data @ x[: self._n_v]))
+            x = x - x_w @ beta
+            target = h - w_data @ beta
 
-        target = h if covariates is None else h - w_data @ beta
         residual = self._relative_residual(x, target)
         if residual > _RESIDUAL_TOL:
             raise NumericalFailure(f"block solve residual {residual:.3e} exceeds {_RESIDUAL_TOL}")
@@ -197,7 +190,7 @@ class SsrSolver:
             lam=self.lam,
             coeffs=c,
             laplacian=d,
-            beta=np.asarray(beta, dtype=float),
+            beta=beta,
             fitted=fitted,
             roughness=roughness,
             residual=residual,
@@ -215,10 +208,9 @@ def ssr_fit(
     h: np.ndarray,
     lam: float,
     covariates: CovariateMatrix | None = None,
-    weight: float = 1.0,
 ) -> SsrModel:
     """Fit the penalized surface to targets at every active cell."""
-    return SsrSolver(fem, lam, weight=weight).solve(h, covariates)
+    return SsrSolver(fem, lam).solve(h, covariates)
 
 
 def ssr_eval(model: SsrModel, domain: GridDomain) -> SpatialField:

@@ -55,7 +55,7 @@ def ordering_suite():
     """30 seeded no-covariate instances ranked by all four plain methods."""
     spec = EnsembleSpec()
     t0 = time.perf_counter()
-    outcomes = compare_methods(spec, SEEDS, ORDERING_METHODS, jobs=1)
+    outcomes = compare_methods(spec, SEEDS, ORDERING_METHODS)
     return spec, outcomes, time.perf_counter() - t0
 
 
@@ -66,7 +66,7 @@ def features_suite():
         amp_range=(0.5, 1.5), beta=(2.0, 4.0), covariate_blocks=60, max_iter=900
     )
     t0 = time.perf_counter()
-    outcomes = compare_methods(spec, SEEDS, (CSS, CSS_FEATURES), jobs=1)
+    outcomes = compare_methods(spec, SEEDS, (CSS, CSS_FEATURES))
     return spec, outcomes, time.perf_counter() - t0
 
 
@@ -136,7 +136,6 @@ def survey_scale(tmp_path_factory):
                 rho=1.0,
                 seed=17,
                 methods=ALL_METHODS,
-                jobs=1,
             )
     wall = time.perf_counter() - t0
     return out, truth, runs, wall
@@ -372,7 +371,7 @@ def test_criterion_8_cli_determinism(tmp_path):
              "--features", root / "synth" / "covariates.csv",
              "--method", "pe", "--method", "pe-ssr1", "--method", "pe-ssr2",
              "--method", "css", "--method", "css-features",
-             "--jobs", 1, "--out", root / "recover"])
+             "--out", root / "recover"])
         run(["evaluate", "--truth", root / "synth" / "truth.csv",
              *[arg for m in ALL_METHODS
                for arg in ("--estimate", root / "recover" / f"estimate_{m}.csv")],

@@ -8,7 +8,6 @@ from csmooth.admm import (
     AdmmConfig,
     css_recover,
     dual_update,
-    smooth_update,
     volume_projection,
     waterfill,
 )
@@ -22,6 +21,7 @@ from csmooth.partition import (
     build_partition,
     sample_stations,
 )
+from csmooth.smoother import SsrSolver
 
 from oracles import constrained_qp_field_oracle, dense_f_update_oracle, qp_patch_oracle
 
@@ -91,27 +91,17 @@ def test_volume_projection_checks_station_count():
 
 @pytest.mark.parametrize("rho", [0.5, 2.0])
 def test_smooth_update_matches_dense_oracle(rng, rho):
+    # the f-step exactly as css_recover takes it
     fem = assemble(triangulate(make_domain(5, 5)))
     psi = fem.basis_eval.toarray()
     jump = fem.edge_jump.toarray()
     g = rng.uniform(0.0, 3.0, 25)
     dual = rng.normal(0.0, 1.0, 25)
     lam = 0.8
-    f, beta = smooth_update(fem, g, dual, rho, lam)
+    model = SsrSolver(fem, lam, weight=rho / 2.0).solve(g + dual / rho)
     c_ref, _ = dense_f_update_oracle(psi, jump, fem.edge_length, g, dual, rho, lam)
-    np.testing.assert_allclose(f, psi @ c_ref, rtol=0, atol=1e-9)
-    assert beta.size == 0
-
-
-def test_halved_target_coincides_at_rho_two(rng):
-    # (dual + rho g)/2 with unit weight equals g + dual/rho with weight rho/2
-    # exactly when rho = 2
-    fem = assemble(triangulate(make_domain(4, 4)))
-    g = rng.uniform(0.0, 2.0, 16)
-    dual = rng.normal(0.0, 1.0, 16)
-    f_a, _ = smooth_update(fem, g, dual, 2.0, 1.0, halved_target=False)
-    f_b, _ = smooth_update(fem, g, dual, 2.0, 1.0, halved_target=True)
-    np.testing.assert_allclose(f_a, f_b, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(model.fitted, psi @ c_ref, rtol=0, atol=1e-9)
+    assert model.beta.size == 0
 
 
 def test_dual_update_arithmetic():
@@ -164,16 +154,6 @@ def test_estimate_scales_with_volumes():
     )
 
 
-def test_halved_target_run_matches_default_at_rho_two():
-    dom, truth, part, vols = make_problem(7, 7, 5, seed=3)
-    base = dict(lam=1.0, rho=2.0, max_iter=15, tol_primal=0.0, tol_dual=0.0)
-    res_a = css_recover(dom, part, vols, config=AdmmConfig(**base))
-    res_b = css_recover(dom, part, vols, config=AdmmConfig(**base, halved_target=True))
-    np.testing.assert_allclose(
-        res_a.estimate.values, res_b.estimate.values, rtol=0, atol=1e-8
-    )
-
-
 def test_histories_and_flags():
     dom, truth, part, vols = make_problem(8, 8, 6, seed=2)
     res = css_recover(dom, part, vols, config=AdmmConfig(max_iter=3))
@@ -211,6 +191,8 @@ def test_covariates_enter_smoothing(rng):
     cov = CovariateMatrix(dom, w, names=("one", "x"))
     res = css_recover(dom, part, vols, covariates=cov, config=AdmmConfig(max_iter=40))
     assert res.beta.shape == (2,)
+    # the constant column is affine, so the surface carries it: beta 0
+    assert abs(res.beta[0]) <= 1e-9
     # smooth_component excludes the covariate effect by construction
     assert np.isfinite(res.smooth_component).all()
 

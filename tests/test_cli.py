@@ -141,20 +141,6 @@ def test_features_flow(tmp_path):
     assert (rec / "estimate_css-features.csv").exists()
 
 
-def test_parallel_jobs_match_serial(workflow_dir):
-    base = ["recover",
-            "--domain", workflow_dir / "synth" / "truth.csv",
-            "--stations-csv", workflow_dir / "stations" / "stations.csv",
-            "--aggregates", workflow_dir / "agg" / "aggregates.csv",
-            "--method", "pe-ssr2", "--method", "css"]
-    assert run(base + ["--out", workflow_dir / "serial"]) == 0
-    assert run(base + ["--jobs", 2, "--out", workflow_dir / "parallel"]) == 0
-    for name in ("estimate_pe-ssr2.csv", "estimate_css.csv", "manifest.json"):
-        a = (workflow_dir / "serial" / name).read_bytes()
-        b = (workflow_dir / "parallel" / name).read_bytes()
-        assert a == b
-
-
 def test_usage_errors_exit_two(tmp_path, capsys):
     assert run(["synth", "--cols", 4, "--out", tmp_path / "x"]) == 2
     assert run(["stations", "--stations", 3, "--out", tmp_path / "x"]) == 2

@@ -201,14 +201,15 @@ def test_diagnostics_thinning(tmp_path):
         dom, part, vols, config=AdmmConfig(max_iter=5, tol_primal=0.0, tol_dual=0.0)
     )
     path = tmp_path / "diag.csv"
-    write_diagnostics_csv(res, path, report_every=2)
+    write_diagnostics_csv(res, path)
     with open(path, newline="") as handle:
         rows = list(csv.reader(handle))
     assert rows[0] == ["iter", "primal_residual", "dual_residual", "objective"]
-    # every second sweep plus the final one
-    assert [r[0] for r in rows[1:]] == ["1", "3", "5"]
+    # no thinning: every sweep gets a row
+    assert [r[0] for r in rows[1:]] == ["1", "2", "3", "4", "5"]
     assert float(rows[1][1]) == res.primal_residuals[0]
-    assert float(rows[3][3]) == res.objectives[4]
+    assert float(rows[3][2]) == res.dual_residuals[2]
+    assert float(rows[5][3]) == res.objectives[4]
 
 
 def test_mesh_dump(tmp_path):

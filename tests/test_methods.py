@@ -15,7 +15,6 @@ from csmooth.methods import (
     PE_SSR1,
     PE_SSR2,
     MethodSpec,
-    run_method,
     run_method_full,
 )
 from csmooth.metrics import relative_errors
@@ -103,12 +102,6 @@ def test_css_features_requires_covariates(problem):
         run_method_full(MethodSpec(CSS_FEATURES), dom, part, vols, fem=fem)
 
 
-def test_run_method_returns_field_only(problem):
-    dom, truth, part, vols, cov, fem = problem
-    est = run_method(MethodSpec(PE), dom, part, vols, fem=fem)
-    assert isinstance(est, SpatialField)
-
-
 def test_relative_errors_excludes_below_floor():
     dom = make_domain(1, 4)
     truth = SpatialField(dom, np.array([2.0, 0.0, 4.0, 1e-12]))
@@ -140,19 +133,14 @@ def test_relative_errors_checks_domain():
         relative_errors(e, t)
 
 
-def test_compare_methods_parallel_matches_serial():
-    spec = EnsembleSpec(n_rows=8, n_cols=8, n_stations=5)
-    serial = compare_methods(spec, seeds=range(3), methods=(PE, PE_SSR2), jobs=1)
-    parallel = compare_methods(spec, seeds=range(3), methods=(PE, PE_SSR2), jobs=2)
-    assert [o.seed for o in serial] == [0, 1, 2] == [o.seed for o in parallel]
-    for a, b in zip(serial, parallel):
-        for m in (PE, PE_SSR2):
-            np.testing.assert_array_equal(a.reports[m].errors, b.reports[m].errors)
+def test_compare_methods_needs_a_seed():
+    with pytest.raises(ValueError, match="at least one seed"):
+        compare_methods(EnsembleSpec(n_rows=8, n_cols=8, n_stations=5), (), (PE,))
 
 
 def test_ensemble_summaries():
     spec = EnsembleSpec(n_rows=8, n_cols=8, n_stations=5)
-    outs = compare_methods(spec, seeds=range(4), methods=(PE, PE_SSR2), jobs=1)
+    outs = compare_methods(spec, seeds=range(4), methods=(PE, PE_SSR2))
     mres = np.array([o.mre(PE_SSR2) for o in outs])
     assert mean_mre(outs, PE_SSR2) == pytest.approx(float(mres.mean()))
     wins = win_fraction(outs, PE_SSR2, PE)

@@ -139,15 +139,27 @@ def test_subset_affine_reproduction(fem6):
     np.testing.assert_allclose(model.fitted, h_full, rtol=0, atol=1e-8)
 
 
-def test_warm_start_agrees_with_cold(fem6, rng):
+def test_affine_covariate_gets_zero_coefficient(fem6, rng):
+    # a constant column is affine at the cells, so the smooth surface can
+    # absorb any multiple of it; the minimum-norm convention gives it 0 and
+    # the fit is the one without that column
     h = rng.normal(2.0, 1.0, 36)
-    w = np.column_stack([rng.normal(size=36), rng.uniform(size=36)])
-    cov = CovariateMatrix(fem6.tri.domain, w, names=("a", "b"))
+    x = rng.normal(size=36)
+    dom = fem6.tri.domain
     solver = SsrSolver(fem6, 1.0)
-    cold = solver.solve(h, cov)
-    warm = solver.solve(h, cov, beta0=np.array([100.0, -50.0]))
-    np.testing.assert_allclose(warm.beta, cold.beta, rtol=0, atol=1e-8)
-    np.testing.assert_allclose(warm.fitted, cold.fitted, rtol=0, atol=1e-8)
+    with_one = solver.solve(h, CovariateMatrix(dom, np.column_stack([np.ones(36), x]),
+                                               names=("one", "x")))
+    x_only = solver.solve(h, CovariateMatrix(dom, x[:, None], names=("x",)))
+    assert abs(with_one.beta[0]) <= 1e-9
+    np.testing.assert_allclose(with_one.fitted, x_only.fitted, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(with_one.beta[1], x_only.beta[0], rtol=0, atol=1e-9)
+    # with every column affine the system is zero up to rounding: beta is
+    # still 0 and the fit is the one without covariates
+    affine = CovariateMatrix(dom, np.column_stack([np.ones(36), dom.centers]),
+                             names=("one", "x", "y"))
+    only_affine = solver.solve(h, affine)
+    np.testing.assert_allclose(only_affine.beta, 0.0, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(only_affine.fitted, solver.solve(h).fitted, rtol=0, atol=1e-9)
 
 
 def test_covariate_cache_keyed_by_object(fem6, rng):
@@ -190,9 +202,6 @@ def test_validation_errors(fem6):
         solver.solve(np.ones(35))
     with pytest.raises(ShapeMismatch):
         solver.solve(np.full(36, np.nan))
-    cov = CovariateMatrix(fem6.tri.domain, np.ones((36, 1)), names=("one",))
-    with pytest.raises(ShapeMismatch):
-        solver.solve(np.ones(36), cov, beta0=np.ones(2))
     other = make_domain(3, 12)
     with pytest.raises(ShapeMismatch):
         solver.solve(np.ones(36), CovariateMatrix(other, np.ones((36, 1)), names=("one",)))
