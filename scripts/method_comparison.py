@@ -26,6 +26,8 @@ def main() -> int:
                     help="add a covariate effect and include css-features")
     ap.add_argument("--svg", help="write a mean-MRE bar chart here")
     args = ap.parse_args()
+    if args.seeds < 1:
+        ap.error(f"--seeds must be at least 1, got {args.seeds}")
 
     methods = [PE, PE_SSR1, PE_SSR2, CSS]
     beta = None

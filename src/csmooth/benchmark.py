@@ -11,7 +11,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .admm import AdmmConfig, RecoveryResult
-from .domain import CovariateMatrix, SpatialField
+from .domain import CovariateMatrix, SpatialField, make_domain
 from .fem import FemSystem, assemble, triangulate
 from .methods import ALL_METHODS, CSS_FEATURES, MethodSpec, run_method_full
 from .metrics import EvalReport, relative_errors
@@ -109,7 +109,7 @@ def compare_methods(
         raise ValueError("at least one seed is required")
     if CSS_FEATURES in methods and spec.beta is None:
         raise ValueError("css-features in the method list needs spec.beta set")
-    fem = assemble(triangulate(generate_field(spec.synth_spec(seeds[0]))[0].domain))
+    fem = assemble(triangulate(make_domain(spec.n_rows, spec.n_cols)))
     return [run_seed(spec, s, methods, fem) for s in seeds]
 
 

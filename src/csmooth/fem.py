@@ -8,8 +8,9 @@ elements:
   * the mass matrix M, M_ab = integral(psi_a psi_b),
   * the stiffness matrix K, K_ab = integral(grad psi_a . grad psi_b),
   * the evaluation matrix Psi with one row per active cell giving the
-    barycentric weights of its center (centers sit on the split diagonal;
-    the tie is resolved to the lowest covering triangle index),
+    barycentric weights of its center (centers are the midpoints of the
+    split diagonal, looked up in the triangle below it, so each row holds
+    exactly 1/2 at the cell's lower-left and upper-right corners),
   * the roughness operator: for each interior edge e shared by triangles
     T1 < T2, row e of J is |e| times the jump of the surface's normal
     derivative across e, and edge_length holds |e|.
@@ -84,18 +85,10 @@ def triangulate(domain: GridDomain) -> Triangulation:
     triangles[1::2] = np.column_stack([ll, ur, ul])   # above the diagonal
     cell_triangles = np.column_stack([np.arange(0, 2 * n, 2), np.arange(1, 2 * n, 2)])
 
-    center_triangle = np.empty(n, dtype=np.int64)
-    center_bary = np.empty((n, 3))
-    for j in range(n):
-        p = domain.centers[j]
-        for t in cell_triangles[j]:
-            bary = _barycentric(vertices[triangles[t]], p)
-            if bary.min() >= -1e-12:
-                center_triangle[j] = t
-                center_bary[j] = np.maximum(bary, 0.0) / np.maximum(bary, 0.0).sum()
-                break
-        else:  # pragma: no cover - centers always lie on the split diagonal
-            raise DegenerateTriangle(f"cell {j} center not covered by its triangles")
+    # each center is the midpoint of its cell's ll-ur diagonal, shared by
+    # both triangles; the one below the diagonal (ll, lr, ur) holds it
+    center_triangle = cell_triangles[:, 0]
+    center_bary = np.tile([0.5, 0.0, 0.5], (n, 1))
 
     return Triangulation(
         domain=domain,
@@ -106,13 +99,6 @@ def triangulate(domain: GridDomain) -> Triangulation:
         center_triangle=_frozen(center_triangle),
         center_bary=_frozen(center_bary),
     )
-
-
-def _barycentric(tri_coords: np.ndarray, p: np.ndarray) -> np.ndarray:
-    a, b, c = tri_coords
-    t = np.column_stack([b - a, c - a])
-    s = np.linalg.solve(t, p - a)
-    return np.array([1.0 - s[0] - s[1], s[0], s[1]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,7 +121,7 @@ class FemSystem:
         return self.edge_length.size
 
     def roughness_matrix(self) -> sp.csr_matrix:
-        """Penalty quadratic form J' diag(1/edge_length) J (for diagnostics)."""
+        """The smoother's penalty quadratic form J' diag(1/edge_length) J."""
         w = sp.diags(1.0 / self.edge_length)
         return (self.edge_jump.T @ w @ self.edge_jump).tocsr()
 

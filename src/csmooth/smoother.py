@@ -4,22 +4,24 @@ Given targets h at (a subset of) cell centers, optional covariates W, and a
 smoothing weight lam, the fit solves
 
     min over (c, beta)   weight * sum_j (h_j - w_j' beta - (Psi c)_j)^2
-                         + lam * d' M_E d,   with  M_E d = J c,
+                         + lam * c' J' M_E^-1 J c,
 
 where c are vertex coefficients of a piecewise-linear surface, J is the
-interior-edge jump operator of the mesh (see fem), M_E = diag(edge_length),
-and d is the per-length jump density along each edge, so the penalty
-equals lam times the integrated squared normal-derivative jump. For fixed
-beta, stationarity in (c, d) is one sparse symmetric indefinite block
-system:
+interior-edge jump operator of the mesh (see fem) and M_E =
+diag(edge_length), so the penalty (``FemSystem.roughness_matrix``) equals
+lam times the integrated squared normal-derivative jump. The per-length
+jump density d = M_E^-1 J c is reported as ``laplacian``. For fixed beta,
+stationarity in c is one sparse symmetric positive definite system:
 
-    [ weight * Psi'Psi   lam * J' ] [c]   [ weight * Psi'(h - W beta) ]
-    [ lam * J           -lam * M_E] [d] = [ 0                         ]
+    (weight * Psi'Psi + lam * J' M_E^-1 J) c = weight * Psi'(h - W beta),
 
-which is factorized once (LU) and reused. Write S for the linear map from
-data-cell targets to fitted surface values at the data cells. The
-coefficients are the partial-spline estimate (Green & Silverman 1994,
-section 4.3): beta solves the q x q system
+which is factorized once (LU) and reused. It is positive definite exactly
+when the data cells pin down the penalty's null space, the surfaces affine
+on each edge-connected piece of the mesh (on a connected mesh: when the
+data centers do not all lie on one line); a singular system is rejected.
+Write S for the linear map from data-cell targets to fitted surface values
+at the data cells. The coefficients are the partial-spline estimate (Green
+& Silverman 1994, section 4.3): beta solves the q x q system
 
     W'(W - S W) beta = W'(h - S h),
 
@@ -38,7 +40,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .domain import CovariateMatrix, GridDomain, SpatialField
@@ -51,6 +52,15 @@ _RESIDUAL_TOL = 1e-8
 # scale is W'W, not the system itself, so an all-affine W (a system that is
 # zero up to rounding) still gets beta = 0.
 _RANK_RCOND = 1e-10
+# fill-reducing column order for splu: minimum degree on A' + A suits the
+# symmetric system and fills less than the default COLAMD
+_PERMC_SPEC = "MMD_AT_PLUS_A"
+# a factorization whose smallest pivot is below this fraction of its
+# largest is singular: a null direction leaves a pivot at rounding level
+# (1e-16 to 2e-15 of the largest). Well-posed fits stay far above it; the
+# ratio falls about in step with lam / weight or weight / lam, to 5e-9 at
+# 1e8 on a 6 x 6 grid.
+_PIVOT_RATIO_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,12 +70,12 @@ class SsrModel:
     fem: FemSystem
     lam: float
     coeffs: np.ndarray      # vertex coefficients c
-    laplacian: np.ndarray   # edge density d
+    laplacian: np.ndarray   # edge density d = M_E^-1 J c
     beta: np.ndarray        # covariate coefficients (empty without covariates);
                             # minimum-norm, so 0 on combinations affine at the data
     fitted: np.ndarray      # Psi c + W beta at every active cell
     roughness: float        # d' M_E d
-    residual: float         # relative residual of the block solve
+    residual: float         # relative residual of the linear solve
 
 
 class SsrSolver:
@@ -101,39 +111,42 @@ class SsrSolver:
                 raise ShapeMismatch("data subset index out of range")
             self.subset = idx
             self.psi_data = fem.basis_eval[idx]
-        n_v, n_e = fem.n_vertices, fem.n_edges
-        block = sp.bmat(
-            [
-                [self.weight * (self.psi_data.T @ self.psi_data), lam * fem.edge_jump.T],
-                [lam * fem.edge_jump, -lam * sp.diags(fem.edge_length)],
-            ],
-            format="csc",
-        )
-        self._block = block
-        self._n_v, self._n_e = n_v, n_e
+        self._psi_data_t = self.psi_data.T.tocsr()
+        self._system = (
+            self.weight * (self._psi_data_t @ self.psi_data)
+            + self.lam * fem.roughness_matrix()
+        ).tocsc()
         self._covariate_cache: tuple[CovariateMatrix, tuple] | None = None
         try:
-            self._lu = spla.splu(block)
-        except RuntimeError as exc:
+            self._lu = spla.splu(self._system, permc_spec=_PERMC_SPEC)
+        except RuntimeError:  # an exactly zero pivot
+            ratio = 0.0
+        else:
+            pivots = np.abs(self._lu.U.diagonal())
+            ratio = pivots.min() / pivots.max()
+        if ratio <= _PIVOT_RATIO_TOL:
             raise NumericalFailure(
-                f"block system factorization failed ({exc}); the data points may "
-                "not pin down the affine null space of the penalty"
-            ) from exc
+                f"smoothing system is singular (pivot ratio {ratio:.1e}); the data "
+                "cells do not pin down the affine null space of the penalty"
+            )
 
-    def _solve_block(self, target: np.ndarray) -> np.ndarray:
-        rhs = np.concatenate([self.weight * (self.psi_data.T @ target), np.zeros(self._n_e)])
-        x = self._lu.solve(rhs)
-        if not np.isfinite(x).all():
-            raise NumericalFailure("block solve produced non-finite coefficients")
-        return x
+    def _rhs(self, target: np.ndarray) -> np.ndarray:
+        return self.weight * (self._psi_data_t @ target)
+
+    def _solve(self, target: np.ndarray) -> np.ndarray:
+        # target is one vector or a matrix of columns, each a data-cell target
+        c = self._lu.solve(self._rhs(target))
+        if not np.isfinite(c).all():
+            raise NumericalFailure("smoothing solve produced non-finite coefficients")
+        return c
 
     def _covariate_system(
         self, covariates: CovariateMatrix
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # (W at the data cells, block solutions of its columns, pseudo-inverse
-        # of W'(W - S W)); everything here depends on the covariates alone, so
-        # it is cached per covariate matrix and repeated solves pay for the
-        # column solves once
+        # (W at the data cells, coefficient solutions of its columns,
+        # pseudo-inverse of W'(W - S W)); everything here depends on the
+        # covariates alone, so it is cached per covariate matrix and repeated
+        # solves pay for the column solves once
         cached = self._covariate_cache
         if cached is not None and cached[0] is covariates:
             return cached[1]
@@ -146,11 +159,11 @@ class SsrSolver:
             scipy.linalg.cho_factor(gram)
         except scipy.linalg.LinAlgError as exc:
             raise CollinearCovariates("covariate columns are linearly dependent") from exc
-        x_w = np.column_stack([self._solve_block(col) for col in w_data.T])
-        a = w_data.T @ (w_data - self.psi_data @ x_w[: self._n_v])
+        c_w = self._solve(w_data)
+        a = w_data.T @ (w_data - self.psi_data @ c_w)
         # a is symmetric up to rounding; pinvh reads its lower triangle
         a_pinv = scipy.linalg.pinvh(a, atol=_RANK_RCOND * np.linalg.norm(gram, 2), rtol=0.0)
-        system = (w_data, x_w, a_pinv)
+        system = (w_data, c_w, a_pinv)
         self._covariate_cache = (covariates, system)
         return system
 
@@ -162,25 +175,29 @@ class SsrSolver:
         if not np.isfinite(h).all():
             raise ShapeMismatch("targets must be finite")
 
-        x = self._solve_block(h)
+        c = self._solve(h)
         if covariates is None:
             beta = np.zeros(0)
             target = h
         else:
             # partial-spline coefficients: minimum-norm solution of
-            # W'(W - S W) beta = W'(h - S h); by linearity of the block solve
-            # the fit to h - W beta is x_h - x_W beta
-            w_data, x_w, a_pinv = self._covariate_system(covariates)
-            beta = a_pinv @ (w_data.T @ (h - self.psi_data @ x[: self._n_v]))
-            x = x - x_w @ beta
+            # W'(W - S W) beta = W'(h - S h); by linearity of the solve
+            # the fit to h - W beta is c_h - c_W beta
+            w_data, c_w, a_pinv = self._covariate_system(covariates)
+            beta = a_pinv @ (w_data.T @ (h - self.psi_data @ c))
+            c = c - c_w @ beta
             target = h - w_data @ beta
 
-        residual = self._relative_residual(x, target)
+        rhs = self._rhs(target)
+        residual = float(np.linalg.norm(self._system @ c - rhs)) / max(
+            float(np.linalg.norm(rhs)), 1e-30
+        )
         if residual > _RESIDUAL_TOL:
-            raise NumericalFailure(f"block solve residual {residual:.3e} exceeds {_RESIDUAL_TOL}")
+            raise NumericalFailure(
+                f"smoothing solve residual {residual:.3e} exceeds {_RESIDUAL_TOL}"
+            )
 
-        c = x[: self._n_v]
-        d = x[self._n_v:]
+        d = (self.fem.edge_jump @ c) / self.fem.edge_length
         fitted = self.fem.basis_eval @ c
         if covariates is not None:
             fitted = fitted + covariates.values @ beta
@@ -195,12 +212,6 @@ class SsrSolver:
             roughness=roughness,
             residual=residual,
         )
-
-    def _relative_residual(self, x: np.ndarray, target: np.ndarray) -> float:
-        rhs = np.concatenate([self.weight * (self.psi_data.T @ target), np.zeros(self._n_e)])
-        r = self._block @ x - rhs
-        scale = max(float(np.linalg.norm(rhs)), 1e-30)
-        return float(np.linalg.norm(r)) / scale
 
 
 def ssr_fit(

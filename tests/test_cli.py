@@ -183,6 +183,17 @@ def test_runtime_failure_exits_one(tmp_path, capsys):
     assert "zero total mass" in capsys.readouterr().err
 
 
+def test_too_few_stations_for_a_surface_exit_one(workflow_dir, capsys):
+    # one or two station cells cannot pin down an affine surface, so pe-ssr1
+    # has no unique fit
+    for n_stations in (1, 2):
+        out = workflow_dir / f"rec_{n_stations}"
+        assert run(["recover", "--truth", workflow_dir / "synth" / "truth.csv",
+                    "--stations", n_stations, "--method", "pe-ssr1", "--out", out]) == 1
+        assert "singular" in capsys.readouterr().err
+        assert not (out / "estimate_pe-ssr1.csv").exists()
+
+
 def test_plot_requires_an_input(tmp_path, capsys):
     assert run(["plot", "--out", tmp_path / "p"]) == 2
     assert "at least one" in capsys.readouterr().err

@@ -92,16 +92,19 @@ def test_global_assembly_matches_element_oracles():
 
 
 def test_basis_eval_is_a_partition_of_unity():
-    fem = assemble(triangulate(make_domain(4, 6)))
-    np.testing.assert_allclose(
-        np.asarray(fem.basis_eval.sum(axis=1)).ravel(), 1.0, atol=1e-12
-    )
-    # evaluating the vertex x-coordinates recovers every cell center x
-    np.testing.assert_allclose(
-        fem.basis_eval @ fem.tri.vertices[:, 0],
-        fem.tri.domain.centers[:, 0],
-        atol=1e-12,
-    )
+    for domain in (make_domain(4, 6), make_domain(5, 7, cell_size=0.3, origin=(2.1, -1.7))):
+        fem = assemble(triangulate(domain))
+        np.testing.assert_allclose(
+            np.asarray(fem.basis_eval.sum(axis=1)).ravel(), 1.0, atol=1e-12
+        )
+        # evaluating the vertex coordinates recovers every cell center
+        np.testing.assert_allclose(
+            fem.basis_eval @ fem.tri.vertices, domain.centers, atol=1e-12
+        )
+        # each center is the exact midpoint of its cell's ll-ur diagonal:
+        # two weights of 1/2 per row and no rounding residue elsewhere
+        assert (fem.tri.center_bary == [0.5, 0.0, 0.5]).all()
+        assert fem.basis_eval.nnz == 2 * domain.n
 
 
 @given(seed=st.integers(0, 10_000))

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from csmooth.domain import CovariateMatrix, make_domain
-from csmooth.errors import CollinearCovariates, ShapeMismatch
+from csmooth.errors import CollinearCovariates, NumericalFailure, ShapeMismatch
 from csmooth.fem import assemble, triangulate
 from csmooth.smoother import SsrSolver, ssr_eval, ssr_fit
 
@@ -49,7 +49,9 @@ def test_affine_target_reproduced(lam):
     assert model.roughness < 1e-16
 
 
-@pytest.mark.parametrize("lam,weight", [(0.3, 1.0), (1.0, 0.5), (10.0, 2.0)])
+@pytest.mark.parametrize(
+    "lam,weight", [(1e-3, 1.0), (0.3, 1.0), (1.0, 0.5), (10.0, 2.0), (1e3, 1.0)]
+)
 def test_matches_dense_solve_6x6(fem6, rng, lam, weight):
     psi, jump, lengths = dense_parts(fem6)
     h = rng.normal(2.0, 1.0, 36)
@@ -133,10 +135,30 @@ def test_subset_fit_matches_dense(fem6, rng):
 
 def test_subset_affine_reproduction(fem6):
     dom = fem6.tri.domain
-    idx = np.array([0, 5, 30, 35, 17])
     h_full = 2.0 + 0.4 * dom.centers[:, 0] - 0.3 * dom.centers[:, 1]
-    model = SsrSolver(fem6, 1.0, subset=idx).solve(h_full[idx])
-    np.testing.assert_allclose(model.fitted, h_full, rtol=0, atol=1e-8)
+    # three cells off one line already fix a plane
+    for idx in (np.array([0, 5, 30, 35, 17]), np.array([0, 4, 19])):
+        model = SsrSolver(fem6, 1.0, subset=idx).solve(h_full[idx])
+        np.testing.assert_allclose(model.fitted, h_full, rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize(
+    "domain,cells",
+    [
+        (make_domain(6, 6), [(2, 3)]),
+        (make_domain(6, 6), [(1, 1), (4, 2)]),
+        (make_domain(6, 6), [(0, 0), (2, 2), (5, 5)]),
+        (make_domain(5, 5, np.arange(25) // 5 == 2), None),
+        (make_domain(1, 1), None),
+    ],
+    ids=["one-cell", "two-cells", "collinear-cells", "single-row-domain", "single-cell-domain"],
+)
+def test_singular_data_rejected(domain, cells):
+    # the data cells must pin down the affine surfaces the penalty ignores:
+    # with fewer than three, or all on one line, the fit is not unique
+    subset = None if cells is None else np.array([domain.index_of(r, c) for r, c in cells])
+    with pytest.raises(NumericalFailure, match="singular"):
+        SsrSolver(assemble(triangulate(domain)), 1.0, subset=subset)
 
 
 def test_affine_covariate_gets_zero_coefficient(fem6, rng):
