@@ -8,8 +8,9 @@ each sweep performs
   1. volume projection (g): per patch, minimize
      (rho/2)||g||^2 + (dual - rho f)' g subject to the patch sum matching
      the observed volume and g >= 0. The patches are disjoint under the
-     binary assignment, so each solves independently in closed form by
-     water-filling.
+     binary assignment, so each has its own closed-form water level; one
+     sort by (patch, cost) finds every level at once (the sort-based
+     simplex projection of Duchi et al. 2008 and Condat 2016).
   2. smoothing (f): a penalized least-squares fit (see smoother) pulling
      the surface toward g + dual/rho with data weight rho/2, covariates
      included here and nowhere else.
@@ -88,18 +89,39 @@ def waterfill(costs: np.ndarray, total: float, rho: float) -> np.ndarray:
     the unique prefix size r whose level lies between the r-th and (r+1)-th
     smallest cost.
     """
-    if total < 0:
-        raise InfeasibleVolume(f"patch volume {total} is negative")
     c = np.asarray(costs, dtype=float).ravel()
-    if total == 0:
-        return np.zeros_like(c)
-    cs = np.sort(c)
-    nu = (rho * total + np.cumsum(cs)) / np.arange(1, c.size + 1)
+    return _waterfill(c, np.zeros(c.size, dtype=np.int64), np.array([float(total)]), rho)
+
+
+def _waterfill(
+    costs: np.ndarray, patch: np.ndarray, totals: np.ndarray, rho: float
+) -> np.ndarray:
+    """waterfill on every patch at once; cell j belongs to patch[j]."""
+    if (totals < 0).any():
+        raise InfeasibleVolume(f"patch volume {totals.min()} is negative")
+    sizes = np.bincount(patch, minlength=totals.size)
+    if not sizes.all():
+        raise InfeasibleVolume(f"patch {int(np.argmin(sizes))} holds no cell")
+    order = np.lexsort((costs, patch))
+    cs, ps = costs[order], patch[order]
+    starts = np.cumsum(sizes) - sizes
+    rank = np.arange(cs.size) - starts[ps]
+    run = np.cumsum(cs)
+    prefix = run - np.r_[0.0, run][starts][ps]
+    nu = (rho * totals[ps] + prefix) / (rank + 1)
     # largest prefix whose level clears its own largest cost; ties put the
     # boundary element at exactly zero, so >= picks the same solution while
     # keeping the first prefix valid even when rho * total underflows
-    r = int(np.flatnonzero(nu >= cs)[-1])
-    return np.maximum(0.0, (nu[r] - c) / rho)
+    support = np.maximum.reduceat(np.where(nu >= cs, rank, 0), starts) + 1
+    # the level again over the support alone: bincount adds each patch's
+    # sorted costs one by one, as a per-patch cumsum does, free of the
+    # rounding the running sum picked up from earlier patches
+    inside = rank < support[ps]
+    sums = np.bincount(ps[inside], weights=cs[inside], minlength=totals.size)
+    level = (rho * totals + sums) / support
+    g = np.maximum(0.0, (level[patch] - costs) / rho)
+    g[totals[patch] == 0] = 0.0
+    return g
 
 
 def volume_projection(
@@ -112,14 +134,12 @@ def volume_projection(
     """Exact g-step: per-patch water-filling against costs dual - rho * field."""
     if volumes.m != partition.m:
         raise InfeasibleVolume(f"{volumes.m} volumes for {partition.m} patches")
-    costs = dual - rho * field
-    area = partition.domain.cell_area
-    g = np.zeros(partition.domain.n)
-    for i, patch in enumerate(partition.binary_patches):
-        if patch.size == 0:
-            continue
-        g[patch] = waterfill(costs[patch], volumes.values[i] / area, rho)
-    return g
+    return _waterfill(
+        dual - rho * field,
+        partition.station_of_cell,
+        volumes.values / partition.domain.cell_area,
+        rho,
+    )
 
 
 def dual_update(dual: np.ndarray, f: np.ndarray, g: np.ndarray, rho: float) -> np.ndarray:

@@ -90,9 +90,8 @@ def run_seed(
     admm = AdmmConfig(lam=spec.lam, rho=spec.rho, max_iter=spec.max_iter)
     outcome = SeedOutcome(seed=seed, truth=truth)
     for method in methods:
-        mspec = MethodSpec(method, lam=spec.lam, admm=admm)
         est, res = run_method_full(
-            mspec, truth.domain, part, volumes, covariates=cov, fem=fem
+            MethodSpec(method, admm), truth.domain, part, volumes, covariates=cov, fem=fem
         )
         outcome.reports[method] = relative_errors(est, truth, method=method, seed=seed)
         outcome.results[method] = res
@@ -160,7 +159,7 @@ def run_pipeline(
     results: dict[str, RecoveryResult | None] = {}
     for m in methods:
         estimates[m], results[m] = run_method_full(
-            MethodSpec(m, lam=lam, admm=admm),
+            MethodSpec(m, admm),
             truth.domain, part, volumes, covariates=covariates, fem=fem,
         )
     reports = {

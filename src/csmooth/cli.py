@@ -157,8 +157,8 @@ def _cmd_recover(inputs: dict, params: dict, out: Path) -> dict:
 
     # every method runs before any estimate is written
     runs = {
-        m: run_method_full(MethodSpec(m, lam=float(params["lambda"]), admm=admm),
-                           domain, part, volumes, covariates=covariates, fem=fem)
+        m: run_method_full(MethodSpec(m, admm), domain, part, volumes,
+                           covariates=covariates, fem=fem)
         for m in methods
     }
     outputs, results = [], {}

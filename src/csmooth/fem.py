@@ -170,7 +170,7 @@ def assemble(tri: Triangulation) -> FemSystem:
     )
     psi.eliminate_zeros()
 
-    edge_jump, edge_length = _assemble_edges(tri, grads, area)
+    edge_jump, edge_length = _assemble_edges(tri, grads)
     return FemSystem(
         tri=tri,
         mass=mass,
@@ -181,7 +181,7 @@ def assemble(tri: Triangulation) -> FemSystem:
     )
 
 
-def _assemble_edges(tri: Triangulation, grads: np.ndarray, area: np.ndarray):
+def _assemble_edges(tri: Triangulation, grads: np.ndarray):
     """Rows of J: |e| * (grad_T1 - grad_T2) . n_e over interior edges.
 
     The edge normal is folded into the row unscaled (rotate the edge vector
@@ -191,36 +191,24 @@ def _assemble_edges(tri: Triangulation, grads: np.ndarray, area: np.ndarray):
     (J c)_e^2 / |e| = |e| * jump^2 = integral of the squared jump along e.
     """
     t = tri.triangles
-    n_t = t.shape[0]
     pair_local = np.array([[0, 1], [1, 2], [2, 0]])
     pairs = np.sort(t[:, pair_local], axis=2).reshape(-1, 2)      # (3 n_t, 2)
     uniq, inverse, counts = np.unique(pairs, axis=0, return_inverse=True, return_counts=True)
 
-    interior = np.flatnonzero(counts == 2)
-    n_e = interior.size
-    edge_of = np.full(uniq.shape[0], -1, dtype=np.int64)
-    edge_of[interior] = np.arange(n_e)
+    # slot s is local edge s % 3 of triangle s // 3; a stable sort by edge
+    # lists an interior edge's two slots side by side, lower triangle first
+    slots = np.argsort(inverse, kind="stable")
+    t12 = (slots[counts[inverse[slots]] == 2] // 3).reshape(-1, 2)   # (n_e, 2)
+    n_e = t12.shape[0]
 
-    owner_tri = np.repeat(np.arange(n_t), 3)
-    incident = [[] for _ in range(n_e)]
-    for slot, eid in enumerate(edge_of[inverse]):
-        if eid >= 0:
-            incident[eid].append(owner_tri[slot])
+    ends = tri.vertices[uniq[counts == 2]]                           # (n_e, 2, 2)
+    evec = ends[:, 1] - ends[:, 0]
+    normal = np.column_stack([evec[:, 1], -evec[:, 0]])              # length |e|
+    vals = np.einsum("ekd,ed->ek", grads[t12].reshape(n_e, 6, 2), normal)
+    vals[:, 3:] *= -1.0
 
-    verts = tri.vertices
-    rows, cols, vals = [], [], []
-    edge_length = np.empty(n_e)
-    for eid in range(n_e):
-        t1, t2 = sorted(incident[eid])
-        va, vb = uniq[interior[eid]]
-        evec = verts[vb] - verts[va]
-        normal = np.array([evec[1], -evec[0]])    # length |e|
-        for tr, sign in ((t1, 1.0), (t2, -1.0)):
-            for loc in range(3):
-                rows.append(eid)
-                cols.append(t[tr, loc])
-                vals.append(sign * grads[tr, loc] @ normal)
-        edge_length[eid] = float(np.hypot(evec[0], evec[1]))
-
-    edge_jump = sp.coo_matrix((vals, (rows, cols)), shape=(n_e, tri.n_vertices)).tocsr()
-    return edge_jump, edge_length
+    edge_jump = sp.coo_matrix(
+        (vals.ravel(), (np.repeat(np.arange(n_e), 6), t[t12].ravel())),
+        shape=(n_e, tri.n_vertices),
+    ).tocsr()
+    return edge_jump, np.hypot(evec[:, 0], evec[:, 1])

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .admm import AdmmConfig, RecoveryResult, css_recover
 from .domain import CovariateMatrix, GridDomain, SpatialField
 from .errors import ConfigError
@@ -32,22 +30,20 @@ ALL_METHODS = (PE, PE_SSR1, PE_SSR2, CSS, CSS_FEATURES)
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """A method tag plus the smoothing settings it needs."""
+    """A method tag plus the smoothing settings it needs.
+
+    ``admm.lam`` is the roughness weight of every smoothing method; the
+    rest of ``admm`` applies to css and css-features only.
+    """
 
     method: str
-    lam: float = 1.0
-    admm: AdmmConfig | None = None
+    admm: AdmmConfig = AdmmConfig()
 
     def __post_init__(self) -> None:
         if self.method not in ALL_METHODS:
             raise ConfigError(
                 f"unknown method '{self.method}'; expected one of {ALL_METHODS}"
             )
-        if not (np.isfinite(self.lam) and self.lam > 0):
-            raise ConfigError(f"lam must be positive, got {self.lam}")
-
-    def admm_config(self) -> AdmmConfig:
-        return self.admm if self.admm is not None else AdmmConfig(lam=self.lam)
 
 
 def run_method_full(
@@ -68,23 +64,23 @@ def run_method_full(
     if spec.method == PE_SSR1:
         cells = partition.stations.cells
         density = volumes.values / (partition.patch_sizes * domain.cell_area)
-        solver = SsrSolver(fem, spec.lam, subset=cells)
+        solver = SsrSolver(fem, spec.admm.lam, subset=cells)
         model = solver.solve(density)
         return ssr_eval(model, domain), None
 
     if spec.method == PE_SSR2:
         patched = patched_estimate(partition, volumes)
-        model = ssr_fit(fem, patched.values, spec.lam)
+        model = ssr_fit(fem, patched.values, spec.admm.lam)
         return ssr_eval(model, domain), None
 
     if spec.method == CSS:
-        result = css_recover(domain, partition, volumes, None, spec.admm_config(), fem)
+        result = css_recover(domain, partition, volumes, None, spec.admm, fem)
         return result.estimate, result
 
     if covariates is None:
         raise ConfigError(f"method '{CSS_FEATURES}' requires covariates")
     result = css_recover(
-        domain, partition, volumes, covariates.standardized(), spec.admm_config(), fem
+        domain, partition, volumes, covariates.standardized(), spec.admm, fem
     )
     return result.estimate, result
 

@@ -8,7 +8,7 @@ every cell belongs to exactly one patch.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -93,7 +93,9 @@ class Partition:
     """Assignment of cells to station patches.
 
     ``matrix`` holds the fractional weights (m x n, rows sum over each
-    patch, columns sum to 1); ``matrix_binary`` the tie-re-broken variant.
+    patch, columns sum to 1); ``matrix_binary`` the tie-re-broken variant,
+    whose patches ``station_of_cell`` lists as one station index per cell
+    (the volume projection solves them all in one pass keyed by it).
     ``patch_sizes`` are fractional cell counts, sum(patch_sizes) = n.
     """
 
@@ -103,7 +105,6 @@ class Partition:
     patch_sizes: np.ndarray
     station_of_cell: np.ndarray
     has_ties: bool
-    binary_patches: tuple = field(repr=False, default=())
 
     @property
     def domain(self) -> GridDomain:
@@ -133,9 +134,6 @@ def build_partition(domain: GridDomain, stations: StationSet) -> Partition:
         (np.ones(n), (station_of_cell, np.arange(n))), shape=(m, n)
     )
     patch_sizes = np.asarray(matrix.sum(axis=1)).ravel()
-    patches = tuple(
-        np.flatnonzero(station_of_cell == i) for i in range(m)
-    )
     return Partition(
         stations=stations,
         matrix=matrix,
@@ -143,7 +141,6 @@ def build_partition(domain: GridDomain, stations: StationSet) -> Partition:
         patch_sizes=_frozen(patch_sizes),
         station_of_cell=_frozen(station_of_cell),
         has_ties=bool((k > 1).any()),
-        binary_patches=patches,
     )
 
 

@@ -52,16 +52,15 @@ def render_field_svg(
     field: SpatialField,
     path: str | Path,
     title: str = "",
-    cell_px: float = 6.0,
-    vmax: float | None = None,
 ) -> None:
     """Heatmap of a field; inactive cells stay background gray."""
     dom = field.domain
+    cell_px = 6.0
     margin = 4.0
     title_h = 18.0 if title else 0.0
     width = dom.n_cols * cell_px + 2 * margin
     height = dom.n_rows * cell_px + 2 * margin + title_h
-    top = vmax if vmax is not None else float(field.values.max())
+    top = float(field.values.max())
     if top <= 0:
         top = 1.0
     body = [f'<rect width="100%" height="100%" fill="#e8e8e8"/>']

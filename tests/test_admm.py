@@ -60,32 +60,57 @@ def test_waterfill_matches_qp_oracle(costs, total, rho):
 
 
 def test_volume_projection_matches_patchwise_oracle(rng):
-    mask = np.ones((5, 6), dtype=bool)
-    mask[0, 0] = mask[4, 5] = False
-    dom = make_domain(5, 6, mask=mask, cell_area=0.25)
-    stations = StationSet(dom, np.array([2, 9, 17, 25]))
-    part = build_partition(dom, stations)
-    field = rng.normal(1.0, 1.0, dom.n)
-    dual = rng.normal(0.0, 0.5, dom.n)
-    vols = AggregateObservations(np.array([3.0, 0.0, 5.5, 1.25]))
-    rho = 1.5
-    g = volume_projection(part, field, dual, rho, vols)
-    costs = dual - rho * field
-    patches = [list(p) for p in part.binary_patches]
-    g_ref = constrained_qp_field_oracle(
-        patches, costs, vols.values / dom.cell_area, rho
-    )
-    np.testing.assert_allclose(g, g_ref, rtol=0, atol=1e-9)
-    # per-patch sums times cell area reproduce the observed volumes
-    np.testing.assert_allclose(
-        part.matrix_binary @ g * dom.cell_area, vols.values, rtol=0, atol=1e-9
-    )
+    holed = np.ones((4, 5), dtype=bool)
+    holed[1, 2] = holed[3, 0] = False
+    corners = np.ones((5, 6), dtype=bool)
+    corners[0, 0] = corners[4, 5] = False
+    ring = np.ones((3, 3), dtype=bool)
+    ring[1, 1] = False
+    # (domain, station cells, binary patch sizes, volumes, rho); tied cells
+    # go to the lowest station index, station 2 of the second case keeps
+    # only its own cell, and the third case is one station owning all
+    cases = [
+        (make_domain(5, 6, mask=corners, cell_area=0.25), [2, 9, 17, 25], [7, 8, 6, 7],
+         [0.0, 3.0, 5.5, 1.25], 1.5),
+        (make_domain(4, 5, mask=holed), [6, 8, 9, 10], [5, 8, 1, 4],
+         [2.0, 4.5, 0.75, 0.0], 0.5),
+        (make_domain(3, 3, mask=ring, cell_area=2.0), [4], [8], [7.0], 3.0),
+    ]
+    for dom, cells, sizes, volumes, rho in cases:
+        part = build_partition(dom, StationSet(dom, np.array(cells)))
+        assert part.has_ties == (len(cells) > 1)
+        assert np.bincount(part.station_of_cell).tolist() == sizes
+        field = rng.normal(1.0, 1.0, dom.n)
+        dual = rng.normal(0.0, 0.5, dom.n)
+        vols = AggregateObservations(np.array(volumes))
+        # equal costs on a zero-volume patch: 0.7 summed over 7 cells and
+        # divided by 7 rounds above 0.7, so only an exact zero keeps g at 0
+        zero = np.isin(part.station_of_cell, np.flatnonzero(vols.values == 0))
+        field[zero], dual[zero] = 0.0, 0.7
+        g = volume_projection(part, field, dual, rho, vols)
+        costs = dual - rho * field
+        patches = [np.flatnonzero(part.station_of_cell == i) for i in range(part.m)]
+        g_ref = constrained_qp_field_oracle(
+            patches, costs, vols.values / dom.cell_area, rho
+        )
+        np.testing.assert_allclose(g, g_ref, rtol=0, atol=1e-9)
+        # per-patch sums times cell area reproduce the observed volumes
+        np.testing.assert_allclose(
+            part.matrix_binary @ g * dom.cell_area, vols.values, rtol=0, atol=1e-9
+        )
+        assert (g[zero] == 0.0).all()
 
 
 def test_volume_projection_checks_station_count():
     dom = make_domain(2, 2)
     part = build_partition(dom, StationSet(dom, np.array([0])))
     with pytest.raises(InfeasibleVolume):
+        volume_projection(part, np.zeros(4), np.zeros(4), 1.0, AggregateObservations([1.0, 2.0]))
+    # cells this small fall inside the absolute tie tolerance, so station 1
+    # loses even its own cell to station 0 and its binary patch is empty
+    tiny = make_domain(2, 2, cell_size=1e-5)
+    part = build_partition(tiny, StationSet(tiny, np.array([0, 1])))
+    with pytest.raises(InfeasibleVolume, match="patch 1 holds no cell"):
         volume_projection(part, np.zeros(4), np.zeros(4), 1.0, AggregateObservations([1.0, 2.0]))
 
 

@@ -145,6 +145,36 @@ def test_assembly_deterministic():
     assert np.array_equal(a.mass.toarray(), b.mass.toarray())
 
 
+# J of the 3x3 grid with its center masked: one row per interior edge in
+# ascending (lower vertex, upper vertex) order, the lower-index triangle
+# of each edge entering with +, the other with -
+RING_JUMP = np.array([
+    [-2, 2, 0, 0, 2, -2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [-1, 1, 0, 0, 0, 1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [0, -2, 2, 0, 0, 2, -2, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [0, -1, 1, 0, 0, 0, 1, -1, 0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, -2, 2, 0, 0, 2, -2, 0, 0, 0, 0, 0, 0, 0, 0],
+    [1, 0, 0, 0, -1, -1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, -2, 2, 0, 0, 2, -2, 0, 0, 0, 0, 0, 0],
+    [0, 0, 1, 0, 0, 0, -1, -1, 0, 0, 0, 1, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, -2, 2, 0, 0, 2, -2, 0, 0, 0, 0],
+    [0, 0, 0, 0, 1, 0, 0, 0, -1, -1, 0, 0, 0, 1, 0, 0],
+    [0, 0, 0, 0, 0, 0, 0, 0, -2, 2, 0, 0, 2, -2, 0, 0],
+    [0, 0, 0, 0, 0, 0, 0, 0, -1, 1, 0, 0, 0, 1, -1, 0],
+    [0, 0, 0, 0, 0, 0, 0, 0, 0, -2, 2, 0, 0, 2, -2, 0],
+    [0, 0, 0, 0, 0, 0, 1, 0, 0, 0, -1, -1, 0, 0, 0, 1],
+    [0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 1, 0, 0, 0, 1, -1],
+    [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -2, 2, 0, 0, 2, -2],
+], dtype=float)
+
+
+def test_edge_matrix_frozen_values():
+    fem = assemble(triangulate(make_domain(3, 3, [1, 1, 1, 1, 0, 1, 1, 1, 1])))
+    assert np.array_equal(fem.edge_jump.toarray(), RING_JUMP)
+    r2 = np.sqrt(2.0)
+    assert np.array_equal(fem.edge_length, [r2, 1.0] * 7 + [1.0, r2])
+
+
 def test_degenerate_triangle_rejected():
     tri = triangulate(make_domain(1, 1))
     squashed = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])

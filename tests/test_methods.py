@@ -44,11 +44,10 @@ def test_method_spec_validation():
     with pytest.raises(ConfigError):
         MethodSpec("nope")
     with pytest.raises(ConfigError):
-        MethodSpec(PE, lam=0.0)
-    spec = MethodSpec(CSS, lam=2.0)
-    assert spec.admm_config().lam == 2.0
+        MethodSpec(PE, AdmmConfig(lam=0.0))
+    assert MethodSpec(CSS).admm == AdmmConfig()
     custom = AdmmConfig(lam=5.0, rho=3.0)
-    assert MethodSpec(CSS, lam=2.0, admm=custom).admm_config() is custom
+    assert MethodSpec(CSS, custom).admm is custom
 
 
 def test_pe_is_the_patched_estimate(problem):
@@ -60,26 +59,26 @@ def test_pe_is_the_patched_estimate(problem):
 
 def test_pe_ssr1_fits_station_cell_densities(problem):
     dom, truth, part, vols, cov, fem = problem
-    est, res = run_method_full(MethodSpec(PE_SSR1, lam=1.0), dom, part, vols, fem=fem)
+    est, res = run_method_full(MethodSpec(PE_SSR1, AdmmConfig(lam=2.0)), dom, part, vols, fem=fem)
     assert res is None
     density = vols.values / (part.patch_sizes * dom.cell_area)
-    manual = SsrSolver(fem, 1.0, subset=part.stations.cells).solve(density)
+    manual = SsrSolver(fem, 2.0, subset=part.stations.cells).solve(density)
     np.testing.assert_array_equal(est.values, manual.fitted)
 
 
 def test_pe_ssr2_smooths_the_patched_estimate(problem):
     dom, truth, part, vols, cov, fem = problem
-    est, res = run_method_full(MethodSpec(PE_SSR2, lam=1.0), dom, part, vols, fem=fem)
+    est, res = run_method_full(MethodSpec(PE_SSR2, AdmmConfig(lam=2.0)), dom, part, vols, fem=fem)
     assert res is None
-    manual = ssr_fit(fem, patched_estimate(part, vols).values, 1.0)
+    manual = ssr_fit(fem, patched_estimate(part, vols).values, 2.0)
     np.testing.assert_array_equal(est.values, manual.fitted)
 
 
 def test_css_matches_direct_recovery(problem):
     dom, truth, part, vols, cov, fem = problem
-    spec = MethodSpec(CSS, lam=1.0)
+    spec = MethodSpec(CSS)
     est, res = run_method_full(spec, dom, part, vols, fem=fem)
-    direct = css_recover(dom, part, vols, None, spec.admm_config(), fem)
+    direct = css_recover(dom, part, vols, None, spec.admm, fem)
     np.testing.assert_array_equal(est.values, direct.estimate.values)
     assert res is not None
     assert res.iterations == direct.iterations
@@ -87,11 +86,9 @@ def test_css_matches_direct_recovery(problem):
 
 def test_css_features_standardizes_covariates(problem):
     dom, truth, part, vols, cov, fem = problem
-    spec = MethodSpec(CSS_FEATURES, lam=1.0)
+    spec = MethodSpec(CSS_FEATURES)
     est, res = run_method_full(spec, dom, part, vols, covariates=cov, fem=fem)
-    direct = css_recover(
-        dom, part, vols, cov.standardized(), spec.admm_config(), fem
-    )
+    direct = css_recover(dom, part, vols, cov.standardized(), spec.admm, fem)
     np.testing.assert_array_equal(est.values, direct.estimate.values)
     assert res is not None and res.beta.shape == (2,)
 

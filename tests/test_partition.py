@@ -145,8 +145,10 @@ def test_total_volume_conserved_with_and_without_ties(rng):
         np.testing.assert_allclose(
             np.asarray(p.matrix_binary.sum(axis=0)).ravel(), 1.0
         )
-        sizes = np.concatenate([patch for patch in p.binary_patches])
-        assert np.array_equal(np.sort(sizes), np.arange(d.n))
+        np.testing.assert_array_equal(
+            p.matrix_binary.toarray(),
+            np.arange(m)[:, None] == p.station_of_cell[None, :],
+        )
 
 
 @given(
