@@ -17,7 +17,7 @@ each sweep performs
   3. dual ascent: dual += rho * (g - f).
 
 Iterations stop when the primal gap ||g - f||_2 and the dual movement
-rho ||g_new - g_old||_2 both drop below their tolerances times sqrt(n).
+rho ||g_new - g_old||_2 both drop below the tolerance times sqrt(n).
 The returned estimate is the final g: it is nonnegative and satisfies the
 volume constraints exactly regardless of where the sweep stopped.
 """
@@ -42,15 +42,14 @@ class AdmmConfig:
 
     ``lam`` weights the roughness penalty and ``rho`` the coupling between
     the smooth and constrained copies. The loop stops after ``max_iter``
-    sweeps or once the primal and dual residuals fall below ``tol_primal``
-    and ``tol_dual`` times sqrt(n).
+    sweeps or once the primal and dual residuals both fall below ``tol``
+    times sqrt(n).
     """
 
     lam: float = 1.0
     rho: float = 1.0
     max_iter: int = 500
-    tol_primal: float = 1e-6
-    tol_dual: float = 1e-6
+    tol: float = 1e-6
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.lam) and self.lam > 0):
@@ -59,8 +58,8 @@ class AdmmConfig:
             raise ConfigError(f"rho must be positive, got {self.rho}")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be at least 1")
-        if self.tol_primal < 0 or self.tol_dual < 0:
-            raise ConfigError("tolerances must be nonnegative")
+        if self.tol < 0:
+            raise ConfigError(f"tol must be nonnegative, got {self.tol}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,7 +76,6 @@ class RecoveryResult:
     dual_residuals: np.ndarray
     objectives: np.ndarray          # augmented Lagrangian after each sweep
     constraint_violation: float     # worst relative patch-sum violation seen
-    aggregation: str = "binary"
     config: AdmmConfig = AdmmConfig()
 
 
@@ -218,7 +216,7 @@ def css_recover(
         primal_hist.append(primal)
         dual_hist.append(dual_res)
         objective_hist.append(objective)
-        if primal <= cfg.tol_primal * sqrt_n and dual_res <= cfg.tol_dual * sqrt_n:
+        if primal <= cfg.tol * sqrt_n and dual_res <= cfg.tol * sqrt_n:
             converged = True
             break
 
@@ -235,6 +233,5 @@ def css_recover(
         dual_residuals=np.asarray(dual_hist),
         objectives=np.asarray(objective_hist),
         constraint_violation=worst_violation,
-        aggregation="binary",
         config=cfg,
     )

@@ -40,13 +40,11 @@ from .dataio import (
 )
 from .errors import ConfigError, CsmoothError, SchemaError, ShapeMismatch
 from .fem import assemble, triangulate
-from .methods import CSS_FEATURES, MethodSpec, run_method_full
+from .methods import ALL_METHODS, CSS_FEATURES, MethodSpec, run_method_full
 from .metrics import relative_errors
 from .partition import aggregate, build_partition, sample_stations
 from .svgplot import render_bars_svg, render_cdf_svg, render_field_svg
 from .synth import SynthSpec, generate_field
-
-_METHOD_CHOICES = ("pe", "pe-ssr1", "pe-ssr2", "css", "css-features")
 
 
 def _pair(text: str) -> list[float]:
@@ -150,8 +148,7 @@ def _cmd_recover(inputs: dict, params: dict, out: Path) -> dict:
         lam=float(params["lambda"]),
         rho=float(params["rho"]),
         max_iter=int(params["max_iter"]),
-        tol_primal=float(params["tol"]),
-        tol_dual=float(params["tol"]),
+        tol=float(params["tol"]),
     )
     fem = assemble(triangulate(domain))
 
@@ -341,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stations-csv", dest="stations_csv")
     p.add_argument("--aggregates")
     p.add_argument("--features", help="covariate CSV for css-features")
-    p.add_argument("--method", action="append", choices=_METHOD_CHOICES,
+    p.add_argument("--method", action="append", choices=ALL_METHODS,
                    help="repeatable; default css")
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--rho", type=float, default=1.0)

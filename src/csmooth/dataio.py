@@ -15,7 +15,6 @@ byte. Schemas:
   report        method,seed,mre,excluded
   cdf           method,seed,error,cdf
   diagnostics   iter,primal_residual,dual_residual,objective
-  mesh          id,x,y and id,v1,v2,v3
 """
 from __future__ import annotations
 
@@ -29,7 +28,6 @@ import numpy as np
 from .admm import RecoveryResult
 from .domain import CovariateMatrix, GridDomain, SpatialField, make_domain
 from .errors import SchemaError, ShapeMismatch
-from .fem import Triangulation
 from .metrics import EvalReport
 from .partition import AggregateObservations, StationSet
 
@@ -77,36 +75,81 @@ def _parse_int(text: str, path, line: int, column: str) -> int:
         ) from exc
 
 
+def _read_rows(
+    path: str | Path, header: tuple[str, ...], what: str | None = None, prefix: bool = False
+):
+    """Yield (line number, fields) for every nonblank data row of a CSV.
+
+    The header must equal ``header`` or, with ``prefix``, start with it and
+    name at least one more column; then the extra column names are yielded
+    first, before any row. Every row must have as many fields as the header.
+    A file with a header and no rows raises unless ``what`` is None.
+    """
+    with _open_rows(path) as handle:
+        reader = csv.reader(handle)
+        got = next(reader, None)
+        names = () if got is None else tuple(h.strip() for h in got)
+        extra = names[len(header):] if names[:len(header)] == header else None
+        if extra is None or bool(extra) != prefix:
+            expected = ",".join(header) + (",<names...>" if prefix else "")
+            raise SchemaError(f"{path}: expected header {expected}, got {got}")
+        if prefix:
+            yield extra
+        width = len(names)
+        listed = False
+        for i, rec in enumerate(reader, start=2):
+            if len(rec) != width:
+                if not rec:
+                    continue
+                raise SchemaError(f"{path}:{i}: expected {width} columns, got {len(rec)}")
+            listed = True
+            yield i, rec
+    if not listed and what is not None:
+        raise SchemaError(f"{path}: no {what} listed")
+
+
+def _write_rows(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    with open(path, "w", newline="") as out:
+        w = csv.writer(out)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _station_id(text: str, expected: int, path, line: int) -> None:
+    if _parse_int(text, path, line, "station_id") != expected:
+        raise SchemaError(f"{path}:{line}: station ids must run 0,1,2,...")
+
+
+def _active_cell(domain: GridDomain, row: str, col: str, path, line: int) -> int:
+    """Active-cell position of the cell named by a row's row and col fields."""
+    r = _parse_int(row, path, line, "row")
+    c = _parse_int(col, path, line, "col")
+    try:
+        return domain.index_of(r, c)
+    except ShapeMismatch as exc:
+        raise SchemaError(f"{path}:{line}: cell ({r}, {c}) is not active") from exc
+
+
+def _seed_text(seed: int | None) -> int | str:
+    return "" if seed is None else seed
+
+
 # ---------------------------------------------------------------- fields
 
 def write_field_csv(field: SpatialField, path: str | Path) -> None:
-    with open(path, "w", newline="") as out:
-        w = csv.writer(out)
-        w.writerow(["row", "col", "value"])
-        for (r, c), v in zip(field.domain.cells, field.values):
-            w.writerow([r, c, _fmt(v)])
+    rows = ([r, c, _fmt(v)] for (r, c), v in zip(field.domain.cells, field.values))
+    _write_rows(path, ["row", "col", "value"], rows)
 
 
 def read_field_csv(path: str | Path) -> SpatialField:
     """Read a field CSV; the active mask is exactly the set of rows present."""
     rows: list[tuple[int, int, float]] = []
-    with _open_rows(path) as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["row", "col", "value"]:
-            raise SchemaError(f"{path}: expected header row,col,value, got {header}")
-        for i, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            if len(rec) != 3:
-                raise SchemaError(f"{path}:{i}: expected 3 columns, got {len(rec)}")
-            r = _parse_int(rec[0], path, i, "row")
-            c = _parse_int(rec[1], path, i, "col")
-            if r < 0 or c < 0:
-                raise SchemaError(f"{path}:{i}: negative cell index ({r}, {c})")
-            rows.append((r, c, _parse_float(rec[2], path, i, "value")))
-    if not rows:
-        raise SchemaError(f"{path}: no cells listed")
+    for i, rec in _read_rows(path, ("row", "col", "value"), "cells"):
+        r = _parse_int(rec[0], path, i, "row")
+        c = _parse_int(rec[1], path, i, "col")
+        if r < 0 or c < 0:
+            raise SchemaError(f"{path}:{i}: negative cell index ({r}, {c})")
+        rows.append((r, c, _parse_float(rec[2], path, i, "value")))
     if len({(r, c) for r, c, _ in rows}) != len(rows):
         raise SchemaError(f"{path}: duplicate cell listed")
     n_rows = max(r for r, _, _ in rows) + 1
@@ -123,38 +166,23 @@ def read_field_csv(path: str | Path) -> SpatialField:
 # ------------------------------------------------------------ covariates
 
 def write_covariates_csv(cov: CovariateMatrix, path: str | Path) -> None:
-    with open(path, "w", newline="") as out:
-        w = csv.writer(out)
-        w.writerow(["row", "col", *cov.names])
-        for (r, c), vals in zip(cov.domain.cells, cov.values):
-            w.writerow([r, c, *map(_fmt, vals)])
+    rows = ([r, c, *map(_fmt, vals)] for (r, c), vals in zip(cov.domain.cells, cov.values))
+    _write_rows(path, ["row", "col", *cov.names], rows)
 
 
 def read_covariates_csv(path: str | Path, domain: GridDomain) -> CovariateMatrix:
     """Read covariates for exactly the active cells of ``domain``."""
-    with _open_rows(path) as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or len(header) < 3 or [h.strip() for h in header[:2]] != ["row", "col"]:
-            raise SchemaError(f"{path}: expected header row,col,<names...>, got {header}")
-        names = tuple(h.strip() for h in header[2:])
-        values = np.zeros((domain.n, len(names)))
-        seen = np.zeros(domain.n, dtype=bool)
-        for i, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            if len(rec) != 2 + len(names):
-                raise SchemaError(f"{path}:{i}: expected {2 + len(names)} columns")
-            r = _parse_int(rec[0], path, i, "row")
-            c = _parse_int(rec[1], path, i, "col")
-            try:
-                pos = domain.index_of(r, c)
-            except ShapeMismatch as exc:
-                raise SchemaError(f"{path}:{i}: cell ({r}, {c}) is not active") from exc
-            if seen[pos]:
-                raise SchemaError(f"{path}:{i}: duplicate cell ({r}, {c})")
-            seen[pos] = True
-            values[pos] = [_parse_float(v, path, i, names[j]) for j, v in enumerate(rec[2:])]
+    rows = _read_rows(path, ("row", "col"), "covariate rows", prefix=True)
+    names = next(rows)
+    values = np.zeros((domain.n, len(names)))
+    seen = np.zeros(domain.n, dtype=bool)
+    for i, rec in rows:
+        pos = _active_cell(domain, rec[0], rec[1], path, i)
+        if seen[pos]:
+            r, c = domain.cells[pos]
+            raise SchemaError(f"{path}:{i}: duplicate cell ({r}, {c})")
+        seen[pos] = True
+        values[pos] = [_parse_float(v, path, i, names[j]) for j, v in enumerate(rec[2:])]
     if not seen.all():
         missing = int((~seen).sum())
         raise SchemaError(f"{path}: {missing} active cells have no covariate row")
@@ -164,163 +192,71 @@ def read_covariates_csv(path: str | Path, domain: GridDomain) -> CovariateMatrix
 # -------------------------------------------------------------- stations
 
 def write_stations_csv(stations: StationSet, path: str | Path) -> None:
-    with open(path, "w", newline="") as out:
-        w = csv.writer(out)
-        w.writerow(["station_id", "row", "col"])
-        for i, cell in enumerate(stations.cells):
-            r, c = stations.domain.cells[cell]
-            w.writerow([i, r, c])
+    rows = ([i, *stations.domain.cells[cell]] for i, cell in enumerate(stations.cells))
+    _write_rows(path, ["station_id", "row", "col"], rows)
 
 
 def read_stations_csv(path: str | Path, domain: GridDomain) -> StationSet:
     cells = []
-    with _open_rows(path) as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["station_id", "row", "col"]:
-            raise SchemaError(f"{path}: expected header station_id,row,col, got {header}")
-        for i, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            if len(rec) != 3:
-                raise SchemaError(f"{path}:{i}: expected 3 columns")
-            sid = _parse_int(rec[0], path, i, "station_id")
-            if sid != len(cells):
-                raise SchemaError(f"{path}:{i}: station ids must run 0,1,2,...")
-            r = _parse_int(rec[1], path, i, "row")
-            c = _parse_int(rec[2], path, i, "col")
-            try:
-                cells.append(domain.index_of(r, c))
-            except ShapeMismatch as exc:
-                raise SchemaError(f"{path}:{i}: cell ({r}, {c}) is not active") from exc
-    if not cells:
-        raise SchemaError(f"{path}: no stations listed")
+    for i, rec in _read_rows(path, ("station_id", "row", "col"), "stations"):
+        _station_id(rec[0], len(cells), path, i)
+        cells.append(_active_cell(domain, rec[1], rec[2], path, i))
     return StationSet(domain, np.asarray(cells))
 
 
 # ------------------------------------------------------------ aggregates
 
 def write_aggregates_csv(volumes: AggregateObservations, path: str | Path) -> None:
-    with open(path, "w", newline="") as out:
-        w = csv.writer(out)
-        w.writerow(["station_id", "volume"])
-        for i, v in enumerate(volumes.values):
-            w.writerow([i, _fmt(v)])
+    rows = ([i, _fmt(v)] for i, v in enumerate(volumes.values))
+    _write_rows(path, ["station_id", "volume"], rows)
 
 
 def read_aggregates_csv(path: str | Path) -> AggregateObservations:
     vols = []
-    with _open_rows(path) as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["station_id", "volume"]:
-            raise SchemaError(f"{path}: expected header station_id,volume, got {header}")
-        for i, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            if len(rec) != 2:
-                raise SchemaError(f"{path}:{i}: expected 2 columns")
-            sid = _parse_int(rec[0], path, i, "station_id")
-            if sid != len(vols):
-                raise SchemaError(f"{path}:{i}: station ids must run 0,1,2,...")
-            vols.append(_parse_float(rec[1], path, i, "volume"))
-    if not vols:
-        raise SchemaError(f"{path}: no volumes listed")
+    for i, rec in _read_rows(path, ("station_id", "volume"), "volumes"):
+        _station_id(rec[0], len(vols), path, i)
+        vols.append(_parse_float(rec[1], path, i, "volume"))
     return AggregateObservations(np.asarray(vols))
 
 
 # ---------------------------------------------------------------- reports
 
 def write_report_csv(reports: Sequence[EvalReport], path: str | Path) -> None:
-    with open(path, "w", newline="") as out:
-        w = csv.writer(out)
-        w.writerow(["method", "seed", "mre", "excluded"])
-        for rep in reports:
-            seed = "" if rep.seed is None else rep.seed
-            w.writerow([rep.method, seed, _fmt(rep.mre), rep.excluded])
+    rows = ([rep.method, _seed_text(rep.seed), _fmt(rep.mre), rep.excluded] for rep in reports)
+    _write_rows(path, ["method", "seed", "mre", "excluded"], rows)
 
 
 def read_report_csv(path: str | Path) -> list[tuple[str, str, float, int]]:
     """Rows of a report CSV as (method, seed text, mre, excluded)."""
     rows: list[tuple[str, str, float, int]] = []
-    with _open_rows(path) as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["method", "seed", "mre", "excluded"]:
-            raise SchemaError(f"{path}: expected header method,seed,mre,excluded, got {header}")
-        for i, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            if len(rec) != 4:
-                raise SchemaError(f"{path}:{i}: expected 4 columns")
-            rows.append((
-                rec[0],
-                rec[1],
-                _parse_float(rec[2], path, i, "mre"),
-                _parse_int(rec[3], path, i, "excluded"),
-            ))
-    if not rows:
-        raise SchemaError(f"{path}: no report rows listed")
+    for i, rec in _read_rows(path, ("method", "seed", "mre", "excluded"), "report rows"):
+        mre = _parse_float(rec[2], path, i, "mre")
+        rows.append((rec[0], rec[1], mre, _parse_int(rec[3], path, i, "excluded")))
     return rows
 
 
 def write_cdf_csv(report: EvalReport, path: str | Path) -> None:
-    with open(path, "w", newline="") as out:
-        w = csv.writer(out)
-        w.writerow(["method", "seed", "error", "cdf"])
-        seed = "" if report.seed is None else report.seed
-        for e, p in zip(report.cdf_errors, report.cdf_values):
-            w.writerow([report.method, seed, _fmt(e), _fmt(p)])
+    seed = _seed_text(report.seed)
+    rows = ([report.method, seed, _fmt(e), _fmt(p)]
+            for e, p in zip(report.cdf_errors, report.cdf_values))
+    _write_rows(path, ["method", "seed", "error", "cdf"], rows)
 
 
 def read_cdf_csv(path: str | Path) -> tuple[str, np.ndarray, np.ndarray]:
     """Return (method, error levels, cdf values) from a cdf CSV."""
     errors, values, method = [], [], ""
-    with _open_rows(path) as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["method", "seed", "error", "cdf"]:
-            raise SchemaError(f"{path}: expected header method,seed,error,cdf, got {header}")
-        for i, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            if len(rec) != 4:
-                raise SchemaError(f"{path}:{i}: expected 4 columns")
-            method = rec[0]
-            errors.append(_parse_float(rec[2], path, i, "error"))
-            values.append(_parse_float(rec[3], path, i, "cdf"))
-    if not errors:
-        raise SchemaError(f"{path}: no cdf samples listed")
+    for i, rec in _read_rows(path, ("method", "seed", "error", "cdf"), "cdf samples"):
+        method = rec[0]
+        errors.append(_parse_float(rec[2], path, i, "error"))
+        values.append(_parse_float(rec[3], path, i, "cdf"))
     return method, np.asarray(errors), np.asarray(values)
 
 
 def write_diagnostics_csv(result: RecoveryResult, path: str | Path) -> None:
     """Per-iteration residuals and objective, one row per sweep."""
-    with open(path, "w", newline="") as out:
-        w = csv.writer(out)
-        w.writerow(["iter", "primal_residual", "dual_residual", "objective"])
-        for k in range(result.iterations):
-            w.writerow([
-                k + 1,
-                _fmt(result.primal_residuals[k]),
-                _fmt(result.dual_residuals[k]),
-                _fmt(result.objectives[k]),
-            ])
-
-
-# ------------------------------------------------------------------ mesh
-
-def dump_mesh_csv(tri: Triangulation, vertices_path: str | Path, triangles_path: str | Path) -> None:
-    with open(vertices_path, "w", newline="") as out:
-        w = csv.writer(out)
-        w.writerow(["id", "x", "y"])
-        for i, (x, y) in enumerate(tri.vertices):
-            w.writerow([i, _fmt(x), _fmt(y)])
-    with open(triangles_path, "w", newline="") as out:
-        w = csv.writer(out)
-        w.writerow(["id", "v1", "v2", "v3"])
-        for i, (a, b, c) in enumerate(tri.triangles):
-            w.writerow([i, a, b, c])
+    history = zip(result.primal_residuals, result.dual_residuals, result.objectives)
+    rows = ([k, *map(_fmt, sweep)] for k, sweep in enumerate(history, start=1))
+    _write_rows(path, ["iter", "primal_residual", "dual_residual", "objective"], rows)
 
 
 # -------------------------------------------------------------- activity
@@ -338,28 +274,19 @@ def load_cdr_csv(
     returned field covers the full grid.
     """
     acc = np.zeros(n_rows * n_cols)
-    with _open_rows(path) as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != CDR_HEADER:
-            raise SchemaError(f"{path}: expected header {','.join(CDR_HEADER)}, got {header}")
-        for i, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            if len(rec) != 6:
-                raise SchemaError(f"{path}:{i}: expected 6 columns, got {len(rec)}")
-            sid = _parse_int(rec[0], path, i, "square_id")
-            if not (1 <= sid <= n_rows * n_cols):
-                raise SchemaError(f"{path}:{i}: square_id {sid} outside 1..{n_rows * n_cols}")
-            ts = _parse_float(rec[1], path, i, "timestamp")
-            if time_range is not None and not (time_range[0] <= ts <= time_range[1]):
-                continue
-            total = 0.0
-            for j, col in enumerate(CDR_HEADER[2:], start=2):
-                text = rec[j].strip()
-                if text:
-                    total += _parse_float(text, path, i, col)
-            acc[sid - 1] += total
+    for i, rec in _read_rows(path, CDR_HEADER):
+        sid = _parse_int(rec[0], path, i, "square_id")
+        if not (1 <= sid <= n_rows * n_cols):
+            raise SchemaError(f"{path}:{i}: square_id {sid} outside 1..{n_rows * n_cols}")
+        ts = _parse_float(rec[1], path, i, "timestamp")
+        if time_range is not None and not (time_range[0] <= ts <= time_range[1]):
+            continue
+        total = 0.0
+        for j, col in enumerate(CDR_HEADER[2:], start=2):
+            text = rec[j].strip()
+            if text:
+                total += _parse_float(text, path, i, col)
+        acc[sid - 1] += total
     domain = make_domain(n_rows, n_cols)
     return SpatialField(domain, acc)
 

@@ -71,11 +71,6 @@ class GridDomain:
     def n(self) -> int:
         return self.cells.shape[0]
 
-    def is_active(self, row: int, col: int) -> bool:
-        if not (0 <= row < self.n_rows and 0 <= col < self.n_cols):
-            return False
-        return bool(self.active[row * self.n_cols + col])
-
     def index_of(self, row: int, col: int) -> int:
         """Active-cell position of cell (row, col)."""
         if not (0 <= row < self.n_rows and 0 <= col < self.n_cols):
@@ -84,13 +79,6 @@ class GridDomain:
         if pos < 0:
             raise ShapeMismatch(f"cell ({row}, {col}) is inactive")
         return int(pos)
-
-    def index_at(self, x: float, y: float) -> int:
-        """Active-cell position of the cell containing point (x, y)."""
-        ox, oy = self.origin
-        col = int(np.floor((x - ox) / self.cell_size))
-        row = int(np.floor((y - oy) / self.cell_size))
-        return self.index_of(row, col)
 
     def same_grid(self, other: "GridDomain") -> bool:
         return (

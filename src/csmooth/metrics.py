@@ -25,11 +25,6 @@ class EvalReport:
     cdf_values: np.ndarray   # empirical CDF at each level, ends at 1
     excluded: int
 
-    def cdf(self, x: float) -> float:
-        """Fraction of evaluable cells with relative error <= x."""
-        k = int(np.searchsorted(self.cdf_errors, x, side="right"))
-        return k / self.cdf_errors.size
-
 
 def relative_errors(
     estimate: SpatialField,

@@ -21,8 +21,9 @@ from .errors import (
     ShapeMismatch,
 )
 
-# Squared center distances within this absolute slack count as tied; grid
-# symmetries produce exact ties that floating arithmetic can smear.
+# Squared center distances within TIE_TOL * cell_size**2 count as tied: grid
+# symmetries produce exact ties that floating arithmetic can smear, and a
+# slack relative to the cell keeps a grid of tiny cells from tying every cell.
 TIE_TOL = 1e-9
 
 
@@ -121,7 +122,7 @@ def build_partition(domain: GridDomain, stations: StationSet) -> Partition:
     spos = stations.positions
     d2 = ((centers[:, None, :] - spos[None, :, :]) ** 2).sum(axis=2)
     d2min = d2.min(axis=1)
-    tied = d2 <= (d2min + TIE_TOL)[:, None]
+    tied = d2 <= (d2min + TIE_TOL * domain.cell_size**2)[:, None]
     k = tied.sum(axis=1)
 
     cell_idx, stat_idx = np.nonzero(tied)

@@ -7,7 +7,6 @@ import pytest
 from csmooth.admm import AdmmConfig, css_recover
 from csmooth.dataio import (
     FEATURE_NAMES,
-    dump_mesh_csv,
     load_cdr_csv,
     load_features_csv,
     read_aggregates_csv,
@@ -29,7 +28,6 @@ from csmooth.dataio import (
 )
 from csmooth.domain import CovariateMatrix, SpatialField, make_domain
 from csmooth.errors import InfeasibleVolume, SchemaError, ShapeMismatch
-from csmooth.fem import triangulate
 from csmooth.metrics import relative_errors
 from csmooth.partition import (
     AggregateObservations,
@@ -84,6 +82,55 @@ def test_field_schema_errors(tmp_path, text, match):
 def test_field_missing_file(tmp_path):
     with pytest.raises(SchemaError, match="cannot read"):
         read_field_csv(tmp_path / "nope.csv")
+
+
+ONE_CELL = make_domain(1, 1)
+
+# reader, header, one valid row, header-only message (None: reads as zeros)
+ROW_READERS = {
+    "field": (read_field_csv, "row,col,value", "0,0,1.5", "no cells listed"),
+    "covariates": (
+        lambda p: read_covariates_csv(p, ONE_CELL), "row,col,x,y", "0,0,1.5,2.5",
+        "no covariate rows listed",
+    ),
+    "stations": (
+        lambda p: read_stations_csv(p, ONE_CELL), "station_id,row,col", "0,0,0",
+        "no stations listed",
+    ),
+    "aggregates": (read_aggregates_csv, "station_id,volume", "0,1.5", "no volumes listed"),
+    "report": (read_report_csv, "method,seed,mre,excluded", "pe,3,0.5,0", "no report rows listed"),
+    "cdf": (read_cdf_csv, "method,seed,error,cdf", "pe,3,0.5,1.0", "no cdf samples listed"),
+    "cdr": (
+        lambda p: load_cdr_csv(p, n_rows=1, n_cols=1),
+        "square_id,timestamp,sms_in,sms_out,call_in,call_out", "1,0,1,2,3,4", None,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(ROW_READERS))
+def test_readers_share_row_rules(tmp_path, kind):
+    read, header, row, empty = ROW_READERS[kind]
+    path = tmp_path / f"{kind}.csv"
+    path.write_text(f"bad,{header.split(',', 1)[1]}\n{row}\n")
+    with pytest.raises(SchemaError, match="expected header"):
+        read(path)
+    width = header.count(",") + 1
+    path.write_text(f"{header}\n{row}\n\n{row},9\n")
+    with pytest.raises(SchemaError) as info:
+        read(path)
+    assert str(info.value) == f"{path}:4: expected {width} columns, got {width + 1}"
+    # a blank row is skipped: the result reads the same as without it
+    path.write_text(f"{header}\n{row}\n")
+    plain = repr(read(path))
+    path.write_text(f"{header}\n\n{row}\n\n")
+    assert repr(read(path)) == plain
+    path.write_text(f"{header}\n")
+    if empty is None:
+        assert not read(path).values.any()
+    else:
+        with pytest.raises(SchemaError) as info:
+            read(path)
+        assert str(info.value) == f"{path}: {empty}"
 
 
 def test_covariates_roundtrip(tmp_path, masked_domain, rng):
@@ -197,9 +244,7 @@ def test_diagnostics_thinning(tmp_path):
     truth = SpatialField(dom, np.linspace(1.0, 2.0, 16), nonnegative=True)
     part = build_partition(dom, StationSet(dom, np.array([2, 9])))
     vols = aggregate(part, truth)
-    res = css_recover(
-        dom, part, vols, config=AdmmConfig(max_iter=5, tol_primal=0.0, tol_dual=0.0)
-    )
+    res = css_recover(dom, part, vols, config=AdmmConfig(max_iter=5, tol=0.0))
     path = tmp_path / "diag.csv"
     write_diagnostics_csv(res, path)
     with open(path, newline="") as handle:
@@ -210,19 +255,6 @@ def test_diagnostics_thinning(tmp_path):
     assert float(rows[1][1]) == res.primal_residuals[0]
     assert float(rows[3][2]) == res.dual_residuals[2]
     assert float(rows[5][3]) == res.objectives[4]
-
-
-def test_mesh_dump(tmp_path):
-    tri = triangulate(make_domain(2, 3))
-    dump_mesh_csv(tri, tmp_path / "v.csv", tmp_path / "t.csv")
-    with open(tmp_path / "v.csv", newline="") as handle:
-        vrows = list(csv.reader(handle))
-    with open(tmp_path / "t.csv", newline="") as handle:
-        trows = list(csv.reader(handle))
-    assert vrows[0] == ["id", "x", "y"]
-    assert trows[0] == ["id", "v1", "v2", "v3"]
-    assert len(vrows) - 1 == tri.vertices.shape[0]
-    assert len(trows) - 1 == tri.triangles.shape[0]
 
 
 def test_load_cdr_sums_and_filters(tmp_path):

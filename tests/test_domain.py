@@ -20,6 +20,8 @@ def test_full_domain_enumerates_cells_row_major():
     # centers at half-integer offsets in (x, y) = (col, row) order
     assert d.centers[0] == pytest.approx([0.5, 0.5])
     assert d.centers[5] == pytest.approx([2.5, 1.5])
+    shifted = make_domain(3, 3, origin=(10.0, 20.0), cell_size=2.0)
+    assert shifted.centers[4] == pytest.approx([13.0, 23.0])
 
 
 def test_masked_domain_skips_inactive_cells():
@@ -29,18 +31,10 @@ def test_masked_domain_skips_inactive_cells():
     assert d.index_of(0, 0) == 0
     assert d.index_of(1, 0) == 1
     assert d.index_of(1, 1) == 2
-    assert not d.is_active(0, 1)
     with pytest.raises(ShapeMismatch):
         d.index_of(0, 1)
     with pytest.raises(ShapeMismatch):
         d.index_of(2, 0)
-
-
-def test_index_at_locates_containing_cell():
-    d = make_domain(3, 3, origin=(10.0, 20.0), cell_size=2.0)
-    assert d.index_at(10.1, 20.1) == 0
-    assert d.index_at(15.9, 25.9) == 8
-    assert d.centers[4] == pytest.approx([13.0, 23.0])
 
 
 def test_empty_mask_rejected():

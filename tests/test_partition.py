@@ -14,6 +14,7 @@ from csmooth import (
     TIE_TOL,
     aggregate,
     build_partition,
+    css_recover,
     field_total,
     make_domain,
     patched_estimate,
@@ -183,6 +184,17 @@ def test_cell_area_scales_aggregates():
     np.testing.assert_allclose(z.values, [1.5, 3.5])
     back = aggregate(p, patched_estimate(p, z))
     np.testing.assert_allclose(back.values, z.values, rtol=1e-12)
+
+
+def test_tie_slack_scales_with_cell_size():
+    # on 1e-5 cells every squared distance is below an absolute 1e-9 slack
+    d = make_domain(3, 3, cell_size=1e-5)
+    p = build_partition(d, StationSet(d, [0, 1]))
+    assert not p.has_ties
+    np.testing.assert_array_equal(p.patch_sizes, [3.0, 6.0])
+    vols = aggregate(p, SpatialField(d, np.arange(1.0, 10.0)))
+    res = css_recover(d, p, vols)
+    np.testing.assert_allclose(p.matrix_binary @ res.estimate.values, vols.values, rtol=1e-9)
 
 
 def test_negative_volume_rejected():
