@@ -2,7 +2,12 @@
 
 All writers emit rows in a deterministic order and format floats with
 round-trip repr, so rerunning a seeded pipeline reproduces files byte for
-byte. Schemas:
+byte. Writers and readers handle a whole column at a time: a writer formats
+each float column in one pass, a reader converts each text column in one
+``int``/``float`` pass and checks indices with numpy. The files are
+byte-identical to formatting each row by hand, and a malformed file raises
+the message, naming the line, that reading it row by row would raise first.
+Schemas:
 
   field         row,col,value            one line per active cell, sorted
   covariates    row,col,<name>...        aligned with the active cells
@@ -20,8 +25,9 @@ from __future__ import annotations
 
 import csv
 import json
+from itertools import count, repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -44,9 +50,14 @@ FEATURE_NAMES = (
 
 CDR_HEADER = ("square_id", "timestamp", "sms_in", "sms_out", "call_in", "call_out")
 
+# Rows a reader holds as text at once: a file is read in blocks of this
+# many, so memory does not grow with its length. Larger blocks read no faster.
+_BLOCK_ROWS = 1 << 10
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+
+def _reprs(values) -> Iterator[str]:
+    """Round-trip repr of each value as a float: the text of a float column."""
+    return map(repr, np.asarray(values, dtype=float).tolist())
 
 
 def _open_rows(path: str | Path):
@@ -57,54 +68,113 @@ def _open_rows(path: str | Path):
     return handle
 
 
-def _parse_float(text: str, path, line: int, column: str) -> float:
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise SchemaError(
-            f"{path}:{line}: column '{column}' has non-numeric value {text!r}"
-        ) from exc
+def _bad_value(kind: type, column: str, text: str) -> str:
+    what = "non-integer" if kind is int else "non-numeric"
+    return f"column '{column}' has {what} value {text!r}"
 
 
-def _parse_int(text: str, path, line: int, column: str) -> int:
+def _parse(kind: type, text: str, path, line: int, column: str):
+    """One field read as ``kind`` (int or float)."""
     try:
-        return int(text)
+        return kind(text)
     except ValueError as exc:
-        raise SchemaError(
-            f"{path}:{line}: column '{column}' has non-integer value {text!r}"
-        ) from exc
+        raise SchemaError(f"{path}:{line}: {_bad_value(kind, column, text)}") from exc
+
+
+def _int_array(values: list[int]) -> np.ndarray:
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        # an index beyond int64 lies outside any grid; clipped, it still does
+        return np.array([min(max(v, -2**63), 2**63 - 1) for v in values], dtype=np.int64)
+
+
+class _Rows:
+    """A block of a CSV's data rows, parsed and checked a column at a time.
+
+    Every step looks only at the rows before ``stop``, the row of the
+    earliest failure recorded so far, so a failure it records is earlier.
+    Readers run their steps in the order a row-by-row reader checks one
+    row's fields, so ``check`` raises the error that reader would meet first.
+    """
+
+    def __init__(self, path, names: tuple[str, ...], lines: list[int],
+                 records: list[list[str]], error: str | None = None):
+        self.path = path
+        self.names = names
+        self.lines = lines          # the file line of each record
+        self.columns = list(zip(*records)) or [()] * len(names)
+        self.stop = len(records)
+        self.error = error          # a failure after the last record, if any
+
+    def fail(self, k: int, message: str) -> None:
+        """Record a failure on row ``k``, a row before ``stop``."""
+        self.stop = k
+        self.error = f"{self.path}:{self.lines[k]}: {message}"
+
+    def first(self, bad: np.ndarray, message: Callable[[int], str]) -> None:
+        """Record the first row before ``stop`` where ``bad`` holds."""
+        hits = np.flatnonzero(bad[:self.stop])
+        if hits.size:
+            self.fail(int(hits[0]), message(int(hits[0])))
+
+    def parse(self, j: int, kind: type) -> list:
+        """Column ``j`` read as ``kind`` on the rows before ``stop``."""
+        texts = self.columns[j][:self.stop]
+        try:
+            return list(map(kind, texts))
+        except ValueError:
+            pass
+        values = []
+        for text in texts:
+            try:
+                values.append(kind(text))
+            except ValueError:
+                self.fail(len(values), _bad_value(kind, self.names[j], text))
+                break
+        return values
+
+    def check(self) -> None:
+        if self.error is not None:
+            raise SchemaError(self.error)
 
 
 def _read_rows(
     path: str | Path, header: tuple[str, ...], what: str | None = None, prefix: bool = False
-):
-    """Yield (line number, fields) for every nonblank data row of a CSV.
+) -> Iterator[_Rows]:
+    """Yield the nonblank data rows of a CSV in blocks of at most _BLOCK_ROWS.
 
     The header must equal ``header`` or, with ``prefix``, start with it and
-    name at least one more column; then the extra column names are yielded
-    first, before any row. Every row must have as many fields as the header.
-    A file with a header and no rows raises unless ``what`` is None.
+    name at least one more column; each block's ``names`` holds it. Every
+    row must have as many fields as the header: the first that does not
+    ends the file, its error pending in the last block, after the rows
+    before it. A file with a header and no rows raises unless ``what`` is
+    None.
     """
     with _open_rows(path) as handle:
         reader = csv.reader(handle)
         got = next(reader, None)
         names = () if got is None else tuple(h.strip() for h in got)
-        extra = names[len(header):] if names[:len(header)] == header else None
-        if extra is None or bool(extra) != prefix:
+        if names[:len(header)] != header or (len(names) > len(header)) != prefix:
             expected = ",".join(header) + (",<names...>" if prefix else "")
             raise SchemaError(f"{path}: expected header {expected}, got {got}")
-        if prefix:
-            yield extra
         width = len(names)
-        listed = False
+        lines, records, listed = [], [], False
         for i, rec in enumerate(reader, start=2):
             if len(rec) != width:
                 if not rec:
                     continue
-                raise SchemaError(f"{path}:{i}: expected {width} columns, got {len(rec)}")
-            listed = True
-            yield i, rec
-    if not listed and what is not None:
+                yield _Rows(path, names, lines, records,
+                            f"{path}:{i}: expected {width} columns, got {len(rec)}")
+                return
+            lines.append(i)
+            records.append(rec)
+            if len(records) == _BLOCK_ROWS:
+                block, lines, records, listed = _Rows(path, names, lines, records), [], [], True
+                yield block
+    if records:
+        yield _Rows(path, names, lines, records)
+    elif not listed and what is not None:
         raise SchemaError(f"{path}: no {what} listed")
 
 
@@ -115,19 +185,20 @@ def _write_rows(path: str | Path, header: Sequence[str], rows: Iterable[Sequence
         w.writerows(rows)
 
 
-def _station_id(text: str, expected: int, path, line: int) -> None:
-    if _parse_int(text, path, line, "station_id") != expected:
-        raise SchemaError(f"{path}:{line}: station ids must run 0,1,2,...")
+def _station_ids(rows: _Rows, start: int) -> None:
+    """Check that the block's station ids run on from ``start``."""
+    ids = rows.parse(0, int)
+    expected = np.arange(start, start + len(ids))
+    rows.first(_int_array(ids) != expected, lambda k: "station ids must run 0,1,2,...")
 
 
-def _active_cell(domain: GridDomain, row: str, col: str, path, line: int) -> int:
-    """Active-cell position of the cell named by a row's row and col fields."""
-    r = _parse_int(row, path, line, "row")
-    c = _parse_int(col, path, line, "col")
-    try:
-        return domain.index_of(r, c)
-    except ShapeMismatch as exc:
-        raise SchemaError(f"{path}:{line}: cell ({r}, {c}) is not active") from exc
+def _active_cells(rows: _Rows, j: int, domain: GridDomain) -> np.ndarray:
+    """Active-cell positions of the cells that columns j (row) and j+1 (col) name."""
+    r, c = rows.parse(j, int), rows.parse(j + 1, int)
+    n = rows.stop
+    pos = domain.positions_of(_int_array(r[:n]), _int_array(c[:n]))
+    rows.first(pos < 0, lambda k: f"cell ({r[k]}, {c[k]}) is not active")
+    return pos
 
 
 def _seed_text(seed: int | None) -> int | str:
@@ -137,52 +208,59 @@ def _seed_text(seed: int | None) -> int | str:
 # ---------------------------------------------------------------- fields
 
 def write_field_csv(field: SpatialField, path: str | Path) -> None:
-    rows = ([r, c, _fmt(v)] for (r, c), v in zip(field.domain.cells, field.values))
+    rows = zip(*field.domain.cells.T.tolist(), _reprs(field.values))
     _write_rows(path, ["row", "col", "value"], rows)
 
 
 def read_field_csv(path: str | Path) -> SpatialField:
     """Read a field CSV; the active mask is exactly the set of rows present."""
-    rows: list[tuple[int, int, float]] = []
-    for i, rec in _read_rows(path, ("row", "col", "value"), "cells"):
-        r = _parse_int(rec[0], path, i, "row")
-        c = _parse_int(rec[1], path, i, "col")
-        if r < 0 or c < 0:
-            raise SchemaError(f"{path}:{i}: negative cell index ({r}, {c})")
-        rows.append((r, c, _parse_float(rec[2], path, i, "value")))
-    if len({(r, c) for r, c, _ in rows}) != len(rows):
+    blocks = []
+    for rows in _read_rows(path, ("row", "col", "value"), "cells"):
+        r, c = rows.parse(0, int), rows.parse(1, int)
+        n = rows.stop
+        rr, cc = _int_array(r[:n]), _int_array(c[:n])
+        rows.first((rr < 0) | (cc < 0), lambda k: f"negative cell index ({r[k]}, {c[k]})")
+        values = rows.parse(2, float)
+        rows.check()
+        blocks.append((rr, cc, values))
+    r, c, values = (np.concatenate(parts) for parts in zip(*blocks))
+    n_rows, n_cols = int(r.max()) + 1, int(c.max()) + 1
+    flat = r * n_cols + c
+    if np.unique(flat).size != flat.size:
         raise SchemaError(f"{path}: duplicate cell listed")
-    n_rows = max(r for r, _, _ in rows) + 1
-    n_cols = max(c for _, c, _ in rows) + 1
     mask = np.zeros(n_rows * n_cols, dtype=bool)
-    values = np.zeros(n_rows * n_cols)
-    for r, c, v in rows:
-        mask[r * n_cols + c] = True
-        values[r * n_cols + c] = v
+    mask[flat] = True
+    full = np.zeros(n_rows * n_cols)
+    full[flat] = values
     domain = make_domain(n_rows, n_cols, mask)
-    return SpatialField(domain, values[mask])
+    return SpatialField(domain, full[mask])
 
 
 # ------------------------------------------------------------ covariates
 
 def write_covariates_csv(cov: CovariateMatrix, path: str | Path) -> None:
-    rows = ([r, c, *map(_fmt, vals)] for (r, c), vals in zip(cov.domain.cells, cov.values))
+    rows = zip(*cov.domain.cells.T.tolist(), *map(_reprs, cov.values.T))
     _write_rows(path, ["row", "col", *cov.names], rows)
 
 
 def read_covariates_csv(path: str | Path, domain: GridDomain) -> CovariateMatrix:
     """Read covariates for exactly the active cells of ``domain``."""
-    rows = _read_rows(path, ("row", "col"), "covariate rows", prefix=True)
-    names = next(rows)
-    values = np.zeros((domain.n, len(names)))
     seen = np.zeros(domain.n, dtype=bool)
-    for i, rec in rows:
-        pos = _active_cell(domain, rec[0], rec[1], path, i)
-        if seen[pos]:
-            r, c = domain.cells[pos]
-            raise SchemaError(f"{path}:{i}: duplicate cell ({r}, {c})")
+    blocks = []
+    for rows in _read_rows(path, ("row", "col"), "covariate rows", prefix=True):
+        names = rows.names[2:]
+        pos = _active_cells(rows, 0, domain)
+        dup = np.ones(pos.size, dtype=bool)
+        dup[np.unique(pos, return_index=True)[1]] = False   # all but each cell's first row
+        rows.first(dup | seen[pos],
+                   lambda k: "duplicate cell ({}, {})".format(*domain.cells[pos[k]]))
+        columns = [rows.parse(j, float) for j in range(2, len(rows.names))]
+        rows.check()
         seen[pos] = True
-        values[pos] = [_parse_float(v, path, i, names[j]) for j, v in enumerate(rec[2:])]
+        blocks.append((pos, columns))
+    values = np.zeros((domain.n, len(names)))
+    for pos, columns in blocks:
+        values[pos] = np.array(columns).T
     if not seen.all():
         missing = int((~seen).sum())
         raise SchemaError(f"{path}: {missing} active cells have no covariate row")
@@ -192,70 +270,76 @@ def read_covariates_csv(path: str | Path, domain: GridDomain) -> CovariateMatrix
 # -------------------------------------------------------------- stations
 
 def write_stations_csv(stations: StationSet, path: str | Path) -> None:
-    rows = ([i, *stations.domain.cells[cell]] for i, cell in enumerate(stations.cells))
+    rows = zip(count(), *stations.domain.cells[stations.cells].T.tolist())
     _write_rows(path, ["station_id", "row", "col"], rows)
 
 
 def read_stations_csv(path: str | Path, domain: GridDomain) -> StationSet:
     cells = []
-    for i, rec in _read_rows(path, ("station_id", "row", "col"), "stations"):
-        _station_id(rec[0], len(cells), path, i)
-        cells.append(_active_cell(domain, rec[1], rec[2], path, i))
-    return StationSet(domain, np.asarray(cells))
+    for rows in _read_rows(path, ("station_id", "row", "col"), "stations"):
+        _station_ids(rows, sum(map(len, cells)))
+        pos = _active_cells(rows, 1, domain)
+        rows.check()
+        cells.append(pos)
+    return StationSet(domain, np.concatenate(cells))
 
 
 # ------------------------------------------------------------ aggregates
 
 def write_aggregates_csv(volumes: AggregateObservations, path: str | Path) -> None:
-    rows = ([i, _fmt(v)] for i, v in enumerate(volumes.values))
-    _write_rows(path, ["station_id", "volume"], rows)
+    _write_rows(path, ["station_id", "volume"], zip(count(), _reprs(volumes.values)))
 
 
 def read_aggregates_csv(path: str | Path) -> AggregateObservations:
     vols = []
-    for i, rec in _read_rows(path, ("station_id", "volume"), "volumes"):
-        _station_id(rec[0], len(vols), path, i)
-        vols.append(_parse_float(rec[1], path, i, "volume"))
+    for rows in _read_rows(path, ("station_id", "volume"), "volumes"):
+        _station_ids(rows, len(vols))
+        values = rows.parse(1, float)
+        rows.check()
+        vols += values
     return AggregateObservations(np.asarray(vols))
 
 
 # ---------------------------------------------------------------- reports
 
 def write_report_csv(reports: Sequence[EvalReport], path: str | Path) -> None:
-    rows = ([rep.method, _seed_text(rep.seed), _fmt(rep.mre), rep.excluded] for rep in reports)
+    rows = ([rep.method, _seed_text(rep.seed), repr(float(rep.mre)), rep.excluded]
+            for rep in reports)
     _write_rows(path, ["method", "seed", "mre", "excluded"], rows)
 
 
 def read_report_csv(path: str | Path) -> list[tuple[str, str, float, int]]:
     """Rows of a report CSV as (method, seed text, mre, excluded)."""
-    rows: list[tuple[str, str, float, int]] = []
-    for i, rec in _read_rows(path, ("method", "seed", "mre", "excluded"), "report rows"):
-        mre = _parse_float(rec[2], path, i, "mre")
-        rows.append((rec[0], rec[1], mre, _parse_int(rec[3], path, i, "excluded")))
-    return rows
+    out: list[tuple[str, str, float, int]] = []
+    for rows in _read_rows(path, ("method", "seed", "mre", "excluded"), "report rows"):
+        mre, excluded = rows.parse(2, float), rows.parse(3, int)
+        rows.check()
+        out += zip(rows.columns[0], rows.columns[1], mre, excluded)
+    return out
 
 
 def write_cdf_csv(report: EvalReport, path: str | Path) -> None:
-    seed = _seed_text(report.seed)
-    rows = ([report.method, seed, _fmt(e), _fmt(p)]
-            for e, p in zip(report.cdf_errors, report.cdf_values))
+    rows = zip(repeat(report.method), repeat(_seed_text(report.seed)),
+               _reprs(report.cdf_errors), _reprs(report.cdf_values))
     _write_rows(path, ["method", "seed", "error", "cdf"], rows)
 
 
 def read_cdf_csv(path: str | Path) -> tuple[str, np.ndarray, np.ndarray]:
     """Return (method, error levels, cdf values) from a cdf CSV."""
     errors, values, method = [], [], ""
-    for i, rec in _read_rows(path, ("method", "seed", "error", "cdf"), "cdf samples"):
-        method = rec[0]
-        errors.append(_parse_float(rec[2], path, i, "error"))
-        values.append(_parse_float(rec[3], path, i, "cdf"))
+    for rows in _read_rows(path, ("method", "seed", "error", "cdf"), "cdf samples"):
+        e, p = rows.parse(2, float), rows.parse(3, float)
+        rows.check()
+        method = rows.columns[0][-1]
+        errors += e
+        values += p
     return method, np.asarray(errors), np.asarray(values)
 
 
 def write_diagnostics_csv(result: RecoveryResult, path: str | Path) -> None:
     """Per-iteration residuals and objective, one row per sweep."""
-    history = zip(result.primal_residuals, result.dual_residuals, result.objectives)
-    rows = ([k, *map(_fmt, sweep)] for k, sweep in enumerate(history, start=1))
+    rows = zip(count(1), _reprs(result.primal_residuals), _reprs(result.dual_residuals),
+               _reprs(result.objectives))
     _write_rows(path, ["iter", "primal_residual", "dual_residual", "objective"], rows)
 
 
@@ -274,19 +358,21 @@ def load_cdr_csv(
     returned field covers the full grid.
     """
     acc = np.zeros(n_rows * n_cols)
-    for i, rec in _read_rows(path, CDR_HEADER):
-        sid = _parse_int(rec[0], path, i, "square_id")
-        if not (1 <= sid <= n_rows * n_cols):
-            raise SchemaError(f"{path}:{i}: square_id {sid} outside 1..{n_rows * n_cols}")
-        ts = _parse_float(rec[1], path, i, "timestamp")
-        if time_range is not None and not (time_range[0] <= ts <= time_range[1]):
-            continue
-        total = 0.0
-        for j, col in enumerate(CDR_HEADER[2:], start=2):
-            text = rec[j].strip()
-            if text:
-                total += _parse_float(text, path, i, col)
-        acc[sid - 1] += total
+    for rows in _read_rows(path, CDR_HEADER):
+        for i, *rec in zip(rows.lines, *rows.columns):
+            sid = _parse(int, rec[0], path, i, "square_id")
+            if not (1 <= sid <= n_rows * n_cols):
+                raise SchemaError(f"{path}:{i}: square_id {sid} outside 1..{n_rows * n_cols}")
+            ts = _parse(float, rec[1], path, i, "timestamp")
+            if time_range is not None and not (time_range[0] <= ts <= time_range[1]):
+                continue
+            total = 0.0
+            for j, col in enumerate(CDR_HEADER[2:], start=2):
+                text = rec[j].strip()
+                if text:
+                    total += _parse(float, text, path, i, col)
+            acc[sid - 1] += total
+        rows.check()
     domain = make_domain(n_rows, n_cols)
     return SpatialField(domain, acc)
 
@@ -316,7 +402,7 @@ def load_features_csv(
         if missing:
             raise SchemaError(f"{path}: header lacks columns {missing}")
         for i, rec in enumerate(reader, start=2):
-            sid = _parse_int((rec.get("square_id") or "").strip(), path, i, "square_id")
+            sid = _parse(int, (rec.get("square_id") or "").strip(), path, i, "square_id")
             if not (1 <= sid <= n_cells):
                 raise SchemaError(f"{path}:{i}: square_id {sid} outside 1..{n_cells}")
             flat = sid - 1
@@ -326,7 +412,7 @@ def load_features_csv(
                 raise SchemaError(f"{path}:{i}: square_id {sid} is inactive in the domain")
             present[flat] = True
             for j, name in enumerate(names):
-                raw[flat, j] = _parse_float((rec.get(name) or "").strip(), path, i, name)
+                raw[flat, j] = _parse(float, (rec.get(name) or "").strip(), path, i, name)
     if not present.any():
         raise SchemaError(f"{path}: no squares listed")
     restricted = make_domain(

@@ -1,7 +1,11 @@
 """Deterministic SVG rendering for fields, error CDFs, and summary bars.
 
-Everything is emitted as plain text with repr-formatted coordinates and no
+Everything is emitted as plain text with fixed-precision coordinates and no
 timestamps or random ids, so the same inputs always produce the same bytes.
+Coordinates and colors are computed over whole arrays, in the same
+floating-point operations as one cell or point at a time, so the files are
+byte-identical to formatting each element by hand. Titles and labels are
+escaped as XML text.
 """
 from __future__ import annotations
 
@@ -25,19 +29,26 @@ _RAMP = (
 _SERIES = ("#4053d3", "#ddb310", "#b51d14", "#00beff", "#fb49b0", "#00b25d")
 
 
-def _ramp_color(t: float) -> str:
-    t = min(max(t, 0.0), 1.0)
-    for (t0, c0), (t1, c1) in zip(_RAMP, _RAMP[1:]):
-        if t <= t1:
-            s = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-            rgb = [round(a + s * (b - a)) for a, b in zip(c0, c1)]
-            return "#{:02x}{:02x}{:02x}".format(*rgb)
-    return "#fde725"
+def _ramp_colors(t: np.ndarray) -> list[str]:
+    """Hex color of the ramp at each finite t; t outside [0, 1] clamps to an end."""
+    t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
+    knots = np.array([k for k, _ in _RAMP])
+    anchors = np.array([c for _, c in _RAMP], dtype=float)
+    seg = np.searchsorted(knots[1:], t)   # the first segment with t <= its right knot
+    s = ((t - knots[seg]) / (knots[seg + 1] - knots[seg]))[:, None]
+    c0, c1 = anchors[seg], anchors[seg + 1]
+    rgb = np.rint(c0 + s * (c1 - c0)).astype(np.int64)   # rint rounds half to even, as round()
+    return [f"#{v:06x}" for v in ((rgb[:, 0] << 16) | (rgb[:, 1] << 8) | rgb[:, 2]).tolist()]
 
 
 def _fmt(x: float) -> str:
     # Fixed-precision decimals keep the files small and stable.
     return f"{x:.2f}".rstrip("0").rstrip(".")
+
+
+def _text(s: str) -> str:
+    """``s`` as XML character data (html.escape with quote=False, without importing html)."""
+    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _svg(width: float, height: float, body: list[str]) -> str:
@@ -67,15 +78,16 @@ def render_field_svg(
     if title:
         body.append(
             f'<text x="{_fmt(width / 2)}" y="13" font-family="monospace" '
-            f'font-size="12" text-anchor="middle">{title}</text>'
+            f'font-size="12" text-anchor="middle">{_text(title)}</text>'
         )
-    for (r, c), v in zip(dom.cells, field.values):
-        x = margin + c * cell_px
-        y = margin + title_h + r * cell_px
-        body.append(
-            f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(cell_px)}" '
-            f'height="{_fmt(cell_px)}" fill="{_ramp_color(v / top)}"/>'
-        )
+    xs = [_fmt(margin + c * cell_px) for c in range(dom.n_cols)]
+    ys = [_fmt(margin + title_h + r * cell_px) for r in range(dom.n_rows)]
+    size = _fmt(cell_px)
+    rows, cols = dom.cells.T.tolist()
+    body += (
+        f'<rect x="{xs[c]}" y="{ys[r]}" width="{size}" height="{size}" fill="{color}"/>'
+        for r, c, color in zip(rows, cols, _ramp_colors(field.values / top))
+    )
     Path(path).write_text(_svg(width, height, body))
 
 
@@ -94,16 +106,17 @@ def render_cdf_svg(
     if x_max <= 0:
         x_max = 1.0
 
-    def sx(x: float) -> float:
-        return ml + pw * min(x, x_max) / x_max
+    # both take a number or an array
+    def sx(x):
+        return ml + pw * np.minimum(x, x_max) / x_max
 
-    def sy(p: float) -> float:
+    def sy(p):
         return mt + ph * (1.0 - p)
 
     body = [f'<rect width="100%" height="100%" fill="#ffffff"/>']
     body.append(
         f'<text x="{_fmt(width / 2)}" y="16" font-family="monospace" '
-        f'font-size="12" text-anchor="middle">{title}</text>'
+        f'font-size="12" text-anchor="middle">{_text(title)}</text>'
     )
     # axes
     body.append(
@@ -131,20 +144,22 @@ def render_cdf_svg(
         )
     for k, (label, errors, cdf) in enumerate(series):
         color = _SERIES[k % len(_SERIES)]
-        pts = [f"M {_fmt(sx(0))} {_fmt(sy(0))}"]
-        prev = 0.0
-        for e, p in zip(errors, cdf):
-            if e > x_max:
-                break
-            pts.append(f"L {_fmt(sx(e))} {_fmt(sy(prev))}")
-            pts.append(f"L {_fmt(sx(e))} {_fmt(sy(p))}")
-            prev = p
-        pts.append(f"L {_fmt(sx(x_max))} {_fmt(sy(prev))}")
+        n = min(len(errors), len(cdf))
+        e = np.asarray(errors, dtype=float)[:n]
+        p = np.asarray(cdf, dtype=float)[:n]
+        cut = np.flatnonzero(e > x_max)   # the step stops before the first level past x_max
+        if cut.size:
+            e, p = e[:cut[0]], p[:cut[0]]
+        xs = map(_fmt, sx(e).tolist())
+        ys = [_fmt(sy(0.0)), *map(_fmt, sy(p).tolist())]
+        # each level ends one vertical step and starts the next
+        steps = [f"L {x} {y0} L {x} {y1}" for x, y0, y1 in zip(xs, ys, ys[1:])]
+        pts = [f"M {_fmt(sx(0))} {ys[0]}", *steps, f"L {_fmt(sx(x_max))} {ys[-1]}"]
         body.append(f'<path d="{" ".join(pts)}" stroke="{color}" fill="none" stroke-width="1.5"/>')
         body.append(
             f'<text x="{_fmt(ml + pw - 4)}" y="{_fmt(mt + 14 + 13 * k)}" '
             f'font-family="monospace" font-size="10" text-anchor="end" '
-            f'fill="{color}">{label}</text>'
+            f'fill="{color}">{_text(label)}</text>'
         )
     body.append(
         f'<text x="{_fmt(ml + pw / 2)}" y="{_fmt(height - 6)}" font-family="monospace" '
@@ -171,7 +186,7 @@ def render_bars_svg(
     body = [f'<rect width="100%" height="100%" fill="#ffffff"/>']
     body.append(
         f'<text x="{_fmt(width / 2)}" y="16" font-family="monospace" '
-        f'font-size="12" text-anchor="middle">{title}</text>'
+        f'font-size="12" text-anchor="middle">{_text(title)}</text>'
     )
     for k, (label, value) in enumerate(zip(labels, values)):
         y = mt + k * (bar_h + gap)
@@ -183,7 +198,7 @@ def render_bars_svg(
         )
         body.append(
             f'<text x="{_fmt(ml - 6)}" y="{_fmt(y + bar_h / 2 + 4)}" '
-            f'font-family="monospace" font-size="10" text-anchor="end">{label}</text>'
+            f'font-family="monospace" font-size="10" text-anchor="end">{_text(label)}</text>'
         )
         body.append(
             f'<text x="{_fmt(ml + w + 4)}" y="{_fmt(y + bar_h / 2 + 4)}" '

@@ -4,6 +4,7 @@ import csv
 import numpy as np
 import pytest
 
+from csmooth import dataio
 from csmooth.admm import AdmmConfig, css_recover
 from csmooth.dataio import (
     FEATURE_NAMES,
@@ -131,6 +132,87 @@ def test_readers_share_row_rules(tmp_path, kind):
         with pytest.raises(SchemaError) as info:
             read(path)
         assert str(info.value) == f"{path}: {empty}"
+
+
+MASKED = make_domain(3, 4, mask=np.array([[0, 1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 0]], dtype=bool))
+
+# reader, file text, the error reading it row by row raises first (after "path:")
+FIRST_ERRORS = [
+    (read_field_csv, "row,col,value\n0,0,1\n-1,0,2\n0,1,3\n0,2,abc\n",
+     "3: negative cell index (-1, 0)"),
+    (read_field_csv, "row,col,value\n0,0,1\n0,1,x\n0,y,2\n",
+     "3: column 'value' has non-numeric value 'x'"),
+    (read_field_csv, "row,col,value\n0,0,1\nq,1,x\n", "3: column 'row' has non-integer value 'q'"),
+    (read_field_csv, "row,col,value\n0,0,1\n-1,0,abc\n", "3: negative cell index (-1, 0)"),
+    (read_field_csv, "row,col,value\n0,0,abc\n0,1\n", "2: column 'value' has non-numeric value 'abc'"),
+    (read_field_csv, "row,col,value\n0,0\n0,1,abc\n", "2: expected 3 columns, got 2"),
+    (read_field_csv, "row,col,value\n0,0,1\n0,0,2\n-1,0,1\n", "4: negative cell index (-1, 0)"),
+    (lambda p: read_covariates_csv(p, MASKED), "row,col,x,y\n0,1,1,2\n0,0,1,2\n0,2,1,zz\n",
+     "3: cell (0, 0) is not active"),
+    (lambda p: read_covariates_csv(p, MASKED), "row,col,x,y\n0,1,1,2\n0,2,1,bad\n0,1,3,4\n",
+     "3: column 'y' has non-numeric value 'bad'"),
+    (lambda p: read_covariates_csv(p, MASKED), "row,col,x,y\n0,1,1,2\n0,2,1,2\n0,1,bad,2\n",
+     "4: duplicate cell (0, 1)"),
+    (lambda p: read_covariates_csv(p, MASKED), "row,col,x,y\n0,1,1,no\n0,2,no,1\n",
+     "2: column 'y' has non-numeric value 'no'"),
+    (lambda p: read_stations_csv(p, MASKED), "station_id,row,col\n0,0,1\n1,0,0\n5,0,2\n",
+     "3: cell (0, 0) is not active"),
+    (lambda p: read_stations_csv(p, MASKED), "station_id,row,col\n0,0,1\n1,0,2\n2,x,1\n3,0,0\n",
+     "4: column 'row' has non-integer value 'x'"),
+    (lambda p: read_stations_csv(p, MASKED), "station_id,row,col\n0,0,1\n1,0,2\n3,x,1\n",
+     "4: station ids must run 0,1,2,..."),
+    (lambda p: read_stations_csv(p, MASKED), "station_id,row,col\n0,0,1\n1,99999999999999999999,1\n",
+     "3: cell (99999999999999999999, 1) is not active"),
+    (read_aggregates_csv, "station_id,volume\n0,1\n1,v\n3,2\n",
+     "3: column 'volume' has non-numeric value 'v'"),
+    (read_report_csv, "method,seed,mre,excluded\npe,1,0.5,x\ncss,,y,0\n",
+     "2: column 'excluded' has non-integer value 'x'"),
+    (read_cdf_csv, "method,seed,error,cdf\npe,1,0.1,0.5\npe,1,0.2,c\npe,1,e,0.6\n",
+     "3: column 'cdf' has non-numeric value 'c'"),
+]
+
+
+@pytest.mark.parametrize("block", [None, 2])
+@pytest.mark.parametrize("case", range(len(FIRST_ERRORS)))
+def test_first_error_wins(tmp_path, monkeypatch, case, block):
+    """Column-wise parsing raises the error of the earliest bad line, in any block size."""
+    if block is not None:
+        monkeypatch.setattr(dataio, "_BLOCK_ROWS", block)
+    read, text, error = FIRST_ERRORS[case]
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(SchemaError) as info:
+        read(path)
+    assert str(info.value) == f"{path}:{error}"
+
+
+def test_readers_keep_python_number_syntax(tmp_path):
+    path = tmp_path / "cdf.csv"
+    path.write_text("method,seed,error,cdf\npe,1, 2,nan\npe,1,1_0,-inf\n")
+    method, errors, cdf = read_cdf_csv(path)
+    np.testing.assert_array_equal(errors, [2.0, 10.0])
+    assert np.isnan(cdf[0]) and cdf[1] == -np.inf
+    path.write_text("method,seed,mre,excluded\npe,1,0.5, 2\ncss,,1e-3,1_0\n")
+    assert [row[3] for row in read_report_csv(path)] == [2, 10]
+
+
+def test_roundtrips_across_blocks(tmp_path, monkeypatch, masked_domain, rng):
+    monkeypatch.setattr(dataio, "_BLOCK_ROWS", 3)
+    field = SpatialField(masked_domain, rng.uniform(size=masked_domain.n))
+    write_field_csv(field, tmp_path / "field.csv")
+    np.testing.assert_array_equal(read_field_csv(tmp_path / "field.csv").values, field.values)
+    cov = CovariateMatrix(masked_domain, rng.uniform(size=(masked_domain.n, 2)), ("a", "b"))
+    write_covariates_csv(cov, tmp_path / "cov.csv")
+    np.testing.assert_array_equal(read_covariates_csv(tmp_path / "cov.csv", masked_domain).values,
+                                  cov.values)
+    stations = StationSet(masked_domain, np.array([7, 1, 4, 8, 0]))
+    write_stations_csv(stations, tmp_path / "stations.csv")
+    back = read_stations_csv(tmp_path / "stations.csv", masked_domain)
+    np.testing.assert_array_equal(back.cells, stations.cells)
+    rows = ["row,col,x"] + [f"{r},{c},1.0" for r, c in masked_domain.cells] + ["0,1,2.0"]
+    (tmp_path / "dup.csv").write_text("\n".join(rows) + "\n")
+    with pytest.raises(SchemaError, match=f":{masked_domain.n + 2}: duplicate cell \\(0, 1\\)"):
+        read_covariates_csv(tmp_path / "dup.csv", masked_domain)
 
 
 def test_covariates_roundtrip(tmp_path, masked_domain, rng):
