@@ -58,7 +58,6 @@ from .methods import (
 )
 from .metrics import EvalReport, relative_errors
 from .partition import (
-    TIE_TOL,
     AggregateObservations,
     Partition,
     StationSet,
@@ -108,7 +107,6 @@ __all__ = [
     "SsrModel",
     "SsrSolver",
     "StationSet",
-    "TIE_TOL",
     "SynthSpec",
     "Triangulation",
     "aggregate",

@@ -16,7 +16,8 @@ Schemas:
   activity      square_id,timestamp,sms_in,sms_out,call_in,call_out
                 (square ids are 1-based, row-major on a 100x100 grid;
                  empty activity cells count as zero)
-  features      square_id,<the six feature columns>, superset tolerated
+  features      square_id,<the six feature columns> in any order,
+                extra columns ignored
   report        method,seed,mre,excluded
   cdf           method,seed,error,cdf
   diagnostics   iter,primal_residual,dual_residual,objective
@@ -140,34 +141,44 @@ class _Rows:
 
 
 def _read_rows(
-    path: str | Path, header: tuple[str, ...], what: str | None = None, prefix: bool = False
+    path: str | Path,
+    header: tuple[str, ...],
+    what: str | None = None,
+    prefix: bool = False,
+    required: tuple[str, ...] = (),
 ) -> Iterator[_Rows]:
     """Yield the nonblank data rows of a CSV in blocks of at most _BLOCK_ROWS.
 
-    The header must equal ``header`` or, with ``prefix``, start with it and
-    name at least one more column; each block's ``names`` holds it. Every
-    row must have as many fields as the header: the first that does not
-    ends the file, its error pending in the last block, after the rows
-    before it. A file with a header and no rows raises unless ``what`` is
-    None.
+    The header must name every column in ``required``, in any order, and
+    equal ``header`` or, with ``prefix``, start with it and name at least
+    one more column; each block's ``names`` holds it. Every row must have
+    as many fields as the header: the first that does not ends the file,
+    its error pending in the last block, after the rows before it. A row
+    is known by the file line it ends on, so a quoted field spanning lines
+    shifts no later line number. A file with a header and no rows raises
+    unless ``what`` is None.
     """
     with _open_rows(path) as handle:
         reader = csv.reader(handle)
         got = next(reader, None)
         names = () if got is None else tuple(h.strip() for h in got)
+        missing = [h for h in required if h not in names]
+        if missing:
+            raise SchemaError(f"{path}: header lacks columns {missing}")
         if names[:len(header)] != header or (len(names) > len(header)) != prefix:
-            expected = ",".join(header) + (",<names...>" if prefix else "")
+            expected = ",".join([*header, "<names...>"] if prefix else header)
             raise SchemaError(f"{path}: expected header {expected}, got {got}")
         width = len(names)
         lines, records, listed = [], [], False
-        for i, rec in enumerate(reader, start=2):
+        for rec in reader:
             if len(rec) != width:
                 if not rec:
                     continue
                 yield _Rows(path, names, lines, records,
-                            f"{path}:{i}: expected {width} columns, got {len(rec)}")
+                            f"{path}:{reader.line_num}: expected {width} columns, "
+                            f"got {len(rec)}")
                 return
-            lines.append(i)
+            lines.append(reader.line_num)
             records.append(rec)
             if len(records) == _BLOCK_ROWS:
                 block, lines, records, listed = _Rows(path, names, lines, records), [], [], True
@@ -386,35 +397,30 @@ def load_features_csv(
 
     The returned CovariateMatrix lives on a new domain restricted to the
     squares present (its ``domain`` attribute). The header must contain
-    ``square_id`` and every requested feature name; extra columns are
-    ignored. A duplicated square id or a malformed value is a SchemaError.
+    ``square_id`` and every requested feature name, in any order; extra
+    columns are ignored. A row of the wrong width, a duplicated square id
+    or a malformed value is a SchemaError naming its line.
     """
     n_cells = domain.n_rows * domain.n_cols
     present = np.zeros(n_cells, dtype=bool)
     raw = np.zeros((n_cells, len(names)))
-    with _open_rows(path) as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise SchemaError(f"{path}: missing header")
-        fields = [h.strip() for h in reader.fieldnames]
-        needed = ["square_id", *names]
-        missing = [h for h in needed if h not in fields]
-        if missing:
-            raise SchemaError(f"{path}: header lacks columns {missing}")
-        for i, rec in enumerate(reader, start=2):
-            sid = _parse(int, (rec.get("square_id") or "").strip(), path, i, "square_id")
-            if not (1 <= sid <= n_cells):
-                raise SchemaError(f"{path}:{i}: square_id {sid} outside 1..{n_cells}")
-            flat = sid - 1
-            if present[flat]:
-                raise SchemaError(f"{path}:{i}: duplicate square_id {sid}")
-            if not domain.active[flat]:
-                raise SchemaError(f"{path}:{i}: square_id {sid} is inactive in the domain")
-            present[flat] = True
-            for j, name in enumerate(names):
-                raw[flat, j] = _parse(float, (rec.get(name) or "").strip(), path, i, name)
-    if not present.any():
-        raise SchemaError(f"{path}: no squares listed")
+    needed = ("square_id", *names)
+    for rows in _read_rows(path, (), "squares", prefix=True, required=needed):
+        j_sid, *j_names = map(rows.names.index, needed)
+        sid = rows.parse(j_sid, int)
+        flat = _int_array(sid) - 1
+        rows.first((flat < 0) | (flat >= n_cells),
+                   lambda k: f"square_id {sid[k]} outside 1..{n_cells}")
+        flat = flat[:rows.stop]
+        dup = np.ones(flat.size, dtype=bool)
+        dup[np.unique(flat, return_index=True)[1]] = False   # all but each square's first row
+        rows.first(dup | present[flat], lambda k: f"duplicate square_id {sid[k]}")
+        rows.first(~domain.active[flat],
+                   lambda k: f"square_id {sid[k]} is inactive in the domain")
+        columns = [rows.parse(j, float) for j in j_names]
+        rows.check()
+        present[flat] = True
+        raw[flat] = np.array(columns).T
     restricted = make_domain(
         domain.n_rows, domain.n_cols, present,
         cell_area=domain.cell_area, origin=domain.origin, cell_size=domain.cell_size,

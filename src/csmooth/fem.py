@@ -193,7 +193,11 @@ def _assemble_edges(tri: Triangulation, grads: np.ndarray):
     t = tri.triangles
     pair_local = np.array([[0, 1], [1, 2], [2, 0]])
     pairs = np.sort(t[:, pair_local], axis=2).reshape(-1, 2)      # (3 n_t, 2)
-    uniq, inverse, counts = np.unique(pairs, axis=0, return_inverse=True, return_counts=True)
+    # one int64 key per (a, b) with a < b; keys sort as the pairs do
+    n_v = tri.n_vertices
+    keys, inverse, counts = np.unique(
+        pairs[:, 0] * n_v + pairs[:, 1], return_inverse=True, return_counts=True
+    )
 
     # slot s is local edge s % 3 of triangle s // 3; a stable sort by edge
     # lists an interior edge's two slots side by side, lower triangle first
@@ -201,7 +205,8 @@ def _assemble_edges(tri: Triangulation, grads: np.ndarray):
     t12 = (slots[counts[inverse[slots]] == 2] // 3).reshape(-1, 2)   # (n_e, 2)
     n_e = t12.shape[0]
 
-    ends = tri.vertices[uniq[counts == 2]]                           # (n_e, 2, 2)
+    interior = keys[counts == 2]
+    ends = tri.vertices[np.column_stack([interior // n_v, interior % n_v])]   # (n_e, 2, 2)
     evec = ends[:, 1] - ends[:, 0]
     normal = np.column_stack([evec[:, 1], -evec[:, 0]])              # length |e|
     vals = np.einsum("ekd,ed->ek", grads[t12].reshape(n_e, 6, 2), normal)
@@ -209,6 +214,6 @@ def _assemble_edges(tri: Triangulation, grads: np.ndarray):
 
     edge_jump = sp.coo_matrix(
         (vals.ravel(), (np.repeat(np.arange(n_e), 6), t[t12].ravel())),
-        shape=(n_e, tri.n_vertices),
+        shape=(n_e, n_v),
     ).tocsr()
     return edge_jump, np.hypot(evec[:, 0], evec[:, 1])

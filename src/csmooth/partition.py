@@ -1,10 +1,12 @@
 """Station placement, nearest-station patches, and volume aggregation.
 
 Each station observes the total volume of the cells closer to it than to
-any other station (Euclidean distance between cell centers). Cells exactly
-equidistant from k stations are split fractionally, weight 1/k each; a
-binary variant re-breaks those ties to the lowest station index so that
-every cell belongs to exactly one patch.
+any other station (Euclidean distance between cell centers). Stations sit
+on cell centers, so squared distances in cell units are the integers
+drow**2 + dcol**2 and a tie is an exact integer equality, whatever the
+cell size or origin. Cells exactly equidistant from k stations are split
+fractionally, weight 1/k each; a binary variant re-breaks those ties to
+the lowest station index so that every cell belongs to exactly one patch.
 """
 from __future__ import annotations
 
@@ -21,10 +23,10 @@ from .errors import (
     ShapeMismatch,
 )
 
-# Squared center distances within TIE_TOL * cell_size**2 count as tied: grid
-# symmetries produce exact ties that floating arithmetic can smear, and a
-# slack relative to the cell keeps a grid of tiny cells from tying every cell.
-TIE_TOL = 1e-9
+# Cell-station pairs whose distances are held at once: cells are assigned a
+# block at a time, so memory grows with the number of cells, not with cells
+# times stations.
+_BLOCK_PAIRS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,10 +95,12 @@ def sample_stations(f: SpatialField, m: int, seed: int) -> StationSet:
 class Partition:
     """Assignment of cells to station patches.
 
-    ``matrix`` holds the fractional weights (m x n, rows sum over each
-    patch, columns sum to 1); ``matrix_binary`` the tie-re-broken variant,
-    whose patches ``station_of_cell`` lists as one station index per cell
-    (the volume projection solves them all in one pass keyed by it).
+    A cell is tied between the stations whose integer squared distance in
+    cell units equals its minimum exactly. ``matrix`` holds the fractional
+    weights (m x n, rows sum over each patch, columns sum to 1);
+    ``matrix_binary`` the tie-re-broken variant, whose patches
+    ``station_of_cell`` lists as one station index per cell (the volume
+    projection solves them all in one pass keyed by it).
     ``patch_sizes`` are fractional cell counts, sum(patch_sizes) = n.
     """
 
@@ -118,19 +122,26 @@ class Partition:
 
 def build_partition(domain: GridDomain, stations: StationSet) -> Partition:
     _check_same_domain(domain, stations.domain, "station set")
-    centers = domain.centers
-    spos = stations.positions
-    d2 = ((centers[:, None, :] - spos[None, :, :]) ** 2).sum(axis=2)
-    d2min = d2.min(axis=1)
-    tied = d2 <= (d2min + TIE_TOL * domain.cell_size**2)[:, None]
-    k = tied.sum(axis=1)
-
-    cell_idx, stat_idx = np.nonzero(tied)
-    weights = 1.0 / k[cell_idx]
+    cells = domain.cells
+    srow, scol = cells[stations.cells].T
     n, m = domain.n, stations.m
-    matrix = sp.csr_matrix((weights, (stat_idx, cell_idx)), shape=(m, n))
+    step = max(1, _BLOCK_PAIRS // m)
+    k = np.empty(n, dtype=np.int64)
+    station_of_cell = np.empty(n, dtype=np.int64)
+    cell_parts, stat_parts = [], []
+    for lo in range(0, n, step):
+        r, c = cells[lo:lo + step].T
+        d2 = (r[:, None] - srow) ** 2 + (c[:, None] - scol) ** 2
+        tied = d2 == d2.min(axis=1, keepdims=True)
+        k[lo:lo + step] = tied.sum(axis=1)
+        station_of_cell[lo:lo + step] = np.argmax(tied, axis=1)
+        cell_idx, stat_idx = np.nonzero(tied)
+        cell_parts.append(cell_idx + lo)
+        stat_parts.append(stat_idx)
 
-    station_of_cell = np.argmax(tied, axis=1).astype(np.int64)
+    cell_idx, stat_idx = np.concatenate(cell_parts), np.concatenate(stat_parts)
+    weights = 1.0 / k[cell_idx]
+    matrix = sp.csr_matrix((weights, (stat_idx, cell_idx)), shape=(m, n))
     matrix_binary = sp.csr_matrix(
         (np.ones(n), (station_of_cell, np.arange(n))), shape=(m, n)
     )

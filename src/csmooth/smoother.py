@@ -15,7 +15,8 @@ stationarity in c is one sparse symmetric positive definite system:
 
     (weight * Psi'Psi + lam * J' M_E^-1 J) c = weight * Psi'(h - W beta),
 
-which is factorized once (LU) and reused. It is positive definite exactly
+which is factorized once and reused: a symmetric-mode LU without
+pivoting, valid because the system is SPD. It is positive definite exactly
 when the data cells pin down the penalty's null space, the surfaces affine
 on each edge-connected piece of the mesh (on a connected mesh: when the
 data centers do not all lie on one line); a singular system is rejected.
@@ -53,11 +54,13 @@ _RESIDUAL_TOL = 1e-8
 # zero up to rounding) still gets beta = 0.
 _RANK_RCOND = 1e-10
 # fill-reducing column order for splu: minimum degree on A' + A suits the
-# symmetric system and fills less than the default COLAMD
+# symmetric system and fills less than the default COLAMD. The system is SPD,
+# so it is factorized in SuperLU's symmetric mode: the order is applied to
+# rows and columns alike and no row is pivoted.
 _PERMC_SPEC = "MMD_AT_PLUS_A"
 # a factorization whose smallest pivot is below this fraction of its
 # largest is singular: a null direction leaves a pivot at rounding level
-# (1e-16 to 2e-15 of the largest). Well-posed fits stay far above it; the
+# (2e-16 to 1e-14 of the largest). Well-posed fits stay far above it; the
 # ratio falls about in step with lam / weight or weight / lam, to 5e-9 at
 # 1e8 on a 6 x 6 grid.
 _PIVOT_RATIO_TOL = 1e-12
@@ -118,7 +121,10 @@ class SsrSolver:
         ).tocsc()
         self._covariate_cache: tuple[CovariateMatrix, tuple] | None = None
         try:
-            self._lu = spla.splu(self._system, permc_spec=_PERMC_SPEC)
+            self._lu = spla.splu(
+                self._system, permc_spec=_PERMC_SPEC, diag_pivot_thresh=0.0,
+                options=dict(SymmetricMode=True),
+            )
         except RuntimeError:  # an exactly zero pivot
             ratio = 0.0
         else:

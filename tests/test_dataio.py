@@ -134,6 +134,7 @@ def test_readers_share_row_rules(tmp_path, kind):
         assert str(info.value) == f"{path}: {empty}"
 
 
+FEATURES = ",".join(FEATURE_NAMES)
 MASKED = make_domain(3, 4, mask=np.array([[0, 1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 0]], dtype=bool))
 
 # reader, file text, the error reading it row by row raises first (after "path:")
@@ -169,6 +170,21 @@ FIRST_ERRORS = [
      "2: column 'excluded' has non-integer value 'x'"),
     (read_cdf_csv, "method,seed,error,cdf\npe,1,0.1,0.5\npe,1,0.2,c\npe,1,e,0.6\n",
      "3: column 'cdf' has non-numeric value 'c'"),
+    # a quoted field spanning lines 2-3: the next row is line 4
+    (read_cdf_csv, 'method,seed,error,cdf\n"two\nlines",1,0.1,0.5\npe,1,bad,1.0\n',
+     "4: column 'error' has non-numeric value 'bad'"),
+    (lambda p: load_features_csv(p, MASKED), f"square_id,{FEATURES}\n2,1,1,1,1,1,1\n\n3,1,1,x,1,1,1\n",
+     "4: column 'sport_centers' has non-numeric value 'x'"),
+    (lambda p: load_features_csv(p, MASKED), f"square_id,{FEATURES}\n2,1,1,1,1,1,1\n3,1,1,1,1,1\n",
+     "3: expected 7 columns, got 6"),
+    (lambda p: load_features_csv(p, MASKED), f"square_id,{FEATURES}\n2,1,1,1,1,1,1,9\n3,x,1,1,1,1,1\n",
+     "2: expected 7 columns, got 8"),
+    (lambda p: load_features_csv(p, MASKED), f"square_id,{FEATURES}\n2,1,1,1,1,1,z\n1,1,1,1,1,1,1\n",
+     "2: column 'bus_stops' has non-numeric value 'z'"),
+    (lambda p: load_features_csv(p, MASKED), f"square_id,{FEATURES}\n2,1,1,1,1,1,1\n1,1,1,1,1,1,z\n",
+     "3: square_id 1 is inactive in the domain"),
+    (lambda p: load_features_csv(p, MASKED), f"square_id,{FEATURES}\n3,1,1,1,1,1,1\n3,x,1,1,1,1,1\n",
+     "3: duplicate square_id 3"),
 ]
 
 
@@ -386,6 +402,14 @@ def test_load_features_restricts_domain(tmp_path):
     assert [tuple(c) for c in cov.domain.cells] == [(0, 1), (1, 0)]
     assert cov.names == FEATURE_NAMES
     np.testing.assert_array_equal(cov.values[:, 0], [10.0, 20.0])
+    # columns may come in any order
+    order = [3, 7, 0, 6, 2, 5, 1, 4]
+    lines = [f"extra,{cols},square_id", "x,10,0.5,1,0,3,2,2", "y,20,0.25,0,1,4,1,3"]
+    path.write_text("".join(",".join(line.split(",")[k] for k in order) + "\n"
+                            for line in lines))
+    shuffled = load_features_csv(path, full)
+    assert shuffled.names == FEATURE_NAMES
+    np.testing.assert_array_equal(shuffled.values, cov.values)
 
 
 def test_load_features_schema_errors(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,6 @@ from csmooth import (
     ShapeMismatch,
     SpatialField,
     StationSet,
-    TIE_TOL,
     aggregate,
     build_partition,
     css_recover,
@@ -20,6 +21,7 @@ from csmooth import (
     patched_estimate,
     sample_stations,
 )
+from csmooth import partition
 from oracles import voronoi_oracle
 
 
@@ -157,24 +159,62 @@ def test_total_volume_conserved_with_and_without_ties(rng):
     n_cols=st.integers(2, 12),
     m=st.integers(1, 10),
     seed=st.integers(0, 10_000),
+    cell_size=st.sampled_from([1e-5, 0.3, 1.0, 250.0]),
+    offset=st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)),
 )
-@settings(max_examples=40)
-def test_voronoi_matches_brute_force(n_rows, n_cols, m, seed):
+@settings(max_examples=60)
+def test_voronoi_matches_brute_force(n_rows, n_cols, m, seed, cell_size, offset):
     rng = np.random.default_rng(seed)
     mask = rng.random(n_rows * n_cols) < 0.85
     if not mask.any():
         mask[0] = True
-    d = make_domain(n_rows, n_cols, mask)
+    origin = (offset[0] * cell_size, offset[1] * cell_size)
+    d = make_domain(n_rows, n_cols, mask, origin=origin, cell_size=cell_size)
     m = min(m, d.n)
     cells = np.sort(rng.choice(d.n, size=m, replace=False))
     p = build_partition(d, StationSet(d, cells))
-    want = voronoi_oracle(d.centers, d.centers[cells], TIE_TOL)
+    # float distances from an origin within 50 cells of the grid round to
+    # far below this slack, and distinct squared distances differ by cell_size**2
+    want = voronoi_oracle(d.centers, d.centers[cells], 1e-9 * cell_size**2)
     np.testing.assert_allclose(p.matrix.toarray(), want, atol=1e-12)
     # binary tie-break goes to the lowest station index
     owner = p.station_of_cell
     for j in range(d.n):
         tied = np.flatnonzero(want[:, j] > 0)
         assert owner[j] == tied.min()
+
+
+@pytest.mark.parametrize("block_pairs", [8, 24, 40])
+def test_block_size_does_not_change_the_partition(monkeypatch, block_pairs):
+    # blocks of 1, 3 and 5 cells against one block for the whole grid
+    mask = np.random.default_rng(3).random(9 * 11) < 0.8
+    d = make_domain(9, 11, mask)
+    stations = StationSet(d, np.sort(np.random.default_rng(4).choice(d.n, 8, replace=False)))
+    whole = build_partition(d, stations)
+    monkeypatch.setattr(partition, "_BLOCK_PAIRS", block_pairs)
+    blocked = build_partition(d, stations)
+    assert whole.has_ties and blocked.has_ties
+    for a, b in ((whole.matrix, blocked.matrix), (whole.matrix_binary, blocked.matrix_binary)):
+        for attr in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(a, attr), getattr(b, attr))
+    np.testing.assert_array_equal(whole.patch_sizes, blocked.patch_sizes)
+    np.testing.assert_array_equal(whole.station_of_cell, blocked.station_of_cell)
+
+
+def test_partition_memory_is_linear_in_cells():
+    # 200 x 200 cells and 800 stations: a dense cells x stations distance
+    # table alone takes 244 MiB; the blocked build stays within 32 MiB
+    d = make_domain(200, 200)
+    cells = np.sort(np.random.default_rng(7).choice(d.n, size=800, replace=False))
+    stations = StationSet(d, cells)
+    tracemalloc.start()
+    try:
+        p = build_partition(d, stations)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert p.matrix_binary.sum() == d.n
+    assert peak <= 32 * 2**20, f"build_partition peaked at {peak / 2**20:.0f} MiB"
 
 
 def test_cell_area_scales_aggregates():
