@@ -9,8 +9,12 @@ each sweep performs
      (rho/2)||g||^2 + (dual - rho f)' g subject to the patch sum matching
      the observed volume and g >= 0. The patches are disjoint under the
      binary assignment, so each has its own closed-form water level; one
-     sort by (patch, cost) finds every level at once (the sort-based
-     simplex projection of Duchi et al. 2008 and Condat 2016).
+     sort by cost, then stably by patch id, finds every level at once (the
+     sort-based simplex projection of Duchi et al. 2008 and Condat 2016).
+     The patch layout around that sort (patch sizes, slot offsets and a
+     narrow patch-id key that numpy sorts by radix) depends on the
+     partition alone and is cached with it; only the costs and volumes
+     change from sweep to sweep.
   2. smoothing (f): a penalized least-squares fit (see smoother) pulling
      the surface toward g + dual/rho with data weight rho/2, covariates
      included here and nowhere else.
@@ -30,7 +34,13 @@ import numpy as np
 from .domain import CovariateMatrix, GridDomain, SpatialField, _check_same_domain
 from .errors import ConfigError, InfeasibleVolume, NumericalFailure
 from .fem import FemSystem, assemble, triangulate
-from .partition import AggregateObservations, Partition, patched_estimate
+from .partition import (
+    AggregateObservations,
+    Partition,
+    PatchLayout,
+    patch_layout,
+    patched_estimate,
+)
 from .smoother import SsrSolver
 
 _CONSTRAINT_TOL = 1e-9
@@ -88,24 +98,26 @@ def waterfill(costs: np.ndarray, total: float, rho: float) -> np.ndarray:
     smallest cost.
     """
     c = np.asarray(costs, dtype=float).ravel()
-    return _waterfill(c, np.zeros(c.size, dtype=np.int64), np.array([float(total)]), rho)
+    layout = patch_layout(np.zeros(c.size, dtype=np.int64), 1)
+    return _waterfill(c, layout, np.array([float(total)]), rho)
 
 
 def _waterfill(
-    costs: np.ndarray, patch: np.ndarray, totals: np.ndarray, rho: float
+    costs: np.ndarray, layout: PatchLayout, totals: np.ndarray, rho: float
 ) -> np.ndarray:
-    """waterfill on every patch at once; cell j belongs to patch[j]."""
+    """waterfill on every patch of the layout at once."""
     if (totals < 0).any():
         raise InfeasibleVolume(f"patch volume {totals.min()} is negative")
-    sizes = np.bincount(patch, minlength=totals.size)
-    if not sizes.all():
-        raise InfeasibleVolume(f"patch {int(np.argmin(sizes))} holds no cell")
-    order = np.lexsort((costs, patch))
-    cs, ps = costs[order], patch[order]
-    starts = np.cumsum(sizes) - sizes
-    rank = np.arange(cs.size) - starts[ps]
+    if not layout.sizes.all():
+        raise InfeasibleVolume(f"patch {int(np.argmin(layout.sizes))} holds no cell")
+    starts, ps, rank = layout.starts, layout.patch, layout.rank
+    # by cost, then stably by patch: the order of a lexsort by (patch, cost)
+    # up to swaps of equal costs within a patch, which change no sum below
+    order = np.argsort(costs)
+    order = order[np.argsort(layout.key[order], kind="stable")]
+    cs = costs[order]
     run = np.cumsum(cs)
-    prefix = run - np.r_[0.0, run][starts][ps]
+    prefix = run - np.concatenate(([0.0], run))[starts][ps]
     nu = (rho * totals[ps] + prefix) / (rank + 1)
     # largest prefix whose level clears its own largest cost; ties put the
     # boundary element at exactly zero, so >= picks the same solution while
@@ -117,6 +129,7 @@ def _waterfill(
     inside = rank < support[ps]
     sums = np.bincount(ps[inside], weights=cs[inside], minlength=totals.size)
     level = (rho * totals + sums) / support
+    patch = layout.cell_patch
     g = np.maximum(0.0, (level[patch] - costs) / rho)
     g[totals[patch] == 0] = 0.0
     return g
@@ -134,7 +147,7 @@ def volume_projection(
         raise InfeasibleVolume(f"{volumes.m} volumes for {partition.m} patches")
     return _waterfill(
         dual - rho * field,
-        partition.station_of_cell,
+        partition.layout,
         volumes.values / partition.domain.cell_area,
         rho,
     )
@@ -149,7 +162,7 @@ def _check_constraints(
     partition: Partition, g: np.ndarray, volumes: AggregateObservations
 ) -> float:
     area = partition.domain.cell_area
-    sums = partition.matrix_binary @ g * area
+    sums = np.bincount(partition.station_of_cell, weights=g, minlength=partition.m) * area
     scale = max(float(np.abs(volumes.values).max(initial=0.0)), 1.0)
     viol = float(np.abs(sums - volumes.values).max(initial=0.0)) / scale
     if (g.size and g.min() < -1e-12) or viol > _CONSTRAINT_TOL:

@@ -11,6 +11,7 @@ the lowest station index so that every cell belongs to exactly one patch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -102,6 +103,9 @@ class Partition:
     ``station_of_cell`` lists as one station index per cell (the volume
     projection solves them all in one pass keyed by it).
     ``patch_sizes`` are fractional cell counts, sum(patch_sizes) = n.
+    ``layout``, the slots of the cells sorted by binary patch, depends on
+    ``station_of_cell`` alone; it is built on first use and kept with the
+    partition, so every volume projection on it reuses it.
     """
 
     stations: StationSet
@@ -118,6 +122,45 @@ class Partition:
     @property
     def m(self) -> int:
         return self.stations.m
+
+    @cached_property
+    def layout(self) -> PatchLayout:
+        return patch_layout(self.station_of_cell, self.m)
+
+
+@dataclass(frozen=True, eq=False)
+class PatchLayout:
+    """Cells grouped by binary patch, as a sort by patch id places them.
+
+    ``key`` is the patch id of each cell in the narrowest unsigned dtype, so
+    that a stable sort by it is a radix sort up to 65,536 patches. The other
+    arrays describe the sorted slots: patch ``i`` holds ``sizes[i]`` cells
+    starting at slot ``starts[i]``; slot ``s`` belongs to patch ``patch[s]``
+    and is number ``rank[s]`` within it.
+    """
+
+    cell_patch: np.ndarray
+    key: np.ndarray
+    sizes: np.ndarray
+    starts: np.ndarray
+    patch: np.ndarray
+    rank: np.ndarray
+
+
+def patch_layout(station_of_cell: np.ndarray, m: int) -> PatchLayout:
+    """Sorted-slot layout of the patches that ``station_of_cell`` assigns."""
+    cell_patch = np.asarray(station_of_cell, dtype=np.int64)
+    sizes = np.bincount(cell_patch, minlength=m)
+    starts = np.cumsum(sizes) - sizes
+    patch = np.repeat(np.arange(m), sizes)
+    return PatchLayout(
+        cell_patch=cell_patch,
+        key=cell_patch.astype(np.min_scalar_type(m - 1)),
+        sizes=sizes,
+        starts=starts,
+        patch=patch,
+        rank=np.arange(cell_patch.size) - starts[patch],
+    )
 
 
 def build_partition(domain: GridDomain, stations: StationSet) -> Partition:

@@ -31,9 +31,13 @@ affine surfaces, so those are reproduced for every lam and S leaves them
 unchanged. A covariate combination that is affine at the data cells (a
 constant column always is) therefore lies in the null space of that
 system; beta is its minimum-norm solution, which gives such combinations
-coefficient 0 and leaves their effect to the surface. ``weight`` scales
-the data term so callers embedding this solve in a larger objective can
-pass their own multiplier instead of re-deriving lam.
+coefficient 0 and leaves their effect to the surface. By linearity the fit
+to h - W beta is c_h - c_W beta, where c_W solves the system for each
+column of W; c_W, its right-hand sides and its fitted surfaces Psi c_W
+depend on W alone and are cached per covariate matrix, so a repeated solve
+costs one back-substitution for c_h and the products with h and c.
+``weight`` scales the data term so callers embedding this solve in a larger
+objective can pass their own multiplier instead of re-deriving lam.
 """
 from __future__ import annotations
 
@@ -139,17 +143,16 @@ class SsrSolver:
     def _rhs(self, target: np.ndarray) -> np.ndarray:
         return self.weight * (self._psi_data_t @ target)
 
-    def _solve(self, target: np.ndarray) -> np.ndarray:
-        # target is one vector or a matrix of columns, each a data-cell target
-        c = self._lu.solve(self._rhs(target))
+    def _solve(self, rhs: np.ndarray) -> np.ndarray:
+        # rhs is one vector or a matrix of columns, each from a data-cell target
+        c = self._lu.solve(rhs)
         if not np.isfinite(c).all():
             raise NumericalFailure("smoothing solve produced non-finite coefficients")
         return c
 
-    def _covariate_system(
-        self, covariates: CovariateMatrix
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # (W at the data cells, coefficient solutions of its columns,
+    def _covariate_system(self, covariates: CovariateMatrix) -> tuple[np.ndarray, ...]:
+        # (W at the data cells, right-hand sides of its columns, fitted
+        # surfaces Psi c_W of their solutions c_W, those solutions, and the
         # pseudo-inverse of W'(W - S W)); everything here depends on the
         # covariates alone, so it is cached per covariate matrix and repeated
         # solves pay for the column solves once
@@ -165,11 +168,14 @@ class SsrSolver:
             scipy.linalg.cho_factor(gram)
         except scipy.linalg.LinAlgError as exc:
             raise CollinearCovariates("covariate columns are linearly dependent") from exc
-        c_w = self._solve(w_data)
-        a = w_data.T @ (w_data - self.psi_data @ c_w)
+        rhs_w = self._rhs(w_data)
+        c_w = self._solve(rhs_w)
+        fit_w = self.fem.basis_eval @ c_w
+        fit_w_data = fit_w if self.subset is None else fit_w[self.subset]
+        a = w_data.T @ (w_data - fit_w_data)
         # a is symmetric up to rounding; pinvh reads its lower triangle
         a_pinv = scipy.linalg.pinvh(a, atol=_RANK_RCOND * np.linalg.norm(gram, 2), rtol=0.0)
-        system = (w_data, c_w, a_pinv)
+        system = (w_data, rhs_w, fit_w, c_w, a_pinv)
         self._covariate_cache = (covariates, system)
         return system
 
@@ -181,20 +187,23 @@ class SsrSolver:
         if not np.isfinite(h).all():
             raise ShapeMismatch("targets must be finite")
 
-        c = self._solve(h)
+        rhs = self._rhs(h)
+        c = self._solve(rhs)
+        fitted = self.fem.basis_eval @ c
         if covariates is None:
             beta = np.zeros(0)
-            target = h
         else:
             # partial-spline coefficients: minimum-norm solution of
             # W'(W - S W) beta = W'(h - S h); by linearity of the solve
-            # the fit to h - W beta is c_h - c_W beta
-            w_data, c_w, a_pinv = self._covariate_system(covariates)
-            beta = a_pinv @ (w_data.T @ (h - self.psi_data @ c))
+            # the fit to h - W beta is c_h - c_W beta, with right-hand side
+            # rhs_h - rhs_W beta and surface Psi c_h - Psi c_W beta
+            w_data, rhs_w, fit_w, c_w, a_pinv = self._covariate_system(covariates)
+            fit_data = fitted if self.subset is None else fitted[self.subset]
+            beta = a_pinv @ (w_data.T @ (h - fit_data))
             c = c - c_w @ beta
-            target = h - w_data @ beta
+            rhs = rhs - rhs_w @ beta
+            fitted = fitted - fit_w @ beta + covariates.values @ beta
 
-        rhs = self._rhs(target)
         residual = float(np.linalg.norm(self._system @ c - rhs)) / max(
             float(np.linalg.norm(rhs)), 1e-30
         )
@@ -204,9 +213,6 @@ class SsrSolver:
             )
 
         d = (self.fem.edge_jump @ c) / self.fem.edge_length
-        fitted = self.fem.basis_eval @ c
-        if covariates is not None:
-            fitted = fitted + covariates.values @ beta
         roughness = float(d @ (self.fem.edge_length * d))
         return SsrModel(
             fem=self.fem,

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from csmooth.admm import (
     AdmmConfig,
+    _waterfill,
     css_recover,
     dual_update,
     volume_projection,
@@ -21,6 +22,7 @@ from csmooth.partition import (
     StationSet,
     aggregate,
     build_partition,
+    patch_layout,
     sample_stations,
 )
 from csmooth.smoother import SsrSolver
@@ -114,6 +116,61 @@ def test_volume_projection_checks_station_count():
     part = dataclasses.replace(part, station_of_cell=np.zeros(4, dtype=np.int64))
     with pytest.raises(InfeasibleVolume, match="patch 1 holds no cell"):
         volume_projection(part, np.zeros(4), np.zeros(4), 1.0, AggregateObservations([1.0, 2.0]))
+
+
+def lexsort_waterfill(
+    costs: np.ndarray, patch: np.ndarray, totals: np.ndarray, rho: float
+) -> np.ndarray:
+    """The projection kernel as it was before the patch layout was cached: one
+    lexsort by (patch, cost) per call. Kept as the reference for the radix
+    sort, which must reproduce it bit for bit."""
+    if (totals < 0).any():
+        raise InfeasibleVolume(f"patch volume {totals.min()} is negative")
+    sizes = np.bincount(patch, minlength=totals.size)
+    if not sizes.all():
+        raise InfeasibleVolume(f"patch {int(np.argmin(sizes))} holds no cell")
+    order = np.lexsort((costs, patch))
+    cs, ps = costs[order], patch[order]
+    starts = np.cumsum(sizes) - sizes
+    rank = np.arange(cs.size) - starts[ps]
+    run = np.cumsum(cs)
+    prefix = run - np.r_[0.0, run][starts][ps]
+    nu = (rho * totals[ps] + prefix) / (rank + 1)
+    # largest prefix whose level clears its own largest cost; ties put the
+    # boundary element at exactly zero, so >= picks the same solution while
+    # keeping the first prefix valid even when rho * total underflows
+    support = np.maximum.reduceat(np.where(nu >= cs, rank, 0), starts) + 1
+    # the level again over the support alone: bincount adds each patch's
+    # sorted costs one by one, as a per-patch cumsum does, free of the
+    # rounding the running sum picked up from earlier patches
+    inside = rank < support[ps]
+    sums = np.bincount(ps[inside], weights=cs[inside], minlength=totals.size)
+    level = (rho * totals + sums) / support
+    g = np.maximum(0.0, (level[patch] - costs) / rho)
+    g[totals[patch] == 0] = 0.0
+    return g
+
+
+@pytest.mark.parametrize(
+    "m,key_dtype",
+    [(1, np.uint8), (255, np.uint8), (256, np.uint8), (257, np.uint16),
+     (65_536, np.uint16), (65_537, np.uint32)],
+)
+def test_radix_patch_sort_matches_lexsort(rng, m, key_dtype):
+    # every patch gets one cell, then the rest land at random; costs on a
+    # coarse grid tie exactly within and across patches, and every fifth
+    # patch observes zero volume
+    n = 2 * m + 5
+    station_of_cell = rng.permutation(np.concatenate([np.arange(m), rng.integers(0, m, n - m)]))
+    costs = rng.integers(-8, 8, n) * 0.25
+    costs[::3] = rng.normal(0.0, 2.0, costs[::3].size)
+    totals = rng.uniform(0.0, 5.0, m)
+    totals[::5] = 0.0
+    layout = patch_layout(station_of_cell, m)
+    assert layout.key.dtype == key_dtype
+    for rho in (0.5, 1.7):
+        g = _waterfill(costs, layout, totals, rho)
+        np.testing.assert_array_equal(g, lexsort_waterfill(costs, station_of_cell, totals, rho))
 
 
 @pytest.mark.parametrize("rho", [0.5, 2.0])
@@ -252,3 +309,36 @@ def test_recover_input_validation():
     cov = CovariateMatrix(other, np.ones((20, 1)), names=("one",))
     with pytest.raises(ShapeMismatch):
         css_recover(dom, part, vols, covariates=cov)
+
+
+def test_cached_layout_holds_no_volumes(rng):
+    # one partition serves every sweep with its own volumes and rho; each
+    # projection must equal the one a freshly built partition gives
+    dom, truth, part, vols = make_problem(8, 8, 6, seed=3)
+    shifted = vols.values[::-1] * 2.0
+    shifted[1] = 0.0
+    other = AggregateObservations(shifted)
+    field = rng.normal(1.0, 1.0, dom.n)
+    dual = rng.normal(0.0, 0.5, dom.n)
+    for volumes, rho in ((vols, 1.0), (other, 2.5), (vols, 2.5), (other, 1.0)):
+        g = volume_projection(part, field, dual, rho, volumes)
+        fresh = build_partition(dom, part.stations)
+        np.testing.assert_array_equal(g, volume_projection(fresh, field, dual, rho, volumes))
+
+
+def test_cached_layout_keeps_volume_checks():
+    dom, truth, part, vols = make_problem(4, 4, 3, seed=1)
+    css_recover(dom, part, vols, config=AdmmConfig(max_iter=2))
+    assert "layout" in vars(part)
+    with pytest.raises(InfeasibleVolume, match="negative volume -1.0 observed"):
+        css_recover(dom, part, AggregateObservations(np.array([-1.0, 2.0, 3.0])))
+    # past the constructor's check, the kernel still rejects it on every call
+    negative = AggregateObservations(np.array([1.0, 2.0, 3.0]))
+    object.__setattr__(negative, "values", np.array([-1.0, 2.0, 3.0]))
+    with pytest.raises(InfeasibleVolume, match="patch volume -1.0 is negative"):
+        volume_projection(part, np.zeros(dom.n), np.zeros(dom.n), 1.0, negative)
+    # a replaced partition builds its own layout instead of inheriting the
+    # cached one, so an emptied patch is still caught
+    emptied = dataclasses.replace(part, station_of_cell=np.zeros(dom.n, dtype=np.int64))
+    with pytest.raises(InfeasibleVolume, match="patch 1 holds no cell"):
+        css_recover(dom, emptied, vols)

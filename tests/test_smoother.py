@@ -76,6 +76,34 @@ def test_matches_dense_solve_with_covariates(fem6, rng):
         np.testing.assert_allclose(model.coeffs, c_ref, rtol=0, atol=1e-9)
         np.testing.assert_allclose(model.laplacian, d_ref, rtol=0, atol=1e-9)
         np.testing.assert_allclose(model.fitted, psi @ c_ref + w @ b_ref, rtol=0, atol=1e-9)
+        # the fit assembled from cached covariate surfaces is the surface of
+        # the returned coefficients plus the covariate effect
+        np.testing.assert_allclose(
+            model.fitted, fem6.basis_eval @ model.coeffs + w @ model.beta, rtol=0, atol=1e-12
+        )
+
+
+def test_subset_fit_with_covariates_matches_dense(fem6, rng):
+    # the data term and beta see only the subset; the surface and the
+    # covariate effect are still evaluated at every cell
+    psi, jump, lengths = dense_parts(fem6)
+    w = np.column_stack([rng.normal(size=36), rng.uniform(size=36)])
+    cov = CovariateMatrix(fem6.tri.domain, w, names=("a", "b"))
+    idx = np.array([0, 3, 7, 10, 14, 19, 21, 22, 28, 30, 33, 35])
+    for lam, weight in [(0.5, 1.0), (2.0, 0.5)]:
+        h = rng.normal(2.0, 1.0, idx.size)
+        c_ref, d_ref, b_ref = dense_ssr_cov_oracle(psi[idx], jump, lengths, w[idx], h, lam, weight)
+        solver = SsrSolver(fem6, lam, weight=weight, subset=idx)
+        # the second solve reuses the cached covariate system
+        for model in (solver.solve(h, cov), solver.solve(h, cov)):
+            np.testing.assert_allclose(model.beta, b_ref, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(model.coeffs, c_ref, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(model.laplacian, d_ref, rtol=0, atol=1e-9)
+            assert model.fitted.shape == (36,)
+            np.testing.assert_allclose(model.fitted, psi @ c_ref + w @ b_ref, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(
+                model.fitted, fem6.basis_eval @ model.coeffs + w @ model.beta, rtol=0, atol=1e-12
+            )
 
 
 def test_exact_covariate_field_recovered(fem6, rng):
