@@ -11,6 +11,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from csmooth.admm import AdmmConfig
 from csmooth.benchmark import EnsembleSpec, compare_methods, mean_mre, win_fraction
 from csmooth.methods import CSS, CSS_FEATURES, PE, PE_SSR1, PE_SSR2
 from csmooth.svgplot import render_bars_svg
@@ -20,8 +21,8 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seeds", type=int, default=30, help="number of seeds (0..k-1)")
     ap.add_argument("--stations", type=int, default=15)
-    ap.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    ap.add_argument("--rho", type=float, default=1.0)
+    ap.add_argument("--lambda", dest="lam", type=float, default=AdmmConfig.lam)
+    ap.add_argument("--rho", type=float, default=AdmmConfig.rho)
     ap.add_argument("--covariates", action="store_true",
                     help="add a covariate effect and include css-features")
     ap.add_argument("--svg", help="write a mean-MRE bar chart here")

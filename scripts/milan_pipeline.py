@@ -18,6 +18,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np
 
+from csmooth.admm import AdmmConfig
 from csmooth.benchmark import run_pipeline
 from csmooth.dataio import (
     load_cdr_csv,
@@ -50,7 +51,7 @@ def main() -> int:
                     help="inclusive 'start,end' timestamp filter")
     ap.add_argument("--stations", type=int, nargs="+", default=[200, 100])
     ap.add_argument("--lambdas", type=float, nargs="+", default=[1.0, 10.0])
-    ap.add_argument("--rho", type=float, default=1.0)
+    ap.add_argument("--rho", type=float, default=AdmmConfig.rho)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", required=True)
     args = ap.parse_args()

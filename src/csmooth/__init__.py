@@ -15,7 +15,6 @@ from .admm import (
 )
 from .benchmark import (
     EnsembleSpec,
-    PipelineResult,
     SeedOutcome,
     compare_methods,
     mean_mre,
@@ -98,7 +97,6 @@ __all__ = [
     "PE",
     "PE_SSR1",
     "PE_SSR2",
-    "PipelineResult",
     "RecoveryResult",
     "SchemaError",
     "SeedOutcome",

@@ -68,8 +68,8 @@ class AdmmConfig:
             raise ConfigError(f"rho must be positive, got {self.rho}")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be at least 1")
-        if self.tol < 0:
-            raise ConfigError(f"tol must be nonnegative, got {self.tol}")
+        if not (np.isfinite(self.tol) and self.tol >= 0):
+            raise ConfigError(f"tol must be nonnegative and finite, got {self.tol}")
 
 
 @dataclass(frozen=True, eq=False)

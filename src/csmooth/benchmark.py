@@ -1,8 +1,11 @@
 """Seeded method-comparison ensembles and an end-to-end pipeline driver.
 
-Every seed owns its own synthetic truth, station draw, and aggregation, so
-ensemble statistics are reproducible run to run. The finite-element system
-is assembled once per grid shape and shared across seeds.
+Both drivers run one seeded pass: sample stations from a truth field,
+aggregate it over their patches, recover it with each method and score
+every estimate. An ensemble seed owns its own synthetic truth, station
+draw, and aggregation, so ensemble statistics are reproducible run to run;
+its finite-element system is assembled once per grid shape and shared
+across seeds.
 """
 from __future__ import annotations
 
@@ -15,13 +18,7 @@ from .domain import CovariateMatrix, SpatialField, make_domain
 from .fem import FemSystem, assemble, triangulate
 from .methods import ALL_METHODS, CSS_FEATURES, MethodSpec, run_method_full
 from .metrics import EvalReport, relative_errors
-from .partition import (
-    AggregateObservations,
-    StationSet,
-    aggregate,
-    build_partition,
-    sample_stations,
-)
+from .partition import aggregate, build_partition, sample_stations
 from .synth import SynthSpec, generate_field
 
 
@@ -32,9 +29,9 @@ class EnsembleSpec:
     n_rows: int = 20
     n_cols: int = 20
     n_stations: int = 15
-    lam: float = 1.0
-    rho: float = 1.0
-    max_iter: int = 500
+    lam: float = AdmmConfig.lam
+    rho: float = AdmmConfig.rho
+    max_iter: int = AdmmConfig.max_iter
     bump_choices: tuple[int, ...] = (3, 4, 5)
     amp_range: tuple[float, float] = (1.0, 3.0)
     width_range: tuple[float, float] = (5.5, 9.0)
@@ -61,15 +58,49 @@ class EnsembleSpec:
 
 @dataclass(frozen=True)
 class SeedOutcome:
-    """All per-seed artifacts a comparison needs to rank methods."""
+    """Estimates, scores and solver details of one seeded pass, by method."""
 
     seed: int
     truth: SpatialField
+    estimates: dict[str, SpatialField] = dc_field(default_factory=dict)
     reports: dict[str, EvalReport] = dc_field(default_factory=dict)
     results: dict[str, RecoveryResult | None] = dc_field(default_factory=dict)
 
     def mre(self, method: str) -> float:
         return self.reports[method].mre
+
+
+def _recover_and_score(
+    truth: SpatialField,
+    covariates: CovariateMatrix | None,
+    n_stations: int,
+    station_seed: int,
+    seed: int,
+    admm: AdmmConfig,
+    methods: tuple[str, ...],
+    fem: FemSystem | None,
+) -> SeedOutcome:
+    """Observe ``truth`` at sampled stations, recover it with each method, score.
+
+    ``fem`` is reused when it is on the truth's grid. Each stage is called
+    through its module-level name, so a wrapper rebound over one (as a
+    tracer does) sees every call.
+    """
+    stations = sample_stations(truth, n_stations, seed=station_seed)
+    part = build_partition(truth.domain, stations)
+    volumes = aggregate(part, truth)
+    if fem is None or not fem.tri.domain.same_grid(truth.domain):
+        fem = assemble(triangulate(truth.domain))
+    outcome = SeedOutcome(seed=seed, truth=truth)
+    for method in methods:
+        est, res = run_method_full(
+            MethodSpec(method, admm), truth.domain, part, volumes,
+            covariates=covariates, fem=fem,
+        )
+        outcome.estimates[method] = est
+        outcome.results[method] = res
+        outcome.reports[method] = relative_errors(est, truth, method=method, seed=seed)
+    return outcome
 
 
 def run_seed(
@@ -80,22 +111,11 @@ def run_seed(
 ) -> SeedOutcome:
     """Generate truth, aggregate it at sampled stations, and run each method."""
     truth, cov = generate_field(spec.synth_spec(seed))
-    if fem is not None and not fem.tri.domain.same_grid(truth.domain):
-        fem = None
-    if fem is None:
-        fem = assemble(triangulate(truth.domain))
-    stations = sample_stations(truth, spec.n_stations, seed=seed + spec.station_seed_offset)
-    part = build_partition(truth.domain, stations)
-    volumes = aggregate(part, truth)
     admm = AdmmConfig(lam=spec.lam, rho=spec.rho, max_iter=spec.max_iter)
-    outcome = SeedOutcome(seed=seed, truth=truth)
-    for method in methods:
-        est, res = run_method_full(
-            MethodSpec(method, admm), truth.domain, part, volumes, covariates=cov, fem=fem
-        )
-        outcome.reports[method] = relative_errors(est, truth, method=method, seed=seed)
-        outcome.results[method] = res
-    return outcome
+    return _recover_and_score(
+        truth, cov, spec.n_stations, seed + spec.station_seed_offset, seed,
+        admm, methods, fem,
+    )
 
 
 def compare_methods(
@@ -122,47 +142,24 @@ def win_fraction(outcomes: list[SeedOutcome], method: str, other: str) -> float:
     return wins / len(outcomes)
 
 
-@dataclass(frozen=True)
-class PipelineResult:
-    """Artifacts of one recover-and-score pass over an observed field."""
-
-    truth: SpatialField
-    stations: StationSet
-    volumes: AggregateObservations
-    estimates: dict[str, SpatialField]
-    reports: dict[str, EvalReport]
-    results: dict[str, RecoveryResult | None]
-
-
 def run_pipeline(
     truth: SpatialField,
     covariates: CovariateMatrix | None = None,
     n_stations: int = 200,
-    lam: float = 1.0,
-    rho: float = 1.0,
+    lam: float = AdmmConfig.lam,
+    rho: float = AdmmConfig.rho,
     seed: int = 0,
     methods: tuple[str, ...] | None = None,
-) -> PipelineResult:
+) -> SeedOutcome:
     """Aggregate ``truth`` at sampled stations, recover with each method, score.
 
     The observed field itself plays the role of ground truth: it is reduced
-    to station totals and each method tries to reconstruct it.
+    to station totals and each method tries to reconstruct it. ``seed``
+    draws the stations and labels the reports.
     """
     if methods is None:
         methods = ALL_METHODS if covariates is not None else ALL_METHODS[:-1]
-    stations = sample_stations(truth, n_stations, seed=seed)
-    part = build_partition(truth.domain, stations)
-    volumes = aggregate(part, truth)
-    fem = assemble(triangulate(truth.domain))
-    admm = AdmmConfig(lam=lam, rho=rho)
-    estimates: dict[str, SpatialField] = {}
-    results: dict[str, RecoveryResult | None] = {}
-    for m in methods:
-        estimates[m], results[m] = run_method_full(
-            MethodSpec(m, admm),
-            truth.domain, part, volumes, covariates=covariates, fem=fem,
-        )
-    reports = {
-        m: relative_errors(estimates[m], truth, method=m, seed=seed) for m in methods
-    }
-    return PipelineResult(truth, stations, volumes, estimates, reports, results)
+    return _recover_and_score(
+        truth, covariates, n_stations, seed, seed,
+        AdmmConfig(lam=lam, rho=rho), methods, None,
+    )

@@ -340,10 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", help="covariate CSV for css-features")
     p.add_argument("--method", action="append", choices=ALL_METHODS,
                    help="repeatable; default css")
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--rho", type=float, default=1.0)
-    p.add_argument("--max-iter", type=int, default=500)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--lambda", dest="lam", type=float, default=AdmmConfig.lam)
+    p.add_argument("--rho", type=float, default=AdmmConfig.rho)
+    p.add_argument("--max-iter", type=int, default=AdmmConfig.max_iter)
+    p.add_argument("--tol", type=float, default=AdmmConfig.tol)
     add_common(p)
 
     p = sub.add_parser("evaluate", help="score estimates against a truth field")

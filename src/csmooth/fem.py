@@ -8,9 +8,9 @@ elements:
   * the mass matrix M, M_ab = integral(psi_a psi_b),
   * the stiffness matrix K, K_ab = integral(grad psi_a . grad psi_b),
   * the evaluation matrix Psi with one row per active cell giving the
-    barycentric weights of its center (centers are the midpoints of the
-    split diagonal, looked up in the triangle below it, so each row holds
-    exactly 1/2 at the cell's lower-left and upper-right corners),
+    surface at its center: the center is the midpoint of the split
+    diagonal, so each row holds exactly 1/2 at the cell's lower-left and
+    upper-right corners and nothing else,
   * the roughness operator: for each interior edge e shared by triangles
     T1 < T2, row e of J is |e| times the jump of the surface's normal
     derivative across e, and edge_length holds |e|.
@@ -32,20 +32,22 @@ import scipy.sparse as sp
 from .domain import GridDomain, _frozen
 from .errors import DegenerateTriangle
 
+# smallest doubled area a triangle may have, relative to its longest edge
+# squared; a ratio, so a valid grid passes at any cell size
 _AREA_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
 class Triangulation:
-    """Mesh of a grid domain: vertices, triangles, and cell-center lookups."""
+    """Mesh of a grid domain.
+
+    Active cell i owns triangles 2i = (ll, lr, ur), below its diagonal, and
+    2i+1 = (ll, ur, ul), above it, named by the cell's corners.
+    """
 
     domain: GridDomain
     vertices: np.ndarray        # (n_v, 2) coordinates
-    corners: np.ndarray         # (n_v, 2) integer (row, col) corner ids
     triangles: np.ndarray       # (n_t, 3) vertex indices, positive orientation
-    cell_triangles: np.ndarray  # (n, 2) triangles covering each active cell
-    center_triangle: np.ndarray # (n,) triangle containing each cell center
-    center_bary: np.ndarray     # (n, 3) barycentric coordinates of the center
 
     @property
     def n_vertices(self) -> int:
@@ -67,10 +69,10 @@ def triangulate(domain: GridDomain) -> Triangulation:
     corner_flat = np.flatnonzero(corner_used.ravel())
     vertex_id = np.full((nr + 1) * (nc + 1), -1, dtype=np.int64)
     vertex_id[corner_flat] = np.arange(corner_flat.size)
-    corners = np.column_stack([corner_flat // (nc + 1), corner_flat % (nc + 1)])
+    corner_row, corner_col = np.divmod(corner_flat, nc + 1)
     ox, oy = domain.origin
     h = domain.cell_size
-    vertices = np.column_stack([ox + corners[:, 1] * h, oy + corners[:, 0] * h]).astype(float)
+    vertices = np.column_stack([ox + corner_col * h, oy + corner_row * h]).astype(float)
 
     def vid(r, c):
         return vertex_id[r * (nc + 1) + c]
@@ -79,25 +81,13 @@ def triangulate(domain: GridDomain) -> Triangulation:
     lr = vid(rows, cols + 1)
     ul = vid(rows + 1, cols)
     ur = vid(rows + 1, cols + 1)
-    n = domain.n
-    triangles = np.empty((2 * n, 3), dtype=np.int64)
+    triangles = np.empty((2 * domain.n, 3), dtype=np.int64)
     triangles[0::2] = np.column_stack([ll, lr, ur])   # below the diagonal
     triangles[1::2] = np.column_stack([ll, ur, ul])   # above the diagonal
-    cell_triangles = np.column_stack([np.arange(0, 2 * n, 2), np.arange(1, 2 * n, 2)])
-
-    # each center is the midpoint of its cell's ll-ur diagonal, shared by
-    # both triangles; the one below the diagonal (ll, lr, ur) holds it
-    center_triangle = cell_triangles[:, 0]
-    center_bary = np.tile([0.5, 0.0, 0.5], (n, 1))
-
     return Triangulation(
         domain=domain,
         vertices=_frozen(vertices),
-        corners=_frozen(corners),
         triangles=_frozen(triangles),
-        cell_triangles=_frozen(cell_triangles),
-        center_triangle=_frozen(center_triangle),
-        center_bary=_frozen(center_bary),
     )
 
 
@@ -108,7 +98,7 @@ class FemSystem:
     tri: Triangulation
     mass: sp.csr_matrix        # (n_v, n_v) SPD, row sums integrate to the domain area
     stiffness: sp.csr_matrix   # (n_v, n_v) PSD, K 1 = 0
-    basis_eval: sp.csr_matrix  # (n, n_v) barycentric weights of cell centers
+    basis_eval: sp.csr_matrix  # (n, n_v) 1/2 at each cell's ll and ur corner
     edge_jump: sp.csr_matrix   # (n_e, n_v) |e| * normal-derivative jump per interior edge
     edge_length: np.ndarray    # (n_e,) length |e| per interior edge
 
@@ -137,8 +127,10 @@ def assemble(tri: Triangulation) -> FemSystem:
     e1 = p[:, 1] - p[:, 0]
     e2 = p[:, 2] - p[:, 0]
     area2 = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    if (area2 <= 2.0 * _AREA_TOL).any():
-        bad = int(np.argmin(area2))
+    longest2 = np.max([(e1 * e1).sum(1), (e2 * e2).sum(1), ((e2 - e1) ** 2).sum(1)], axis=0)
+    flat = area2 <= _AREA_TOL * longest2
+    if flat.any():
+        bad = int(np.argmax(flat))
         raise DegenerateTriangle(f"triangle {bad} has area {area2[bad] / 2.0}")
     area = area2 / 2.0
 
@@ -161,14 +153,12 @@ def assemble(tri: Triangulation) -> FemSystem:
     mass = sp.coo_matrix((m_entries, (rows, cols)), shape=(n_v, n_v)).tocsr()
     stiffness = sp.coo_matrix((k_entries, (rows, cols)), shape=(n_v, n_v)).tocsr()
 
+    # cell i's center is the midpoint of the ll-ur diagonal of triangle 2i
     n = tri.domain.n
-    bary = tri.center_bary
     psi = sp.csr_matrix(
-        (bary.ravel(),
-         (np.repeat(np.arange(n), 3), t[tri.center_triangle].ravel())),
+        (np.full(2 * n, 0.5), t[0::2, 0::2].ravel(), np.arange(0, 2 * n + 1, 2)),
         shape=(n, n_v),
     )
-    psi.eliminate_zeros()
 
     edge_jump, edge_length = _assemble_edges(tri, grads)
     return FemSystem(

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import SpatialField, _check_same_domain, _frozen
-from .errors import NoEvaluableCells
+from .errors import ConfigError, NoEvaluableCells
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,6 +34,8 @@ def relative_errors(
     seed: int | None = None,
 ) -> EvalReport:
     _check_same_domain(estimate.domain, truth.domain, "truth field")
+    if not (np.isfinite(floor) and floor > 0):
+        raise ConfigError(f"floor must be positive and finite, got {floor}")
     keep = truth.values >= floor
     excluded = int((~keep).sum())
     if not keep.any():

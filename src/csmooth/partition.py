@@ -98,19 +98,18 @@ class Partition:
 
     A cell is tied between the stations whose integer squared distance in
     cell units equals its minimum exactly. ``matrix`` holds the fractional
-    weights (m x n, rows sum over each patch, columns sum to 1);
-    ``matrix_binary`` the tie-re-broken variant, whose patches
-    ``station_of_cell`` lists as one station index per cell (the volume
-    projection solves them all in one pass keyed by it).
-    ``patch_sizes`` are fractional cell counts, sum(patch_sizes) = n.
-    ``layout``, the slots of the cells sorted by binary patch, depends on
-    ``station_of_cell`` alone; it is built on first use and kept with the
-    partition, so every volume projection on it reuses it.
+    weights (m x n, rows sum over each patch, columns sum to 1).
+    ``station_of_cell`` re-breaks ties to the lowest station index, one
+    station per cell: these are the binary patches, which the volume
+    projection solves all in one pass. ``patch_sizes`` are fractional cell
+    counts, sum(patch_sizes) = n. ``matrix_binary`` (the binary patches as
+    a 0/1 matrix) and ``layout`` (the slots of the cells sorted by binary
+    patch) derive from ``station_of_cell`` alone; each is built on first use
+    and kept with the partition.
     """
 
     stations: StationSet
     matrix: sp.csr_matrix
-    matrix_binary: sp.csr_matrix
     patch_sizes: np.ndarray
     station_of_cell: np.ndarray
     has_ties: bool
@@ -122,6 +121,13 @@ class Partition:
     @property
     def m(self) -> int:
         return self.stations.m
+
+    @cached_property
+    def matrix_binary(self) -> sp.csr_matrix:
+        n = self.station_of_cell.size
+        return sp.csr_matrix(
+            (np.ones(n), (self.station_of_cell, np.arange(n))), shape=(self.m, n)
+        )
 
     @cached_property
     def layout(self) -> PatchLayout:
@@ -185,14 +191,10 @@ def build_partition(domain: GridDomain, stations: StationSet) -> Partition:
     cell_idx, stat_idx = np.concatenate(cell_parts), np.concatenate(stat_parts)
     weights = 1.0 / k[cell_idx]
     matrix = sp.csr_matrix((weights, (stat_idx, cell_idx)), shape=(m, n))
-    matrix_binary = sp.csr_matrix(
-        (np.ones(n), (station_of_cell, np.arange(n))), shape=(m, n)
-    )
     patch_sizes = np.asarray(matrix.sum(axis=1)).ravel()
     return Partition(
         stations=stations,
         matrix=matrix,
-        matrix_binary=matrix_binary,
         patch_sizes=_frozen(patch_sizes),
         station_of_cell=_frozen(station_of_cell),
         has_ties=bool((k > 1).any()),

@@ -194,11 +194,7 @@ def test_criterion_3_fem_analytic_values():
     ref_tri = Triangulation(
         domain=make_domain(1, 1),
         vertices=_frozen(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])),
-        corners=_frozen(np.array([[0, 0], [0, 1], [1, 0]])),
         triangles=_frozen(np.array([[0, 1, 2]])),
-        cell_triangles=_frozen(np.array([[0, 0]])),
-        center_triangle=_frozen(np.array([0])),
-        center_bary=_frozen(np.array([[0.0, 0.5, 0.5]])),
     )
     fem_ref = assemble(ref_tri)
     ref_mass = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 24.0
@@ -339,11 +335,12 @@ def test_criterion_7_admm_convergence(ordering_suite):
             slack = 1e-6 * max(1.0, abs(objs[k]))
             worst_step = max(worst_step, float(objs[k + 1] - objs[k] - slack))
     ok = not not_converged and worst_res <= 1e-6 and worst_step <= 0.0
+    converged = len(outcomes) - len(not_converged)
     _record(
         7,
         "solver convergence on the ordering suite",
         ok,
-        f"30/30 converged within 500 sweeps"
+        f"{converged}/{len(outcomes)} converged within 500 sweeps"
         + (f" (failures: {not_converged})" if not_converged else "")
         + f", final residuals <= {worst_res:.3e} x sqrt(n) (limit 1e-6); "
         f"objective non-increasing over the final 90% with margin "

@@ -297,6 +297,9 @@ def test_config_validation():
         AdmmConfig(max_iter=0)
     with pytest.raises(ConfigError):
         AdmmConfig(tol=-1e-9)
+    for tol in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            AdmmConfig(tol=tol)
 
 
 def test_recover_input_validation():

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from csmooth.cli import main
-from csmooth.dataio import read_field_csv
+from csmooth.dataio import read_field_csv, write_field_csv
+from csmooth.domain import SpatialField, make_domain
 
 
 def run(args):
@@ -152,6 +153,19 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert run(["stations", "--field", bad, "--stations", 2,
                 "--out", tmp_path / "x"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_bad_floor_and_tol_exit_two(tmp_path, capsys):
+    truth = tmp_path / "truth.csv"
+    write_field_csv(SpatialField(make_domain(1, 3), np.array([1.0, 0.0, 2.0])), truth)
+    out = tmp_path / "ev"
+    assert run(["evaluate", "--truth", truth, "--estimate", truth,
+                "--floor", 0, "--out", out]) == 2
+    assert "floor" in capsys.readouterr().err
+    assert not (out / "report.csv").exists()
+    assert run(["recover", "--truth", truth, "--stations", 1, "--method", "pe",
+                "--tol", "nan", "--out", tmp_path / "rec"]) == 2
+    assert "tol" in capsys.readouterr().err
 
 
 def test_truth_mode_conflicts_exit_two(workflow_dir):

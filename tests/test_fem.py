@@ -22,11 +22,7 @@ def reference_triangle_system():
     tri = Triangulation(
         domain=domain,
         vertices=_frozen(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])),
-        corners=_frozen(np.array([[0, 0], [0, 1], [1, 0]])),
         triangles=_frozen(np.array([[0, 1, 2]])),
-        cell_triangles=_frozen(np.array([[0, 0]])),
-        center_triangle=_frozen(np.array([0])),
-        center_bary=_frozen(np.array([[0.0, 0.5, 0.5]])),
     )
     return assemble(tri)
 
@@ -55,9 +51,6 @@ def test_triangles_positively_oriented_and_cover_cells():
     assert (cross > 0).all()
     # two triangles per cell, total area = cell count * cell_size^2
     assert cross.sum() / 2.0 == pytest.approx(12 * 0.25)
-    # the recorded center barycentrics reproduce the centers
-    centers = np.einsum("nk,nkd->nd", tri.center_bary, tri.vertices[tri.triangles[tri.center_triangle]])
-    np.testing.assert_allclose(centers, tri.domain.centers, atol=1e-12)
 
 
 def test_interior_edge_inventory_on_2x2():
@@ -103,7 +96,7 @@ def test_basis_eval_is_a_partition_of_unity():
         )
         # each center is the exact midpoint of its cell's ll-ur diagonal:
         # two weights of 1/2 per row and no rounding residue elsewhere
-        assert (fem.tri.center_bary == [0.5, 0.0, 0.5]).all()
+        assert (fem.basis_eval.data == 0.5).all()
         assert fem.basis_eval.nnz == 2 * domain.n
 
 
@@ -181,11 +174,17 @@ def test_degenerate_triangle_rejected():
     bad = Triangulation(
         domain=tri.domain,
         vertices=_frozen(squashed),
-        corners=tri.corners,
         triangles=tri.triangles,
-        cell_triangles=tri.cell_triangles,
-        center_triangle=tri.center_triangle,
-        center_bary=tri.center_bary,
     )
     with pytest.raises(DegenerateTriangle):
         assemble(bad)
+
+
+def test_tiny_cells_assemble():
+    # the area check is relative to each triangle's size: a valid grid of
+    # micro-cells is not degenerate
+    fem = assemble(triangulate(make_domain(6, 6, cell_size=1e-6)))
+    assert fem.mass.sum() == pytest.approx(36e-12)
+    np.testing.assert_allclose(
+        fem.basis_eval @ fem.tri.vertices, fem.tri.domain.centers, rtol=0, atol=1e-18
+    )

@@ -112,6 +112,15 @@ def test_relative_errors_excludes_below_floor():
     assert rep.method == "pe" and rep.seed == 7
 
 
+@pytest.mark.parametrize("floor", [0.0, -1.0, float("nan"), float("inf")])
+def test_relative_errors_floor_must_be_positive_and_finite(floor):
+    # a zero floor admits zero-truth cells, whose relative error is inf
+    dom = make_domain(1, 3)
+    truth = SpatialField(dom, np.array([1.0, 0.0, 2.0]))
+    with pytest.raises(ConfigError):
+        relative_errors(truth, truth, floor=floor)
+
+
 def test_relative_errors_needs_an_evaluable_cell():
     dom = make_domain(1, 2)
     truth = SpatialField(dom, np.zeros(2))
