@@ -7,7 +7,8 @@ each float column in one pass, a reader converts each text column in one
 ``int``/``float`` pass and checks indices with numpy. The files are
 byte-identical to formatting each row by hand, and a malformed file raises
 the message, naming the line, that reading it row by row would raise first.
-Schemas:
+Values of fields, covariates, volumes, features and activity must be
+finite; a report or cdf may hold nan and inf. Schemas:
 
   field         row,col,value            one line per active cell, sorted
   covariates    row,col,<name>...        aligned with the active cells
@@ -74,6 +75,10 @@ def _bad_value(kind: type, column: str, text: str) -> str:
     return f"column '{column}' has {what} value {text!r}"
 
 
+def _non_finite(column: str, text: str) -> str:
+    return f"column '{column}' has non-finite value {text!r}"
+
+
 def _parse(kind: type, text: str, path, line: int, column: str):
     """One field read as ``kind`` (int or float)."""
     try:
@@ -133,6 +138,13 @@ class _Rows:
             except ValueError:
                 self.fail(len(values), _bad_value(kind, self.names[j], text))
                 break
+        return values
+
+    def parse_finite(self, j: int) -> list[float]:
+        """Column ``j`` read as float on the rows before ``stop``, each finite."""
+        values = self.parse(j, float)
+        self.first(~np.isfinite(values),
+                   lambda k: _non_finite(self.names[j], self.columns[j][k]))
         return values
 
     def check(self) -> None:
@@ -231,7 +243,7 @@ def read_field_csv(path: str | Path) -> SpatialField:
         n = rows.stop
         rr, cc = _int_array(r[:n]), _int_array(c[:n])
         rows.first((rr < 0) | (cc < 0), lambda k: f"negative cell index ({r[k]}, {c[k]})")
-        values = rows.parse(2, float)
+        values = rows.parse_finite(2)
         rows.check()
         blocks.append((rr, cc, values))
     r, c, values = (np.concatenate(parts) for parts in zip(*blocks))
@@ -265,7 +277,7 @@ def read_covariates_csv(path: str | Path, domain: GridDomain) -> CovariateMatrix
         dup[np.unique(pos, return_index=True)[1]] = False   # all but each cell's first row
         rows.first(dup | seen[pos],
                    lambda k: "duplicate cell ({}, {})".format(*domain.cells[pos[k]]))
-        columns = [rows.parse(j, float) for j in range(2, len(rows.names))]
+        columns = [rows.parse_finite(j) for j in range(2, len(rows.names))]
         rows.check()
         seen[pos] = True
         blocks.append((pos, columns))
@@ -305,7 +317,7 @@ def read_aggregates_csv(path: str | Path) -> AggregateObservations:
     vols = []
     for rows in _read_rows(path, ("station_id", "volume"), "volumes"):
         _station_ids(rows, len(vols))
-        values = rows.parse(1, float)
+        values = rows.parse_finite(1)
         rows.check()
         vols += values
     return AggregateObservations(np.asarray(vols))
@@ -381,7 +393,10 @@ def load_cdr_csv(
             for j, col in enumerate(CDR_HEADER[2:], start=2):
                 text = rec[j].strip()
                 if text:
-                    total += _parse(float, text, path, i, col)
+                    value = _parse(float, text, path, i, col)
+                    if not np.isfinite(value):
+                        raise SchemaError(f"{path}:{i}: {_non_finite(col, text)}")
+                    total += value
             acc[sid - 1] += total
         rows.check()
     domain = make_domain(n_rows, n_cols)
@@ -417,7 +432,7 @@ def load_features_csv(
         rows.first(dup | present[flat], lambda k: f"duplicate square_id {sid[k]}")
         rows.first(~domain.active[flat],
                    lambda k: f"square_id {sid[k]} is inactive in the domain")
-        columns = [rows.parse(j, float) for j in j_names]
+        columns = [rows.parse_finite(j) for j in j_names]
         rows.check()
         present[flat] = True
         raw[flat] = np.array(columns).T

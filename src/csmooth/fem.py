@@ -2,8 +2,12 @@
 
 Each active unit cell is split into two right triangles along the same
 diagonal (lower-left to upper-right); vertices are the cell corners shared
-between neighbors. On this mesh we assemble, for linear barycentric
-elements:
+between neighbors. Vertices are numbered line by line along the grid's
+longer side: row by row, or column by column when there are more columns
+than rows. Two triangles that share an edge then have all their vertices
+within two lines of corners, which keeps the smoother's system in a band of
+half-width at most 2 (short side + 1) + 1. On this mesh we assemble, for
+linear barycentric elements:
 
   * the mass matrix M, M_ab = integral(psi_a psi_b),
   * the stiffness matrix K, K_ab = integral(grad psi_a . grad psi_b),
@@ -25,6 +29,7 @@ gradient) and on nothing else when the mesh is connected.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -66,21 +71,22 @@ def triangulate(domain: GridDomain) -> Triangulation:
         for dc in (0, 1):
             corner_used[rows + dr, cols + dc] = True
 
-    corner_flat = np.flatnonzero(corner_used.ravel())
-    vertex_id = np.full((nr + 1) * (nc + 1), -1, dtype=np.int64)
-    vertex_id[corner_flat] = np.arange(corner_flat.size)
-    corner_row, corner_col = np.divmod(corner_flat, nc + 1)
+    # number the corners line by line along the longer side, so that the
+    # vertices of two neighboring triangles lie at most two lines apart
+    if nc > nr:
+        corner_col, corner_row = np.nonzero(corner_used.T)
+    else:
+        corner_row, corner_col = np.nonzero(corner_used)
+    vertex_id = np.full((nr + 1, nc + 1), -1, dtype=np.int64)
+    vertex_id[corner_row, corner_col] = np.arange(corner_row.size)
     ox, oy = domain.origin
     h = domain.cell_size
     vertices = np.column_stack([ox + corner_col * h, oy + corner_row * h]).astype(float)
 
-    def vid(r, c):
-        return vertex_id[r * (nc + 1) + c]
-
-    ll = vid(rows, cols)
-    lr = vid(rows, cols + 1)
-    ul = vid(rows + 1, cols)
-    ur = vid(rows + 1, cols + 1)
+    ll = vertex_id[rows, cols]
+    lr = vertex_id[rows, cols + 1]
+    ul = vertex_id[rows + 1, cols]
+    ur = vertex_id[rows + 1, cols + 1]
     triangles = np.empty((2 * domain.n, 3), dtype=np.int64)
     triangles[0::2] = np.column_stack([ll, lr, ur])   # below the diagonal
     triangles[1::2] = np.column_stack([ll, ur, ul])   # above the diagonal
@@ -110,10 +116,14 @@ class FemSystem:
     def n_edges(self) -> int:
         return self.edge_length.size
 
+    @cached_property
     def roughness_matrix(self) -> sp.csr_matrix:
-        """The smoother's penalty quadratic form J' diag(1/edge_length) J."""
+        """The smoother's penalty quadratic form J' diag(1/edge_length) J (read-only)."""
         w = sp.diags(1.0 / self.edge_length)
-        return (self.edge_jump.T @ w @ self.edge_jump).tocsr()
+        r = (self.edge_jump.T @ w @ self.edge_jump).tocsr()
+        for a in (r.data, r.indices, r.indptr):
+            _frozen(a)
+        return r
 
 
 _MASS_TEMPLATE = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0

@@ -15,11 +15,23 @@ stationarity in c is one sparse symmetric positive definite system:
 
     (weight * Psi'Psi + lam * J' M_E^-1 J) c = weight * Psi'(h - W beta),
 
-which is factorized once and reused: a symmetric-mode LU without
-pivoting, valid because the system is SPD. It is positive definite exactly
-when the data cells pin down the penalty's null space, the surfaces affine
-on each edge-connected piece of the mesh (on a connected mesh: when the
-data centers do not all lie on one line); a singular system is rejected.
+which is factorized once and reused. It is positive definite exactly when
+the data cells pin down the penalty's null space, the surfaces affine on
+each edge-connected piece of the mesh (on a connected mesh: when the data
+centers do not all lie on one line); a singular system is rejected.
+
+The system is banded: Psi couples the two ends of a cell's diagonal and the
+penalty couples the vertices of two triangles that share an edge, all within
+a 3 x 3 block of corners. fem numbers the vertices line by line along the
+grid's longer side, so coupled vertices lie at most two lines of (short side
++ 1) corners apart, and the half-bandwidth is at most 2 (short side + 1) + 1
+whatever the mask. The system is therefore factorized by LAPACK's band
+Cholesky (pbtrf, George & Liu 1981, ch. 4) on its upper band, which the
+Cholesky factor fills but never leaves, and solved by two band
+back-substitutions (pbtrs), all covariate columns in one call. The pivots of
+the factorization are the squares of the factor's diagonal; a pivot that is
+not positive stops the factorization and counts as ratio 0.
+
 Write S for the linear map from data-cell targets to fitted surface values
 at the data cells. The coefficients are the partial-spline estimate (Green
 & Silverman 1994, section 4.3): beta solves the q x q system
@@ -45,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg as spla
+import scipy.sparse as sp
 
 from .domain import CovariateMatrix, GridDomain, SpatialField
 from .errors import CollinearCovariates, NumericalFailure, ShapeMismatch
@@ -57,16 +69,13 @@ _RESIDUAL_TOL = 1e-8
 # scale is W'W, not the system itself, so an all-affine W (a system that is
 # zero up to rounding) still gets beta = 0.
 _RANK_RCOND = 1e-10
-# fill-reducing column order for splu: minimum degree on A' + A suits the
-# symmetric system and fills less than the default COLAMD. The system is SPD,
-# so it is factorized in SuperLU's symmetric mode: the order is applied to
-# rows and columns alike and no row is pivoted.
-_PERMC_SPEC = "MMD_AT_PLUS_A"
 # a factorization whose smallest pivot is below this fraction of its
 # largest is singular: a null direction leaves a pivot at rounding level
-# (2e-16 to 1e-14 of the largest). Well-posed fits stay far above it; the
-# ratio falls about in step with lam / weight or weight / lam, to 5e-9 at
-# 1e8 on a 6 x 6 grid.
+# (1e-16 to 1.1e-15 of the largest) or stops the band Cholesky (ratio 0).
+# Well-posed fits stay far above it; the ratio falls about in step with
+# lam / weight or weight / lam, to 5e-9 at 1e8 on a 6 x 6 grid (5e-11 with
+# three data cells), and stays above 3e-4 on a 100 x 100 grid with 20 to
+# 200 data cells.
 _PIVOT_RATIO_TOL = 1e-12
 
 
@@ -121,20 +130,25 @@ class SsrSolver:
         self._psi_data_t = self.psi_data.T.tocsr()
         self._system = (
             self.weight * (self._psi_data_t @ self.psi_data)
-            + self.lam * fem.roughness_matrix()
-        ).tocsc()
+            + self.lam * fem.roughness_matrix
+        )
         self._covariate_cache: tuple[CovariateMatrix, tuple] | None = None
+        # the upper band in LAPACK's layout: entry (i, j), i <= j, at row
+        # u + i - j of column j, u the half-bandwidth; Fortran order, so the
+        # factor overwrites it in place
+        upper = sp.triu(self._system, format="coo")
+        u = int((upper.col - upper.row).max())
+        band = np.zeros((u + 1, self._system.shape[0]), order="F")
+        band[u + upper.row - upper.col, upper.col] = upper.data
         try:
-            self._lu = spla.splu(
-                self._system, permc_spec=_PERMC_SPEC, diag_pivot_thresh=0.0,
-                options=dict(SymmetricMode=True),
-            )
-        except RuntimeError:  # an exactly zero pivot
+            self._chol = scipy.linalg.cholesky_banded(band, overwrite_ab=True,
+                                                      check_finite=False)
+        except scipy.linalg.LinAlgError:  # a pivot that is not positive
             ratio = 0.0
         else:
-            pivots = np.abs(self._lu.U.diagonal())
+            pivots = self._chol[u] ** 2
             ratio = pivots.min() / pivots.max()
-        if ratio <= _PIVOT_RATIO_TOL:
+        if not ratio > _PIVOT_RATIO_TOL:
             raise NumericalFailure(
                 f"smoothing system is singular (pivot ratio {ratio:.1e}); the data "
                 "cells do not pin down the affine null space of the penalty"
@@ -145,7 +159,7 @@ class SsrSolver:
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
         # rhs is one vector or a matrix of columns, each from a data-cell target
-        c = self._lu.solve(rhs)
+        c = scipy.linalg.cho_solve_banded((self._chol, False), rhs, check_finite=False)
         if not np.isfinite(c).all():
             raise NumericalFailure("smoothing solve produced non-finite coefficients")
         return c

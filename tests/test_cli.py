@@ -168,6 +168,26 @@ def test_bad_floor_and_tol_exit_two(tmp_path, capsys):
     assert "tol" in capsys.readouterr().err
 
 
+def test_non_finite_inputs_exit_two(workflow_dir, capsys):
+    bad_field = workflow_dir / "bad_field.csv"
+    lines = (workflow_dir / "synth" / "truth.csv").read_text().splitlines()
+    lines[3] = lines[3].rsplit(",", 1)[0] + ",nan"
+    bad_field.write_text("\n".join(lines) + "\n")
+    assert run(["stations", "--field", bad_field, "--stations", 5,
+                "--out", workflow_dir / "st"]) == 2
+    assert f"{bad_field}:4: column 'value' has non-finite value 'nan'" in capsys.readouterr().err
+    bad_agg = workflow_dir / "bad_agg.csv"
+    lines = (workflow_dir / "agg" / "aggregates.csv").read_text().splitlines()
+    lines[2] = "1,inf"
+    bad_agg.write_text("\n".join(lines) + "\n")
+    rec = workflow_dir / "rec"
+    assert run(["recover", "--domain", workflow_dir / "synth" / "truth.csv",
+                "--stations-csv", workflow_dir / "stations" / "stations.csv",
+                "--aggregates", bad_agg, "--method", "pe", "--out", rec]) == 2
+    assert f"{bad_agg}:3: column 'volume' has non-finite value 'inf'" in capsys.readouterr().err
+    assert not (rec / "estimate_pe.csv").exists()
+
+
 def test_truth_mode_conflicts_exit_two(workflow_dir):
     assert run(["recover", "--truth", workflow_dir / "synth" / "truth.csv",
                 "--stations", 4,

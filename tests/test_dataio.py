@@ -7,6 +7,7 @@ import pytest
 from csmooth import dataio
 from csmooth.admm import AdmmConfig, css_recover
 from csmooth.dataio import (
+    CDR_HEADER,
     FEATURE_NAMES,
     load_cdr_csv,
     load_features_csv,
@@ -185,6 +186,22 @@ FIRST_ERRORS = [
      "3: square_id 1 is inactive in the domain"),
     (lambda p: load_features_csv(p, MASKED), f"square_id,{FEATURES}\n3,1,1,1,1,1,1\n3,x,1,1,1,1,1\n",
      "3: duplicate square_id 3"),
+    # a value must be finite where the result checks it: fields, covariates,
+    # volumes, features and activity
+    (read_field_csv, "row,col,value\n0,0,1\n0,1,nan\n0,2,abc\n",
+     "3: column 'value' has non-finite value 'nan'"),
+    (read_field_csv, "row,col,value\n0,0,1\n-1,0,inf\n", "3: negative cell index (-1, 0)"),
+    (lambda p: read_covariates_csv(p, MASKED), "row,col,x,y\n0,1,1,2\n0,2,1,-inf\n0,1,nan,4\n",
+     "3: column 'y' has non-finite value '-inf'"),
+    (lambda p: read_covariates_csv(p, MASKED), "row,col,x,y\n0,1,1,2\n0,2,NaN,zz\n",
+     "3: column 'x' has non-finite value 'NaN'"),
+    (read_aggregates_csv, "station_id,volume\n0,1\n1,inf\n2,v\n",
+     "3: column 'volume' has non-finite value 'inf'"),
+    (read_aggregates_csv, "station_id,volume\n0,1\n2,nan\n", "3: station ids must run 0,1,2,..."),
+    (lambda p: load_features_csv(p, MASKED), f"square_id,{FEATURES}\n2,1,1,1,1,1,1\n3,1,1e999,1,1,1,1\n",
+     "3: column 'green_area_pct' has non-finite value '1e999'"),
+    (lambda p: load_cdr_csv(p, n_rows=1, n_cols=2), f"{','.join(CDR_HEADER)}\n1,0,1,2,3,4\n2,0,1,inf,3,x\n",
+     "3: column 'sms_out' has non-finite value 'inf'"),
 ]
 
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from csmooth import DegenerateTriangle, make_domain
 from csmooth.domain import _frozen
 from csmooth.fem import Triangulation, assemble, triangulate
+from csmooth.smoother import SsrSolver
 from oracles import (
     roughness_oracle,
     tri_mass_oracle,
@@ -114,9 +115,37 @@ def test_roughness_form_matches_brute_force(seed):
     form = float(jumps @ (jumps / fem.edge_length))
     want = roughness_oracle(tri.vertices, tri.triangles, c)
     assert form == pytest.approx(want, rel=1e-10, abs=1e-12)
-    assert fem.roughness_matrix() @ c == pytest.approx(
+    assert fem.roughness_matrix @ c == pytest.approx(
         fem.edge_jump.T @ (jumps / fem.edge_length), rel=1e-12
     )
+
+
+def test_roughness_matrix_built_once_and_read_only():
+    fem = assemble(triangulate(make_domain(4, 5)))
+    r = fem.roughness_matrix
+    assert fem.roughness_matrix is r
+    for a in (r.data, r.indices, r.indptr):
+        assert not a.flags.writeable
+    # a solver's system is a new matrix: scaling and adding leave r alone
+    before = r.toarray()
+    SsrSolver(fem, 2.0, weight=0.5)
+    np.testing.assert_array_equal(r.toarray(), before)
+
+
+def _disc(size):
+    c = np.arange(size) + 0.5 - size / 2
+    return make_domain(size, size, (c[:, None] ** 2 + c[None, :] ** 2 <= (size / 2) ** 2).ravel())
+
+
+@pytest.mark.parametrize("domain", [make_domain(4, 60), make_domain(60, 4), _disc(100)],
+                         ids=["4x60", "60x4", "disc100"])
+def test_smoothing_system_is_banded(domain):
+    # vertices are numbered line by line along the longer side, so the
+    # smoother's system couples vertices at most two short lines apart
+    fem = assemble(triangulate(domain))
+    system = (fem.basis_eval.T @ fem.basis_eval + fem.roughness_matrix).tocoo()
+    short = min(domain.n_rows, domain.n_cols)
+    assert np.abs(system.row - system.col).max() <= 2 * (short + 1) + 1
 
 
 def test_roughness_vanishes_only_on_affines(rng):

@@ -1,6 +1,7 @@
 """Penalized surface fitting against dense reference solves."""
 import numpy as np
 import pytest
+import scipy.linalg
 
 from csmooth.domain import CovariateMatrix, make_domain
 from csmooth.errors import CollinearCovariates, NumericalFailure, ShapeMismatch
@@ -195,6 +196,53 @@ def test_singular_data_rejected(domain, cells):
     subset = None if cells is None else np.array([domain.index_of(r, c) for r, c in cells])
     with pytest.raises(NumericalFailure, match="singular"):
         SsrSolver(assemble(triangulate(domain)), 1.0, subset=subset)
+
+
+def test_failed_cholesky_is_a_singular_system(fem6, monkeypatch):
+    # one data cell leaves an affine direction free: the band Cholesky meets
+    # a pivot that is not positive, which reads as pivot ratio 0
+    failed = []
+    cholesky_banded = scipy.linalg.cholesky_banded
+
+    def spy(*args, **kwargs):
+        try:
+            return cholesky_banded(*args, **kwargs)
+        except scipy.linalg.LinAlgError:
+            failed.append(True)
+            raise
+
+    monkeypatch.setattr(scipy.linalg, "cholesky_banded", spy)
+    subset = np.array([fem6.tri.domain.index_of(2, 3)])
+    with pytest.raises(NumericalFailure, match=r"singular \(pivot ratio 0\.0e\+00\)"):
+        SsrSolver(fem6, 1.0, subset=subset)
+    assert failed
+
+
+def test_wide_masked_grid_matches_dense(rng):
+    # more columns than rows, so vertices are numbered column by column
+    dom = make_domain(3, 7, np.arange(21) != 10, cell_size=0.5, origin=(1.0, 2.0))
+    fem = assemble(triangulate(dom))
+    psi, jump, lengths = dense_parts(fem)
+    n = dom.n
+    w = np.column_stack([rng.normal(size=n), rng.uniform(size=n)])
+    cov = CovariateMatrix(dom, w, names=("a", "b"))
+    subset = np.array([0, 2, 5, 7, 11, 13, 16, 19])
+    for idx, lam, weight in [(None, 0.5, 1.0), (subset, 2.0, 0.5), (subset, 1e-3, 1.0)]:
+        rows = np.arange(n) if idx is None else idx
+        h = rng.normal(2.0, 1.0, rows.size)
+        solver = SsrSolver(fem, lam, weight=weight, subset=idx)
+        c_ref, d_ref = dense_ssr_oracle(psi[rows], jump, lengths, h, lam, weight)
+        model = solver.solve(h)
+        np.testing.assert_allclose(model.coeffs, c_ref, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(model.laplacian, d_ref, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(model.fitted, psi @ c_ref, rtol=0, atol=1e-9)
+        c_ref, d_ref, b_ref = dense_ssr_cov_oracle(psi[rows], jump, lengths, w[rows], h,
+                                                   lam, weight)
+        model = solver.solve(h, cov)
+        np.testing.assert_allclose(model.beta, b_ref, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(model.coeffs, c_ref, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(model.laplacian, d_ref, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(model.fitted, psi @ c_ref + w @ b_ref, rtol=0, atol=1e-9)
 
 
 def test_affine_covariate_gets_zero_coefficient(fem6, rng):
