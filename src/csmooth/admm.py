@@ -11,10 +11,11 @@ each sweep performs
      binary assignment, so each has its own closed-form water level; one
      sort by cost, then stably by patch id, finds every level at once (the
      sort-based simplex projection of Duchi et al. 2008 and Condat 2016).
-     The patch layout around that sort (patch sizes, slot offsets and a
-     narrow patch-id key that numpy sorts by radix) depends on the
-     partition alone and is cached with it; only the costs and volumes
-     change from sweep to sweep.
+     The patch layout around that sort (slot offsets and a narrow
+     patch-id key that numpy sorts by radix) depends on the partition
+     alone and is cached with it; only the costs and volumes change from
+     sweep to sweep. A patch observing no volume gets water level -inf,
+     so g = 0 on it.
   2. smoothing (f): a penalized least-squares fit (see smoother) pulling
      the surface toward g + dual/rho with data weight rho/2, covariates
      included here and nowhere else.
@@ -24,9 +25,27 @@ Iterations stop when the primal gap ||g - f||_2 and the dual movement
 rho ||g_new - g_old||_2 both drop below the tolerance times sqrt(n).
 The returned estimate is the final g: it is nonnegative and satisfies the
 volume constraints exactly regardless of where the sweep stopped.
+
+A sweep pays only for what changes from sweep to sweep:
+
+  * fixed per partition, cached with it: the patch layout (sort key, each
+    sorted slot's patch, the first slot of that patch and the slot's count
+    within it) and the check that every patch holds a cell;
+  * fixed per run, set up once by css_recover: the band Cholesky factor of
+    the smoothing system, the LAPACK routine that solves with it and the
+    stacked matrix that maps its solution to everything read from it (see
+    smoother), the stopping threshold, and the scale the constraint check
+    divides by;
+  * per sweep: the sort of the new costs, one band solve, the dual step,
+    and the checks on what the sweep produced or was handed (the patch
+    volumes, the projection's constraints, the solve's targets, residual
+    and finiteness). Each 2-norm is sqrt(x @ x), the value np.linalg.norm
+    computes for a real vector, and the objective reuses the primal gap's
+    squared norm.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,31 +127,35 @@ def _waterfill(
     """waterfill on every patch of the layout at once."""
     if (totals < 0).any():
         raise InfeasibleVolume(f"patch volume {totals.min()} is negative")
-    if not layout.sizes.all():
-        raise InfeasibleVolume(f"patch {int(np.argmin(layout.sizes))} holds no cell")
-    starts, ps, rank = layout.starts, layout.patch, layout.rank
+    ps, count = layout.patch, layout.count
     # by cost, then stably by patch: the order of a lexsort by (patch, cost)
     # up to swaps of equal costs within a patch, which change no sum below
-    order = np.argsort(costs)
-    order = order[np.argsort(layout.key[order], kind="stable")]
+    order = costs.argsort()
+    order = order[layout.key[order].argsort(kind="stable")]
     cs = costs[order]
-    run = np.cumsum(cs)
-    prefix = run - np.concatenate(([0.0], run))[starts][ps]
-    nu = (rho * totals[ps] + prefix) / (rank + 1)
+    # running sums of the sorted costs after a leading 0: run[slot_start]
+    # is the sum over the slots before each patch
+    run = np.zeros(cs.size + 1)
+    np.add.accumulate(cs, out=run[1:])
+    prefix = run[1:] - run[layout.slot_start]
+    rho_totals = rho * totals
+    nu = (rho_totals[ps] + prefix) / count
     # largest prefix whose level clears its own largest cost; ties put the
     # boundary element at exactly zero, so >= picks the same solution while
     # keeping the first prefix valid even when rho * total underflows
-    support = np.maximum.reduceat(np.where(nu >= cs, rank, 0), starts) + 1
+    support = np.maximum.reduceat(np.where(nu >= cs, count, 1), layout.starts)
     # the level again over the support alone: bincount adds each patch's
     # sorted costs one by one, as a per-patch cumsum does, free of the
     # rounding the running sum picked up from earlier patches
-    inside = rank < support[ps]
+    inside = count <= support[ps]
     sums = np.bincount(ps[inside], weights=cs[inside], minlength=totals.size)
-    level = (rho * totals + sums) / support
-    patch = layout.cell_patch
-    g = np.maximum(0.0, (level[patch] - costs) / rho)
-    g[totals[patch] == 0] = 0.0
-    return g
+    level = (rho_totals + sums) / support
+    # a patch observing no volume gets g = max(0, -inf) = 0 on every cell
+    level[totals == 0] = -np.inf
+    g = level[layout.cell_patch]
+    g -= costs
+    g /= rho
+    return np.maximum(0.0, g, out=g)
 
 
 def volume_projection(
@@ -159,12 +182,12 @@ def dual_update(dual: np.ndarray, f: np.ndarray, g: np.ndarray, rho: float) -> n
 
 
 def _check_constraints(
-    partition: Partition, g: np.ndarray, volumes: AggregateObservations
+    partition: Partition, g: np.ndarray, observed: np.ndarray, scale: float
 ) -> float:
+    """Worst patch-sum violation of g relative to ``scale``; raises past the tolerance."""
     area = partition.domain.cell_area
     sums = np.bincount(partition.station_of_cell, weights=g, minlength=partition.m) * area
-    scale = max(float(np.abs(volumes.values).max(initial=0.0)), 1.0)
-    viol = float(np.abs(sums - volumes.values).max(initial=0.0)) / scale
+    viol = float(np.abs(sums - observed).max(initial=0.0)) / scale
     if (g.size and g.min() < -1e-12) or viol > _CONSTRAINT_TOL:
         raise NumericalFailure(
             f"volume projection violated its constraints (violation {viol:.3e}, "
@@ -199,8 +222,13 @@ def css_recover(
     f = g.copy()
     dual = np.zeros(domain.n)
 
+    # fixed for the run: the solver's factorization, the stopping threshold
+    # and the scale the constraint check measures violations against
     solver = SsrSolver(fem, cfg.lam, weight=cfg.rho / 2.0)
-    sqrt_n = float(np.sqrt(domain.n))
+    lam, rho = cfg.lam, cfg.rho
+    threshold = cfg.tol * float(np.sqrt(domain.n))
+    observed = volumes.values
+    scale = max(float(np.abs(observed).max(initial=0.0)), 1.0)
     primal_hist: list[float] = []
     dual_hist: list[float] = []
     objective_hist: list[float] = []
@@ -209,27 +237,27 @@ def css_recover(
 
     for k in range(1, cfg.max_iter + 1):
         g_prev = g
-        g = volume_projection(partition, f, dual, cfg.rho, volumes)
-        worst_violation = max(worst_violation, _check_constraints(partition, g, volumes))
+        g = volume_projection(partition, f, dual, rho, volumes)
+        worst_violation = max(
+            worst_violation, _check_constraints(partition, g, observed, scale)
+        )
 
-        model = solver.solve(g + dual / cfg.rho, covariates)
+        model = solver.solve(g + dual / rho, covariates)
         f = model.fitted
 
         gap = g - f
-        primal = float(np.linalg.norm(gap))
-        dual_res = cfg.rho * float(np.linalg.norm(g - g_prev))
-        dual = dual_update(dual, f, g, cfg.rho)
+        gap_sq = float(gap @ gap)
+        step = g - g_prev
+        primal = math.sqrt(gap_sq)
+        dual_res = rho * math.sqrt(step @ step)
+        dual = dual_update(dual, f, g, rho)
         # augmented Lagrangian at the end of the sweep, ascended dual included
-        objective = (
-            cfg.lam * model.roughness
-            + float(dual @ gap)
-            + 0.5 * cfg.rho * float(gap @ gap)
-        )
+        objective = lam * model.roughness + float(dual @ gap) + 0.5 * rho * gap_sq
 
         primal_hist.append(primal)
         dual_hist.append(dual_res)
         objective_hist.append(objective)
-        if primal <= cfg.tol * sqrt_n and dual_res <= cfg.tol * sqrt_n:
+        if primal <= threshold and dual_res <= threshold:
             converged = True
             break
 

@@ -15,7 +15,9 @@ errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import __version__
@@ -62,6 +64,12 @@ def _floats(text: str) -> list[float]:
         return [float(t) for t in text.split(",")]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _check_distinct(what: str, names: list[str]) -> None:
+    repeated = [name for name, k in Counter(names).items() if k > 1]
+    if repeated:
+        raise ConfigError(f"{what} '{repeated[0]}' given more than once")
 
 
 # ------------------------------------------------------------- handlers
@@ -113,6 +121,8 @@ def _cmd_aggregate(inputs: dict, params: dict, out: Path) -> dict:
 
 
 def _cmd_recover(inputs: dict, params: dict, out: Path) -> dict:
+    methods = list(params["methods"])
+    _check_distinct("method", methods)
     if inputs.get("truth") is not None:
         if inputs.get("stations") or inputs.get("aggregates"):
             raise ConfigError("--truth samples stations internally; drop "
@@ -140,7 +150,6 @@ def _cmd_recover(inputs: dict, params: dict, out: Path) -> dict:
     covariates = None
     if inputs.get("features") is not None:
         covariates = read_covariates_csv(inputs["features"], domain)
-    methods = list(params["methods"])
     if CSS_FEATURES in methods and covariates is None:
         raise ConfigError("method css-features needs --features <csv>")
 
@@ -186,6 +195,8 @@ def _cmd_recover(inputs: dict, params: dict, out: Path) -> dict:
 
 
 def _cmd_evaluate(inputs: dict, params: dict, out: Path) -> dict:
+    # each label names its own cdf_<label>.csv and report row
+    _check_distinct("estimate label", [label for label, _ in inputs["estimates"]])
     truth = read_field_csv(inputs["truth"])
     reports = []
     outputs = []
@@ -288,6 +299,9 @@ def _estimate_arg(text: str) -> tuple[str, str]:
         label = label.removeprefix("estimate_")
     if not label:
         raise argparse.ArgumentTypeError(f"empty estimate label in {text!r}")
+    if "/" in label or os.sep in label:
+        # the label names the output file cdf_<label>.csv
+        raise argparse.ArgumentTypeError(f"estimate label {label!r} contains a path separator")
     return label, path
 
 

@@ -25,6 +25,10 @@ form c' J' diag(1/edge_length) J c equals the sum over interior edges of
 integral_e (jump of df/dn)^2 ds, the natural squared-curvature energy for
 this element: it vanishes exactly on globally affine surfaces (continuous
 gradient) and on nothing else when the mesh is connected.
+
+assemble builds Psi and the roughness operator, which the smoother reads;
+M and K are assembled on first read of ``FemSystem.mass`` and
+``FemSystem.stiffness``.
 """
 from __future__ import annotations
 
@@ -99,11 +103,13 @@ def triangulate(domain: GridDomain) -> Triangulation:
 
 @dataclass(frozen=True, eq=False)
 class FemSystem:
-    """Assembled matrices for one triangulation."""
+    """Assembled matrices for one triangulation.
+
+    ``mass`` and ``stiffness`` are assembled on first read and kept; the
+    smoother reads neither.
+    """
 
     tri: Triangulation
-    mass: sp.csr_matrix        # (n_v, n_v) SPD, row sums integrate to the domain area
-    stiffness: sp.csr_matrix   # (n_v, n_v) PSD, K 1 = 0
     basis_eval: sp.csr_matrix  # (n, n_v) 1/2 at each cell's ll and ur corner
     edge_jump: sp.csr_matrix   # (n_e, n_v) |e| * normal-derivative jump per interior edge
     edge_length: np.ndarray    # (n_e,) length |e| per interior edge
@@ -115,6 +121,19 @@ class FemSystem:
     @property
     def n_edges(self) -> int:
         return self.edge_length.size
+
+    @cached_property
+    def mass(self) -> sp.csr_matrix:
+        """(n_v, n_v) SPD mass matrix; row sums integrate to the domain area."""
+        area2, _ = _element_geometry(self.tri)
+        return _assemble_elements(self.tri, (area2 / 2.0)[:, None, None] * _MASS_TEMPLATE)
+
+    @cached_property
+    def stiffness(self) -> sp.csr_matrix:
+        """(n_v, n_v) PSD stiffness matrix, K 1 = 0."""
+        area2, grads = _element_geometry(self.tri)
+        k_local = np.einsum("tad,tbd->tab", grads, grads) * (area2 / 2.0)[:, None, None]
+        return _assemble_elements(self.tri, k_local)
 
     @cached_property
     def roughness_matrix(self) -> sp.csr_matrix:
@@ -129,11 +148,9 @@ class FemSystem:
 _MASS_TEMPLATE = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
 
 
-def assemble(tri: Triangulation) -> FemSystem:
-    verts = tri.vertices
-    t = tri.triangles
-    n_v, n_t = tri.n_vertices, tri.n_triangles
-    p = verts[t]                                  # (n_t, 3, 2)
+def _element_geometry(tri: Triangulation) -> tuple[np.ndarray, np.ndarray]:
+    """Doubled area and basis gradients of every triangle; rejects flat triangles."""
+    p = tri.vertices[tri.triangles]               # (n_t, 3, 2)
     e1 = p[:, 1] - p[:, 0]
     e2 = p[:, 2] - p[:, 0]
     area2 = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
@@ -142,39 +159,43 @@ def assemble(tri: Triangulation) -> FemSystem:
     if flat.any():
         bad = int(np.argmax(flat))
         raise DegenerateTriangle(f"triangle {bad} has area {area2[bad] / 2.0}")
-    area = area2 / 2.0
 
     # grad psi_i rotates the opposite edge by +90 degrees: with
     # d = p_{i+2} - p_{i+1}, grad psi_i = (-d_y, d_x) / (2 area)
-    grads = np.empty((n_t, 3, 2))
+    grads = np.empty((tri.n_triangles, 3, 2))
     for i in range(3):
         d = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
         grads[:, i, 0] = -d[:, 1]
         grads[:, i, 1] = d[:, 0]
     grads /= area2[:, None, None]
+    return area2, grads
 
-    # entry order per triangle is row-major in (a, b); both local matrices
+
+def _assemble_elements(tri: Triangulation, local: np.ndarray) -> sp.csr_matrix:
+    """Sum (n_t, 3, 3) symmetric element matrices into an (n_v, n_v) matrix."""
+    # entry order per triangle is row-major in (a, b); the local matrices
     # are symmetric so a plain ravel lines up
+    t = tri.triangles
     rows = np.repeat(t, 3, axis=1).ravel()
     cols = np.tile(t, (1, 3)).ravel()
-    m_entries = (area[:, None, None] * _MASS_TEMPLATE[None]).ravel()
-    k_local = np.einsum("tad,tbd->tab", grads, grads) * area[:, None, None]
-    k_entries = k_local.ravel()
-    mass = sp.coo_matrix((m_entries, (rows, cols)), shape=(n_v, n_v)).tocsr()
-    stiffness = sp.coo_matrix((k_entries, (rows, cols)), shape=(n_v, n_v)).tocsr()
+    n_v = tri.n_vertices
+    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n_v, n_v)).tocsr()
+
+
+def assemble(tri: Triangulation) -> FemSystem:
+    _, grads = _element_geometry(tri)
 
     # cell i's center is the midpoint of the ll-ur diagonal of triangle 2i
     n = tri.domain.n
+    t = tri.triangles
     psi = sp.csr_matrix(
         (np.full(2 * n, 0.5), t[0::2, 0::2].ravel(), np.arange(0, 2 * n + 1, 2)),
-        shape=(n, n_v),
+        shape=(n, tri.n_vertices),
     )
 
     edge_jump, edge_length = _assemble_edges(tri, grads)
     return FemSystem(
         tri=tri,
-        mass=mass,
-        stiffness=stiffness,
         basis_eval=psi,
         edge_jump=edge_jump,
         edge_length=_frozen(edge_length),

@@ -140,32 +140,36 @@ class PatchLayout:
 
     ``key`` is the patch id of each cell in the narrowest unsigned dtype, so
     that a stable sort by it is a radix sort up to 65,536 patches. The other
-    arrays describe the sorted slots: patch ``i`` holds ``sizes[i]`` cells
-    starting at slot ``starts[i]``; slot ``s`` belongs to patch ``patch[s]``
-    and is number ``rank[s]`` within it.
+    arrays describe the sorted slots: patch ``i`` starts at slot
+    ``starts[i]``; slot ``s`` belongs to patch ``patch[s]``, whose first
+    slot is ``slot_start[s]``, and is number ``count[s]`` in it, counting
+    from 1. Every patch holds at least one cell.
     """
 
     cell_patch: np.ndarray
     key: np.ndarray
-    sizes: np.ndarray
     starts: np.ndarray
     patch: np.ndarray
-    rank: np.ndarray
+    slot_start: np.ndarray
+    count: np.ndarray
 
 
 def patch_layout(station_of_cell: np.ndarray, m: int) -> PatchLayout:
     """Sorted-slot layout of the patches that ``station_of_cell`` assigns."""
     cell_patch = np.asarray(station_of_cell, dtype=np.int64)
     sizes = np.bincount(cell_patch, minlength=m)
+    if not sizes.all():
+        raise InfeasibleVolume(f"patch {int(np.argmin(sizes))} holds no cell")
     starts = np.cumsum(sizes) - sizes
     patch = np.repeat(np.arange(m), sizes)
+    slot_start = starts[patch]
     return PatchLayout(
         cell_patch=cell_patch,
         key=cell_patch.astype(np.min_scalar_type(m - 1)),
-        sizes=sizes,
         starts=starts,
         patch=patch,
-        rank=np.arange(cell_patch.size) - starts[patch],
+        slot_start=slot_start,
+        count=np.arange(1, cell_patch.size + 1) - slot_start,
     )
 
 

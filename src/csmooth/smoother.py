@@ -28,7 +28,9 @@ grid's longer side, so coupled vertices lie at most two lines of (short side
 whatever the mask. The system is therefore factorized by LAPACK's band
 Cholesky (pbtrf, George & Liu 1981, ch. 4) on its upper band, which the
 Cholesky factor fills but never leaves, and solved by two band
-back-substitutions (pbtrs), all covariate columns in one call. The pivots of
+back-substitutions, all covariate columns in one call: LAPACK's pbtrs,
+fetched once per factorization and called directly, with its info flag and
+the finiteness of its result checked on every call. The pivots of
 the factorization are the squares of the factor's diagonal; a pivot that is
 not positive stops the factorization and counts as ratio 0.
 
@@ -47,12 +49,16 @@ coefficient 0 and leaves their effect to the surface. By linearity the fit
 to h - W beta is c_h - c_W beta, where c_W solves the system for each
 column of W; c_W, its right-hand sides and its fitted surfaces Psi c_W
 depend on W alone and are cached per covariate matrix, so a repeated solve
-costs one back-substitution for c_h and the products with h and c.
+costs one back-substitution for c_h and the products with h and c. Psi, J
+and the system matrix are stacked into one sparse matrix, so that one
+product with c gives the fitted surface, the edge jumps and the system's
+image for the residual check, each row summed as its own product sums it.
 ``weight`` scales the data term so callers embedding this solve in a larger
 objective can pass their own multiplier instead of re-deriving lam.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,17 +134,25 @@ class SsrSolver:
             self.subset = idx
             self.psi_data = fem.basis_eval[idx]
         self._psi_data_t = self.psi_data.T.tocsr()
-        self._system = (
+        system = (
             self.weight * (self._psi_data_t @ self.psi_data)
             + self.lam * fem.roughness_matrix
         )
+        # Psi, J and the system stacked: one product with the coefficients
+        # gives the fitted surface, the edge jumps and the system's image,
+        # row for row as the three products would
+        self._products = sp.vstack([fem.basis_eval, fem.edge_jump, system], format="csr")
+        n, n_e = fem.tri.domain.n, fem.n_edges
+        self._fit_rows = slice(0, n)
+        self._jump_rows = slice(n, n + n_e)
+        self._system_rows = slice(n + n_e, None)
         self._covariate_cache: tuple[CovariateMatrix, tuple] | None = None
         # the upper band in LAPACK's layout: entry (i, j), i <= j, at row
         # u + i - j of column j, u the half-bandwidth; Fortran order, so the
         # factor overwrites it in place
-        upper = sp.triu(self._system, format="coo")
+        upper = sp.triu(system, format="coo")
         u = int((upper.col - upper.row).max())
-        band = np.zeros((u + 1, self._system.shape[0]), order="F")
+        band = np.zeros((u + 1, system.shape[0]), order="F")
         band[u + upper.row - upper.col, upper.col] = upper.data
         try:
             self._chol = scipy.linalg.cholesky_banded(band, overwrite_ab=True,
@@ -153,13 +167,16 @@ class SsrSolver:
                 f"smoothing system is singular (pivot ratio {ratio:.1e}); the data "
                 "cells do not pin down the affine null space of the penalty"
             )
+        self._pbtrs = scipy.linalg.get_lapack_funcs("pbtrs", (self._chol,))
 
     def _rhs(self, target: np.ndarray) -> np.ndarray:
         return self.weight * (self._psi_data_t @ target)
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
         # rhs is one vector or a matrix of columns, each from a data-cell target
-        c = scipy.linalg.cho_solve_banded((self._chol, False), rhs, check_finite=False)
+        c, info = self._pbtrs(self._chol, rhs, lower=0)
+        if info != 0:
+            raise NumericalFailure(f"band back-substitution failed (pbtrs info {info})")
         if not np.isfinite(c).all():
             raise NumericalFailure("smoothing solve produced non-finite coefficients")
         return c
@@ -203,30 +220,33 @@ class SsrSolver:
 
         rhs = self._rhs(h)
         c = self._solve(rhs)
-        fitted = self.fem.basis_eval @ c
         if covariates is None:
             beta = np.zeros(0)
+            products = self._products @ c
+            fitted = products[self._fit_rows]
         else:
             # partial-spline coefficients: minimum-norm solution of
             # W'(W - S W) beta = W'(h - S h); by linearity of the solve
             # the fit to h - W beta is c_h - c_W beta, with right-hand side
             # rhs_h - rhs_W beta and surface Psi c_h - Psi c_W beta
             w_data, rhs_w, fit_w, c_w, a_pinv = self._covariate_system(covariates)
+            fitted = self.fem.basis_eval @ c
             fit_data = fitted if self.subset is None else fitted[self.subset]
             beta = a_pinv @ (w_data.T @ (h - fit_data))
             c = c - c_w @ beta
             rhs = rhs - rhs_w @ beta
             fitted = fitted - fit_w @ beta + covariates.values @ beta
+            products = self._products @ c
 
-        residual = float(np.linalg.norm(self._system @ c - rhs)) / max(
-            float(np.linalg.norm(rhs)), 1e-30
-        )
+        # sqrt(x @ x) is exactly what np.linalg.norm computes for a real vector
+        r = products[self._system_rows] - rhs
+        residual = math.sqrt(r @ r) / max(math.sqrt(rhs @ rhs), 1e-30)
         if residual > _RESIDUAL_TOL:
             raise NumericalFailure(
                 f"smoothing solve residual {residual:.3e} exceeds {_RESIDUAL_TOL}"
             )
 
-        d = (self.fem.edge_jump @ c) / self.fem.edge_length
+        d = products[self._jump_rows] / self.fem.edge_length
         roughness = float(d @ (self.fem.edge_length * d))
         return SsrModel(
             fem=self.fem,

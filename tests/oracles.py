@@ -189,3 +189,54 @@ def constrained_qp_field_oracle(patches, costs, totals, rho):
         sol, _ = qp_patch_oracle(np.asarray(costs)[patch], total, rho)
         g[np.asarray(patch)] = sol
     return g
+
+
+def css_admm_oracle(
+    psi: np.ndarray,
+    jump: np.ndarray,
+    edge_length: np.ndarray,
+    weights: np.ndarray,
+    patches,
+    totals: np.ndarray,
+    lam: float,
+    rho: float,
+    sweeps: int,
+    w: np.ndarray | None = None,
+):
+    """The css ADMM loop written out sweep by sweep from the dense oracles.
+
+    ``weights`` is the dense (m, n) fractional assignment that sets the
+    start (each total spread evenly over its patch); ``patches`` lists the
+    cells of each binary patch, whose totals the g-step enforces. Each sweep:
+
+        g      <- patchwise QP with costs dual - rho f   (constrained_qp_field_oracle)
+        f      <- fit to g + dual/rho, data weight rho/2 (dense_ssr_oracle, or
+                  dense_ssr_cov_oracle with covariates w: f = psi c + w beta)
+        primal =  ||g - f||,  dual residual = rho ||g - g_prev||
+        dual   <- dual + rho (g - f)
+        objective = lam d' M_E d + dual' (g - f) + (rho/2) ||g - f||^2
+
+    Returns (g, f, primal residuals, dual residuals, objectives).
+    """
+    totals = np.asarray(totals, dtype=float)
+    g = weights.T @ (totals / weights.sum(axis=1))
+    f = g.copy()
+    dual = np.zeros_like(g)
+    primal, dual_res, objective = [], [], []
+    for _ in range(sweeps):
+        g_prev = g
+        g = constrained_qp_field_oracle(patches, dual - rho * f, totals, rho)
+        target = g + dual / rho
+        if w is None:
+            c, d = dense_ssr_oracle(psi, jump, edge_length, target, lam, rho / 2.0)
+            f = psi @ c
+        else:
+            c, d, beta = dense_ssr_cov_oracle(psi, jump, edge_length, w, target, lam, rho / 2.0)
+            f = psi @ c + w @ beta
+        gap = g - f
+        primal.append(np.sqrt(np.sum(gap ** 2)))
+        dual_res.append(rho * np.sqrt(np.sum((g - g_prev) ** 2)))
+        dual = dual + rho * gap
+        objective.append(lam * np.sum(edge_length * d ** 2) + dual @ gap
+                         + 0.5 * rho * np.sum(gap ** 2))
+    return g, f, np.array(primal), np.array(dual_res), np.array(objective)

@@ -27,7 +27,12 @@ from csmooth.partition import (
 )
 from csmooth.smoother import SsrSolver
 
-from oracles import constrained_qp_field_oracle, dense_f_update_oracle, qp_patch_oracle
+from oracles import (
+    constrained_qp_field_oracle,
+    css_admm_oracle,
+    dense_f_update_oracle,
+    qp_patch_oracle,
+)
 
 
 def test_waterfill_worked_example():
@@ -193,6 +198,40 @@ def test_dual_update_arithmetic():
     out = dual_update(dual, f=np.array([0.5, 0.5]), g=np.array([1.0, 0.0]), rho=2.0)
     np.testing.assert_array_equal(out, [2.0, -3.0])
     np.testing.assert_array_equal(dual, [1.0, -2.0])
+
+
+@pytest.mark.parametrize("with_covariates", [False, True])
+def test_css_loop_matches_textbook_admm(rng, with_covariates):
+    # a masked grid with ties and a zero-volume patch; covariates, when on,
+    # are random columns, so no combination of them is affine on the cells
+    # and the oracle's joint solve is well posed. Every sweep's primal and
+    # dual residual and objective must match, not only the final estimate,
+    # to within 1e-10 of the field max (the two agree to ~1e-15)
+    corners = np.ones((5, 6), dtype=bool)
+    corners[0, 0] = corners[4, 5] = False
+    dom = make_domain(5, 6, mask=corners, cell_area=0.25)
+    part = build_partition(dom, StationSet(dom, np.array([2, 9, 17, 25])))
+    assert part.has_ties
+    vols = AggregateObservations(np.array([0.0, 3.0, 5.5, 1.25]))
+    fem = assemble(triangulate(dom))
+    w = rng.normal(size=(dom.n, 2)) if with_covariates else None
+    cov = None if w is None else CovariateMatrix(dom, w, names=("a", "b"))
+    lam, rho, sweeps = 0.8, 1.5, 25
+    res = css_recover(dom, part, vols, cov, AdmmConfig(lam, rho, sweeps, tol=0.0), fem)
+    patches = [np.flatnonzero(part.station_of_cell == i) for i in range(part.m)]
+    g, f, primal, dual, objective = css_admm_oracle(
+        fem.basis_eval.toarray(), fem.edge_jump.toarray(), fem.edge_length,
+        part.matrix.toarray(), patches, vols.values / dom.cell_area, lam, rho, sweeps, w,
+    )
+    assert res.iterations == sweeps and not res.converged
+    atol = 1e-10 * np.abs(g).max()
+    np.testing.assert_allclose(res.estimate.values, g, rtol=0, atol=atol)
+    np.testing.assert_allclose(res.primal_residuals, primal, rtol=0, atol=atol)
+    np.testing.assert_allclose(res.dual_residuals, dual, rtol=0, atol=atol)
+    np.testing.assert_allclose(res.objectives, objective, rtol=0, atol=atol)
+    smooth = res.smooth_component if w is None else res.smooth_component + w @ res.beta
+    np.testing.assert_allclose(smooth, f, rtol=0, atol=atol)
+    assert (res.estimate.values[patches[0]] == 0.0).all()
 
 
 def make_problem(rows, cols, n_stations, seed, cell_area=1.0):

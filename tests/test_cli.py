@@ -168,6 +168,34 @@ def test_bad_floor_and_tol_exit_two(tmp_path, capsys):
     assert "tol" in capsys.readouterr().err
 
 
+def test_repeated_labels_and_methods_exit_two(workflow_dir, capsys):
+    truth = workflow_dir / "synth" / "truth.csv"
+    ev = workflow_dir / "ev"
+    copy = workflow_dir / "copy" / "truth.csv"
+    copy.parent.mkdir()
+    copy.write_bytes(truth.read_bytes())
+    # an explicit label twice, and two paths that default to the same label
+    for a, b in ((f"css={truth}", f"css={copy}"), (truth, copy)):
+        assert run(["evaluate", "--truth", truth, "--estimate", a, "--estimate", b,
+                    "--out", ev]) == 2
+        assert "given more than once" in capsys.readouterr().err
+        assert not (ev / "report.csv").exists()
+    rec = workflow_dir / "rec"
+    assert run(["recover", "--truth", truth, "--stations", 5, "--method", "pe",
+                "--method", "css", "--method", "pe", "--out", rec]) == 2
+    assert "method 'pe' given more than once" in capsys.readouterr().err
+    assert not (rec / "estimate_pe.csv").exists()
+
+
+def test_label_with_path_separator_is_a_usage_error(workflow_dir, capsys):
+    truth = workflow_dir / "synth" / "truth.csv"
+    with pytest.raises(SystemExit) as exc:
+        run(["evaluate", "--truth", truth, "--estimate", f"a/b={truth}",
+             "--out", workflow_dir / "ev"])
+    assert exc.value.code == 2
+    assert "path separator" in capsys.readouterr().err
+
+
 def test_non_finite_inputs_exit_two(workflow_dir, capsys):
     bad_field = workflow_dir / "bad_field.csv"
     lines = (workflow_dir / "synth" / "truth.csv").read_text().splitlines()
