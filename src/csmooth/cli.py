@@ -10,12 +10,14 @@ PCG64 generator, named in the manifest.
 
 Exit codes: 0 success (including a non-converged solve, which is flagged
 in the manifest), 1 runtime failure, 2 usage, configuration, or schema
-errors.
+errors. A command that fails removes the output directory it created.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
+import shutil
 import sys
 from collections import Counter
 from pathlib import Path
@@ -225,20 +227,36 @@ _HANDLERS = {
 }
 
 
-def _run_command(command: str, inputs: dict, params: dict, out: Path) -> int:
+@contextlib.contextmanager
+def _output_dir(out: Path):
+    """Create ``out`` for a command's outputs; if the command fails, remove what this created.
+
+    A directory that already existed is left as it is.
+    """
+    created = next((d for d in reversed((out, *out.parents)) if not d.exists()), None)
     out.mkdir(parents=True, exist_ok=True)
-    info = _HANDLERS[command](inputs, params, out)
-    manifest = {
-        "command": command,
-        "inputs": inputs,
-        "params": params,
-        "outputs": info["outputs"],
-        "results": info["results"],
-        "rng": RNG_NAME,
-        "tool": "csmooth",
-        "version": __version__,
-    }
-    write_manifest(manifest, out / "manifest.json")
+    try:
+        yield out
+    except BaseException:
+        if created is not None:
+            shutil.rmtree(created, ignore_errors=True)
+        raise
+
+
+def _run_command(command: str, inputs: dict, params: dict, out: Path) -> int:
+    with _output_dir(out):
+        info = _HANDLERS[command](inputs, params, out)
+        manifest = {
+            "command": command,
+            "inputs": inputs,
+            "params": params,
+            "outputs": info["outputs"],
+            "results": info["results"],
+            "rng": RNG_NAME,
+            "tool": "csmooth",
+            "version": __version__,
+        }
+        write_manifest(manifest, out / "manifest.json")
     return 0
 
 
@@ -254,6 +272,14 @@ def _rerun_manifest(command: str, manifest_path: str, out: str | None) -> int:
             raise SchemaError(f"{manifest_path}: missing '{key}' object")
     inputs = manifest["inputs"]
     if command == "evaluate" and "estimates" in inputs:
+        for entry in inputs["estimates"]:
+            if not (isinstance(entry, list) and len(entry) == 2
+                    and all(isinstance(text, str) for text in entry)):
+                raise SchemaError(f"{manifest_path}: an estimate must be a [label, path] pair, "
+                                  f"got {entry!r}")
+            if not entry[0] or _has_separator(entry[0]):
+                raise ConfigError(f"{manifest_path}: estimate label {entry[0]!r} is empty "
+                                  "or contains a path separator")
         inputs = dict(inputs)
         inputs["estimates"] = [tuple(e) for e in inputs["estimates"]]
     out_dir = Path(out) if out is not None else Path(manifest_path).parent
@@ -263,28 +289,27 @@ def _rerun_manifest(command: str, manifest_path: str, out: str | None) -> int:
 def _cmd_plot(args) -> int:
     if not (args.field or args.cdf or args.report):
         raise ConfigError("plot needs at least one of --field, --cdf, --report")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    if args.field:
-        field = read_field_csv(args.field)
-        render_field_svg(field, out / "field.svg", title=args.title or "")
-        print(f"wrote {out / 'field.svg'}")
-    if args.cdf:
-        series = []
-        for path in args.cdf:
-            method, errors, values = read_cdf_csv(path)
-            series.append((method or Path(path).stem, errors, values))
-        render_cdf_svg(series, out / "cdf.svg", title=args.title or "error cdf")
-        print(f"wrote {out / 'cdf.svg'}")
-    if args.report:
-        rows = read_report_csv(args.report)
-        render_bars_svg(
-            [r[0] for r in rows],
-            [r[2] for r in rows],
-            out / "report.svg",
-            title=args.title or "mean relative error",
-        )
-        print(f"wrote {out / 'report.svg'}")
+    with _output_dir(Path(args.out)) as out:
+        if args.field:
+            field = read_field_csv(args.field)
+            render_field_svg(field, out / "field.svg", title=args.title or "")
+            print(f"wrote {out / 'field.svg'}")
+        if args.cdf:
+            series = []
+            for path in args.cdf:
+                method, errors, values = read_cdf_csv(path)
+                series.append((method or Path(path).stem, errors, values))
+            render_cdf_svg(series, out / "cdf.svg", title=args.title or "error cdf")
+            print(f"wrote {out / 'cdf.svg'}")
+        if args.report:
+            rows = read_report_csv(args.report)
+            render_bars_svg(
+                [r[0] for r in rows],
+                [r[2] for r in rows],
+                out / "report.svg",
+                title=args.title or "mean relative error",
+            )
+            print(f"wrote {out / 'report.svg'}")
     return 0
 
 
@@ -299,10 +324,14 @@ def _estimate_arg(text: str) -> tuple[str, str]:
         label = label.removeprefix("estimate_")
     if not label:
         raise argparse.ArgumentTypeError(f"empty estimate label in {text!r}")
-    if "/" in label or os.sep in label:
-        # the label names the output file cdf_<label>.csv
+    if _has_separator(label):
         raise argparse.ArgumentTypeError(f"estimate label {label!r} contains a path separator")
     return label, path
+
+
+def _has_separator(label: str) -> bool:
+    # the label names the output file cdf_<label>.csv
+    return "/" in label or os.sep in label
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -3,10 +3,14 @@
 All writers emit rows in a deterministic order and format floats with
 round-trip repr, so rerunning a seeded pipeline reproduces files byte for
 byte. Writers and readers handle a whole column at a time: a writer formats
-each float column in one pass, a reader converts each text column in one
-``int``/``float`` pass and checks indices with numpy. The files are
-byte-identical to formatting each row by hand, and a malformed file raises
-the message, naming the line, that reading it row by row would raise first.
+each column in one pass and joins the text of each line, quoting a text
+field by csv.writer's rules; a reader takes a block of rows from
+csv.reader at once, converts each text column in one ``int``/``float``
+pass and checks indices with numpy. A block holds fewer rows than the
+garbage collector's young-generation threshold, so reading a file of any
+length starts next to no collection. The files are byte-identical to
+formatting each row with csv.writer, and a malformed file raises the
+message, naming the line, that reading it row by row would raise first.
 Values of fields, covariates, volumes, features and activity must be
 finite; a report or cdf may hold nan and inf. Schemas:
 
@@ -26,8 +30,9 @@ finite; a report or cdf may hold nan and inf. Schemas:
 from __future__ import annotations
 
 import csv
+import io
 import json
-from itertools import count, repeat
+from itertools import accumulate, compress, count, islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -53,13 +58,26 @@ FEATURE_NAMES = (
 CDR_HEADER = ("square_id", "timestamp", "sms_in", "sms_out", "call_in", "call_out")
 
 # Rows a reader holds as text at once: a file is read in blocks of this
-# many, so memory does not grow with its length. Larger blocks read no faster.
-_BLOCK_ROWS = 1 << 10
+# many, so memory does not grow with its length. A block must hold fewer
+# row lists than the garbage collector's young-generation threshold
+# (gc.get_threshold()[0], 700 by default): a block of more starts young
+# collections, and the rows they find alive are promoted until a full
+# collection scans every object in the process. Larger blocks read no faster.
+_BLOCK_ROWS = 1 << 8
+
+# csv.writer's default dialect ends every row with "\r\n"; body lines are
+# joined by hand and end the same way
+_EOL = csv.excel.lineterminator
 
 
 def _reprs(values) -> Iterator[str]:
     """Round-trip repr of each value as a float: the text of a float column."""
     return map(repr, np.asarray(values, dtype=float).tolist())
+
+
+def _ints(values: np.ndarray) -> Iterator[str]:
+    """Decimal text of each entry of an integer array: the text of an index column."""
+    return map(str, values.tolist())
 
 
 def _open_rows(path: str | Path):
@@ -152,6 +170,17 @@ class _Rows:
             raise SchemaError(self.error)
 
 
+def _end_lines(records: list[list[str]], start: int) -> list[int]:
+    """The file line each record ends on, the first starting after line ``start``.
+
+    A record takes one line plus one per line break inside its quoted
+    fields; the file is read with ``newline=""``, so a break is ``\r\n``,
+    ``\r`` or ``\n`` and stays in the field as it was written.
+    """
+    spans = [1 + t.count("\n") + t.count("\r") - t.count("\r\n") for t in map(",".join, records)]
+    return list(accumulate(spans, initial=start))[1:]
+
+
 def _read_rows(
     path: str | Path,
     header: tuple[str, ...],
@@ -181,31 +210,61 @@ def _read_rows(
             expected = ",".join([*header, "<names...>"] if prefix else header)
             raise SchemaError(f"{path}: expected header {expected}, got {got}")
         width = len(names)
-        lines, records, listed = [], [], False
-        for rec in reader:
-            if len(rec) != width:
-                if not rec:
-                    continue
-                yield _Rows(path, names, lines, records,
-                            f"{path}:{reader.line_num}: expected {width} columns, "
-                            f"got {len(rec)}")
+        listed, end = False, reader.line_num
+        while True:
+            records, failure = [], None
+            try:
+                records.extend(islice(reader, _BLOCK_ROWS))
+            except (csv.Error, UnicodeDecodeError) as exc:
+                # raised after the rows read before it are checked: a read
+                # one row at a time stops at a row of the wrong width first
+                failure = exc
+            start, end = end, reader.line_num
+            lines = (range(start + 1, end + 1) if end - start == len(records)
+                     else _end_lines(records, start))
+            widths = list(map(len, records))
+            error = None
+            if widths.count(width) != len(widths):
+                # blank rows are skipped; the first row of another width ends the file
+                bad = next((k for k, n in enumerate(widths) if n and n != width), len(widths))
+                if bad < len(widths):
+                    error = f"{path}:{lines[bad]}: expected {width} columns, got {widths[bad]}"
+                lines = list(compress(lines, widths[:bad]))
+                records = list(compress(records, widths[:bad]))
+            if error is not None:
+                yield _Rows(path, names, lines, records, error)
                 return
-            lines.append(reader.line_num)
-            records.append(rec)
-            if len(records) == _BLOCK_ROWS:
-                block, lines, records, listed = _Rows(path, names, lines, records), [], [], True
-                yield block
-    if records:
-        yield _Rows(path, names, lines, records)
-    elif not listed and what is not None:
+            if failure is not None:
+                raise failure
+            if records:
+                listed = True
+                yield _Rows(path, names, lines, records)
+            if len(widths) < _BLOCK_ROWS:
+                break
+    if not listed and what is not None:
         raise SchemaError(f"{path}: no {what} listed")
 
 
-def _write_rows(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+def _write_rows(path: str | Path, header: Sequence[str], columns: Sequence[Iterable[str]]) -> None:
+    """Write ``header``, then a line per row of ``columns``, each an iterable of field text.
+
+    csv.writer writes the header. A body line joins its fields with commas,
+    so every field must already be as csv.writer writes it: number text,
+    which never needs quoting, or text through ``_quoted``.
+    """
+    body = _EOL.join(map(",".join, zip(*columns)))
     with open(path, "w", newline="") as out:
-        w = csv.writer(out)
-        w.writerow(header)
-        w.writerows(rows)
+        csv.writer(out).writerow(header)
+        if body:
+            out.write(body)
+            out.write(_EOL)
+
+
+def _quoted(value) -> str:
+    """``value`` as csv.writer writes it as one field among several."""
+    line = io.StringIO()
+    csv.writer(line).writerow((value, ""))
+    return line.getvalue()[:-len("," + _EOL)]
 
 
 def _station_ids(rows: _Rows, start: int) -> None:
@@ -231,8 +290,8 @@ def _seed_text(seed: int | None) -> int | str:
 # ---------------------------------------------------------------- fields
 
 def write_field_csv(field: SpatialField, path: str | Path) -> None:
-    rows = zip(*field.domain.cells.T.tolist(), _reprs(field.values))
-    _write_rows(path, ["row", "col", "value"], rows)
+    _write_rows(path, ["row", "col", "value"],
+                [*map(_ints, field.domain.cells.T), _reprs(field.values)])
 
 
 def read_field_csv(path: str | Path) -> SpatialField:
@@ -262,8 +321,8 @@ def read_field_csv(path: str | Path) -> SpatialField:
 # ------------------------------------------------------------ covariates
 
 def write_covariates_csv(cov: CovariateMatrix, path: str | Path) -> None:
-    rows = zip(*cov.domain.cells.T.tolist(), *map(_reprs, cov.values.T))
-    _write_rows(path, ["row", "col", *cov.names], rows)
+    _write_rows(path, ["row", "col", *cov.names],
+                [*map(_ints, cov.domain.cells.T), *map(_reprs, cov.values.T)])
 
 
 def read_covariates_csv(path: str | Path, domain: GridDomain) -> CovariateMatrix:
@@ -293,8 +352,8 @@ def read_covariates_csv(path: str | Path, domain: GridDomain) -> CovariateMatrix
 # -------------------------------------------------------------- stations
 
 def write_stations_csv(stations: StationSet, path: str | Path) -> None:
-    rows = zip(count(), *stations.domain.cells[stations.cells].T.tolist())
-    _write_rows(path, ["station_id", "row", "col"], rows)
+    _write_rows(path, ["station_id", "row", "col"],
+                [map(str, count()), *map(_ints, stations.domain.cells[stations.cells].T)])
 
 
 def read_stations_csv(path: str | Path, domain: GridDomain) -> StationSet:
@@ -310,7 +369,7 @@ def read_stations_csv(path: str | Path, domain: GridDomain) -> StationSet:
 # ------------------------------------------------------------ aggregates
 
 def write_aggregates_csv(volumes: AggregateObservations, path: str | Path) -> None:
-    _write_rows(path, ["station_id", "volume"], zip(count(), _reprs(volumes.values)))
+    _write_rows(path, ["station_id", "volume"], [map(str, count()), _reprs(volumes.values)])
 
 
 def read_aggregates_csv(path: str | Path) -> AggregateObservations:
@@ -326,9 +385,10 @@ def read_aggregates_csv(path: str | Path) -> AggregateObservations:
 # ---------------------------------------------------------------- reports
 
 def write_report_csv(reports: Sequence[EvalReport], path: str | Path) -> None:
-    rows = ([rep.method, _seed_text(rep.seed), repr(float(rep.mre)), rep.excluded]
-            for rep in reports)
-    _write_rows(path, ["method", "seed", "mre", "excluded"], rows)
+    rows = [(rep.method, _seed_text(rep.seed), repr(float(rep.mre)), rep.excluded)
+            for rep in reports]
+    _write_rows(path, ["method", "seed", "mre", "excluded"],
+                [map(_quoted, column) for column in zip(*rows)])
 
 
 def read_report_csv(path: str | Path) -> list[tuple[str, str, float, int]]:
@@ -342,9 +402,9 @@ def read_report_csv(path: str | Path) -> list[tuple[str, str, float, int]]:
 
 
 def write_cdf_csv(report: EvalReport, path: str | Path) -> None:
-    rows = zip(repeat(report.method), repeat(_seed_text(report.seed)),
-               _reprs(report.cdf_errors), _reprs(report.cdf_values))
-    _write_rows(path, ["method", "seed", "error", "cdf"], rows)
+    _write_rows(path, ["method", "seed", "error", "cdf"],
+                [repeat(_quoted(report.method)), repeat(_quoted(_seed_text(report.seed))),
+                 _reprs(report.cdf_errors), _reprs(report.cdf_values)])
 
 
 def read_cdf_csv(path: str | Path) -> tuple[str, np.ndarray, np.ndarray]:
@@ -361,9 +421,9 @@ def read_cdf_csv(path: str | Path) -> tuple[str, np.ndarray, np.ndarray]:
 
 def write_diagnostics_csv(result: RecoveryResult, path: str | Path) -> None:
     """Per-iteration residuals and objective, one row per sweep."""
-    rows = zip(count(1), _reprs(result.primal_residuals), _reprs(result.dual_residuals),
-               _reprs(result.objectives))
-    _write_rows(path, ["iter", "primal_residual", "dual_residual", "objective"], rows)
+    _write_rows(path, ["iter", "primal_residual", "dual_residual", "objective"],
+                [map(str, count(1)), _reprs(result.primal_residuals),
+                 _reprs(result.dual_residuals), _reprs(result.objectives)])
 
 
 # -------------------------------------------------------------- activity

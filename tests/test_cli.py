@@ -187,6 +187,46 @@ def test_repeated_labels_and_methods_exit_two(workflow_dir, capsys):
     assert not (rec / "estimate_pe.csv").exists()
 
 
+def test_rejected_command_leaves_no_output_directory(workflow_dir, capsys):
+    truth = workflow_dir / "synth" / "truth.csv"
+    missing = workflow_dir / "missing.csv"
+    rejected = {
+        "floor": ["evaluate", "--truth", truth, "--estimate", truth, "--floor", 0],
+        "label": ["evaluate", "--truth", truth, "--estimate", f"a={truth}",
+                  "--estimate", f"a={truth}"],
+        "method": ["recover", "--truth", truth, "--stations", 3, "--method", "pe",
+                   "--method", "pe"],
+        "stations": ["recover", "--truth", truth, "--method", "pe"],
+        # field.svg is written before the missing cdf is read
+        "plot": ["plot", "--field", truth, "--cdf", missing],
+    }
+    for what, args in rejected.items():
+        top = workflow_dir / "rejected" / what
+        assert run([*args, "--out", top / "out"]) == 2, what
+        assert "error:" in capsys.readouterr().err
+        assert not top.exists(), what
+        # a directory that already existed keeps what it held
+        (top / "out").mkdir(parents=True)
+        (top / "out" / "keep.txt").write_text("kept")
+        assert run([*args, "--out", top / "out"]) == 2, what
+        assert (top / "out" / "keep.txt").read_text() == "kept"
+
+
+@pytest.mark.parametrize("entry", [["", "t.csv"], ["a/b", "t.csv"], ["a"], "ab"])
+def test_manifest_replay_checks_estimate_labels(workflow_dir, capsys, entry):
+    truth = workflow_dir / "synth" / "truth.csv"
+    ev = workflow_dir / "ev"
+    assert run(["evaluate", "--truth", truth, "--estimate", f"ok={truth}", "--out", ev]) == 0
+    manifest = json.loads((ev / "manifest.json").read_text())
+    manifest["inputs"]["estimates"].append(entry)
+    edited = workflow_dir / "edited.json"
+    edited.write_text(json.dumps(manifest))
+    replay = workflow_dir / "replay"
+    assert run(["evaluate", "--from-manifest", edited, "--out", replay]) == 2
+    assert "error: " in capsys.readouterr().err
+    assert not replay.exists()
+
+
 def test_label_with_path_separator_is_a_usage_error(workflow_dir, capsys):
     truth = workflow_dir / "synth" / "truth.csv"
     with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,6 @@
 """CSV and JSON round-trips plus schema rejection paths."""
 import csv
+import gc
 
 import numpy as np
 import pytest
@@ -202,10 +203,24 @@ FIRST_ERRORS = [
      "3: column 'green_area_pct' has non-finite value '1e999'"),
     (lambda p: load_cdr_csv(p, n_rows=1, n_cols=2), f"{','.join(CDR_HEADER)}\n1,0,1,2,3,4\n2,0,1,inf,3,x\n",
      "3: column 'sms_out' has non-finite value 'inf'"),
+    # a blank line and a quoted field spanning lines, each line break kind,
+    # before the faulty row
+    (read_cdf_csv, 'method,seed,error,cdf\npe,1,0.1,0.5\n\n"two\nlines",1,0.2,0.6\npe,1,bad,1.0\n',
+     "6: column 'error' has non-numeric value 'bad'"),
+    (read_field_csv, 'row,col,value\r\n0,0,1\r\n\r\n"0\r\n",1,2\r\n0,2,x\r\n',
+     "6: column 'value' has non-numeric value 'x'"),
+    (read_aggregates_csv, 'station_id,volume\r0,1\r\r1,"2\r\r"\r2,oops\r',
+     "7: column 'volume' has non-numeric value 'oops'"),
+    (lambda p: read_stations_csv(p, MASKED), 'station_id,row,col\n0,0,1\n\n1,0,"2\n\n"\n2,0\n',
+     "7: expected 3 columns, got 2"),
+    # rows after a row of the wrong width are never parsed, not even an
+    # oversized field the csv module refuses
+    (read_field_csv, "row,col,value\n0,0\n0,1," + "9" * (csv.field_size_limit() + 1) + "\n",
+     "2: expected 3 columns, got 2"),
 ]
 
 
-@pytest.mark.parametrize("block", [None, 2])
+@pytest.mark.parametrize("block", [None, 2, 3])
 @pytest.mark.parametrize("case", range(len(FIRST_ERRORS)))
 def test_first_error_wins(tmp_path, monkeypatch, case, block):
     """Column-wise parsing raises the error of the earliest bad line, in any block size."""
@@ -217,6 +232,63 @@ def test_first_error_wins(tmp_path, monkeypatch, case, block):
     with pytest.raises(SchemaError) as info:
         read(path)
     assert str(info.value) == f"{path}:{error}"
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, None])
+def test_blocks_know_each_row_by_its_end_line(tmp_path, monkeypatch, rng, block):
+    """Rows and line numbers of the blocks are those of reading one row at a time."""
+    if block is not None:
+        monkeypatch.setattr(dataio, "_BLOCK_ROWS", block)
+    breaks = ["\n", "\r", "\r\n"]
+    lines = ["a,b"]
+    for i in range(60):
+        kind = rng.integers(4)
+        if kind == 0:
+            lines.append("")
+        elif kind == 1:
+            lines.append(f"{i},x")
+        else:
+            inner = "".join(rng.choice(breaks) + "t" for _ in range(int(kind)))
+            lines.append(f'"{i}{inner}",y')
+    text = "".join(line + rng.choice(breaks) for line in lines)
+    path = tmp_path / "rows.csv"
+    path.write_bytes(text.encode())
+    got = [(line, list(rec)) for rows in dataio._read_rows(path, ("a", "b"))
+           for line, rec in zip(rows.lines, zip(*rows.columns))]
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        next(reader)
+        expected = [(reader.line_num, rec) for rec in reader if rec]
+    assert got == expected
+
+
+def test_reading_stays_out_of_the_garbage_collector(tmp_path, rng):
+    """A read starts at most two young collections and no full one.
+
+    A block holding more row lists than the young-generation threshold
+    would start one per block and, by promoting live rows, full ones.
+    """
+    domain = make_domain(100, 100)
+    field = SpatialField(domain, rng.uniform(size=domain.n))
+    write_field_csv(field, tmp_path / "field.csv")
+    truth = SpatialField(domain, rng.uniform(1.0, 2.0, domain.n))
+    write_cdf_csv(relative_errors(field, truth, method="pe"), tmp_path / "cdf.csv")
+    collections = []
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    for read in (lambda: read_field_csv(tmp_path / "field.csv"),
+                 lambda: read_cdf_csv(tmp_path / "cdf.csv")):
+        gc.collect()
+        collections.clear()
+        gc.callbacks.append(count)
+        try:
+            read()
+        finally:
+            gc.callbacks.remove(count)
+        assert collections.count(0) <= 2 and 2 not in collections, collections
 
 
 def test_readers_keep_python_number_syntax(tmp_path):

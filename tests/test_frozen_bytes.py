@@ -38,6 +38,8 @@ CUT_ERRORS = np.array([0.05, 0.1, 0.3, 0.6, 0.75, 2.0])
 CUT_CDF = np.arange(1, 7) / 6
 INSIDE_ERRORS = np.array([0.0, 1 / 3, 0.4, 0.55])
 INSIDE_CDF = np.array([0.25, 0.5, 0.75, 1.0])
+# a label csv.writer must quote: a quote, a comma and a line break
+QUOTED = 'say "hi",\nthen'
 
 
 def report(method, seed, errors, cdf):
@@ -56,6 +58,11 @@ OUTPUTS = {
         report("css", None, INSIDE_ERRORS, INSIDE_CDF),
     ], p),
     "cdf.csv": lambda p: write_cdf_csv(report("pe,ssr", 3, CUT_ERRORS, CUT_CDF), p),
+    "cdf_quoted.csv": lambda p: write_cdf_csv(report(QUOTED, None, INSIDE_ERRORS, INSIDE_CDF), p),
+    "report_quoted.csv": lambda p: write_report_csv([
+        report(QUOTED, None, CUT_ERRORS, CUT_CDF),
+        report("a\r\nb", 7, INSIDE_ERRORS, INSIDE_CDF),
+    ], p),
     "diagnostics.csv": lambda p: write_diagnostics_csv(SimpleNamespace(
         primal_residuals=[1e300, 0.5, 5e-324],
         dual_residuals=[2.0, 1 / 3, 0.0],
@@ -75,6 +82,7 @@ DIGESTS = {
     "bars.svg": "e634e694d3d44ace2169d8bff3af9705edf7aeefc9a5b8eed33d77f7e597a25c",
     "cdf.csv": "561f54c0a622776cae82e53852ed3eb7c480215971a8b3c69572243a753af54d",
     "cdf.svg": "dc519500188300e5c1164460677c8d6747c26b99c65d69e53c43bc5be4b7783c",
+    "cdf_quoted.csv": "a9b0038147f50b2dc027c99a41320fa59d476878833bede184e22b830984cb7f",
     "cdf_auto.svg": "86cb5d80b61db4d4356ec7636c6ab5c95663350570fe2ec7d052db7556cea0fc",
     "covariates.csv": "f532f59efd23c5ce230151c9d7e3b8b7b2a6ec38bf3b4df6ecfb3ab630b36f44",
     "diagnostics.csv": "c38557b7f83403a56f93bbe7aa0fb96b2496e9ed16c6073bd63c4f4043c2471b",
@@ -82,6 +90,7 @@ DIGESTS = {
     "field.svg": "0a0b7dddd873f88afb838d2787c3d394498d03249f250421f11787f9d4d988e2",
     "ramp.svg": "f2553f789cc04b159f5358b3d2c598809a49692857d0c3ccbdf62d6449668112",
     "report.csv": "523c9c939223a34e99b18ab9a79da196625f3aa98130091aa786b1093f9ce1ab",
+    "report_quoted.csv": "661e9955bedbbc2237a12494fa7a1aa959a0016c8998b625d02f0cb7a018b10d",
     "stations.csv": "0a33bcdcb346ea2ea69bc269a201dd260d6a14ffc34d0113576fc0aa3ce8c411",
 }
 
