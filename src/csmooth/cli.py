@@ -22,6 +22,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .admm import AdmmConfig
 from .dataio import (
@@ -286,23 +288,35 @@ def _rerun_manifest(command: str, manifest_path: str, out: str | None) -> int:
     return _run_command(command, inputs, manifest["params"], out_dir)
 
 
+def _plottable(path: str, what: str, values) -> None:
+    """Reject a value that would put nan coordinates in an SVG; reading it is legal."""
+    values = np.asarray(values, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise SchemaError(f"{path}: cannot plot non-finite {what} {float(values[bad[0]])!r}")
+
+
 def _cmd_plot(args) -> int:
     if not (args.field or args.cdf or args.report):
         raise ConfigError("plot needs at least one of --field, --cdf, --report")
     with _output_dir(Path(args.out)) as out:
-        if args.field:
-            field = read_field_csv(args.field)
+        # every input is read and checked before any SVG is written
+        field = read_field_csv(args.field) if args.field else None
+        series = []
+        for path in args.cdf or ():
+            method, errors, values = read_cdf_csv(path)
+            _plottable(path, "error level", errors)
+            _plottable(path, "cdf value", values)
+            series.append((method or Path(path).stem, errors, values))
+        rows = read_report_csv(args.report) if args.report else []
+        _plottable(args.report, "mre", [r[2] for r in rows])
+        if field is not None:
             render_field_svg(field, out / "field.svg", title=args.title or "")
             print(f"wrote {out / 'field.svg'}")
-        if args.cdf:
-            series = []
-            for path in args.cdf:
-                method, errors, values = read_cdf_csv(path)
-                series.append((method or Path(path).stem, errors, values))
+        if series:
             render_cdf_svg(series, out / "cdf.svg", title=args.title or "error cdf")
             print(f"wrote {out / 'cdf.svg'}")
-        if args.report:
-            rows = read_report_csv(args.report)
+        if rows:
             render_bars_svg(
                 [r[0] for r in rows],
                 [r[2] for r in rows],

@@ -11,6 +11,20 @@ garbage collector's young-generation threshold, so reading a file of any
 length starts next to no collection. The files are byte-identical to
 formatting each row with csv.writer, and a malformed file raises the
 message, naming the line, that reading it row by row would raise first.
+
+Field and cdf CSVs, the files a pipeline reads most, are read in two
+stages. numpy's C reader (``np.loadtxt`` with no quote or comment
+character and one dtype field per column) parses the body first. It is
+given only plain ASCII bodies (see ``_plain``); in those it splits rows
+and fields as csv.reader does and converts a number with the routine
+``float()`` uses, so every value it returns equals the row reader's bit
+for bit. What it cannot read the same way it refuses: ``1_0``, a
+non-ASCII digit, a line of spaces, a row of the wrong width. The row
+reader alone decides whenever numpy refuses the body or a parsed value
+fails a check (a negative index, a non-finite value): it reads the file
+anew, so a malformed file raises the message naming its first bad line,
+and a number only Python reads still reads.
+
 Values of fields, covariates, volumes, features and activity must be
 finite; a report or cdf may hold nan and inf. Schemas:
 
@@ -32,6 +46,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import warnings
 from itertools import accumulate, compress, count, islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -69,6 +84,18 @@ _BLOCK_ROWS = 1 << 8
 # joined by hand and end the same way
 _EOL = csv.excel.lineterminator
 
+# A data row of a field and of a cdf CSV as numpy's reader parses it, one
+# field per column, named by the header; an object field keeps its text whole
+_FIELD_ROW = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float64)])
+_CDF_ROW = np.dtype([("method", object), ("seed", object), ("error", np.float64),
+                     ("cdf", np.float64)])
+
+# Characters numpy's reader would read otherwise than the row reader: a
+# quote (it is given no quote character), NUL (csv.reader refuses it before
+# Python 3.11) and \x1c-\x1f (numpy's number parser skips them as space;
+# int() and float() refuse them)
+_NOT_PLAIN = '"\0\x1c\x1d\x1e\x1f'
+
 
 def _reprs(values) -> Iterator[str]:
     """Round-trip repr of each value as a float: the text of a float column."""
@@ -95,14 +122,6 @@ def _bad_value(kind: type, column: str, text: str) -> str:
 
 def _non_finite(column: str, text: str) -> str:
     return f"column '{column}' has non-finite value {text!r}"
-
-
-def _parse(kind: type, text: str, path, line: int, column: str):
-    """One field read as ``kind`` (int or float)."""
-    try:
-        return kind(text)
-    except ValueError as exc:
-        raise SchemaError(f"{path}:{line}: {_bad_value(kind, column, text)}") from exc
 
 
 def _int_array(values: list[int]) -> np.ndarray:
@@ -142,9 +161,9 @@ class _Rows:
         if hits.size:
             self.fail(int(hits[0]), message(int(hits[0])))
 
-    def parse(self, j: int, kind: type) -> list:
-        """Column ``j`` read as ``kind`` on the rows before ``stop``."""
-        texts = self.columns[j][:self.stop]
+    def parse(self, j: int, kind: type, texts: Sequence[str] | None = None) -> list:
+        """Column ``j``, or ``texts`` in its place, read as ``kind`` on the rows before ``stop``."""
+        texts = (self.columns[j] if texts is None else texts)[:self.stop]
         try:
             return list(map(kind, texts))
         except ValueError:
@@ -158,11 +177,12 @@ class _Rows:
                 break
         return values
 
-    def parse_finite(self, j: int) -> list[float]:
-        """Column ``j`` read as float on the rows before ``stop``, each finite."""
-        values = self.parse(j, float)
-        self.first(~np.isfinite(values),
-                   lambda k: _non_finite(self.names[j], self.columns[j][k]))
+    def parse_finite(self, j: int, texts: Sequence[str] | None = None) -> list[float]:
+        """Column ``j``, or ``texts`` in its place, read as float on the rows before
+        ``stop``, each finite."""
+        texts = self.columns[j] if texts is None else texts
+        values = self.parse(j, float, texts)
+        self.first(~np.isfinite(values), lambda k: _non_finite(self.names[j], texts[k]))
         return values
 
     def check(self) -> None:
@@ -245,6 +265,44 @@ def _read_rows(
         raise SchemaError(f"{path}: no {what} listed")
 
 
+def _plain(body: str) -> bool:
+    """Whether numpy's reader splits and converts ``body`` as the row reader does.
+
+    The body must be ASCII and hold no character of _NOT_PLAIN. csv.reader
+    refuses a field longer than ``csv.field_size_limit()``, so no line may
+    be that long either: every stretch of half the limit must hold a "\n".
+    """
+    if not body.isascii() or any(c in body for c in _NOT_PLAIN):
+        return False
+    step = max(csv.field_size_limit() // 2, 1)
+    return all(body.find("\n", k, k + step) >= 0 for k in range(0, len(body) - step, step))
+
+
+def _c_rows(path: str | Path, row: np.dtype) -> np.ndarray | None:
+    """The data rows of a CSV parsed by numpy's C reader, or None where it refuses them.
+
+    It refuses a file whose header is not exactly the names of ``row``, a
+    body that is not ``_plain``, and a body numpy does not parse as rows of
+    ``row`` without a warning (it warns on one with no rows). Every row of a
+    body it takes reads the same through ``_read_rows``.
+    """
+    with _open_rows(path) as handle:
+        try:
+            got = next(csv.reader(handle), None)
+            body = handle.read()
+        except (csv.Error, UnicodeDecodeError):
+            return None
+    if got is None or tuple(h.strip() for h in got) != row.names or not _plain(body):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(io.StringIO(body, newline=""), dtype=row, delimiter=",",
+                              comments=None, quotechar=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+
+
 def _write_rows(path: str | Path, header: Sequence[str], columns: Sequence[Iterable[str]]) -> None:
     """Write ``header``, then a line per row of ``columns``, each an iterable of field text.
 
@@ -294,10 +352,10 @@ def write_field_csv(field: SpatialField, path: str | Path) -> None:
                 [*map(_ints, field.domain.cells.T), _reprs(field.values)])
 
 
-def read_field_csv(path: str | Path) -> SpatialField:
-    """Read a field CSV; the active mask is exactly the set of rows present."""
+def _field_cells(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row, column and value of every cell a field CSV lists, read by the row reader."""
     blocks = []
-    for rows in _read_rows(path, ("row", "col", "value"), "cells"):
+    for rows in _read_rows(path, _FIELD_ROW.names, "cells"):
         r, c = rows.parse(0, int), rows.parse(1, int)
         n = rows.stop
         rr, cc = _int_array(r[:n]), _int_array(c[:n])
@@ -305,7 +363,21 @@ def read_field_csv(path: str | Path) -> SpatialField:
         values = rows.parse_finite(2)
         rows.check()
         blocks.append((rr, cc, values))
-    r, c, values = (np.concatenate(parts) for parts in zip(*blocks))
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+
+
+def read_field_csv(path: str | Path) -> SpatialField:
+    """Read a field CSV; the active mask is exactly the set of rows present.
+
+    The row reader reads the file where numpy's reader refuses it or a
+    parsed cell has a negative index or a non-finite value.
+    """
+    rows = _c_rows(path, _FIELD_ROW)
+    if rows is not None and ((rows["row"] >= 0) & (rows["col"] >= 0)
+                             & np.isfinite(rows["value"])).all():
+        r, c, values = rows["row"], rows["col"], rows["value"]
+    else:
+        r, c, values = _field_cells(path)
     n_rows, n_cols = int(r.max()) + 1, int(c.max()) + 1
     flat = r * n_cols + c
     if np.unique(flat).size != flat.size:
@@ -408,9 +480,15 @@ def write_cdf_csv(report: EvalReport, path: str | Path) -> None:
 
 
 def read_cdf_csv(path: str | Path) -> tuple[str, np.ndarray, np.ndarray]:
-    """Return (method, error levels, cdf values) from a cdf CSV."""
+    """Return (method, error levels, cdf values) from a cdf CSV; the method is the last row's.
+
+    The row reader reads the file where numpy's reader refuses it.
+    """
+    rows = _c_rows(path, _CDF_ROW)
+    if rows is not None:
+        return rows["method"][-1], rows["error"].copy(), rows["cdf"].copy()
     errors, values, method = [], [], ""
-    for rows in _read_rows(path, ("method", "seed", "error", "cdf"), "cdf samples"):
+    for rows in _read_rows(path, _CDF_ROW.names, "cdf samples"):
         e, p = rows.parse(2, float), rows.parse(3, float)
         rows.check()
         method = rows.columns[0][-1]
@@ -440,25 +518,28 @@ def load_cdr_csv(
     activity cells count as zero; squares never mentioned stay zero. The
     returned field covers the full grid.
     """
-    acc = np.zeros(n_rows * n_cols)
+    n_cells = n_rows * n_cols
+    acc = np.zeros(n_cells)
     for rows in _read_rows(path, CDR_HEADER):
-        for i, *rec in zip(rows.lines, *rows.columns):
-            sid = _parse(int, rec[0], path, i, "square_id")
-            if not (1 <= sid <= n_rows * n_cols):
-                raise SchemaError(f"{path}:{i}: square_id {sid} outside 1..{n_rows * n_cols}")
-            ts = _parse(float, rec[1], path, i, "timestamp")
-            if time_range is not None and not (time_range[0] <= ts <= time_range[1]):
-                continue
-            total = 0.0
-            for j, col in enumerate(CDR_HEADER[2:], start=2):
-                text = rec[j].strip()
-                if text:
-                    value = _parse(float, text, path, i, col)
-                    if not np.isfinite(value):
-                        raise SchemaError(f"{path}:{i}: {_non_finite(col, text)}")
-                    total += value
-            acc[sid - 1] += total
+        sid = rows.parse(0, int)
+        flat = _int_array(sid) - 1
+        rows.first((flat < 0) | (flat >= n_cells),
+                   lambda k: f"square_id {sid[k]} outside 1..{n_cells}")
+        ts = np.asarray(rows.parse(1, float))
+        inside = (np.ones(ts.size, dtype=bool) if time_range is None
+                  else (time_range[0] <= ts) & (ts <= time_range[1]))
+        keep = inside.tolist()
+        # only rows inside the time range are parsed; an empty field reads 0,
+        # which leaves a row's running total as skipping it would
+        columns = [rows.parse_finite(j, [text.strip() or "0" if k else "0"
+                                         for text, k in zip(rows.columns[j], keep)])
+                   for j in range(2, len(CDR_HEADER))]
         rows.check()
+        total = np.zeros(len(keep))
+        for values in columns:
+            total += values
+        # np.add.at adds one row at a time in file order, as the rows are read
+        np.add.at(acc, flat[inside], total[inside])
     domain = make_domain(n_rows, n_cols)
     return SpatialField(domain, acc)
 

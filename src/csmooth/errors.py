@@ -22,7 +22,7 @@ class InsufficientSupport(CsmoothError):
 
 
 class DegenerateField(CsmoothError):
-    """A field whose total mass is zero where positive mass is required."""
+    """A field with zero total mass, or a negative value, where a nonnegative mass is required."""
 
 
 class DegenerateTriangle(CsmoothError):

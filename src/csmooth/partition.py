@@ -67,7 +67,8 @@ def sample_stations(f: SpatialField, m: int, seed: int) -> StationSet:
     """
     v = f.values
     if v.size and v.min() < 0:
-        raise ValueError("sampling weights must be nonnegative")
+        raise DegenerateField("field has a negative value; station sampling weights "
+                              "must be nonnegative")
     total = v.sum()
     if not total > 0:
         raise DegenerateField("field has zero total mass; cannot place stations")

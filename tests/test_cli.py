@@ -197,7 +197,7 @@ def test_rejected_command_leaves_no_output_directory(workflow_dir, capsys):
         "method": ["recover", "--truth", truth, "--stations", 3, "--method", "pe",
                    "--method", "pe"],
         "stations": ["recover", "--truth", truth, "--method", "pe"],
-        # field.svg is written before the missing cdf is read
+        # the field is read before the missing cdf
         "plot": ["plot", "--field", truth, "--cdf", missing],
     }
     for what, args in rejected.items():
@@ -311,3 +311,38 @@ def test_stations_are_reproducible(workflow_dir, tmp_path):
     c = tmp_path / "c"
     assert run(["stations", "--field", field, "--stations", 4, "--seed", 4, "--out", c]) == 0
     assert (a / "stations.csv").read_bytes() != (c / "stations.csv").read_bytes()
+
+
+def test_negative_field_cell_exits_one(workflow_dir, capsys):
+    field = workflow_dir / "negative.csv"
+    lines = (workflow_dir / "synth" / "truth.csv").read_text().splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0] + ",-0.5"
+    field.write_text("\n".join(lines) + "\n")
+    for args in (["stations", "--field", field, "--stations", 3],
+                 ["recover", "--truth", field, "--stations", 3, "--method", "pe"]):
+        out = workflow_dir / "negative" / "out"
+        assert run([*args, "--out", out]) == 1
+        assert "error: field has a negative value" in capsys.readouterr().err
+        assert not (workflow_dir / "negative").exists()
+
+
+def test_plot_refuses_non_finite_values(workflow_dir, capsys):
+    truth = workflow_dir / "synth" / "truth.csv"
+    bad = {
+        "cdf": [f"method,seed,error,cdf\npe,,0.25,0.5\npe,,{e},{p}\n"
+                for e, p in (("inf", "1.0"), ("nan", "1.0"), ("0.5", "nan"))],
+        "report": [f"method,seed,mre,excluded\npe,,0.5,0\ncss,,{mre},0\n" for mre in ("nan", "inf")],
+    }
+    for option, texts in bad.items():
+        for k, text in enumerate(texts):
+            path = workflow_dir / f"bad_{option}.csv"
+            path.write_text(text)
+            top = workflow_dir / f"plot_{option}_{k}"
+            args = ["plot", "--field", truth, f"--{option}", path, "--out", top / "out"]
+            assert run(args) == 2
+            assert f"error: {path}: cannot plot non-finite" in capsys.readouterr().err
+            assert not top.exists()
+            # into an existing directory: no SVG is written, not even the field's
+            (top / "out").mkdir(parents=True)
+            assert run(args) == 2
+            assert not list((top / "out").iterdir())

@@ -1,13 +1,18 @@
 """CSV and JSON round-trips plus schema rejection paths."""
 import csv
 import gc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csmooth import dataio
 from csmooth.admm import AdmmConfig, css_recover
 from csmooth.dataio import (
+    _CDF_ROW,
+    _FIELD_ROW,
     CDR_HEADER,
     FEATURE_NAMES,
     load_cdr_csv,
@@ -546,3 +551,178 @@ def test_restrict_field(masked_domain):
     smaller = SpatialField(masked_domain, np.ones(masked_domain.n))
     with pytest.raises(ShapeMismatch):
         restrict_field(smaller, full)
+
+
+# ---------------------------------------------- numpy's reader and the row reader
+
+def outcome(read, path):
+    """What a read gives: "read" and its result, every array as bytes, or its error."""
+    try:
+        result = read(path)
+    except Exception as exc:  # the row reader may raise csv.Error, ValueError, ...
+        return type(exc).__name__, str(exc)
+    if isinstance(result, SpatialField):
+        dom = result.domain
+        return ("read", dom.n_rows, dom.n_cols, dom.active.tobytes(), result.values.dtype,
+                result.values.tobytes())
+    method, errors, cdf = result
+    return "read", method, errors.dtype, errors.tobytes(), cdf.dtype, cdf.tobytes()
+
+
+def row_reader_only(read, path):
+    """``outcome`` of ``read`` with numpy's reader refusing every file."""
+    with mock.patch.object(dataio, "_c_rows", lambda *args: None):
+        return outcome(read, path)
+
+
+VALID_INT = st.integers(0, 3).map(str)
+VALID_FLOAT = st.one_of(st.floats(0.0, 1e6).map(repr), st.sampled_from(["1", "2.5", "1e-3", ".5"]))
+VALID_TEXT = st.sampled_from(["pe", "css", "", "pe-ssr1", " a b "])
+# what only Python reads, what only numpy would read, and what neither reads
+ODD_INT = st.sampled_from([" 2", "-1", "1_0", "\u0663", "", "x", "1.0", "99999999999999999999",
+                           "9223372036854775807", "\x1c1", "\u01fe1", '"1"'])
+ODD_FLOAT = st.one_of(st.floats().map(repr), st.sampled_from(
+    [" 2.5", "1_0", "\u0663", "", "x", "1e400", "\x1c1", '"1.5"', "1\x00"]))
+ODD_TEXT = st.sampled_from(["\u00e9", '"q"', '"a,b"', '"a\nb"', '"a\r\nb"', 'x"y', "\x00", "\x1c"])
+
+READERS = {
+    "field": (read_field_csv, "row,col,value", [VALID_INT, VALID_INT, VALID_FLOAT],
+              [ODD_INT, ODD_INT, ODD_FLOAT]),
+    "cdf": (read_cdf_csv, "method,seed,error,cdf",
+            [VALID_TEXT, VALID_TEXT, VALID_FLOAT, VALID_FLOAT],
+            [ODD_TEXT, ODD_TEXT, ODD_FLOAT, ODD_FLOAT]),
+}
+
+
+@st.composite
+def csv_texts(draw, header, valid, odd):
+    """A CSV of ``header`` and up to 8 rows of valid fields; up to three lines made odd."""
+    lines = [[draw(v) for v in valid] for _ in range(draw(st.integers(0, 8)))]
+    for _ in range(draw(st.integers(0, 3)) if lines else 0):
+        k = draw(st.integers(0, len(lines) - 1))
+        if len(lines[k]) != len(valid):
+            continue
+        change = draw(st.sampled_from(["field"] * 4 + ["blank", "spaces", "short", "long"]))
+        if change == "field":
+            j = draw(st.integers(0, len(lines[k]) - 1))
+            lines[k][j] = draw(odd[j])
+        elif change == "short":
+            lines[k].pop()
+        elif change == "long":
+            lines[k].append("9")
+        else:
+            lines.insert(k, [] if change == "blank" else ["  "])
+    breaks = st.sampled_from(["\n", "\r\n", "\n", "\r\n", "\r"])
+    return header + draw(breaks) + "".join(",".join(fields) + draw(breaks) for fields in lines)
+
+
+@pytest.mark.parametrize("kind", list(READERS))
+@given(data=st.data())
+@settings(max_examples=200)
+def test_numpy_reader_reads_as_the_row_reader(tmp_path_factory, kind, data):
+    """Reading with numpy's reader first gives the row reader's arrays or its error."""
+    read, header, valid, odd = READERS[kind]
+    text = data.draw(csv_texts(header, valid, odd))
+    path = tmp_path_factory.mktemp(kind) / f"{kind}.csv"
+    path.write_bytes(text.encode())
+    assert outcome(read, path) == row_reader_only(read, path)
+
+
+LIMIT = csv.field_size_limit()
+# reader, body after the header, and part of the row reader's error (None: it
+# reads the file); numpy's reader would read each body otherwise or not at all
+REFUSED = [
+    (read_field_csv, "0,0,1\n0,\u01fe1,2\n", "column 'col' has non-integer value"),   # numpy: 4621
+    (read_field_csv, "0,0,1\n0,1,\x1c2\n", "column 'value' has non-numeric value"),
+    (read_field_csv, "0,0,1_0\n", None),
+    (read_field_csv, "0,0,\u0663\n", None),
+    (read_field_csv, "0,0,1\n0,1," + "0" * LIMIT + "1\n", "field larger than field limit"),
+    (read_cdf_csv, "pe,1,0.5,1\n" + "x" * (LIMIT + 1) + ",1,0.6,1\n", "field larger than field limit"),
+    (read_cdf_csv, '"a,b",1,0.5,1\n', None),
+    (read_cdf_csv, 'x"y,1,0.5,1\n', None),
+    (read_cdf_csv, "p\x00e,1,0.5,1\n", None),
+    (read_cdf_csv, "\u00e9,1,0.5,1\n", None),
+    (read_field_csv, "", "no cells listed"),
+    (read_cdf_csv, "\n\r\n", "no cdf samples listed"),
+]
+
+
+@pytest.mark.parametrize("case", range(len(REFUSED)))
+def test_numpy_reader_refuses_what_it_would_read_otherwise(tmp_path, recwarn, case):
+    read, body, error = REFUSED[case]
+    header = "row,col,value" if read is read_field_csv else "method,seed,error,cdf"
+    path = tmp_path / "file.csv"
+    path.write_bytes(f"{header}\n{body}".encode())
+    row = _FIELD_ROW if read is read_field_csv else _CDF_ROW
+    assert dataio._c_rows(path, row) is None
+    got = outcome(read, path)
+    assert got == row_reader_only(read, path)
+    assert got[0] == "read" if error is None else error in got[1], got
+    # an empty body makes numpy warn; the warning is a refusal and stays inside
+    assert not recwarn.list
+
+
+def test_numpy_reader_takes_written_files(tmp_path, masked_domain, rng):
+    field = SpatialField(masked_domain, rng.uniform(0.0, 5.0, masked_domain.n))
+    write_field_csv(field, tmp_path / "field.csv")
+    rows = dataio._c_rows(tmp_path / "field.csv", _FIELD_ROW)
+    np.testing.assert_array_equal(rows["value"], field.values)
+    truth = SpatialField(masked_domain, rng.uniform(1.0, 2.0, masked_domain.n))
+    write_cdf_csv(relative_errors(field, truth, method="pe", seed=3), tmp_path / "cdf.csv")
+    assert dataio._c_rows(tmp_path / "cdf.csv", _CDF_ROW)["method"][-1] == "pe"
+
+
+# ------------------------------------------------- activity, column by column
+
+def _parse(kind, text, path, line, column):
+    try:
+        return kind(text)
+    except ValueError as exc:
+        what = "non-integer" if kind is int else "non-numeric"
+        raise SchemaError(f"{path}:{line}: column '{column}' has {what} value {text!r}") from exc
+
+
+def load_cdr_rows(path, time_range=None, n_rows=100, n_cols=100):
+    """load_cdr_csv as it read one row at a time: the reference for its column-wise reading."""
+    acc = np.zeros(n_rows * n_cols)
+    for rows in dataio._read_rows(path, CDR_HEADER):
+        for i, *rec in zip(rows.lines, *rows.columns):
+            sid = _parse(int, rec[0], path, i, "square_id")
+            if not (1 <= sid <= n_rows * n_cols):
+                raise SchemaError(f"{path}:{i}: square_id {sid} outside 1..{n_rows * n_cols}")
+            ts = _parse(float, rec[1], path, i, "timestamp")
+            if time_range is not None and not (time_range[0] <= ts <= time_range[1]):
+                continue
+            total = 0.0
+            for j, col in enumerate(CDR_HEADER[2:], start=2):
+                text = rec[j].strip()
+                if text:
+                    value = _parse(float, text, path, i, col)
+                    if not np.isfinite(value):
+                        raise SchemaError(f"{path}:{i}: column '{col}' has non-finite value {text!r}")
+                    total += value
+            acc[sid - 1] += total
+        rows.check()
+    return SpatialField(make_domain(n_rows, n_cols), acc)
+
+
+CDR_VALID = [st.integers(1, 6).map(str), st.integers(0, 9).map(str)] + [
+    st.one_of(st.just(""), st.just(" "), st.floats(-1e3, 1e3).map(repr),
+              st.sampled_from(["0.1", "1e-17", "-0.0", "3"]))] * 4
+CDR_ODD = [st.sampled_from(["0", "7", "-1", "x", "1_0", " 2 ", "99999999999999999999"]),
+           st.sampled_from(["nan", "x", "", "1e400", " 4 "])] + [
+    st.sampled_from(["x", "inf", " nan ", "1_0", "\u0663", "\t-inf"])] * 4
+
+
+@pytest.mark.parametrize("block", [None, 2, 3])
+@given(data=st.data())
+def test_activity_reads_as_row_by_row(tmp_path_factory, block, data):
+    """Column-wise activity sums equal the row loop's bit for bit, or raise its error."""
+    text = data.draw(csv_texts(",".join(CDR_HEADER), CDR_VALID, CDR_ODD))
+    time_range = data.draw(st.sampled_from([None, (2.0, 6.0), (0, 0)]))
+    path = tmp_path_factory.mktemp("cdr") / "cdr.csv"
+    path.write_bytes(text.encode())
+    with mock.patch.object(dataio, "_BLOCK_ROWS", block or dataio._BLOCK_ROWS):
+        got = outcome(lambda p: load_cdr_csv(p, time_range, 2, 3), path)
+        want = outcome(lambda p: load_cdr_rows(p, time_range, 2, 3), path)
+    assert got == want
