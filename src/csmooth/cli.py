@@ -46,7 +46,7 @@ from .dataio import (
 )
 from .errors import ConfigError, CsmoothError, SchemaError, ShapeMismatch
 from .fem import assemble, triangulate
-from .methods import ALL_METHODS, CSS_FEATURES, MethodSpec, run_method_full
+from .methods import ALL_METHODS, CSS_FEATURES, PE, MethodSpec, run_method_full
 from .metrics import relative_errors
 from .partition import aggregate, build_partition, sample_stations
 from .svgplot import render_bars_svg, render_cdf_svg, render_field_svg
@@ -163,7 +163,8 @@ def _cmd_recover(inputs: dict, params: dict, out: Path) -> dict:
         max_iter=int(params["max_iter"]),
         tol=float(params["tol"]),
     )
-    fem = assemble(triangulate(domain))
+    # pe reads no mesh; every other method smooths on the one built here
+    fem = assemble(triangulate(domain)) if set(methods) - {PE} else None
 
     # every method runs before any estimate is written
     runs = {

@@ -201,6 +201,27 @@ def _end_lines(records: list[list[str]], start: int) -> list[int]:
     return list(accumulate(spans, initial=start))[1:]
 
 
+def _unreadable(path, handle, reader, exc: csv.Error | UnicodeDecodeError) -> str:
+    """The error, naming its line, of a file csv.reader cannot split or ``handle`` cannot decode.
+
+    The decoder fails on a whole chunk of the file, so the line of a byte
+    it cannot decode is found in the file's bytes.
+    """
+    if isinstance(exc, csv.Error):
+        return f"{path}:{reader.line_num}: {exc}"
+    raw = Path(path).read_bytes()
+    try:
+        raw.decode(handle.encoding)
+    except UnicodeDecodeError as whole:
+        exc = whole
+        # the lines before the byte, the one it starts or continues included
+        head = raw[:exc.start].decode(handle.encoding)
+        line = sum(1 for _ in io.StringIO(head + "?", newline=""))
+    else:  # the file changed since the decoder failed
+        line = reader.line_num + 1
+    return f"{path}:{line}: not {exc.encoding} text ({exc.reason})"
+
+
 def _read_rows(
     path: str | Path,
     header: tuple[str, ...],
@@ -221,7 +242,10 @@ def _read_rows(
     """
     with _open_rows(path) as handle:
         reader = csv.reader(handle)
-        got = next(reader, None)
+        try:
+            got = next(reader, None)
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise SchemaError(_unreadable(path, handle, reader, exc)) from exc
         names = () if got is None else tuple(h.strip() for h in got)
         missing = [h for h in required if h not in names]
         if missing:
@@ -236,14 +260,14 @@ def _read_rows(
             try:
                 records.extend(islice(reader, _BLOCK_ROWS))
             except (csv.Error, UnicodeDecodeError) as exc:
-                # raised after the rows read before it are checked: a read
-                # one row at a time stops at a row of the wrong width first
-                failure = exc
+                # pending after the rows read before it, as a read one row
+                # at a time would meet their errors first
+                failure = _unreadable(path, handle, reader, exc)
             start, end = end, reader.line_num
             lines = (range(start + 1, end + 1) if end - start == len(records)
                      else _end_lines(records, start))
             widths = list(map(len, records))
-            error = None
+            error = failure
             if widths.count(width) != len(widths):
                 # blank rows are skipped; the first row of another width ends the file
                 bad = next((k for k, n in enumerate(widths) if n and n != width), len(widths))
@@ -254,8 +278,6 @@ def _read_rows(
             if error is not None:
                 yield _Rows(path, names, lines, records, error)
                 return
-            if failure is not None:
-                raise failure
             if records:
                 listed = True
                 yield _Rows(path, names, lines, records)

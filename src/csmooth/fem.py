@@ -28,18 +28,22 @@ gradient) and on nothing else when the mesh is connected.
 
 assemble builds Psi and the roughness operator, which the smoother reads;
 M and K are assembled on first read of ``FemSystem.mass`` and
-``FemSystem.stiffness``.
+``FemSystem.stiffness``. scipy.sparse loads when the first matrix is built,
+not when this module is imported.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .domain import GridDomain, _frozen
 from .errors import DegenerateTriangle
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # smallest doubled area a triangle may have, relative to its longest edge
 # squared; a ratio, so a valid grid passes at any cell size
@@ -138,6 +142,8 @@ class FemSystem:
     @cached_property
     def roughness_matrix(self) -> sp.csr_matrix:
         """The smoother's penalty quadratic form J' diag(1/edge_length) J (read-only)."""
+        import scipy.sparse as sp
+
         w = sp.diags(1.0 / self.edge_length)
         r = (self.edge_jump.T @ w @ self.edge_jump).tocsr()
         for a in (r.data, r.indices, r.indptr):
@@ -173,6 +179,8 @@ def _element_geometry(tri: Triangulation) -> tuple[np.ndarray, np.ndarray]:
 
 def _assemble_elements(tri: Triangulation, local: np.ndarray) -> sp.csr_matrix:
     """Sum (n_t, 3, 3) symmetric element matrices into an (n_v, n_v) matrix."""
+    import scipy.sparse as sp
+
     # entry order per triangle is row-major in (a, b); the local matrices
     # are symmetric so a plain ravel lines up
     t = tri.triangles
@@ -183,6 +191,8 @@ def _assemble_elements(tri: Triangulation, local: np.ndarray) -> sp.csr_matrix:
 
 
 def assemble(tri: Triangulation) -> FemSystem:
+    import scipy.sparse as sp
+
     _, grads = _element_geometry(tri)
 
     # cell i's center is the midpoint of the ll-ur diagonal of triangle 2i
@@ -211,6 +221,8 @@ def _assemble_edges(tri: Triangulation, grads: np.ndarray):
     determinism needs the sign fixed. With the companion edge lengths,
     (J c)_e^2 / |e| = |e| * jump^2 = integral of the squared jump along e.
     """
+    import scipy.sparse as sp
+
     t = tri.triangles
     pair_local = np.array([[0, 1], [1, 2], [2, 0]])
     pairs = np.sort(t[:, pair_local], axis=2).reshape(-1, 2)      # (3 n_t, 2)

@@ -7,14 +7,16 @@ drow**2 + dcol**2 and a tie is an exact integer equality, whatever the
 cell size or origin. Cells exactly equidistant from k stations are split
 fractionally, weight 1/k each; a binary variant re-breaks those ties to
 the lowest station index so that every cell belongs to exactly one patch.
+scipy.sparse loads when the first partition matrix is built, not when this
+module is imported.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .domain import GridDomain, SpatialField, _check_same_domain, _frozen
 from .errors import (
@@ -23,6 +25,9 @@ from .errors import (
     InsufficientSupport,
     ShapeMismatch,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # Cell-station pairs whose distances are held at once: cells are assigned a
 # block at a time, so memory grows with the number of cells, not with cells
@@ -64,6 +69,12 @@ def sample_stations(f: SpatialField, m: int, seed: int) -> StationSet:
     Sequential draws with renormalization: after each pick the chosen cell
     is removed and the remaining probabilities rescale. Deterministic for a
     fixed seed (PCG64).
+
+    A drawn cell keeps its slot with weight 0, and the running sum is
+    re-accumulated from that slot on, continuing the sum before it. Adding
+    +0.0 leaves a sum unchanged, so every running sum of a remaining cell,
+    and with it every pick, is the one that deleting the drawn cell would
+    give.
     """
     v = f.values
     if v.size and v.min() < 0:
@@ -80,16 +91,20 @@ def sample_stations(f: SpatialField, m: int, seed: int) -> StationSet:
             f"{m} stations requested but only {positive.size} cells have positive mass"
         )
     rng = np.random.default_rng(seed)
-    weights = v[positive].astype(float).copy()
+    weights = v[positive].astype(float)
+    cum = np.cumsum(weights)
     chosen = np.empty(m, dtype=np.int64)
     for k in range(m):
-        cum = np.cumsum(weights)
         u = rng.random() * cum[-1]
         j = int(np.searchsorted(cum, u, side="right"))
-        j = min(j, weights.size - 1)
+        if j == weights.size:   # u rounded up to the total: the last cell left
+            j = int(np.flatnonzero(weights)[-1])
         chosen[k] = positive[j]
-        positive = np.delete(positive, j)
-        weights = np.delete(weights, j)
+        # drop slot j: re-accumulate cum[j:] from the sum before it, adding
+        # the same terms in the same order as a cumsum of the cells left
+        weights[j] = cum[j - 1] if j else 0.0
+        np.cumsum(weights[j:], out=cum[j:])
+        weights[j] = 0.0
     return StationSet(f.domain, np.sort(chosen))
 
 
@@ -125,6 +140,8 @@ class Partition:
 
     @cached_property
     def matrix_binary(self) -> sp.csr_matrix:
+        import scipy.sparse as sp
+
         n = self.station_of_cell.size
         return sp.csr_matrix(
             (np.ones(n), (self.station_of_cell, np.arange(n))), shape=(self.m, n)
@@ -175,6 +192,8 @@ def patch_layout(station_of_cell: np.ndarray, m: int) -> PatchLayout:
 
 
 def build_partition(domain: GridDomain, stations: StationSet) -> Partition:
+    import scipy.sparse as sp
+
     _check_same_domain(domain, stations.domain, "station set")
     cells = domain.cells
     srow, scol = cells[stations.cells].T

@@ -55,6 +55,8 @@ product with c gives the fitted surface, the edge jumps and the system's
 image for the residual check, each row summed as its own product sums it.
 ``weight`` scales the data term so callers embedding this solve in a larger
 objective can pass their own multiplier instead of re-deriving lam.
+scipy.linalg loads when the first system is factored, not when this module
+is imported.
 """
 from __future__ import annotations
 
@@ -62,8 +64,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
 
 from .domain import CovariateMatrix, GridDomain, SpatialField
 from .errors import CollinearCovariates, NumericalFailure, ShapeMismatch
@@ -115,6 +115,9 @@ class SsrSolver:
         weight: float = 1.0,
         subset: np.ndarray | None = None,
     ) -> None:
+        import scipy.linalg
+        import scipy.sparse as sp
+
         if not (np.isfinite(lam) and lam > 0):
             raise ShapeMismatch(f"smoothing weight lam must be positive, got {lam}")
         if not (np.isfinite(weight) and weight > 0):
@@ -157,7 +160,7 @@ class SsrSolver:
         try:
             self._chol = scipy.linalg.cholesky_banded(band, overwrite_ab=True,
                                                       check_finite=False)
-        except scipy.linalg.LinAlgError:  # a pivot that is not positive
+        except np.linalg.LinAlgError:  # a pivot that is not positive
             ratio = 0.0
         else:
             pivots = self._chol[u] ** 2
@@ -190,6 +193,8 @@ class SsrSolver:
         cached = self._covariate_cache
         if cached is not None and cached[0] is covariates:
             return cached[1]
+        import scipy.linalg
+
         if not covariates.domain.same_grid(self.fem.tri.domain):
             raise ShapeMismatch("covariates live on a different domain")
         w_full = covariates.values
@@ -197,7 +202,7 @@ class SsrSolver:
         gram = w_data.T @ w_data
         try:
             scipy.linalg.cho_factor(gram)
-        except scipy.linalg.LinAlgError as exc:
+        except np.linalg.LinAlgError as exc:
             raise CollinearCovariates("covariate columns are linearly dependent") from exc
         rhs_w = self._rhs(w_data)
         c_w = self._solve(rhs_w)

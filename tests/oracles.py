@@ -57,6 +57,28 @@ def voronoi_oracle(centers: np.ndarray, sites: np.ndarray, tie_tol: float):
     return a
 
 
+def sample_stations_oracle(values: np.ndarray, m: int, seed: int) -> np.ndarray:
+    """Sorted cells of m weighted draws without replacement, one cumsum per draw.
+
+    Each draw takes a fresh running sum of the remaining positive weights
+    and deletes the drawn cell from them; a uniform that rounds up to the
+    total takes the last remaining cell.
+    """
+    v = np.asarray(values, dtype=float)
+    positive = np.flatnonzero(v > 0)
+    weights = v[positive].copy()
+    rng = np.random.default_rng(seed)
+    chosen = []
+    for _ in range(m):
+        cum = np.cumsum(weights)
+        u = rng.random() * cum[-1]
+        j = min(int(np.searchsorted(cum, u, side="right")), weights.size - 1)
+        chosen.append(positive[j])
+        positive = np.delete(positive, j)
+        weights = np.delete(weights, j)
+    return np.sort(np.array(chosen, dtype=np.int64))
+
+
 def tri_mass_oracle(coords: np.ndarray) -> np.ndarray:
     """Element mass matrix by exact quadrature of barycentric products.
 

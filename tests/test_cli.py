@@ -346,3 +346,43 @@ def test_plot_refuses_non_finite_values(workflow_dir, capsys):
             (top / "out").mkdir(parents=True)
             assert run(args) == 2
             assert not list((top / "out").iterdir())
+
+
+def test_pe_only_recover_builds_no_mesh(workflow_dir, monkeypatch):
+    from csmooth import cli
+
+    built = []
+
+    def assemble(tri):
+        built.append(tri)
+        return real_assemble(tri)
+
+    real_assemble = cli.assemble
+    monkeypatch.setattr(cli, "assemble", assemble)
+    truth = workflow_dir / "synth" / "truth.csv"
+    base = ["recover", "--truth", truth, "--stations", 5]
+    assert run([*base, "--method", "pe", "--out", workflow_dir / "pe"]) == 0
+    assert built == []
+    assert run([*base, "--method", "pe", "--method", "pe-ssr2", "--out",
+                workflow_dir / "both"]) == 0
+    assert len(built) == 1
+    # the mesh changes nothing pe writes
+    assert ((workflow_dir / "pe" / "estimate_pe.csv").read_bytes()
+            == (workflow_dir / "both" / "estimate_pe.csv").read_bytes())
+
+
+def test_unreadable_csv_exits_two(workflow_dir, capsys):
+    """A field csv.reader refuses or bytes that are not text: a SchemaError naming the line."""
+    lines = (workflow_dir / "synth" / "truth.csv").read_bytes().splitlines()
+    big = workflow_dir / "big.csv"
+    big.write_bytes(b"\n".join([*lines[:3], b"0,0," + b"9" * 200_000, *lines[3:]]) + b"\n")
+    binary = workflow_dir / "binary.csv"
+    binary.write_bytes(b"\n".join([*lines[:-1], b"7,7,\xff1"]) + b"\n")
+    cases = [(big, "4: field larger than field limit"),
+             (binary, f"{len(lines)}: not utf-8 text (invalid start byte)")]
+    for path, message in cases:
+        out = workflow_dir / "unreadable" / "out"
+        assert run(["stations", "--field", path, "--stations", 3, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:{message}"), err
+        assert not (workflow_dir / "unreadable").exists()

@@ -726,3 +726,36 @@ def test_activity_reads_as_row_by_row(tmp_path_factory, block, data):
         got = outcome(lambda p: load_cdr_csv(p, time_range, 2, 3), path)
         want = outcome(lambda p: load_cdr_rows(p, time_range, 2, 3), path)
     assert got == want
+
+
+# text csv.reader cannot split or bytes the decoder cannot read, each after
+# good rows; the expected error follows the path. A decoder fails on a
+# chunk of 8 KiB at once, so the undecodable byte sits past the first chunk.
+FILLER = "".join(f"0,{k},1\n" for k in range(3000))
+UNREADABLE = [
+    (b"row,col,value\n0,0,1\n0,1," + b"9" * (LIMIT + 1) + b"\n",
+     "3: field larger than field limit (131072)"),
+    # an error on an earlier row of the same block wins
+    (b"row,col,value\n0,0,x\n0,1," + b"9" * (LIMIT + 1) + b"\n",
+     "2: column 'value' has non-numeric value 'x'"),
+    (b'row,col,value\n0,0,1\n"0\n\n,1,' + b"9" * (LIMIT + 1) + b'"\n',
+     "5: field larger than field limit (131072)"),
+    (b"row,col,value\n" + FILLER.encode() + b"1,0,\xff\n",
+     "3002: not utf-8 text (invalid start byte)"),
+    (b"row,col,value\r\n0,0,1\r\r\n0,1,\xe9\r\n", "4: not utf-8 text (invalid continuation byte)"),
+    (b"row,col,va\xfflue\n0,0,1\n", "1: not utf-8 text (invalid start byte)"),
+    (b"row,col," + b"v" * (LIMIT + 1) + b"\n0,0,1\n", "1: field larger than field limit (131072)"),
+]
+
+
+@pytest.mark.parametrize("block", [None, 2])
+@pytest.mark.parametrize("case", range(len(UNREADABLE)))
+def test_unreadable_text_is_a_schema_error_naming_its_line(tmp_path, monkeypatch, case, block):
+    if block is not None:
+        monkeypatch.setattr(dataio, "_BLOCK_ROWS", block)
+    data, error = UNREADABLE[case]
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    with pytest.raises(SchemaError) as info:
+        read_field_csv(path)
+    assert str(info.value) == f"{path}:{error}"

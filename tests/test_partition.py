@@ -22,7 +22,7 @@ from csmooth import (
     sample_stations,
 )
 from csmooth import partition
-from oracles import voronoi_oracle
+from oracles import sample_stations_oracle, voronoi_oracle
 
 
 def line_domain(n):
@@ -285,3 +285,44 @@ def test_sampling_deterministic_per_seed():
     c = sample_stations(f, 6, seed=43)
     assert np.array_equal(a.cells, b.cells)
     assert not np.array_equal(a.cells, c.cells)
+
+
+@settings(max_examples=150)
+@given(
+    weights=st.lists(
+        st.one_of(st.just(0.0), st.sampled_from([1.0, 0.1, 3.0]),
+                  st.floats(1e-300, 1e6), st.floats(5e-324, 1e-300)),
+        min_size=1, max_size=60,
+    ),
+    fraction=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sampling_matches_the_delete_and_resum_oracle(weights, fraction, seed):
+    """Bit for bit the stations of one fresh cumsum per draw, zero cells and ties included."""
+    values = np.array(weights)
+    positive = int((values > 0).sum())
+    if positive == 0:
+        return
+    m = max(1, round(fraction * positive))
+    f = SpatialField(make_domain(1, values.size), values)
+    got = sample_stations(f, m, seed=seed).cells
+    np.testing.assert_array_equal(got, sample_stations_oracle(values, m, seed))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_sampling_matches_the_oracle_on_a_large_field(seed):
+    values = np.random.default_rng(seed).gamma(0.5, 2.0, 2000)
+    values[::7] = 0.0
+    f = SpatialField(make_domain(40, 50), values)
+    got = sample_stations(f, 300, seed=seed).cells
+    np.testing.assert_array_equal(got, sample_stations_oracle(values, 300, seed))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_sampling_takes_the_last_cell_left_when_the_draw_rounds_up(seed):
+    # below the normal range a product rounds to a multiple of 5e-324, so a
+    # uniform times a subnormal total can round up to the total itself
+    values = np.array([0.0, 5e-324, 0.0, 5e-324, 1e-323, 0.0, 5e-324])
+    f = SpatialField(make_domain(1, values.size), values)
+    got = sample_stations(f, 3, seed=seed).cells
+    np.testing.assert_array_equal(got, sample_stations_oracle(values, 3, seed))
