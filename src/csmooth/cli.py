@@ -128,9 +128,9 @@ def _cmd_recover(inputs: dict, params: dict, out: Path) -> dict:
     methods = list(params["methods"])
     _check_distinct("method", methods)
     if inputs.get("truth") is not None:
-        if inputs.get("stations") or inputs.get("aggregates"):
-            raise ConfigError("--truth samples stations internally; drop "
-                              "--stations-csv/--aggregates or drop --truth")
+        if inputs.get("domain") or inputs.get("stations") or inputs.get("aggregates"):
+            raise ConfigError("--truth gives the domain and samples stations internally; "
+                              "drop --domain/--stations-csv/--aggregates or drop --truth")
         if params.get("stations") is None:
             raise ConfigError("--truth mode needs --stations <count>")
         truth = read_field_csv(inputs["truth"])
@@ -142,6 +142,8 @@ def _cmd_recover(inputs: dict, params: dict, out: Path) -> dict:
         if not (inputs.get("domain") and inputs.get("stations") and inputs.get("aggregates")):
             raise ConfigError("recover needs either --truth with --stations <count>, "
                               "or --domain, --stations-csv, and --aggregates")
+        if params.get("stations") is not None:
+            raise ConfigError("--stations <count> is for --truth mode; drop it or --stations-csv")
         domain = read_field_csv(inputs["domain"]).domain
         stations = read_stations_csv(inputs["stations"], domain)
         part = build_partition(domain, stations)

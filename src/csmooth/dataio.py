@@ -26,7 +26,9 @@ anew, so a malformed file raises the message naming its first bad line,
 and a number only Python reads still reads.
 
 Values of fields, covariates, volumes, features and activity must be
-finite; a report or cdf may hold nan and inf. Schemas:
+finite; a report or cdf may hold nan and inf. A field's grid spans rows
+and columns 0 up to its largest listed indices, and may hold at most
+2**26 cells (the paper's grid is 100 x 100). Schemas:
 
   field         row,col,value            one line per active cell, sorted
   covariates    row,col,<name>...        aligned with the active cells
@@ -89,6 +91,10 @@ _EOL = csv.excel.lineterminator
 _FIELD_ROW = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float64)])
 _CDF_ROW = np.dtype([("method", object), ("seed", object), ("error", np.float64),
                      ("cdf", np.float64)])
+
+# Most cells a field CSV's grid may span: its mask and values take 576 MiB
+# at this size, and a larger index is far likelier a typo than a grid
+_MAX_GRID_CELLS = 1 << 26
 
 # Characters numpy's reader would read otherwise than the row reader: a
 # quote (it is given no quote character), NUL (csv.reader refuses it before
@@ -401,6 +407,10 @@ def read_field_csv(path: str | Path) -> SpatialField:
     else:
         r, c, values = _field_cells(path)
     n_rows, n_cols = int(r.max()) + 1, int(c.max()) + 1
+    if n_rows * n_cols > _MAX_GRID_CELLS:   # Python ints, exact even past int64
+        k = int(np.argmax(r)) if n_rows >= n_cols else int(np.argmax(c))
+        raise SchemaError(f"{path}: cell ({r[k]}, {c[k]}) makes the grid {n_rows} x "
+                          f"{n_cols} cells, more than the {_MAX_GRID_CELLS} allowed")
     flat = r * n_cols + c
     if np.unique(flat).size != flat.size:
         raise SchemaError(f"{path}: duplicate cell listed")

@@ -24,7 +24,9 @@ curvature is the distribution carried by those edge jumps. The quadratic
 form c' J' diag(1/edge_length) J c equals the sum over interior edges of
 integral_e (jump of df/dn)^2 ds, the natural squared-curvature energy for
 this element: it vanishes exactly on globally affine surfaces (continuous
-gradient) and on nothing else when the mesh is connected.
+gradient) and on nothing else when the mesh is connected. It scales as
+1/cell_size; ``FemSystem.roughness_matrix`` multiplies it by cell_size to
+measure it in grid units, so no estimate depends on the unit of length.
 
 assemble builds Psi and the roughness operator, which the smoother reads;
 M and K are assembled on first read of ``FemSystem.mass`` and
@@ -141,10 +143,10 @@ class FemSystem:
 
     @cached_property
     def roughness_matrix(self) -> sp.csr_matrix:
-        """The smoother's penalty quadratic form J' diag(1/edge_length) J (read-only)."""
+        """The smoother's penalty J' diag(cell_size/edge_length) J in grid units (read-only)."""
         import scipy.sparse as sp
 
-        w = sp.diags(1.0 / self.edge_length)
+        w = sp.diags(self.tri.domain.cell_size / self.edge_length)
         r = (self.edge_jump.T @ w @ self.edge_jump).tocsr()
         for a in (r.data, r.indices, r.indptr):
             _frozen(a)

@@ -4,17 +4,15 @@ Each station observes the total volume of the cells closer to it than to
 any other station (Euclidean distance between cell centers). Stations sit
 on cell centers, so squared distances in cell units are the integers
 drow**2 + dcol**2 and a tie is an exact integer equality, whatever the
-cell size or origin. Cells exactly equidistant from k stations are split
-fractionally, weight 1/k each; a binary variant re-breaks those ties to
-the lowest station index so that every cell belongs to exactly one patch.
-scipy.sparse loads when the first partition matrix is built, not when this
-module is imported.
+cell size or origin. A cell exactly equidistant from several stations goes
+to the lowest station index, so every cell belongs to exactly one patch:
+the patches are disjoint, every total is measured over one patch, and css
+enforces it on that same patch.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -25,9 +23,6 @@ from .errors import (
     InsufficientSupport,
     ShapeMismatch,
 )
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 # Cell-station pairs whose distances are held at once: cells are assigned a
 # block at a time, so memory grows with the number of cells, not with cells
@@ -113,19 +108,15 @@ class Partition:
     """Assignment of cells to station patches.
 
     A cell is tied between the stations whose integer squared distance in
-    cell units equals its minimum exactly. ``matrix`` holds the fractional
-    weights (m x n, rows sum over each patch, columns sum to 1).
-    ``station_of_cell`` re-breaks ties to the lowest station index, one
-    station per cell: these are the binary patches, which the volume
-    projection solves all in one pass. ``patch_sizes`` are fractional cell
-    counts, sum(patch_sizes) = n. ``matrix_binary`` (the binary patches as
-    a 0/1 matrix) and ``layout`` (the slots of the cells sorted by binary
-    patch) derive from ``station_of_cell`` alone; each is built on first use
-    and kept with the partition.
+    cell units equals its minimum exactly; ``station_of_cell`` gives it to
+    the lowest of their indices, one station per cell. ``patch_sizes`` are
+    the integer cell counts of the patches, summing to n, and ``has_ties``
+    records whether any cell was tied. ``layout`` (the slots of the cells
+    sorted by patch) derives from ``station_of_cell`` alone; it is built on
+    first use and kept with the partition.
     """
 
     stations: StationSet
-    matrix: sp.csr_matrix
     patch_sizes: np.ndarray
     station_of_cell: np.ndarray
     has_ties: bool
@@ -139,7 +130,12 @@ class Partition:
         return self.stations.m
 
     @cached_property
-    def matrix_binary(self) -> sp.csr_matrix:
+    def matrix_binary(self):
+        """The patches as an (m, n) 0/1 scipy.sparse matrix, built on first use.
+
+        No code in the package reads it; the benchmark's volume check does,
+        and it goes once that check reads ``station_of_cell``.
+        """
         import scipy.sparse as sp
 
         n = self.station_of_cell.size
@@ -154,7 +150,7 @@ class Partition:
 
 @dataclass(frozen=True, eq=False)
 class PatchLayout:
-    """Cells grouped by binary patch, as a sort by patch id places them.
+    """Cells grouped by patch, as a sort by patch id places them.
 
     ``key`` is the patch id of each cell in the narrowest unsigned dtype, so
     that a stable sort by it is a radix sort up to 65,536 patches. The other
@@ -192,36 +188,25 @@ def patch_layout(station_of_cell: np.ndarray, m: int) -> PatchLayout:
 
 
 def build_partition(domain: GridDomain, stations: StationSet) -> Partition:
-    import scipy.sparse as sp
-
     _check_same_domain(domain, stations.domain, "station set")
     cells = domain.cells
     srow, scol = cells[stations.cells].T
     n, m = domain.n, stations.m
     step = max(1, _BLOCK_PAIRS // m)
-    k = np.empty(n, dtype=np.int64)
     station_of_cell = np.empty(n, dtype=np.int64)
-    cell_parts, stat_parts = [], []
+    has_ties = False
     for lo in range(0, n, step):
         r, c = cells[lo:lo + step].T
         d2 = (r[:, None] - srow) ** 2 + (c[:, None] - scol) ** 2
         tied = d2 == d2.min(axis=1, keepdims=True)
-        k[lo:lo + step] = tied.sum(axis=1)
         station_of_cell[lo:lo + step] = np.argmax(tied, axis=1)
-        cell_idx, stat_idx = np.nonzero(tied)
-        cell_parts.append(cell_idx + lo)
-        stat_parts.append(stat_idx)
-
-    cell_idx, stat_idx = np.concatenate(cell_parts), np.concatenate(stat_parts)
-    weights = 1.0 / k[cell_idx]
-    matrix = sp.csr_matrix((weights, (stat_idx, cell_idx)), shape=(m, n))
-    patch_sizes = np.asarray(matrix.sum(axis=1)).ravel()
+        # a row holding more than its one nearest station is a tied cell
+        has_ties = has_ties or np.count_nonzero(tied) > tied.shape[0]
     return Partition(
         stations=stations,
-        matrix=matrix,
-        patch_sizes=_frozen(patch_sizes),
+        patch_sizes=_frozen(np.bincount(station_of_cell, minlength=m)),
         station_of_cell=_frozen(station_of_cell),
-        has_ties=bool((k > 1).any()),
+        has_ties=bool(has_ties),
     )
 
 
@@ -245,23 +230,20 @@ class AggregateObservations:
 
 
 def aggregate(partition: Partition, f: SpatialField) -> AggregateObservations:
-    """Per-station volumes z = A f * cell_area, fractional tie weights."""
+    """Per-station volumes: each patch's sum of f times cell_area."""
     _check_same_domain(partition.domain, f.domain, "field")
-    z = partition.matrix @ f.values * f.domain.cell_area
-    return AggregateObservations(z)
+    z = np.bincount(partition.station_of_cell, weights=f.values, minlength=partition.m)
+    return AggregateObservations(z * f.domain.cell_area)
 
 
 def patched_estimate(partition: Partition, z: AggregateObservations) -> SpatialField:
     """Spread each station volume uniformly over its patch.
 
-    Cell j gets sum_i A_ij * z_i / (|patch_i| * cell_area). Aggregating the
-    result returns z exactly only when no cell is tied between stations;
-    tied cells mix their patches' densities, so per-station volumes shift
-    while the overall total is always conserved (columns of A sum to 1).
+    Cell j gets z_i / (|patch_i| * cell_area) for the patch i holding it, so
+    aggregating the result returns z.
     """
     if z.m != partition.m:
         raise ShapeMismatch(f"{z.m} volumes for {partition.m} stations")
-    area = partition.domain.cell_area
-    density = z.values / (partition.patch_sizes * area)
-    values = partition.matrix.T @ density
-    return SpatialField(partition.domain, values, nonnegative=True)
+    density = z.values / (partition.patch_sizes * partition.domain.cell_area)
+    return SpatialField(partition.domain, density[partition.station_of_cell],
+                        nonnegative=True)

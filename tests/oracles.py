@@ -42,19 +42,19 @@ def qp_patch_oracle(costs: np.ndarray, total: float, rho: float):
 
 
 def voronoi_oracle(centers: np.ndarray, sites: np.ndarray, tie_tol: float):
-    """Fractional assignment weights by brute force, one cell at a time.
+    """Nearest site of every cell by brute force, one cell at a time.
 
-    Returns an (m, n) dense array: cell j tied among k nearest sites
-    contributes 1/k to each of them.
+    Returns (owner, n_tied): the lowest index among the sites nearest to
+    cell j, and how many sites are that near.
     """
     n = centers.shape[0]
-    m = sites.shape[0]
-    a = np.zeros((m, n))
+    owner = np.zeros(n, dtype=np.int64)
+    n_tied = np.zeros(n, dtype=np.int64)
     for j in range(n):
         d2 = ((sites - centers[j]) ** 2).sum(axis=1)
         tied = np.flatnonzero(d2 <= d2.min() + tie_tol)
-        a[tied, j] = 1.0 / tied.size
-    return a
+        owner[j], n_tied[j] = tied.min(), tied.size
+    return owner, n_tied
 
 
 def sample_stations_oracle(values: np.ndarray, m: int, seed: int) -> np.ndarray:
@@ -217,7 +217,6 @@ def css_admm_oracle(
     psi: np.ndarray,
     jump: np.ndarray,
     edge_length: np.ndarray,
-    weights: np.ndarray,
     patches,
     totals: np.ndarray,
     lam: float,
@@ -227,9 +226,8 @@ def css_admm_oracle(
 ):
     """The css ADMM loop written out sweep by sweep from the dense oracles.
 
-    ``weights`` is the dense (m, n) fractional assignment that sets the
-    start (each total spread evenly over its patch); ``patches`` lists the
-    cells of each binary patch, whose totals the g-step enforces. Each sweep:
+    ``patches`` lists the cells of each patch; the start spreads each total
+    evenly over its patch, and the g-step enforces it there. Each sweep:
 
         g      <- patchwise QP with costs dual - rho f   (constrained_qp_field_oracle)
         f      <- fit to g + dual/rho, data weight rho/2 (dense_ssr_oracle, or
@@ -241,7 +239,9 @@ def css_admm_oracle(
     Returns (g, f, primal residuals, dual residuals, objectives).
     """
     totals = np.asarray(totals, dtype=float)
-    g = weights.T @ (totals / weights.sum(axis=1))
+    g = np.zeros(psi.shape[0])
+    for patch, total in zip(patches, totals):
+        g[patch] = total / len(patch)
     f = g.copy()
     dual = np.zeros_like(g)
     primal, dual_res, objective = [], [], []

@@ -105,7 +105,7 @@ def test_volume_projection_matches_patchwise_oracle(rng):
         np.testing.assert_allclose(g, g_ref, rtol=0, atol=1e-9)
         # per-patch sums times cell area reproduce the observed volumes
         np.testing.assert_allclose(
-            part.matrix_binary @ g * dom.cell_area, vols.values, rtol=0, atol=1e-9
+            aggregate(part, SpatialField(dom, g)).values, vols.values, rtol=0, atol=1e-9
         )
         assert (g[zero] == 0.0).all()
 
@@ -221,7 +221,7 @@ def test_css_loop_matches_textbook_admm(rng, with_covariates):
     patches = [np.flatnonzero(part.station_of_cell == i) for i in range(part.m)]
     g, f, primal, dual, objective = css_admm_oracle(
         fem.basis_eval.toarray(), fem.edge_jump.toarray(), fem.edge_length,
-        part.matrix.toarray(), patches, vols.values / dom.cell_area, lam, rho, sweeps, w,
+        patches, vols.values / dom.cell_area, lam, rho, sweeps, w,
     )
     assert res.iterations == sweeps and not res.converged
     atol = 1e-10 * np.abs(g).max()
@@ -300,11 +300,24 @@ def test_converged_run_meets_tolerances():
     assert res.dual_residuals[-1] <= cfg.tol * sqrt_n
     # the estimate satisfies the aggregate constraints to working precision
     np.testing.assert_allclose(
-        part.matrix_binary @ res.estimate.values * dom.cell_area,
-        vols.values,
-        rtol=1e-9,
-        atol=1e-9,
+        aggregate(part, res.estimate).values, vols.values, rtol=1e-9, atol=1e-9
     )
+
+
+def test_estimate_reproduces_the_aggregated_totals_on_a_tied_partition(rng):
+    # css enforces each total on the patch aggregate measured it over, so
+    # re-aggregating the estimate gives back the observed volumes, tied
+    # cells included, after any number of sweeps
+    dom = make_domain(9, 11)
+    truth = SpatialField(dom, rng.uniform(0.5, 3.0, dom.n), nonnegative=True)
+    part = build_partition(dom, StationSet(dom, np.array([0, 4, 10, 44, 48, 54, 88, 98])))
+    assert part.has_ties
+    vols = aggregate(part, truth)
+    for sweeps in (1, 20):
+        res = css_recover(dom, part, vols, config=AdmmConfig(max_iter=sweeps))
+        np.testing.assert_allclose(
+            aggregate(part, res.estimate).values, vols.values, rtol=1e-12
+        )
 
 
 def test_covariates_enter_smoothing(rng):

@@ -190,6 +190,10 @@ def test_repeated_labels_and_methods_exit_two(workflow_dir, capsys):
 def test_rejected_command_leaves_no_output_directory(workflow_dir, capsys):
     truth = workflow_dir / "synth" / "truth.csv"
     missing = workflow_dir / "missing.csv"
+    huge = workflow_dir / "huge.csv"
+    huge.write_text("row,col,value\n0,9223372036854775807,1\n")
+    from_files = ["--domain", truth, "--stations-csv", workflow_dir / "stations" / "stations.csv",
+                  "--aggregates", workflow_dir / "agg" / "aggregates.csv"]
     rejected = {
         "floor": ["evaluate", "--truth", truth, "--estimate", truth, "--floor", 0],
         "label": ["evaluate", "--truth", truth, "--estimate", f"a={truth}",
@@ -197,6 +201,10 @@ def test_rejected_command_leaves_no_output_directory(workflow_dir, capsys):
         "method": ["recover", "--truth", truth, "--stations", 3, "--method", "pe",
                    "--method", "pe"],
         "stations": ["recover", "--truth", truth, "--method", "pe"],
+        # a flag the mode would ignore
+        "truth and domain": ["recover", "--truth", truth, "--stations", 3, "--domain", missing],
+        "count and stations csv": ["recover", *from_files, "--stations", 3, "--method", "pe"],
+        "huge field": ["stations", "--field", huge, "--stations", 1],
         # the field is read before the missing cdf
         "plot": ["plot", "--field", truth, "--cdf", missing],
     }

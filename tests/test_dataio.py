@@ -1,6 +1,7 @@
 """CSV and JSON round-trips plus schema rejection paths."""
 import csv
 import gc
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -84,6 +85,33 @@ def test_field_schema_errors(tmp_path, text, match):
     path = tmp_path / "bad.csv"
     path.write_text(text)
     with pytest.raises(SchemaError, match=match):
+        read_field_csv(path)
+
+
+@pytest.mark.parametrize("cell", ["0,9223372036854775807", "99999999999999999999,0",
+                                  "8192,8192"])
+def test_field_grid_is_bounded_before_allocating(tmp_path, cell):
+    # the largest grid these cells span would take from 576 MiB to exabytes
+    path = tmp_path / "huge.csv"
+    path.write_text(f"row,col,value\n0,0,1\n{cell},1\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(SchemaError, match=rf"huge.csv: cell \(.*\) makes the grid"):
+            read_field_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_field_grid_may_reach_the_cap(tmp_path, monkeypatch):
+    monkeypatch.setattr(dataio, "_MAX_GRID_CELLS", 12)
+    path = tmp_path / "f.csv"
+    path.write_text("row,col,value\n0,0,1\n2,3,1\n")
+    assert read_field_csv(path).domain.n_cols == 4
+    path.write_text("row,col,value\n0,0,1\n2,4,1\n")
+    with pytest.raises(SchemaError, match=r"cell \(2, 4\) makes the grid 3 x 5 cells, "
+                                          r"more than the 12 allowed"):
         read_field_csv(path)
 
 

@@ -18,7 +18,13 @@ from csmooth.methods import (
     run_method_full,
 )
 from csmooth.metrics import relative_errors
-from csmooth.partition import aggregate, build_partition, patched_estimate, sample_stations
+from csmooth.partition import (
+    StationSet,
+    aggregate,
+    build_partition,
+    patched_estimate,
+    sample_stations,
+)
 from csmooth.smoother import SsrSolver, ssr_fit
 
 
@@ -97,6 +103,45 @@ def test_css_features_requires_covariates(problem):
     dom, truth, part, vols, cov, fem = problem
     with pytest.raises(ConfigError):
         run_method_full(MethodSpec(CSS_FEATURES), dom, part, vols, fem=fem)
+
+
+def _run_every_method(values, w, mask, cells, cell_size, origin):
+    dom = make_domain(9, 10, mask, cell_area=cell_size**2, origin=origin, cell_size=cell_size)
+    part = build_partition(dom, StationSet(dom, cells))
+    vols = aggregate(part, SpatialField(dom, values))
+    cov = CovariateMatrix(dom, w, names=("a", "b"))
+    fem = assemble(triangulate(dom))
+    spec = AdmmConfig(max_iter=40, tol=0.0)
+    return {m: run_method_full(MethodSpec(m, spec), dom, part, vols, cov, fem)
+            for m in ALL_METHODS}
+
+
+@pytest.mark.parametrize("cell_size", [1e-5, 0.3, 1.0, 250.0, 1e3])
+def test_estimates_do_not_depend_on_the_unit_of_length(cell_size):
+    # the same cells measured in another unit of length, at random origins
+    # within 50 cells of the grid: every method returns its grid-unit
+    # estimate, and css the same residuals and objective at every sweep
+    gen = np.random.default_rng(12)
+    mask = gen.random(90) < 0.9
+    n = int(mask.sum())
+    values = gen.gamma(2.0, 1.5, n)
+    w = gen.normal(size=(n, 2))
+    cells = np.sort(gen.choice(n, 12, replace=False))
+    want = _run_every_method(values, w, mask, cells, 1.0, (0.0, 0.0))
+    for _ in range(2):
+        origin = tuple(gen.uniform(-50.0, 50.0, 2) * cell_size)
+        got = _run_every_method(values, w, mask, cells, cell_size, origin)
+        for m in ALL_METHODS:
+            (est, res), (ref, ref_res) = got[m], want[m]
+            scale = np.abs(ref.values).max()
+            np.testing.assert_allclose(est.values, ref.values, rtol=0, atol=1e-9 * scale,
+                                       err_msg=m)
+            if res is None:
+                continue
+            for hist in ("primal_residuals", "dual_residuals", "objectives"):
+                a, b = getattr(res, hist), getattr(ref_res, hist)
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-9 * np.abs(b).max(),
+                                           err_msg=f"{m} {hist}")
 
 
 def test_relative_errors_excludes_below_floor():

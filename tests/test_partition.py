@@ -49,19 +49,19 @@ def test_nearest_assignment_on_a_line():
     p = build_partition(d, StationSet(d, [0, 3]))
     np.testing.assert_array_equal(p.station_of_cell, [0, 0, 1, 1])
     assert not p.has_ties
-    np.testing.assert_allclose(p.patch_sizes, [2.0, 2.0])
+    np.testing.assert_array_equal(p.patch_sizes, [2, 2])
 
 
-def test_exact_tie_splits_evenly():
+def test_exact_tie_goes_to_the_lowest_station():
     d = line_domain(3)
     p = build_partition(d, StationSet(d, [0, 2]))
     assert p.has_ties
-    a = p.matrix.toarray()
-    np.testing.assert_allclose(a, [[1.0, 0.5, 0.0], [0.0, 0.5, 1.0]])
-    # binary variant re-breaks the tie to the lowest station index
+    np.testing.assert_array_equal(p.station_of_cell, [0, 0, 1])
+    # integer cell counts, each cell in one patch
+    assert p.patch_sizes.dtype.kind == "i"
+    np.testing.assert_array_equal(p.patch_sizes, [2, 1])
     b = p.matrix_binary.toarray()
-    np.testing.assert_allclose(b, [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    np.testing.assert_allclose(p.patch_sizes, [1.5, 1.5])
+    np.testing.assert_array_equal(b, [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 
 
 def test_single_station_owns_everything():
@@ -81,10 +81,11 @@ def test_aggregate_examples():
 
 
 def test_aggregate_with_tie_weights():
+    # the tied middle cell counts wholly for the lowest station
     d = line_domain(3)
     p = build_partition(d, StationSet(d, [0, 2]))
     z = aggregate(p, SpatialField(d, [2.0, 4.0, 6.0]))
-    np.testing.assert_allclose(z.values, [4.0, 8.0])
+    np.testing.assert_array_equal(z.values, [6.0, 6.0])
 
 
 def test_aggregate_rejects_foreign_domain():
@@ -106,31 +107,30 @@ def test_patched_estimate_examples():
     np.testing.assert_allclose(f.values, [5.0, 4.0, 4.0])
 
 
-def test_patched_estimate_tied_cells_mix_patch_densities():
-    # stations at both ends of a 1x3 line; the middle cell splits 0.5/0.5,
-    # so both patch sizes are 1.5 and the tied cell averages the densities
+def test_patched_estimate_tied_cell_takes_its_patch_density():
+    # stations at both ends of a 1x3 line; the middle cell is tied and
+    # belongs to station 0, so it takes that patch's density
     d = line_domain(3)
     p = build_partition(d, StationSet(d, [0, 2]))
     z = AggregateObservations([4.0, 8.0])
     f = patched_estimate(p, z)
-    np.testing.assert_allclose(f.values, [8.0 / 3.0, 4.0, 16.0 / 3.0])
-    # re-aggregating shifts volume between the tied stations but conserves
-    # the total; the per-station values are provably not recoverable here
-    back = aggregate(p, f)
-    np.testing.assert_allclose(back.values, [14.0 / 3.0, 22.0 / 3.0])
-    assert back.values.sum() == pytest.approx(z.values.sum())
+    np.testing.assert_array_equal(f.values, [2.0, 2.0, 8.0])
+    np.testing.assert_array_equal(aggregate(p, f).values, z.values)
 
 
-def test_patched_round_trip_exact_without_ties(rng):
+def test_patched_round_trip_exact(rng):
+    # every total comes back, on partitions with ties as on those without
     d = make_domain(7, 9)
+    tied = 0
     for _ in range(20):
-        cells = rng.choice(d.n, size=5, replace=False)
+        m = int(rng.integers(1, 12))
+        cells = rng.choice(d.n, size=m, replace=False)
         p = build_partition(d, StationSet(d, np.sort(cells)))
-        if p.has_ties:
-            continue
-        z = AggregateObservations(rng.uniform(0.0, 10.0, size=5))
+        tied += p.has_ties
+        z = AggregateObservations(rng.uniform(0.0, 10.0, size=m))
         back = aggregate(p, patched_estimate(p, z))
         np.testing.assert_allclose(back.values, z.values, rtol=1e-12, atol=1e-12)
+    assert 0 < tied < 20
 
 
 def test_total_volume_conserved_with_and_without_ties(rng):
@@ -141,13 +141,10 @@ def test_total_volume_conserved_with_and_without_ties(rng):
         f = SpatialField(d, rng.uniform(0.0, 5.0, size=d.n))
         z = aggregate(p, f)
         assert z.values.sum() == pytest.approx(field_total(f), rel=1e-12)
-        # column-stochastic weights and a binary variant with disjoint patches
-        np.testing.assert_allclose(
-            np.asarray(p.matrix.sum(axis=0)).ravel(), 1.0, atol=1e-12
-        )
-        np.testing.assert_allclose(
-            np.asarray(p.matrix_binary.sum(axis=0)).ravel(), 1.0
-        )
+        # disjoint patches covering every cell, each total its patch's sum
+        assert p.patch_sizes.sum() == d.n
+        want = [f.values[p.station_of_cell == i].sum() for i in range(m)]
+        np.testing.assert_allclose(z.values, want, rtol=1e-12)
         np.testing.assert_array_equal(
             p.matrix_binary.toarray(),
             np.arange(m)[:, None] == p.station_of_cell[None, :],
@@ -175,13 +172,10 @@ def test_voronoi_matches_brute_force(n_rows, n_cols, m, seed, cell_size, offset)
     p = build_partition(d, StationSet(d, cells))
     # float distances from an origin within 50 cells of the grid round to
     # far below this slack, and distinct squared distances differ by cell_size**2
-    want = voronoi_oracle(d.centers, d.centers[cells], 1e-9 * cell_size**2)
-    np.testing.assert_allclose(p.matrix.toarray(), want, atol=1e-12)
-    # binary tie-break goes to the lowest station index
-    owner = p.station_of_cell
-    for j in range(d.n):
-        tied = np.flatnonzero(want[:, j] > 0)
-        assert owner[j] == tied.min()
+    owner, n_tied = voronoi_oracle(d.centers, d.centers[cells], 1e-9 * cell_size**2)
+    np.testing.assert_array_equal(p.station_of_cell, owner)
+    np.testing.assert_array_equal(p.patch_sizes, np.bincount(owner, minlength=m))
+    assert p.has_ties == bool((n_tied > 1).any())
 
 
 @pytest.mark.parametrize("block_pairs", [8, 24, 40])
@@ -194,9 +188,6 @@ def test_block_size_does_not_change_the_partition(monkeypatch, block_pairs):
     monkeypatch.setattr(partition, "_BLOCK_PAIRS", block_pairs)
     blocked = build_partition(d, stations)
     assert whole.has_ties and blocked.has_ties
-    for a, b in ((whole.matrix, blocked.matrix), (whole.matrix_binary, blocked.matrix_binary)):
-        for attr in ("data", "indices", "indptr"):
-            np.testing.assert_array_equal(getattr(a, attr), getattr(b, attr))
     np.testing.assert_array_equal(whole.patch_sizes, blocked.patch_sizes)
     np.testing.assert_array_equal(whole.station_of_cell, blocked.station_of_cell)
 
@@ -213,7 +204,7 @@ def test_partition_memory_is_linear_in_cells():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert p.matrix_binary.sum() == d.n
+    assert p.patch_sizes.sum() == d.n
     assert peak <= 32 * 2**20, f"build_partition peaked at {peak / 2**20:.0f} MiB"
 
 
@@ -231,10 +222,10 @@ def test_tie_slack_scales_with_cell_size():
     d = make_domain(3, 3, cell_size=1e-5)
     p = build_partition(d, StationSet(d, [0, 1]))
     assert not p.has_ties
-    np.testing.assert_array_equal(p.patch_sizes, [3.0, 6.0])
+    np.testing.assert_array_equal(p.patch_sizes, [3, 6])
     vols = aggregate(p, SpatialField(d, np.arange(1.0, 10.0)))
     res = css_recover(d, p, vols)
-    np.testing.assert_allclose(p.matrix_binary @ res.estimate.values, vols.values, rtol=1e-9)
+    np.testing.assert_allclose(aggregate(p, res.estimate).values, vols.values, rtol=1e-9)
 
 
 def test_negative_volume_rejected():

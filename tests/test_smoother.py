@@ -223,6 +223,8 @@ def test_wide_masked_grid_matches_dense(rng):
     dom = make_domain(3, 7, np.arange(21) != 10, cell_size=0.5, origin=(1.0, 2.0))
     fem = assemble(triangulate(dom))
     psi, jump, lengths = dense_parts(fem)
+    # the penalty is measured in grid units: edge lengths over the cell size
+    lengths = lengths / dom.cell_size
     n = dom.n
     w = np.column_stack([rng.normal(size=n), rng.uniform(size=n)])
     cov = CovariateMatrix(dom, w, names=("a", "b"))
@@ -234,14 +236,15 @@ def test_wide_masked_grid_matches_dense(rng):
         c_ref, d_ref = dense_ssr_oracle(psi[rows], jump, lengths, h, lam, weight)
         model = solver.solve(h)
         np.testing.assert_allclose(model.coeffs, c_ref, rtol=0, atol=1e-9)
-        np.testing.assert_allclose(model.laplacian, d_ref, rtol=0, atol=1e-9)
+        # the oracle's d is per grid unit of length, laplacian per physical unit
+        np.testing.assert_allclose(model.laplacian * dom.cell_size, d_ref, rtol=0, atol=1e-9)
         np.testing.assert_allclose(model.fitted, psi @ c_ref, rtol=0, atol=1e-9)
         c_ref, d_ref, b_ref = dense_ssr_cov_oracle(psi[rows], jump, lengths, w[rows], h,
                                                    lam, weight)
         model = solver.solve(h, cov)
         np.testing.assert_allclose(model.beta, b_ref, rtol=0, atol=1e-9)
         np.testing.assert_allclose(model.coeffs, c_ref, rtol=0, atol=1e-9)
-        np.testing.assert_allclose(model.laplacian, d_ref, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(model.laplacian * dom.cell_size, d_ref, rtol=0, atol=1e-9)
         np.testing.assert_allclose(model.fitted, psi @ c_ref + w @ b_ref, rtol=0, atol=1e-9)
 
 
