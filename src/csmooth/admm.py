@@ -14,8 +14,8 @@ each sweep performs
      et al. 2008 and Condat 2016).
      The patch layout around that sort (slot offsets and a narrow
      patch-id key that numpy sorts by radix) depends on the partition
-     alone and is cached with it; only the costs and volumes change from
-     sweep to sweep. A patch observing no volume gets water level -inf,
+     alone and is cached with it; only the costs change from sweep to
+     sweep. A patch observing no volume gets water level -inf,
      so g = 0 on it.
   2. smoothing (f): a penalized least-squares fit (see smoother) pulling
      the surface toward g + dual/rho with data weight rho/2, covariates
@@ -37,9 +37,13 @@ A sweep pays only for what changes from sweep to sweep:
     stacked matrix that maps its solution to everything read from it (see
     smoother), the stopping threshold, and the scale the constraint check
     divides by;
+  * fixed per (partition, volumes, rho), derived by the first projection
+    and kept while the next one is handed the same partition and volume
+    values: the densities, their check for a negative volume, rho times
+    them, gathered by sorted slot, and the patches observing no volume;
   * per sweep: the sort of the new costs, one band solve, the dual step,
     and the checks on what the sweep produced or was handed (the patch
-    volumes, the projection's constraints, the solve's targets, residual
+    count, the projection's constraints, the solve's targets, residual
     and finiteness). Each 2-norm is sqrt(x @ x), the value np.linalg.norm
     computes for a real vector, and the objective reuses the primal gap's
     squared norm.
@@ -127,8 +131,28 @@ def _waterfill(
     costs: np.ndarray, layout: PatchLayout, totals: np.ndarray, rho: float
 ) -> np.ndarray:
     """waterfill on every patch of the layout at once."""
+    return _fill(costs, layout, _total_terms(layout, totals, rho))
+
+
+@dataclass(frozen=True, eq=False)
+class _TotalTerms:
+    """What water-filling derives from the patch totals and rho, not from the costs."""
+
+    rho: float
+    rho_totals: np.ndarray      # rho * total of each patch
+    slot_totals: np.ndarray     # rho_totals of each sorted slot's patch
+    empty: np.ndarray           # the patches observing no volume
+
+
+def _total_terms(layout: PatchLayout, totals: np.ndarray, rho: float) -> _TotalTerms:
     if (totals < 0).any():
         raise InfeasibleVolume(f"patch volume {totals.min()} is negative")
+    rho_totals = rho * totals
+    return _TotalTerms(rho, rho_totals, rho_totals[layout.patch], np.flatnonzero(totals == 0))
+
+
+def _fill(costs: np.ndarray, layout: PatchLayout, terms: _TotalTerms) -> np.ndarray:
+    """The water-filling kernel: every patch's g from its costs and its totals' terms."""
     ps, count = layout.patch, layout.count
     # by cost, then stably by patch: the order of a lexsort by (patch, cost)
     # up to swaps of equal costs within a patch, which change no sum below
@@ -140,8 +164,7 @@ def _waterfill(
     run = np.zeros(cs.size + 1)
     np.add.accumulate(cs, out=run[1:])
     prefix = run[1:] - run[layout.slot_start]
-    rho_totals = rho * totals
-    nu = (rho_totals[ps] + prefix) / count
+    nu = (terms.slot_totals + prefix) / count
     # largest prefix whose level clears its own largest cost; ties put the
     # boundary element at exactly zero, so >= picks the same solution while
     # keeping the first prefix valid even when rho * total underflows
@@ -150,14 +173,21 @@ def _waterfill(
     # sorted costs one by one, as a per-patch cumsum does, free of the
     # rounding the running sum picked up from earlier patches
     inside = count <= support[ps]
-    sums = np.bincount(ps[inside], weights=cs[inside], minlength=totals.size)
-    level = (rho_totals + sums) / support
+    sums = np.bincount(ps[inside], weights=cs[inside], minlength=support.size)
+    level = (terms.rho_totals + sums) / support
     # a patch observing no volume gets g = max(0, -inf) = 0 on every cell
-    level[totals == 0] = -np.inf
+    level[terms.empty] = -np.inf
     g = level[layout.cell_patch]
     g -= costs
-    g /= rho
+    g /= terms.rho
     return np.maximum(0.0, g, out=g)
+
+
+# (partition, volume values, rho, their _TotalTerms) of the latest
+# projection: a css run projects with the same three every sweep. Keyed on
+# the objects themselves, so new volume values, even swapped into the same
+# observation object, are checked and derived anew.
+_last_terms: tuple = (None, None, None, None)
 
 
 def volume_projection(
@@ -168,14 +198,15 @@ def volume_projection(
     volumes: AggregateObservations,
 ) -> np.ndarray:
     """Exact g-step: per-patch water-filling against costs dual - rho * field."""
+    global _last_terms
     if volumes.m != partition.m:
         raise InfeasibleVolume(f"{volumes.m} volumes for {partition.m} patches")
-    return _waterfill(
-        dual - rho * field,
-        partition.layout,
-        volumes.values / partition.domain.cell_area,
-        rho,
-    )
+    values = volumes.values
+    last_partition, last_values, last_rho, terms = _last_terms
+    if not (last_partition is partition and last_values is values and last_rho == rho):
+        terms = _total_terms(partition.layout, values / partition.domain.cell_area, rho)
+        _last_terms = (partition, values, rho, terms)
+    return _fill(dual - rho * field, partition.layout, terms)
 
 
 def dual_update(dual: np.ndarray, f: np.ndarray, g: np.ndarray, rho: float) -> np.ndarray:

@@ -404,7 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float, default=AdmmConfig.rho)
     p.add_argument("--max-iter", type=int, default=AdmmConfig.max_iter)
     p.add_argument("--tol", type=float, default=AdmmConfig.tol)
-    add_common(p)
+    add_common(p, seeded=False)
+    p.add_argument("--seed", type=int, help="station sampling seed for --truth mode (default 0)")
 
     p = sub.add_parser("evaluate", help="score estimates against a truth field")
     p.add_argument("--truth")
@@ -452,6 +453,11 @@ def _dispatch(args) -> int:
         inputs = {"field": args.field, "stations": args.stations_csv}
         params = {}
     elif args.command == "recover":
+        # only --truth mode draws stations; file mode records no seed, and a
+        # manifest that holds one from before still replays
+        if args.seed is not None and args.truth is None:
+            raise ConfigError("--seed is for --truth mode, which samples stations; drop it "
+                              "or use --truth")
         inputs = {
             "truth": args.truth,
             "domain": args.domain,
@@ -463,8 +469,10 @@ def _dispatch(args) -> int:
             "methods": args.method or ["css"],
             "lambda": args.lam, "rho": args.rho,
             "max_iter": args.max_iter, "tol": args.tol,
-            "stations": args.stations, "seed": args.seed,
+            "stations": args.stations,
         }
+        if args.truth is not None:
+            params["seed"] = 0 if args.seed is None else args.seed
     elif args.command == "evaluate":
         if args.truth is None or not args.estimate:
             raise ConfigError("evaluate needs --truth and at least one --estimate")

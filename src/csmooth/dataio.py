@@ -138,6 +138,14 @@ def _int_array(values: list[int]) -> np.ndarray:
         return np.array([min(max(v, -2**63), 2**63 - 1) for v in values], dtype=np.int64)
 
 
+def _exact_ints(values: list[int]) -> np.ndarray:
+    """``values`` as int64, or as the Python ints themselves where one lies beyond int64."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
 class _Rows:
     """A block of a CSV's data rows, parsed and checked a column at a time.
 
@@ -207,6 +215,33 @@ def _end_lines(records: list[list[str]], start: int) -> list[int]:
     return list(accumulate(spans, initial=start))[1:]
 
 
+def _lines(handle) -> Iterator[str]:
+    """The lines of an open text file, up to a byte that does not decode.
+
+    The decoder fails on a whole chunk of the file, so the whole lines of
+    that chunk before the byte are decoded from the file's bytes and given
+    before the decoder's error: a row before the byte is read, and its
+    errors met, first.
+    """
+    given = 0
+    try:
+        for line in handle:
+            given += 1
+            yield line
+    except UnicodeDecodeError:
+        raw = Path(handle.name).read_bytes()
+        try:
+            raw.decode(handle.encoding)
+        except UnicodeDecodeError as whole:
+            head = io.StringIO(raw[:whole.start].decode(handle.encoding), newline="")
+            lines = head.readlines()[given:]
+            # all but the line the byte continues; a byte that starts a line ends the last
+            if lines and not lines[-1].endswith(("\n", "\r")):
+                lines.pop()
+            yield from lines
+        raise
+
+
 def _unreadable(path, handle, reader, exc: csv.Error | UnicodeDecodeError) -> str:
     """The error, naming its line, of a file csv.reader cannot split or ``handle`` cannot decode.
 
@@ -247,7 +282,7 @@ def _read_rows(
     unless ``what`` is None.
     """
     with _open_rows(path) as handle:
-        reader = csv.reader(handle)
+        reader = csv.reader(_lines(handle))
         try:
             got = next(reader, None)
         except (csv.Error, UnicodeDecodeError) as exc:
@@ -386,7 +421,8 @@ def _field_cells(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for rows in _read_rows(path, _FIELD_ROW.names, "cells"):
         r, c = rows.parse(0, int), rows.parse(1, int)
         n = rows.stop
-        rr, cc = _int_array(r[:n]), _int_array(c[:n])
+        # exact, so that the grid bound names an index past int64 as the file gives it
+        rr, cc = _exact_ints(r[:n]), _exact_ints(c[:n])
         rows.first((rr < 0) | (cc < 0), lambda k: f"negative cell index ({r[k]}, {c[k]})")
         values = rows.parse_finite(2)
         rows.check()

@@ -112,7 +112,9 @@ class FemSystem:
     """Assembled matrices for one triangulation.
 
     ``mass`` and ``stiffness`` are assembled on first read and kept; the
-    smoother reads neither.
+    smoother reads neither. ``roughness_matrix`` and ``system_pattern``,
+    which every smoothing solver on the mesh reads, are built on first read
+    and kept too.
     """
 
     tri: Triangulation
@@ -143,14 +145,93 @@ class FemSystem:
 
     @cached_property
     def roughness_matrix(self) -> sp.csr_matrix:
-        """The smoother's penalty J' diag(cell_size/edge_length) J in grid units (read-only)."""
+        """The smoother's penalty J' diag(cell_size/edge_length) J in grid units (read-only).
+
+        Its stored entries are the smoother's system pattern: those of the
+        product, whose sums that cancel to exactly 0 scipy drops, together
+        with every cell's four Psi'Psi positions (its ll and ur corners
+        paired), stored as 0 where the product dropped them. Sorted by row,
+        then column.
+        """
         import scipy.sparse as sp
 
         w = sp.diags(self.tri.domain.cell_size / self.edge_length)
         r = (self.edge_jump.T @ w @ self.edge_jump).tocsr()
+        r.sort_indices()
+        n_v = self.n_vertices
+        keys = _entry_keys(r)
+        # the cells' Psi'Psi positions the product lacks, inserted as 0
+        cell = self._cell_keys.ravel()
+        missing = np.unique(cell[keys.take(np.searchsorted(keys, cell), mode="clip") != cell])
+        at = np.searchsorted(keys, missing)
+        keys = np.insert(keys, at, missing)
+        indptr = np.zeros(n_v + 1, dtype=r.indptr.dtype)
+        np.cumsum(np.bincount(keys // n_v, minlength=n_v), out=indptr[1:])
+        r = sp.csr_matrix((np.insert(r.data, at, 0.0), (keys % n_v).astype(r.indices.dtype),
+                           indptr), shape=r.shape)
         for a in (r.data, r.indices, r.indptr):
             _frozen(a)
         return r
+
+    @cached_property
+    def system_pattern(self) -> SystemPattern:
+        """Where a smoothing system's entries sit in ``roughness_matrix``'s pattern (read-only)."""
+        r = self.roughness_matrix
+        keys = _entry_keys(r)
+        cell_entries = np.searchsorted(keys, self._cell_keys)
+        cols = r.indices.astype(np.int64)
+        offset = cols - keys // self.n_vertices
+        # the band is as wide as the widest entry a system can hold nonzero:
+        # one of the penalty's nonzeros or of the cells' Psi'Psi terms
+        live = r.data != 0
+        live[cell_entries] = True
+        u = int(offset[live].max())
+        upper = np.flatnonzero((offset >= 0) & (offset <= u))
+        band_index = (u - offset[upper]) + cols[upper] * (u + 1)
+        return SystemPattern(
+            cell_entries=_frozen(_narrow(cell_entries, r.nnz)),
+            upper=_frozen(_narrow(upper, r.nnz)),
+            band_index=_frozen(_narrow(band_index, (u + 1) * self.n_vertices)),
+            bandwidth=u,
+        )
+
+    @property
+    def _cell_keys(self) -> np.ndarray:
+        """(n, 4) keys row * n_v + col of each cell's (ll, ll), (ll, ur), (ur, ll), (ur, ur)."""
+        ll, ur = self.basis_eval.indices.reshape(-1, 2).T.astype(np.int64)
+        n_v = self.n_vertices
+        return np.column_stack([ll * n_v + ll, ll * n_v + ur, ur * n_v + ll, ur * n_v + ur])
+
+
+@dataclass(frozen=True, eq=False)
+class SystemPattern:
+    """The smoother's system layout on one mesh, fixed whatever lam, weight or data.
+
+    A system weight * Psi_d'Psi_d + lam * R holds one value per stored entry
+    of R = ``FemSystem.roughness_matrix``. ``cell_entries[i]`` are the
+    positions there of active cell i's four Psi'Psi terms, (ll, ll),
+    (ll, ur), (ur, ll) and (ur, ur). The entries at positions ``upper`` fill
+    the upper band of half-width ``bandwidth`` in LAPACK's layout, entry
+    (i, j) at row bandwidth + i - j of column j: flattened in Fortran order,
+    at ``band_index``.
+    """
+
+    cell_entries: np.ndarray
+    upper: np.ndarray
+    band_index: np.ndarray
+    bandwidth: int
+
+
+def _entry_keys(m: sp.csr_matrix) -> np.ndarray:
+    """row * n_cols + col of each stored entry of a CSR matrix, in storage order."""
+    n_rows, n_cols = m.shape
+    rows = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(m.indptr))
+    return rows * n_cols + m.indices
+
+
+def _narrow(index: np.ndarray, bound: int) -> np.ndarray:
+    """``index`` in the narrowest unsigned dtype holding values below ``bound``."""
+    return index.astype(np.min_scalar_type(max(bound - 1, 0)))
 
 
 _MASS_TEMPLATE = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0

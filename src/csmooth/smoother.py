@@ -35,6 +35,15 @@ the finiteness of its result checked on every call. The pivots of
 the factorization are the squares of the factor's diagonal; a pivot that is
 not positive stops the factorization and counts as ratio 0.
 
+A solver is built from values alone. Every system lives on the stored
+pattern of ``FemSystem.roughness_matrix``, which holds each cell's four
+Psi'Psi positions. The mesh keeps, built once and read-only, where those
+positions lie in it and where each entry of the upper band lands in
+LAPACK's layout (``fem.SystemPattern``). A build counts the data cells'
+Psi'Psi terms with one bincount (all cells and a subset alike), adds
+lam R in one scaled add, and fills the band and the stacked matrix below by
+index before the factorization; no sparse product, sum or conversion runs.
+
 Write S for the linear map from data-cell targets to fitted surface values
 at the data cells. The coefficients are the partial-spline estimate (Green
 & Silverman 1994, section 4.3): beta solves the q x q system
@@ -126,9 +135,10 @@ class SsrSolver:
         self.fem = fem
         self.lam = float(lam)
         self.weight = float(weight)
+        pattern = fem.system_pattern
         if subset is None:
             self.subset = None
-            self.psi_data = fem.basis_eval
+            entries = pattern.cell_entries
         else:
             idx = np.asarray(subset, dtype=np.int64).ravel()
             if idx.size == 0 or np.unique(idx).size != idx.size:
@@ -136,28 +146,45 @@ class SsrSolver:
             if idx.min() < 0 or idx.max() >= fem.tri.domain.n:
                 raise ShapeMismatch("data subset index out of range")
             self.subset = idx
-            self.psi_data = fem.basis_eval[idx]
-        self._psi_data_t = self.psi_data.T.tocsr()
-        system = (
-            self.weight * (self._psi_data_t @ self.psi_data)
-            + self.lam * fem.roughness_matrix
+            entries = pattern.cell_entries[idx]
+        self._n_data = entries.shape[0]
+        psi, jump, r = fem.basis_eval, fem.edge_jump, fem.roughness_matrix
+        n_v = fem.n_vertices
+        # Psi_d': data cell k holds 1/2 at its two corners, so row v lists
+        # the data cells with a corner at v, in ascending order
+        corners = psi.indices.reshape(-1, 2)
+        corners = (corners if subset is None else corners[idx]).ravel()
+        self._psi_data_t = sp.csr_matrix(
+            (np.full(corners.size, 0.5), np.argsort(corners, kind="stable") // 2,
+             np.concatenate([[0], np.cumsum(np.bincount(corners, minlength=n_v))])),
+            shape=(n_v, self._n_data),
         )
+        # weight * Psi_d'Psi_d + lam * R on R's pattern: each data cell adds
+        # 1/4 to each of its four Psi'Psi entries
+        system = np.bincount(entries.ravel(), minlength=r.nnz) * 0.25
+        system *= self.weight
+        system += self.lam * r.data
         # Psi, J and the system stacked: one product with the coefficients
         # gives the fitted surface, the edge jumps and the system's image,
         # row for row as the three products would
-        self._products = sp.vstack([fem.basis_eval, fem.edge_jump, system], format="csr")
+        self._products = sp.csr_matrix(
+            (np.concatenate([psi.data, jump.data, system]),
+             np.concatenate([psi.indices, jump.indices, r.indices]),
+             np.concatenate([psi.indptr, jump.indptr[1:] + psi.nnz,
+                             r.indptr[1:] + (psi.nnz + jump.nnz)])),
+            shape=(psi.shape[0] + jump.shape[0] + n_v, n_v),
+        )
         n, n_e = fem.tri.domain.n, fem.n_edges
         self._fit_rows = slice(0, n)
         self._jump_rows = slice(n, n + n_e)
         self._system_rows = slice(n + n_e, None)
         self._covariate_cache: tuple[CovariateMatrix, tuple] | None = None
-        # the upper band in LAPACK's layout: entry (i, j), i <= j, at row
-        # u + i - j of column j, u the half-bandwidth; Fortran order, so the
-        # factor overwrites it in place
-        upper = sp.triu(system, format="coo")
-        u = int((upper.col - upper.row).max())
-        band = np.zeros((u + 1, system.shape[0]), order="F")
-        band[u + upper.row - upper.col, upper.col] = upper.data
+        # the upper band in LAPACK's layout, filled by index (see
+        # fem.SystemPattern); Fortran order, so the factor overwrites it in place
+        u = pattern.bandwidth
+        band = np.zeros((u + 1) * n_v)
+        band[pattern.band_index] = system[pattern.upper]
+        band = band.reshape((u + 1, n_v), order="F")
         try:
             self._chol = scipy.linalg.cholesky_banded(band, overwrite_ab=True,
                                                       check_finite=False)
@@ -218,7 +245,7 @@ class SsrSolver:
 
     def solve(self, h: np.ndarray, covariates: CovariateMatrix | None = None) -> SsrModel:
         h = np.asarray(h, dtype=float).ravel()
-        n_data = self.psi_data.shape[0]
+        n_data = self._n_data
         if h.size != n_data:
             raise ShapeMismatch(f"{h.size} targets for {n_data} data cells")
         if not np.isfinite(h).all():

@@ -392,6 +392,13 @@ def test_cached_layout_keeps_volume_checks():
     object.__setattr__(negative, "values", np.array([-1.0, 2.0, 3.0]))
     with pytest.raises(InfeasibleVolume, match="patch volume -1.0 is negative"):
         volume_projection(part, np.zeros(dom.n), np.zeros(dom.n), 1.0, negative)
+    # values swapped after a projection with the same partition and rho are
+    # checked anew, not served from what that projection derived
+    swapped = AggregateObservations(np.array([1.0, 2.0, 3.0]))
+    volume_projection(part, np.zeros(dom.n), np.zeros(dom.n), 1.0, swapped)
+    object.__setattr__(swapped, "values", np.array([1.0, -2.0, 3.0]))
+    with pytest.raises(InfeasibleVolume, match="patch volume -2.0 is negative"):
+        volume_projection(part, np.zeros(dom.n), np.zeros(dom.n), 1.0, swapped)
     # a replaced partition builds its own layout instead of inheriting the
     # cached one, so an emptied patch is still caught
     emptied = dataclasses.replace(part, station_of_cell=np.zeros(dom.n, dtype=np.int64))

@@ -123,6 +123,31 @@ def test_recover_manifest_replay(workflow_dir):
     assert (replay / "estimate_css.csv").read_bytes() == (rec / "estimate_css.csv").read_bytes()
 
 
+def test_file_mode_manifest_records_no_seed(workflow_dir):
+    rec = workflow_dir / "rec"
+    assert run([
+        "recover",
+        "--domain", workflow_dir / "synth" / "truth.csv",
+        "--stations-csv", workflow_dir / "stations" / "stations.csv",
+        "--aggregates", workflow_dir / "agg" / "aggregates.csv",
+        "--method", "pe", "--out", rec,
+    ]) == 0
+    manifest = json.loads((rec / "manifest.json").read_text())
+    assert "seed" not in manifest["params"]
+    # a manifest written when file mode still recorded the unused seed replays
+    manifest["params"]["seed"] = 7
+    old = workflow_dir / "old.json"
+    old.write_text(json.dumps(manifest))
+    assert run(["recover", "--from-manifest", old, "--out", workflow_dir / "replay"]) == 0
+    assert ((workflow_dir / "replay" / "estimate_pe.csv").read_bytes()
+            == (rec / "estimate_pe.csv").read_bytes())
+    # --truth mode records the seed it sampled with, 0 unless given
+    truth_mode = workflow_dir / "truth_mode"
+    assert run(["recover", "--truth", workflow_dir / "synth" / "truth.csv", "--stations", 3,
+                "--method", "pe", "--out", truth_mode]) == 0
+    assert json.loads((truth_mode / "manifest.json").read_text())["params"]["seed"] == 0
+
+
 def test_manifest_command_mismatch(workflow_dir, capsys):
     code = run(["recover", "--from-manifest",
                 workflow_dir / "synth" / "manifest.json", "--out", workflow_dir / "x"])
@@ -204,6 +229,7 @@ def test_rejected_command_leaves_no_output_directory(workflow_dir, capsys):
         # a flag the mode would ignore
         "truth and domain": ["recover", "--truth", truth, "--stations", 3, "--domain", missing],
         "count and stations csv": ["recover", *from_files, "--stations", 3, "--method", "pe"],
+        "seed in file mode": ["recover", *from_files, "--seed", 7, "--method", "pe"],
         "huge field": ["stations", "--field", huge, "--stations", 1],
         # the field is read before the missing cdf
         "plot": ["plot", "--field", truth, "--cdf", missing],

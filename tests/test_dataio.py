@@ -104,6 +104,19 @@ def test_field_grid_is_bounded_before_allocating(tmp_path, cell):
     assert peak < 2**20
 
 
+@pytest.mark.parametrize("block", [None, 1])
+def test_field_grid_bound_names_the_cell_as_the_file_gives_it(tmp_path, monkeypatch, block):
+    # an index past int64 is named by its own digits, not by a clipped value
+    if block is not None:
+        monkeypatch.setattr(dataio, "_BLOCK_ROWS", block)
+    path = tmp_path / "huge.csv"
+    path.write_text("row,col,value\n0,0,1\n99999999999999999999,0,1\n"
+                    "100000000000000000000,1,1\n")
+    with pytest.raises(SchemaError, match=r"huge.csv: cell \(100000000000000000000, 1\) makes "
+                                          r"the grid 100000000000000000001 x 2 cells"):
+        read_field_csv(path)
+
+
 def test_field_grid_may_reach_the_cap(tmp_path, monkeypatch):
     monkeypatch.setattr(dataio, "_MAX_GRID_CELLS", 12)
     path = tmp_path / "f.csv"
@@ -773,6 +786,12 @@ UNREADABLE = [
     (b"row,col,value\r\n0,0,1\r\r\n0,1,\xe9\r\n", "4: not utf-8 text (invalid continuation byte)"),
     (b"row,col,va\xfflue\n0,0,1\n", "1: not utf-8 text (invalid start byte)"),
     (b"row,col," + b"v" * (LIMIT + 1) + b"\n0,0,1\n", "1: field larger than field limit (131072)"),
+    # a bad value before the undecodable byte wins, in the decoder's first
+    # chunk and past it
+    (b"row,col,value\n0,0,x\n0,1,\xff\n", "2: column 'value' has non-numeric value 'x'"),
+    (b"row,col,value\n" + FILLER.encode() + b"0,0,x\r\n\r\n1,0,\xff\n",
+     "3002: column 'value' has non-numeric value 'x'"),
+    (b"row,col,value\n0,0,1\n\xff", "3: not utf-8 text (invalid start byte)"),
 ]
 
 

@@ -2,10 +2,11 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from csmooth.domain import CovariateMatrix, make_domain
 from csmooth.errors import CollinearCovariates, NumericalFailure, ShapeMismatch
-from csmooth.fem import assemble, triangulate
+from csmooth.fem import FemSystem, assemble, triangulate
 from csmooth.smoother import SsrSolver, ssr_eval, ssr_fit
 
 from oracles import dense_ssr_cov_oracle, dense_ssr_oracle
@@ -246,6 +247,87 @@ def test_wide_masked_grid_matches_dense(rng):
         np.testing.assert_allclose(model.coeffs, c_ref, rtol=0, atol=1e-9)
         np.testing.assert_allclose(model.laplacian * dom.cell_size, d_ref, rtol=0, atol=1e-9)
         np.testing.assert_allclose(model.fitted, psi @ c_ref + w @ b_ref, rtol=0, atol=1e-9)
+
+
+def _hole_and_corridor():
+    # two blocks joined by a corridor one cell wide; the left block has a hole
+    mask = np.zeros((7, 9), dtype=bool)
+    mask[:, :4] = True
+    mask[3, 1] = False
+    mask[3, 4:6] = True
+    mask[1:6, 6:] = True
+    return make_domain(7, 9, mask.ravel(), cell_size=0.5)
+
+
+@pytest.mark.parametrize("lam, weight", [(1.0, 1.0), (0.3, 2.5)])
+@pytest.mark.parametrize("with_subset", [False, True])
+def test_system_filled_by_index_matches_scipy_assembly(monkeypatch, lam, weight, with_subset):
+    dom = _hole_and_corridor()
+    fem = assemble(triangulate(dom))
+    subset = np.array([40, 3, 17, 29, 8, 43, 21, 35]) if with_subset else None
+    rows = np.arange(dom.n) if subset is None else subset
+    # weight Psi_d'Psi_d + lam R, both terms assembled by scipy from J and Psi
+    psi_d = fem.basis_eval[rows]
+    r = fem.edge_jump.T @ sp.diags(dom.cell_size / fem.edge_length) @ fem.edge_jump
+    want = (weight * (psi_d.T @ psi_d) + lam * r).toarray()
+    bands = []
+    cholesky_banded = scipy.linalg.cholesky_banded
+
+    def spy(ab, *args, **kwargs):
+        bands.append(ab.copy())
+        return cholesky_banded(ab, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cholesky_banded", spy)
+    solver = SsrSolver(fem, lam, weight=weight, subset=subset)
+    np.testing.assert_array_equal(solver._products[solver._system_rows].toarray(), want)
+    (band,) = bands
+    u = band.shape[0] - 1
+    i, j = np.nonzero(want)
+    assert (np.abs(i - j) <= u).all()
+    expected = np.zeros_like(band)
+    upper = i <= j
+    expected[u + i[upper] - j[upper], j[upper]] = want[i[upper], j[upper]]
+    np.testing.assert_array_equal(band, expected)
+    # the fitted surface and edge jump rows are Psi and J themselves
+    np.testing.assert_array_equal(solver._products[solver._fit_rows].toarray(),
+                                  fem.basis_eval.toarray())
+    np.testing.assert_array_equal(solver._products[solver._jump_rows].toarray(),
+                                  fem.edge_jump.toarray())
+
+
+def test_system_pattern_is_built_once_and_left_alone():
+    fem = assemble(triangulate(_hole_and_corridor()))
+    pattern = fem.system_pattern
+    assert fem.system_pattern is pattern
+    arrays = (pattern.cell_entries, pattern.upper, pattern.band_index)
+    assert not any(a.flags.writeable for a in arrays)
+    before = [a.copy() for a in arrays]
+    for subset in (None, np.arange(0, fem.tri.domain.n, 3)):
+        SsrSolver(fem, 2.0, weight=0.5, subset=subset).solve(np.ones(
+            fem.tri.domain.n if subset is None else subset.size))
+    assert fem.system_pattern is pattern
+    for a, b in zip(arrays, before):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_system_pattern_holds_the_psi_terms_the_penalty_cancels():
+    # a penalty whose two rows cancel at the cell's (ll, ur) pair: the
+    # product drops that entry, the pattern keeps it as an explicit 0
+    tri = triangulate(make_domain(1, 1))
+    psi = assemble(tri).basis_eval
+    ll, ur = psi.indices
+    jump = sp.csr_matrix(np.array([[1.0 if v in (ll, ur) else 0.0 for v in range(4)],
+                                   [1.0 if v == ll else -1.0 if v == ur else 0.0
+                                    for v in range(4)]]))
+    fem = FemSystem(tri=tri, basis_eval=psi, edge_jump=jump, edge_length=np.ones(2))
+    assert (jump.T @ jump).nnz == 2
+    r = fem.roughness_matrix
+    np.testing.assert_array_equal(r.toarray(), (jump.T @ jump).toarray())
+    stored = np.repeat(np.arange(4), np.diff(r.indptr)), r.indices
+    pairs = [(ll, ll), (ll, ur), (ur, ll), (ur, ur)]
+    assert [(int(stored[0][k]), int(stored[1][k])) for k in fem.system_pattern.cell_entries[0]] \
+        == pairs
+    assert r.data[fem.system_pattern.cell_entries[0]].tolist() == [2.0, 0.0, 0.0, 2.0]
 
 
 def test_affine_covariate_gets_zero_coefficient(fem6, rng):
