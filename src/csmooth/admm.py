@@ -250,6 +250,8 @@ def css_recover(
         raise InfeasibleVolume(f"{volumes.m} volumes for {partition.m} stations")
     if fem is None:
         fem = assemble(triangulate(domain))
+    else:
+        _check_same_domain(domain, fem.tri.domain, "mesh")
 
     g = patched_estimate(partition, volumes).values
     f = g.copy()

@@ -2,12 +2,15 @@
 
 Each active unit cell is split into two right triangles along the same
 diagonal (lower-left to upper-right); vertices are the cell corners shared
-between neighbors. Vertices are numbered line by line along the grid's
-longer side: row by row, or column by column when there are more columns
-than rows. Two triangles that share an edge then have all their vertices
-within two lines of corners, which keeps the smoother's system in a band of
-half-width at most 2 (short side + 1) + 1. On this mesh we assemble, for
-linear barycentric elements:
+between neighbors. Vertices are numbered diagonal by diagonal, in
+ascending r - c of the corner (r, c), and by row within a diagonal. A
+cell's split diagonal then lies on one diagonal and its other two corners
+on the two neighboring ones, so two triangles that share an edge have all
+their vertices within two diagonals of corners. That keeps the smoother's
+system in a band of half-width at most 2 (short side + 1) + 1; on a round
+mask, whose diagonals hold about 1/sqrt(2) as many corners as its rows, the
+band is about 1/sqrt(2) as wide as numbering row by row would make it. On
+this mesh we assemble, for linear barycentric elements:
 
   * the mass matrix M, M_ab = integral(psi_a psi_b),
   * the stiffness matrix K, K_ab = integral(grad psi_a . grad psi_b),
@@ -81,12 +84,12 @@ def triangulate(domain: GridDomain) -> Triangulation:
         for dc in (0, 1):
             corner_used[rows + dr, cols + dc] = True
 
-    # number the corners line by line along the longer side, so that the
-    # vertices of two neighboring triangles lie at most two lines apart
-    if nc > nr:
-        corner_col, corner_row = np.nonzero(corner_used.T)
-    else:
-        corner_row, corner_col = np.nonzero(corner_used)
+    # number the corners diagonal by diagonal (r - c ascending, then by row):
+    # only a cell's ul-lr coupling spans two diagonals, which bounds the
+    # smoother's band (see the module docstring)
+    corner_row, corner_col = np.nonzero(corner_used)
+    order = np.lexsort((corner_row, corner_row - corner_col))
+    corner_row, corner_col = corner_row[order], corner_col[order]
     vertex_id = np.full((nr + 1, nc + 1), -1, dtype=np.int64)
     vertex_id[corner_row, corner_col] = np.arange(corner_row.size)
     ox, oy = domain.origin

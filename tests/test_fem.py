@@ -137,15 +137,49 @@ def _disc(size):
     return make_domain(size, size, (c[:, None] ** 2 + c[None, :] ** 2 <= (size / 2) ** 2).ravel())
 
 
-@pytest.mark.parametrize("domain", [make_domain(4, 60), make_domain(60, 4), _disc(100)],
-                         ids=["4x60", "60x4", "disc100"])
-def test_smoothing_system_is_banded(domain):
-    # vertices are numbered line by line along the longer side, so the
-    # smoother's system couples vertices at most two short lines apart
+def _strip(size, width, anti=False):
+    r, c = np.divmod(np.arange(size * size), size)
+    return make_domain(size, size, np.abs((size - 1 - c if anti else c) - r) <= width)
+
+
+@pytest.mark.parametrize(
+    "domain, bound",
+    [(make_domain(4, 60), None), (make_domain(60, 4), None), (_disc(100), 143),
+     (make_domain(100, 100), 201), (_strip(40, 2), None), (_strip(40, 2, anti=True), None)],
+    ids=["4x60", "60x4", "disc100", "square100", "diagonal-strip", "anti-diagonal-strip"],
+)
+def test_smoothing_system_is_banded(domain, bound):
+    # vertices are numbered diagonal by diagonal (r - c), so the smoother's
+    # system couples vertices at most two diagonals apart; two diagonals of
+    # a full grid together hold at most 2 (short side + 1) corners, and a
+    # diagonal of the disc about 1/sqrt(2) as many as a row
     fem = assemble(triangulate(domain))
     system = (fem.basis_eval.T @ fem.basis_eval + fem.roughness_matrix).tocoo()
+    width = np.abs(system.row - system.col).max()
     short = min(domain.n_rows, domain.n_cols)
-    assert np.abs(system.row - system.col).max() <= 2 * (short + 1) + 1
+    assert width <= 2 * (short + 1) + 1
+    assert bound is None or width <= bound
+    assert fem.system_pattern.bandwidth == width
+
+
+@given(st.integers(1, 30), st.integers(1, 30), st.data())
+def test_band_bound_holds_on_any_mask(n_rows, n_cols, data):
+    kind = data.draw(st.sampled_from(["random", "diagonal", "anti-diagonal"]))
+    r, c = np.divmod(np.arange(n_rows * n_cols), n_cols)
+    if kind == "random":
+        density = data.draw(st.floats(0.3, 1.0))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        active = np.random.default_rng(seed).random(n_rows * n_cols) < density
+    else:
+        width = data.draw(st.integers(0, 3))
+        shift = data.draw(st.integers(-5, 5))
+        far = n_cols - 1 - c if kind == "anti-diagonal" else c
+        active = np.abs(far - r - shift) <= width
+    if not active.any():
+        active[0] = True
+    domain = make_domain(n_rows, n_cols, active)
+    fem = assemble(triangulate(domain))
+    assert fem.system_pattern.bandwidth <= 2 * (min(n_rows, n_cols) + 1) + 1
 
 
 def test_roughness_vanishes_only_on_affines(rng):
@@ -192,9 +226,22 @@ RING_JUMP = np.array([
 
 def test_edge_matrix_frozen_values():
     fem = assemble(triangulate(make_domain(3, 3, [1, 1, 1, 1, 0, 1, 1, 1, 1])))
-    assert np.array_equal(fem.edge_jump.toarray(), RING_JUMP)
+    # RING_JUMP numbers corners row by row, row * 4 + col: map J's columns
+    # to those ids, its rows to ascending (lower, upper) row-major order,
+    # and each row's sign to its edge oriented from the lower row-major id
+    # (the edge normal turns with the edge)
+    x, y = fem.tri.vertices.T
+    row_major = (y * 4 + x).astype(np.int64)
+    t = fem.tri.triangles
+    pairs = np.sort(t[:, [[0, 1], [1, 2], [2, 0]]], axis=2).reshape(-1, 2)
+    ends, counts = np.unique(pairs, axis=0, return_counts=True)
+    a, b = row_major[ends[counts == 2]].T
+    order = np.lexsort((np.maximum(a, b), np.minimum(a, b)))
+    jump = np.zeros_like(RING_JUMP)
+    jump[:, row_major] = fem.edge_jump.toarray() * np.where(a < b, 1.0, -1.0)[:, None]
+    assert np.array_equal(jump[order], RING_JUMP)
     r2 = np.sqrt(2.0)
-    assert np.array_equal(fem.edge_length, [r2, 1.0] * 7 + [1.0, r2])
+    assert np.array_equal(fem.edge_length[order], [r2, 1.0] * 7 + [1.0, r2])
 
 
 def test_degenerate_triangle_rejected():

@@ -105,6 +105,25 @@ def test_css_features_requires_covariates(problem):
         run_method_full(MethodSpec(CSS_FEATURES), dom, part, vols, fem=fem)
 
 
+@pytest.mark.parametrize("method", [PE_SSR1, PE_SSR2, CSS, CSS_FEATURES])
+def test_smoothing_methods_reject_a_mesh_of_another_grid(method, monkeypatch):
+    # a 5 x 4 mesh has the cell and vertex counts of a 4 x 5 one, so only
+    # the grid itself tells them apart; css rejects it before it factors
+    def no_factorization(*args, **kwargs):
+        raise AssertionError("css factored a system on a foreign mesh")
+
+    monkeypatch.setattr("csmooth.admm.SsrSolver", no_factorization)
+    dom = make_domain(4, 5)
+    truth = SpatialField(dom, np.random.default_rng(5).uniform(0.5, 3.0, dom.n))
+    part = build_partition(dom, StationSet(dom, np.array([0, 7, 13, 19])))
+    vols = aggregate(part, truth)
+    cov = CovariateMatrix(dom, np.arange(dom.n, dtype=float)[:, None], names=("x",))
+    other = assemble(triangulate(make_domain(5, 4)))
+    assert (other.tri.domain.n, other.n_vertices) == (dom.n, 30)
+    with pytest.raises(ShapeMismatch):
+        run_method_full(MethodSpec(method), dom, part, vols, cov, other)
+
+
 def _run_every_method(values, w, mask, cells, cell_size, origin):
     dom = make_domain(9, 10, mask, cell_area=cell_size**2, origin=origin, cell_size=cell_size)
     part = build_partition(dom, StationSet(dom, cells))

@@ -220,7 +220,7 @@ def test_failed_cholesky_is_a_singular_system(fem6, monkeypatch):
 
 
 def test_wide_masked_grid_matches_dense(rng):
-    # more columns than rows, so vertices are numbered column by column
+    # more columns than rows, with a hole, off the origin and at half a cell unit
     dom = make_domain(3, 7, np.arange(21) != 10, cell_size=0.5, origin=(1.0, 2.0))
     fem = assemble(triangulate(dom))
     psi, jump, lengths = dense_parts(fem)
