@@ -8,8 +8,10 @@ with the volumes by an alternating projection scheme.
 from .admm import (
     AdmmConfig,
     RecoveryResult,
+    VolumeConstraints,
     css_recover,
     dual_update,
+    volume_constraints,
     volume_projection,
     waterfill,
 )
@@ -107,6 +109,7 @@ __all__ = [
     "StationSet",
     "SynthSpec",
     "Triangulation",
+    "VolumeConstraints",
     "aggregate",
     "assemble",
     "build_partition",
@@ -126,6 +129,7 @@ __all__ = [
     "ssr_eval",
     "ssr_fit",
     "triangulate",
+    "volume_constraints",
     "volume_projection",
     "waterfill",
     "win_fraction",

@@ -12,11 +12,11 @@ each sweep performs
      closed-form water level; one sort by cost, then stably by patch id,
      finds every level at once (the sort-based simplex projection of Duchi
      et al. 2008 and Condat 2016).
-     The patch layout around that sort (slot offsets and a narrow
-     patch-id key that numpy sorts by radix) depends on the partition
-     alone and is cached with it; only the costs change from sweep to
-     sweep. A patch observing no volume gets water level -inf,
-     so g = 0 on it.
+     The layout around that sort (slot offsets and a narrow patch-id key
+     that numpy sorts by radix) and the totals' terms depend on the
+     partition, the volumes and rho alone and are built once per run;
+     only the costs change from sweep to sweep. A patch observing no
+     volume gets water level -inf, so g = 0 on it.
   2. smoothing (f): a penalized least-squares fit (see smoother) pulling
      the surface toward g + dual/rho with data weight rho/2, covariates
      included here and nowhere else.
@@ -29,22 +29,22 @@ volume constraints exactly regardless of where the sweep stopped.
 
 A sweep pays only for what changes from sweep to sweep:
 
-  * fixed per partition, cached with it: the patch layout (sort key, each
-    sorted slot's patch, the first slot of that patch and the slot's count
-    within it) and the check that every patch holds a cell;
+  * fixed per run, built by css_recover before any mesh is assembled or
+    any system factored: the constraint set (VolumeConstraints), which
+    holds the patch layout (sort key, each sorted slot's patch, the first
+    slot of that patch and the slot's count within it), rho times each
+    patch's density, gathered by sorted slot, the patches observing no
+    volume, and what the constraint check compares with. Building it
+    checks that the volumes match the patches one to one, that every
+    patch holds a cell and that no volume is negative;
   * fixed per run, set up once by css_recover: the band Cholesky factor of
     the smoothing system, the LAPACK routine that solves with it and the
     stacked matrix that maps its solution to everything read from it (see
-    smoother), the stopping threshold, and the scale the constraint check
-    divides by;
-  * fixed per (partition, volumes, rho), derived by the first projection
-    and kept while the next one is handed the same partition and volume
-    values: the densities, their check for a negative volume, rho times
-    them, gathered by sorted slot, and the patches observing no volume;
+    smoother), and the stopping threshold;
   * per sweep: the sort of the new costs, one band solve, the dual step,
-    and the checks on what the sweep produced or was handed (the patch
-    count, the projection's constraints, the solve's targets, residual
-    and finiteness). Each 2-norm is sqrt(x @ x), the value np.linalg.norm
+    and the checks on what the sweep produced or was handed (the
+    projection's constraints, the solve's targets, residual and
+    finiteness). Each 2-norm is sqrt(x @ x), the value np.linalg.norm
     computes for a real vector, and the objective reuses the primal gap's
     squared norm.
 """
@@ -58,13 +58,7 @@ import numpy as np
 from .domain import CovariateMatrix, GridDomain, SpatialField, _check_same_domain
 from .errors import ConfigError, InfeasibleVolume, NumericalFailure
 from .fem import FemSystem, assemble, triangulate
-from .partition import (
-    AggregateObservations,
-    Partition,
-    PatchLayout,
-    patch_layout,
-    patched_estimate,
-)
+from .partition import AggregateObservations, Partition, patched_estimate
 from .smoother import SsrSolver
 
 _CONSTRAINT_TOL = 1e-9
@@ -123,90 +117,123 @@ def waterfill(costs: np.ndarray, total: float, rho: float) -> np.ndarray:
     smallest cost.
     """
     c = np.asarray(costs, dtype=float).ravel()
-    layout = patch_layout(np.zeros(c.size, dtype=np.int64), 1)
-    return _waterfill(c, layout, np.array([float(total)]), rho)
-
-
-def _waterfill(
-    costs: np.ndarray, layout: PatchLayout, totals: np.ndarray, rho: float
-) -> np.ndarray:
-    """waterfill on every patch of the layout at once."""
-    return _fill(costs, layout, _total_terms(layout, totals, rho))
+    one_patch = _constraints(np.zeros(c.size, dtype=np.int64), np.array([float(total)]), 1.0, rho)
+    return _fill(c, one_patch)
 
 
 @dataclass(frozen=True, eq=False)
-class _TotalTerms:
-    """What water-filling derives from the patch totals and rho, not from the costs."""
+class VolumeConstraints:
+    """The constraint set of a css run, fixed by its partition, volumes and rho.
+
+    Every patch holds at least one cell and observes a nonnegative volume.
+    ``key`` is the patch id of each cell in the narrowest unsigned dtype, so
+    that a stable sort by it is a radix sort up to 65,536 patches. The
+    sorted slots group the cells by patch: patch ``i`` starts at slot
+    ``starts[i]``; slot ``s`` belongs to patch ``patch[s]``, whose first
+    slot is ``slot_start[s]``, and is number ``count[s]`` in it, counting
+    from 1. ``rho_totals`` is rho times each patch's observed density and
+    ``slot_totals`` gathers it by sorted slot; ``empty`` lists the patches
+    observing no volume. The constraint check compares patch sums times
+    ``cell_area`` with ``observed``, relative to ``scale``.
+    """
 
     rho: float
-    rho_totals: np.ndarray      # rho * total of each patch
-    slot_totals: np.ndarray     # rho_totals of each sorted slot's patch
-    empty: np.ndarray           # the patches observing no volume
+    cell_patch: np.ndarray
+    key: np.ndarray
+    starts: np.ndarray
+    patch: np.ndarray
+    slot_start: np.ndarray
+    count: np.ndarray
+    rho_totals: np.ndarray
+    slot_totals: np.ndarray
+    empty: np.ndarray
+    observed: np.ndarray
+    cell_area: float
+    scale: float
 
 
-def _total_terms(layout: PatchLayout, totals: np.ndarray, rho: float) -> _TotalTerms:
+def volume_constraints(
+    partition: Partition, volumes: AggregateObservations, rho: float
+) -> VolumeConstraints:
+    """Each patch's volume as css enforces it, with ``rho``; InfeasibleVolume if
+    the volumes do not match the patches one to one, a patch holds no cell or
+    a volume is negative."""
+    if volumes.m != partition.m:
+        raise InfeasibleVolume(f"{volumes.m} volumes for {partition.m} patches")
+    return _constraints(
+        partition.station_of_cell, volumes.values, partition.domain.cell_area, rho
+    )
+
+
+def _constraints(
+    cell_patch: np.ndarray, observed: np.ndarray, cell_area: float, rho: float
+) -> VolumeConstraints:
+    cell_patch = np.asarray(cell_patch, dtype=np.int64)
+    m = observed.size
+    sizes = np.bincount(cell_patch, minlength=m)
+    if not sizes.all():
+        raise InfeasibleVolume(f"patch {int(np.argmin(sizes))} holds no cell")
+    totals = observed / cell_area
     if (totals < 0).any():
         raise InfeasibleVolume(f"patch volume {totals.min()} is negative")
+    starts = np.cumsum(sizes) - sizes
+    patch = np.repeat(np.arange(m), sizes)
+    slot_start = starts[patch]
     rho_totals = rho * totals
-    return _TotalTerms(rho, rho_totals, rho_totals[layout.patch], np.flatnonzero(totals == 0))
+    return VolumeConstraints(
+        rho=rho,
+        cell_patch=cell_patch,
+        key=cell_patch.astype(np.min_scalar_type(m - 1)),
+        starts=starts,
+        patch=patch,
+        slot_start=slot_start,
+        count=np.arange(1, cell_patch.size + 1) - slot_start,
+        rho_totals=rho_totals,
+        slot_totals=rho_totals[patch],
+        empty=np.flatnonzero(totals == 0),
+        observed=observed,
+        cell_area=cell_area,
+        scale=max(float(np.abs(observed).max(initial=0.0)), 1.0),
+    )
 
 
-def _fill(costs: np.ndarray, layout: PatchLayout, terms: _TotalTerms) -> np.ndarray:
-    """The water-filling kernel: every patch's g from its costs and its totals' terms."""
-    ps, count = layout.patch, layout.count
+def _fill(costs: np.ndarray, vc: VolumeConstraints) -> np.ndarray:
+    """The water-filling kernel: every patch's g from its costs."""
+    ps, count = vc.patch, vc.count
     # by cost, then stably by patch: the order of a lexsort by (patch, cost)
     # up to swaps of equal costs within a patch, which change no sum below
     order = costs.argsort()
-    order = order[layout.key[order].argsort(kind="stable")]
+    order = order[vc.key[order].argsort(kind="stable")]
     cs = costs[order]
     # running sums of the sorted costs after a leading 0: run[slot_start]
     # is the sum over the slots before each patch
     run = np.zeros(cs.size + 1)
     np.add.accumulate(cs, out=run[1:])
-    prefix = run[1:] - run[layout.slot_start]
-    nu = (terms.slot_totals + prefix) / count
+    prefix = run[1:] - run[vc.slot_start]
+    nu = (vc.slot_totals + prefix) / count
     # largest prefix whose level clears its own largest cost; ties put the
     # boundary element at exactly zero, so >= picks the same solution while
     # keeping the first prefix valid even when rho * total underflows
-    support = np.maximum.reduceat(np.where(nu >= cs, count, 1), layout.starts)
+    support = np.maximum.reduceat(np.where(nu >= cs, count, 1), vc.starts)
     # the level again over the support alone: bincount adds each patch's
     # sorted costs one by one, as a per-patch cumsum does, free of the
     # rounding the running sum picked up from earlier patches
     inside = count <= support[ps]
     sums = np.bincount(ps[inside], weights=cs[inside], minlength=support.size)
-    level = (terms.rho_totals + sums) / support
+    level = (vc.rho_totals + sums) / support
     # a patch observing no volume gets g = max(0, -inf) = 0 on every cell
-    level[terms.empty] = -np.inf
-    g = level[layout.cell_patch]
+    level[vc.empty] = -np.inf
+    g = level[vc.cell_patch]
     g -= costs
-    g /= terms.rho
+    g /= vc.rho
     return np.maximum(0.0, g, out=g)
 
 
-# (partition, volume values, rho, their _TotalTerms) of the latest
-# projection: a css run projects with the same three every sweep. Keyed on
-# the objects themselves, so new volume values, even swapped into the same
-# observation object, are checked and derived anew.
-_last_terms: tuple = (None, None, None, None)
-
-
 def volume_projection(
-    partition: Partition,
-    field: np.ndarray,
-    dual: np.ndarray,
-    rho: float,
-    volumes: AggregateObservations,
+    constraints: VolumeConstraints, field: np.ndarray, dual: np.ndarray
 ) -> np.ndarray:
     """Exact g-step: per-patch water-filling against costs dual - rho * field."""
-    global _last_terms
-    if volumes.m != partition.m:
-        raise InfeasibleVolume(f"{volumes.m} volumes for {partition.m} patches")
-    values = volumes.values
-    last_partition, last_values, last_rho, terms = _last_terms
-    if not (last_partition is partition and last_values is values and last_rho == rho):
-        terms = _total_terms(partition.layout, values / partition.domain.cell_area, rho)
-        _last_terms = (partition, values, rho, terms)
-    return _fill(dual - rho * field, partition.layout, terms)
+    return _fill(dual - constraints.rho * field, constraints)
 
 
 def dual_update(dual: np.ndarray, f: np.ndarray, g: np.ndarray, rho: float) -> np.ndarray:
@@ -214,13 +241,10 @@ def dual_update(dual: np.ndarray, f: np.ndarray, g: np.ndarray, rho: float) -> n
     return dual + rho * (g - f)
 
 
-def _check_constraints(
-    partition: Partition, g: np.ndarray, observed: np.ndarray, scale: float
-) -> float:
-    """Worst patch-sum violation of g relative to ``scale``; raises past the tolerance."""
-    area = partition.domain.cell_area
-    sums = np.bincount(partition.station_of_cell, weights=g, minlength=partition.m) * area
-    viol = float(np.abs(sums - observed).max(initial=0.0)) / scale
+def _check_constraints(vc: VolumeConstraints, g: np.ndarray) -> float:
+    """Worst patch-sum violation of g relative to the scale; raises past the tolerance."""
+    sums = np.bincount(vc.cell_patch, weights=g, minlength=vc.starts.size) * vc.cell_area
+    viol = float(np.abs(sums - vc.observed).max(initial=0.0)) / vc.scale
     if (g.size and g.min() < -1e-12) or viol > _CONSTRAINT_TOL:
         raise NumericalFailure(
             f"volume projection violated its constraints (violation {viol:.3e}, "
@@ -246,8 +270,9 @@ def css_recover(
     _check_same_domain(domain, partition.domain, "partition")
     if covariates is not None:
         _check_same_domain(domain, covariates.domain, "covariates")
-    if volumes.m != partition.m:
-        raise InfeasibleVolume(f"{volumes.m} volumes for {partition.m} stations")
+    # the constraint set first, so that infeasible volumes fail before any
+    # mesh is assembled or any system factored
+    constraints = volume_constraints(partition, volumes, cfg.rho)
     if fem is None:
         fem = assemble(triangulate(domain))
     else:
@@ -257,13 +282,10 @@ def css_recover(
     f = g.copy()
     dual = np.zeros(domain.n)
 
-    # fixed for the run: the solver's factorization, the stopping threshold
-    # and the scale the constraint check measures violations against
+    # fixed for the run: the solver's factorization and the stopping threshold
     solver = SsrSolver(fem, cfg.lam, weight=cfg.rho / 2.0)
     lam, rho = cfg.lam, cfg.rho
     threshold = cfg.tol * float(np.sqrt(domain.n))
-    observed = volumes.values
-    scale = max(float(np.abs(observed).max(initial=0.0)), 1.0)
     primal_hist: list[float] = []
     dual_hist: list[float] = []
     objective_hist: list[float] = []
@@ -272,10 +294,8 @@ def css_recover(
 
     for k in range(1, cfg.max_iter + 1):
         g_prev = g
-        g = volume_projection(partition, f, dual, rho, volumes)
-        worst_violation = max(
-            worst_violation, _check_constraints(partition, g, observed, scale)
-        )
+        g = volume_projection(constraints, f, dual)
+        worst_violation = max(worst_violation, _check_constraints(constraints, g))
 
         model = solver.solve(g + dual / rho, covariates)
         f = model.fitted

@@ -10,6 +10,7 @@ across seeds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from typing import ClassVar
 
 import numpy as np
 
@@ -32,7 +33,7 @@ class EnsembleSpec:
     lam: float = AdmmConfig.lam
     rho: float = AdmmConfig.rho
     max_iter: int = AdmmConfig.max_iter
-    bump_choices: tuple[int, ...] = (3, 4, 5)
+    bump_choices: ClassVar[tuple[int, ...]] = (3, 4, 5)
     amp_range: tuple[float, float] = (1.0, 3.0)
     width_range: tuple[float, float] = (5.5, 9.0)
     noise: float = 0.0
@@ -40,7 +41,7 @@ class EnsembleSpec:
     covariate_blocks: int = 4
     # station draws use their own seed stream so placement does not replay
     # the field generator's sequence
-    station_seed_offset: int = 1009
+    station_seed_offset: ClassVar[int] = 1009
 
     def synth_spec(self, seed: int) -> SynthSpec:
         return SynthSpec(

@@ -448,10 +448,10 @@ def read_field_csv(path: str | Path) -> SpatialField:
         raise SchemaError(f"{path}: cell ({r[k]}, {c[k]}) makes the grid {n_rows} x "
                           f"{n_cols} cells, more than the {_MAX_GRID_CELLS} allowed")
     flat = r * n_cols + c
-    if np.unique(flat).size != flat.size:
-        raise SchemaError(f"{path}: duplicate cell listed")
     mask = np.zeros(n_rows * n_cols, dtype=bool)
     mask[flat] = True
+    if np.count_nonzero(mask) != flat.size:   # a cell listed twice sets one flag
+        raise SchemaError(f"{path}: duplicate cell listed")
     full = np.zeros(n_rows * n_cols)
     full[flat] = values
     domain = make_domain(n_rows, n_cols, mask)

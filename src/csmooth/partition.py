@@ -111,9 +111,7 @@ class Partition:
     cell units equals its minimum exactly; ``station_of_cell`` gives it to
     the lowest of their indices, one station per cell. ``patch_sizes`` are
     the integer cell counts of the patches, summing to n, and ``has_ties``
-    records whether any cell was tied. ``layout`` (the slots of the cells
-    sorted by patch) derives from ``station_of_cell`` alone; it is built on
-    first use and kept with the partition.
+    records whether any cell was tied.
     """
 
     stations: StationSet
@@ -142,49 +140,6 @@ class Partition:
         return sp.csr_matrix(
             (np.ones(n), (self.station_of_cell, np.arange(n))), shape=(self.m, n)
         )
-
-    @cached_property
-    def layout(self) -> PatchLayout:
-        return patch_layout(self.station_of_cell, self.m)
-
-
-@dataclass(frozen=True, eq=False)
-class PatchLayout:
-    """Cells grouped by patch, as a sort by patch id places them.
-
-    ``key`` is the patch id of each cell in the narrowest unsigned dtype, so
-    that a stable sort by it is a radix sort up to 65,536 patches. The other
-    arrays describe the sorted slots: patch ``i`` starts at slot
-    ``starts[i]``; slot ``s`` belongs to patch ``patch[s]``, whose first
-    slot is ``slot_start[s]``, and is number ``count[s]`` in it, counting
-    from 1. Every patch holds at least one cell.
-    """
-
-    cell_patch: np.ndarray
-    key: np.ndarray
-    starts: np.ndarray
-    patch: np.ndarray
-    slot_start: np.ndarray
-    count: np.ndarray
-
-
-def patch_layout(station_of_cell: np.ndarray, m: int) -> PatchLayout:
-    """Sorted-slot layout of the patches that ``station_of_cell`` assigns."""
-    cell_patch = np.asarray(station_of_cell, dtype=np.int64)
-    sizes = np.bincount(cell_patch, minlength=m)
-    if not sizes.all():
-        raise InfeasibleVolume(f"patch {int(np.argmin(sizes))} holds no cell")
-    starts = np.cumsum(sizes) - sizes
-    patch = np.repeat(np.arange(m), sizes)
-    slot_start = starts[patch]
-    return PatchLayout(
-        cell_patch=cell_patch,
-        key=cell_patch.astype(np.min_scalar_type(m - 1)),
-        starts=starts,
-        patch=patch,
-        slot_start=slot_start,
-        count=np.arange(1, cell_patch.size + 1) - slot_start,
-    )
 
 
 def build_partition(domain: GridDomain, stations: StationSet) -> Partition:

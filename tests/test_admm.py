@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from csmooth.admm import (
     AdmmConfig,
-    _waterfill,
     css_recover,
     dual_update,
+    volume_constraints,
     volume_projection,
     waterfill,
 )
@@ -19,10 +19,10 @@ from csmooth.errors import ConfigError, InfeasibleVolume, ShapeMismatch
 from csmooth.fem import assemble, triangulate
 from csmooth.partition import (
     AggregateObservations,
+    Partition,
     StationSet,
     aggregate,
     build_partition,
-    patch_layout,
     sample_stations,
 )
 from csmooth.smoother import SsrSolver
@@ -96,7 +96,7 @@ def test_volume_projection_matches_patchwise_oracle(rng):
         # divided by 7 rounds above 0.7, so only an exact zero keeps g at 0
         zero = np.isin(part.station_of_cell, np.flatnonzero(vols.values == 0))
         field[zero], dual[zero] = 0.0, 0.7
-        g = volume_projection(part, field, dual, rho, vols)
+        g = volume_projection(volume_constraints(part, vols, rho), field, dual)
         costs = dual - rho * field
         patches = [np.flatnonzero(part.station_of_cell == i) for i in range(part.m)]
         g_ref = constrained_qp_field_oracle(
@@ -111,22 +111,23 @@ def test_volume_projection_matches_patchwise_oracle(rng):
 
 
 def test_volume_projection_checks_station_count():
+    # the constraint set a projection reads checks the count when it is built
     dom = make_domain(2, 2)
     part = build_partition(dom, StationSet(dom, np.array([0])))
-    with pytest.raises(InfeasibleVolume):
-        volume_projection(part, np.zeros(4), np.zeros(4), 1.0, AggregateObservations([1.0, 2.0]))
+    with pytest.raises(InfeasibleVolume, match="2 volumes for 1 patches"):
+        volume_constraints(part, AggregateObservations([1.0, 2.0]), 1.0)
     # build_partition always leaves a station its own cell, so empty
     # station 1's binary patch by hand
     part = build_partition(dom, StationSet(dom, np.array([0, 1])))
     part = dataclasses.replace(part, station_of_cell=np.zeros(4, dtype=np.int64))
     with pytest.raises(InfeasibleVolume, match="patch 1 holds no cell"):
-        volume_projection(part, np.zeros(4), np.zeros(4), 1.0, AggregateObservations([1.0, 2.0]))
+        volume_constraints(part, AggregateObservations([1.0, 2.0]), 1.0)
 
 
 def lexsort_waterfill(
     costs: np.ndarray, patch: np.ndarray, totals: np.ndarray, rho: float
 ) -> np.ndarray:
-    """The projection kernel as it was before the patch layout was cached: one
+    """The projection kernel as it was before the patch layout was built once: one
     lexsort by (patch, cost) per call. Kept as the reference for the radix
     sort, which must reproduce it bit for bit."""
     if (totals < 0).any():
@@ -171,10 +172,15 @@ def test_radix_patch_sort_matches_lexsort(rng, m, key_dtype):
     costs[::3] = rng.normal(0.0, 2.0, costs[::3].size)
     totals = rng.uniform(0.0, 5.0, m)
     totals[::5] = 0.0
-    layout = patch_layout(station_of_cell, m)
-    assert layout.key.dtype == key_dtype
+    # a one-row grid of unit cells, so the volumes are the densities
+    dom = make_domain(1, n)
+    part = Partition(StationSet(dom, np.arange(m)), np.bincount(station_of_cell),
+                     station_of_cell, has_ties=False)
     for rho in (0.5, 1.7):
-        g = _waterfill(costs, layout, totals, rho)
+        constraints = volume_constraints(part, AggregateObservations(totals), rho)
+        assert constraints.key.dtype == key_dtype
+        # costs = dual - rho * 0, exactly the costs
+        g = volume_projection(constraints, np.zeros(n), costs)
         np.testing.assert_array_equal(g, lexsort_waterfill(costs, station_of_cell, totals, rho))
 
 
@@ -366,41 +372,52 @@ def test_recover_input_validation():
         css_recover(dom, part, vols, covariates=cov)
 
 
-def test_cached_layout_holds_no_volumes(rng):
-    # one partition serves every sweep with its own volumes and rho; each
-    # projection must equal the one a freshly built partition gives
+def test_constraints_project_each_volume_set_independently(rng):
+    # one partition serves constraint sets of different volumes and rho;
+    # each, built before the others are used, must project as the one built
+    # from a fresh partition does
     dom, truth, part, vols = make_problem(8, 8, 6, seed=3)
     shifted = vols.values[::-1] * 2.0
     shifted[1] = 0.0
     other = AggregateObservations(shifted)
     field = rng.normal(1.0, 1.0, dom.n)
     dual = rng.normal(0.0, 0.5, dom.n)
-    for volumes, rho in ((vols, 1.0), (other, 2.5), (vols, 2.5), (other, 1.0)):
-        g = volume_projection(part, field, dual, rho, volumes)
-        fresh = build_partition(dom, part.stations)
-        np.testing.assert_array_equal(g, volume_projection(fresh, field, dual, rho, volumes))
+    runs = [(vols, 1.0), (other, 2.5), (vols, 2.5), (other, 1.0)]
+    sets = [volume_constraints(part, volumes, rho) for volumes, rho in runs]
+    for constraints, (volumes, rho) in zip(sets, runs):
+        fresh = volume_constraints(build_partition(dom, part.stations), volumes, rho)
+        np.testing.assert_array_equal(
+            volume_projection(constraints, field, dual),
+            volume_projection(fresh, field, dual),
+        )
 
 
-def test_cached_layout_keeps_volume_checks():
+def test_constraints_keep_volume_checks():
     dom, truth, part, vols = make_problem(4, 4, 3, seed=1)
-    css_recover(dom, part, vols, config=AdmmConfig(max_iter=2))
-    assert "layout" in vars(part)
     with pytest.raises(InfeasibleVolume, match="negative volume -1.0 observed"):
         css_recover(dom, part, AggregateObservations(np.array([-1.0, 2.0, 3.0])))
-    # past the constructor's check, the kernel still rejects it on every call
+    # past the observations' own check, the constraint set still rejects it
     negative = AggregateObservations(np.array([1.0, 2.0, 3.0]))
     object.__setattr__(negative, "values", np.array([-1.0, 2.0, 3.0]))
     with pytest.raises(InfeasibleVolume, match="patch volume -1.0 is negative"):
-        volume_projection(part, np.zeros(dom.n), np.zeros(dom.n), 1.0, negative)
-    # values swapped after a projection with the same partition and rho are
-    # checked anew, not served from what that projection derived
-    swapped = AggregateObservations(np.array([1.0, 2.0, 3.0]))
-    volume_projection(part, np.zeros(dom.n), np.zeros(dom.n), 1.0, swapped)
-    object.__setattr__(swapped, "values", np.array([1.0, -2.0, 3.0]))
-    with pytest.raises(InfeasibleVolume, match="patch volume -2.0 is negative"):
-        volume_projection(part, np.zeros(dom.n), np.zeros(dom.n), 1.0, swapped)
-    # a replaced partition builds its own layout instead of inheriting the
-    # cached one, so an emptied patch is still caught
+        volume_constraints(part, negative, 1.0)
+
+
+def test_infeasible_volumes_fail_before_factoring(monkeypatch):
+    # css builds its constraint set first: no mesh is assembled and no
+    # system factored for volumes no field can match
+    def never(*args, **kwargs):
+        raise AssertionError("called before the volumes were checked")
+
+    monkeypatch.setattr("csmooth.admm.assemble", never)
+    monkeypatch.setattr("csmooth.admm.SsrSolver", never)
+    dom, truth, part, vols = make_problem(4, 4, 3, seed=1)
     emptied = dataclasses.replace(part, station_of_cell=np.zeros(dom.n, dtype=np.int64))
     with pytest.raises(InfeasibleVolume, match="patch 1 holds no cell"):
         css_recover(dom, emptied, vols)
+    with pytest.raises(InfeasibleVolume, match="2 volumes for 3 patches"):
+        css_recover(dom, part, AggregateObservations(np.ones(2)))
+    negative = AggregateObservations(np.array([1.0, 2.0, 3.0]))
+    object.__setattr__(negative, "values", np.array([1.0, -2.0, 3.0]))
+    with pytest.raises(InfeasibleVolume, match="patch volume -2.0 is negative"):
+        css_recover(dom, part, negative)
