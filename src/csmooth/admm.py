@@ -2,28 +2,32 @@
 
 The recovery problem asks for the least-rough nonnegative field whose
 per-patch volumes match the station observations. Splitting the field into
-a smooth copy f and a constrained copy g coupled by a scaled dual variable,
-each sweep performs
+a smooth copy f and a constrained copy g coupled by the scaled dual u (the
+dual variable over rho), each sweep performs
 
-  1. volume projection (g): per patch, minimize
-     (rho/2)||g||^2 + (dual - rho f)' g subject to the patch sum matching
-     the observed volume and g >= 0. Each patch is the one its total was
-     measured over, and the patches are disjoint, so each has its own
-     closed-form water level; one sort by cost, then stably by patch id,
-     finds every level at once (the sort-based simplex projection of Duchi
-     et al. 2008 and Condat 2016).
-     The layout around that sort (slot offsets and a narrow patch-id key
-     that numpy sorts by radix) and the totals' terms depend on the
-     partition, the volumes and rho alone and are built once per run;
-     only the costs change from sweep to sweep. A patch observing no
-     volume gets water level -inf, so g = 0 on it.
-  2. smoothing (f): a penalized least-squares fit (see smoother) pulling
-     the surface toward g + dual/rho with data weight rho/2, covariates
-     included here and nowhere else.
-  3. dual ascent: dual += rho * (g - f).
+  1. volume projection (g): per patch, minimize (1/2)||g||^2 + (u - f)' g
+     subject to the patch sum matching the observed density total T_p and
+     g >= 0. Each patch is the one its total was measured over, and the
+     patches are disjoint, so g = max(0, nu - c) with one water level nu per
+     patch, the root of sum_j max(0, nu - c_j) = T_p. Newton's method on
+     that convex piecewise-linear function steps to
+     nu <- (T_p + sum_{c_j <= nu} c_j) / #{c_j <= nu}; once every patch's
+     active set repeats, nu is the exact root, whichever side it started
+     on; a start below every cost of a patch restarts it from min cost +
+     T_p, above the root. Each sweep starts from the previous sweep's
+     levels, so it mostly takes one step and the pass that confirms it. A
+     patch observing no volume gets level -inf, so g = 0 on it.
+  2. over-relaxation: r = alpha g + (1 - alpha) f_prev with alpha =
+     _ALPHA (Boyd et al. 2011, section 3.4.3), which cuts the sweeps a run
+     needs while the objective still falls monotonically.
+  3. smoothing (f): a penalized least-squares fit (see smoother) pulling
+     the surface toward r + u with data weight rho/2, covariates included
+     here and nowhere else.
+  4. dual ascent: u += r - f.
 
 Iterations stop when the primal gap ||g - f||_2 and the dual movement
-rho ||g_new - g_old||_2 both drop below the tolerance times sqrt(n).
+rho ||g_new - g_old||_2 both drop below the tolerance times sqrt(n). The
+objective after each sweep is lam roughness + rho u'(g - f) + (rho/2)||g - f||^2.
 The returned estimate is the final g: it is nonnegative and satisfies the
 volume constraints exactly regardless of where the sweep stopped.
 
@@ -31,22 +35,24 @@ A sweep pays only for what changes from sweep to sweep:
 
   * fixed per run, built by css_recover before any mesh is assembled or
     any system factored: the constraint set (VolumeConstraints), which
-    holds the patch layout (sort key, each sorted slot's patch, the first
-    slot of that patch and the slot's count within it), rho times each
-    patch's density, gathered by sorted slot, the patches observing no
-    volume, and what the constraint check compares with. Building it
-    checks that the volumes match the patches one to one, that every
-    patch holds a cell and that no volume is negative;
+    holds each cell's patch, each patch's density total, the patches
+    observing no volume, the cap on Newton passes, and what the
+    constraint check compares with. It depends on the partition and the
+    volumes alone. Building it checks that the volumes match the patches
+    one to one, that every patch holds a cell and that no volume is
+    negative;
   * fixed per run, set up once by css_recover: the band Cholesky factor of
     the smoothing system, the LAPACK routine that solves with it and the
     stacked matrix that maps its solution to everything read from it (see
     smoother), and the stopping threshold;
-  * per sweep: the sort of the new costs, one band solve, the dual step,
-    and the checks on what the sweep produced or was handed (the
-    projection's constraints, the solve's targets, residual and
-    finiteness). Each 2-norm is sqrt(x @ x), the value np.linalg.norm
-    computes for a real vector, and the objective reuses the primal gap's
-    squared norm.
+  * carried from sweep to sweep: the water levels;
+  * per sweep: the projection's Newton passes (each a gather and a
+    comparison over the cells, and two bincounts where it steps), one band
+    solve, the relaxed target, the dual step, and the checks on what the
+    sweep produced or was handed (the projection's constraints, the solve's
+    targets, residual and finiteness). Each 2-norm is sqrt(x @ x), the
+    value np.linalg.norm computes for a real vector, and the objective
+    reuses the primal gap's squared norm.
 """
 from __future__ import annotations
 
@@ -62,6 +68,9 @@ from .partition import AggregateObservations, Partition, patched_estimate
 from .smoother import SsrSolver
 
 _CONSTRAINT_TOL = 1e-9
+# over-relaxation of the coupling; on the ordering suite 1.9 already lets
+# the objective rise between sweeps
+_ALPHA = 1.8
 
 
 @dataclass(frozen=True)
@@ -71,8 +80,9 @@ class AdmmConfig:
     ``lam`` weights the roughness penalty and ``rho`` the coupling between
     the smooth and constrained copies. The loop stops after ``max_iter``
     sweeps or once the primal and dual residuals both fall below ``tol``
-    times sqrt(n). At the default ``rho`` all 30 seeds of the ordering
-    suite converge within the default ``max_iter``; at 1.0 one does not.
+    times sqrt(n). All 30 seeds of the ordering suite converge within the
+    default ``max_iter``: within 242 sweeps at the default ``rho``, and
+    within 302 at 1.0.
     """
 
     lam: float = 1.0
@@ -111,139 +121,126 @@ class RecoveryResult:
 def waterfill(costs: np.ndarray, total: float, rho: float) -> np.ndarray:
     """Minimize (rho/2)||g||^2 + costs' g  s.t.  sum(g) = total, g >= 0.
 
-    Closed form: g_j = max(0, (nu - costs_j) / rho) where the water level nu
-    makes the sum match. Sorting the costs, nu = (rho * total + S_r) / r for
-    the unique prefix size r whose level lies between the r-th and (r+1)-th
-    smallest cost.
+    Closed form: g_j = max(0, nu - costs_j / rho) where the water level nu
+    makes the sum match; volume_projection finds it from a cold start. With
+    no cell, only a zero total is feasible.
     """
     c = np.asarray(costs, dtype=float).ravel()
-    one_patch = _constraints(np.zeros(c.size, dtype=np.int64), np.array([float(total)]), 1.0, rho)
-    return _fill(c, one_patch)
+    if not c.size:
+        if total != 0:
+            raise InfeasibleVolume(f"no cell to hold total {total}")
+        return c
+    one_patch = _constraints(np.zeros(c.size, dtype=np.int64), np.array([float(total)]), 1.0)
+    return volume_projection(one_patch, np.zeros(c.size), c / rho)
 
 
 @dataclass(frozen=True, eq=False)
 class VolumeConstraints:
-    """The constraint set of a css run, fixed by its partition, volumes and rho.
+    """The constraint set of a css run, fixed by its partition and volumes.
 
     Every patch holds at least one cell and observes a nonnegative volume.
-    ``key`` is the patch id of each cell in the narrowest unsigned dtype, so
-    that a stable sort by it is a radix sort up to 65,536 patches. The
-    sorted slots group the cells by patch: patch ``i`` starts at slot
-    ``starts[i]``; slot ``s`` belongs to patch ``patch[s]``, whose first
-    slot is ``slot_start[s]``, and is number ``count[s]`` in it, counting
-    from 1. ``rho_totals`` is rho times each patch's observed density and
-    ``slot_totals`` gathers it by sorted slot; ``empty`` lists the patches
-    observing no volume. The constraint check compares patch sums times
-    ``cell_area`` with ``observed``, relative to ``scale``.
+    ``cell_patch`` is each cell's patch and ``totals`` each patch's
+    observed density total, held at -inf where it is zero so that a Newton
+    step puts that patch's level at -inf; ``filled`` marks the patches
+    with a positive total. ``passes``, the largest patch size plus two,
+    caps the Newton passes over the cells. The constraint check compares
+    patch sums times ``cell_area`` with ``observed``, relative to ``scale``.
     """
 
-    rho: float
     cell_patch: np.ndarray
-    key: np.ndarray
-    starts: np.ndarray
-    patch: np.ndarray
-    slot_start: np.ndarray
-    count: np.ndarray
-    rho_totals: np.ndarray
-    slot_totals: np.ndarray
-    empty: np.ndarray
+    totals: np.ndarray
+    filled: np.ndarray
+    passes: int
     observed: np.ndarray
     cell_area: float
     scale: float
 
 
-def volume_constraints(
-    partition: Partition, volumes: AggregateObservations, rho: float
-) -> VolumeConstraints:
-    """Each patch's volume as css enforces it, with ``rho``; InfeasibleVolume if
-    the volumes do not match the patches one to one, a patch holds no cell or
-    a volume is negative."""
+def volume_constraints(partition: Partition, volumes: AggregateObservations) -> VolumeConstraints:
+    """Each patch's volume as css enforces it; InfeasibleVolume if the volumes
+    do not match the patches one to one, a patch holds no cell or a volume is
+    negative."""
     if volumes.m != partition.m:
         raise InfeasibleVolume(f"{volumes.m} volumes for {partition.m} patches")
-    return _constraints(
-        partition.station_of_cell, volumes.values, partition.domain.cell_area, rho
-    )
+    return _constraints(partition.station_of_cell, volumes.values, partition.domain.cell_area)
 
 
 def _constraints(
-    cell_patch: np.ndarray, observed: np.ndarray, cell_area: float, rho: float
+    cell_patch: np.ndarray, observed: np.ndarray, cell_area: float
 ) -> VolumeConstraints:
     cell_patch = np.asarray(cell_patch, dtype=np.int64)
-    m = observed.size
-    sizes = np.bincount(cell_patch, minlength=m)
+    sizes = np.bincount(cell_patch, minlength=observed.size)
     if not sizes.all():
         raise InfeasibleVolume(f"patch {int(np.argmin(sizes))} holds no cell")
     totals = observed / cell_area
     if (totals < 0).any():
         raise InfeasibleVolume(f"patch volume {totals.min()} is negative")
-    starts = np.cumsum(sizes) - sizes
-    patch = np.repeat(np.arange(m), sizes)
-    slot_start = starts[patch]
-    rho_totals = rho * totals
+    filled = totals > 0
     return VolumeConstraints(
-        rho=rho,
         cell_patch=cell_patch,
-        key=cell_patch.astype(np.min_scalar_type(m - 1)),
-        starts=starts,
-        patch=patch,
-        slot_start=slot_start,
-        count=np.arange(1, cell_patch.size + 1) - slot_start,
-        rho_totals=rho_totals,
-        slot_totals=rho_totals[patch],
-        empty=np.flatnonzero(totals == 0),
+        totals=np.where(filled, totals, -np.inf),
+        filled=filled,
+        passes=int(sizes.max()) + 2,
         observed=observed,
         cell_area=cell_area,
         scale=max(float(np.abs(observed).max(initial=0.0)), 1.0),
     )
 
 
-def _fill(costs: np.ndarray, vc: VolumeConstraints) -> np.ndarray:
-    """The water-filling kernel: every patch's g from its costs."""
-    ps, count = vc.patch, vc.count
-    # by cost, then stably by patch: the order of a lexsort by (patch, cost)
-    # up to swaps of equal costs within a patch, which change no sum below
-    order = costs.argsort()
-    order = order[vc.key[order].argsort(kind="stable")]
-    cs = costs[order]
-    # running sums of the sorted costs after a leading 0: run[slot_start]
-    # is the sum over the slots before each patch
-    run = np.zeros(cs.size + 1)
-    np.add.accumulate(cs, out=run[1:])
-    prefix = run[1:] - run[vc.slot_start]
-    nu = (vc.slot_totals + prefix) / count
-    # largest prefix whose level clears its own largest cost; ties put the
-    # boundary element at exactly zero, so >= picks the same solution while
-    # keeping the first prefix valid even when rho * total underflows
-    support = np.maximum.reduceat(np.where(nu >= cs, count, 1), vc.starts)
-    # the level again over the support alone: bincount adds each patch's
-    # sorted costs one by one, as a per-patch cumsum does, free of the
-    # rounding the running sum picked up from earlier patches
-    inside = count <= support[ps]
-    sums = np.bincount(ps[inside], weights=cs[inside], minlength=support.size)
-    level = (vc.rho_totals + sums) / support
-    # a patch observing no volume gets g = max(0, -inf) = 0 on every cell
-    level[vc.empty] = -np.inf
-    g = level[vc.cell_patch]
-    g -= costs
-    g /= vc.rho
-    return np.maximum(0.0, g, out=g)
-
-
 def volume_projection(
-    constraints: VolumeConstraints, field: np.ndarray, dual: np.ndarray
+    constraints: VolumeConstraints,
+    field: np.ndarray,
+    dual: np.ndarray,
+    level: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Exact g-step: per-patch water-filling against costs dual - rho * field."""
-    return _fill(dual - constraints.rho * field, constraints)
+    """Exact g-step: per-patch water-filling against costs dual - field, the
+    dual scaled by 1/rho. Newton starts from ``level``, each patch's water
+    level from an earlier projection, and overwrites it with the new levels.
+    Without it, or from +inf, every cell starts active: the first step is
+    then the one from max cost + total / size, a cold start."""
+    p, m = constraints.cell_patch, constraints.totals.size
+    costs = dual - field
+    nu = level = np.full(m, np.inf) if level is None else level
+    active = None
+    for _ in range(constraints.passes):
+        at = nu[p]
+        new = costs <= at
+        # the step from an active set lands where that set started, so a
+        # repeated set means every level is its patch's root
+        if active is not None and np.array_equal(new, active):
+            level[:] = nu
+            at -= costs
+            return np.maximum(0.0, at, out=at)
+        weight = new.astype(float)
+        count = np.bincount(p, weights=weight, minlength=m)
+        sums = np.bincount(p, weights=costs * weight, minlength=m)
+        # a total of -inf keeps a zero-volume patch at -inf; max(.., 1)
+        # leaves a patch with no active cell finite until it restarts
+        step = (constraints.totals + sums) / np.maximum(count, 1.0)
+        if active is not None:
+            # past the first step the levels fall to the root, so a level
+            # rounding pushed back up could cycle the active sets
+            np.minimum(step, nu, out=step)
+        # count 0 where the total is positive: no cost at or below the start
+        stuck = count < constraints.filled
+        if np.count_nonzero(stuck):
+            # restart from min cost + total, above the root, where the
+            # cheapest cell is active
+            low = np.full(m, np.inf)
+            np.minimum.at(low, p, costs)
+            step[stuck] = low[stuck] + constraints.totals[stuck]
+        nu, active = step, new
+    raise NumericalFailure(f"water levels did not settle within {constraints.passes} Newton passes")
 
 
-def dual_update(dual: np.ndarray, f: np.ndarray, g: np.ndarray, rho: float) -> np.ndarray:
-    """Ascent step on the gap between the copies: dual + rho * (g - f)."""
-    return dual + rho * (g - f)
+def dual_update(dual: np.ndarray, f: np.ndarray, relaxed: np.ndarray) -> np.ndarray:
+    """Scaled ascent step on the gap between the copies: dual + relaxed - f."""
+    return dual + (relaxed - f)
 
 
 def _check_constraints(vc: VolumeConstraints, g: np.ndarray) -> float:
     """Worst patch-sum violation of g relative to the scale; raises past the tolerance."""
-    sums = np.bincount(vc.cell_patch, weights=g, minlength=vc.starts.size) * vc.cell_area
+    sums = np.bincount(vc.cell_patch, weights=g, minlength=vc.totals.size) * vc.cell_area
     viol = float(np.abs(sums - vc.observed).max(initial=0.0)) / vc.scale
     if (g.size and g.min() < -1e-12) or viol > _CONSTRAINT_TOL:
         raise NumericalFailure(
@@ -272,7 +269,7 @@ def css_recover(
         _check_same_domain(domain, covariates.domain, "covariates")
     # the constraint set first, so that infeasible volumes fail before any
     # mesh is assembled or any system factored
-    constraints = volume_constraints(partition, volumes, cfg.rho)
+    constraints = volume_constraints(partition, volumes)
     if fem is None:
         fem = assemble(triangulate(domain))
     else:
@@ -280,7 +277,8 @@ def css_recover(
 
     g = patched_estimate(partition, volumes).values
     f = g.copy()
-    dual = np.zeros(domain.n)
+    dual = np.zeros(domain.n)  # scaled: the dual variable over rho
+    level = np.full(partition.m, np.inf)  # a cold start
 
     # fixed for the run: the solver's factorization and the stopping threshold
     solver = SsrSolver(fem, cfg.lam, weight=cfg.rho / 2.0)
@@ -294,10 +292,12 @@ def css_recover(
 
     for k in range(1, cfg.max_iter + 1):
         g_prev = g
-        g = volume_projection(constraints, f, dual)
+        g = volume_projection(constraints, f, dual, level)
         worst_violation = max(worst_violation, _check_constraints(constraints, g))
 
-        model = solver.solve(g + dual / rho, covariates)
+        # the over-relaxed copy replaces g in the smoothing target and the dual step
+        relaxed = f + _ALPHA * (g - f)
+        model = solver.solve(relaxed + dual, covariates)
         f = model.fitted
 
         gap = g - f
@@ -305,9 +305,9 @@ def css_recover(
         step = g - g_prev
         primal = math.sqrt(gap_sq)
         dual_res = rho * math.sqrt(step @ step)
-        dual = dual_update(dual, f, g, rho)
+        dual = dual_update(dual, f, relaxed)
         # augmented Lagrangian at the end of the sweep, ascended dual included
-        objective = lam * model.roughness + float(dual @ gap) + 0.5 * rho * gap_sq
+        objective = lam * model.roughness + rho * float(dual @ gap) + 0.5 * rho * gap_sq
 
         primal_hist.append(primal)
         dual_hist.append(dual_res)

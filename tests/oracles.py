@@ -223,17 +223,21 @@ def css_admm_oracle(
     rho: float,
     sweeps: int,
     w: np.ndarray | None = None,
+    alpha: float = 1.0,
 ):
-    """The css ADMM loop written out sweep by sweep from the dense oracles.
+    """The css ADMM loop written out sweep by sweep from the dense oracles,
+    in the unscaled textbook form with over-relaxation alpha (Boyd et al.
+    2011, section 3.4.3).
 
     ``patches`` lists the cells of each patch; the start spreads each total
     evenly over its patch, and the g-step enforces it there. Each sweep:
 
         g      <- patchwise QP with costs dual - rho f   (constrained_qp_field_oracle)
-        f      <- fit to g + dual/rho, data weight rho/2 (dense_ssr_oracle, or
+        r      =  alpha g + (1 - alpha) f
+        f      <- fit to r + dual/rho, data weight rho/2 (dense_ssr_oracle, or
                   dense_ssr_cov_oracle with covariates w: f = psi c + w beta)
         primal =  ||g - f||,  dual residual = rho ||g - g_prev||
-        dual   <- dual + rho (g - f)
+        dual   <- dual + rho (r - f)
         objective = lam d' M_E d + dual' (g - f) + (rho/2) ||g - f||^2
 
     Returns (g, f, primal residuals, dual residuals, objectives).
@@ -248,7 +252,8 @@ def css_admm_oracle(
     for _ in range(sweeps):
         g_prev = g
         g = constrained_qp_field_oracle(patches, dual - rho * f, totals, rho)
-        target = g + dual / rho
+        r = alpha * g + (1.0 - alpha) * f
+        target = r + dual / rho
         if w is None:
             c, d = dense_ssr_oracle(psi, jump, edge_length, target, lam, rho / 2.0)
             f = psi @ c
@@ -258,7 +263,7 @@ def css_admm_oracle(
         gap = g - f
         primal.append(np.sqrt(np.sum(gap ** 2)))
         dual_res.append(rho * np.sqrt(np.sum((g - g_prev) ** 2)))
-        dual = dual + rho * gap
+        dual = dual + rho * (r - f)
         objective.append(lam * np.sum(edge_length * d ** 2) + dual @ gap
                          + 0.5 * rho * np.sum(gap ** 2))
     return g, f, np.array(primal), np.array(dual_res), np.array(objective)

@@ -336,12 +336,14 @@ def test_criterion_7_admm_convergence(ordering_suite):
             worst_step = max(worst_step, float(objs[k + 1] - objs[k] - slack))
     ok = not not_converged and worst_res <= 1e-6 and worst_step <= 0.0
     converged = len(outcomes) - len(not_converged)
+    sweeps = [outcome.results[CSS].iterations for outcome in outcomes]
     _record(
         7,
         "solver convergence on the ordering suite",
         ok,
         f"{converged}/{len(outcomes)} converged within 500 sweeps"
         + (f" (failures: {not_converged})" if not_converged else "")
+        + f" (sweeps: median {np.median(sweeps):g}, largest {max(sweeps)})"
         + f", final residuals <= {worst_res:.3e} x sqrt(n) (limit 1e-6); "
         f"objective non-increasing over the final 90% with margin "
         f"{-worst_step:.2e} to spare",
