@@ -144,7 +144,8 @@ class VolumeConstraints:
     step puts that patch's level at -inf; ``filled`` marks the patches
     with a positive total. ``passes``, the largest patch size plus two,
     caps the Newton passes over the cells. The constraint check compares
-    patch sums times ``cell_area`` with ``observed``, relative to ``scale``.
+    patch sums times ``cell_area`` with ``observed``, relative to ``scale``,
+    the largest volume; when every volume is 0 each sum must be exactly 0.
     """
 
     cell_patch: np.ndarray
@@ -183,7 +184,7 @@ def _constraints(
         passes=int(sizes.max()) + 2,
         observed=observed,
         cell_area=cell_area,
-        scale=max(float(np.abs(observed).max(initial=0.0)), 1.0),
+        scale=float(np.abs(observed).max(initial=0.0)),
     )
 
 
@@ -241,7 +242,8 @@ def dual_update(dual: np.ndarray, f: np.ndarray, relaxed: np.ndarray) -> np.ndar
 def _check_constraints(vc: VolumeConstraints, g: np.ndarray) -> float:
     """Worst patch-sum violation of g relative to the scale; raises past the tolerance."""
     sums = np.bincount(vc.cell_patch, weights=g, minlength=vc.totals.size) * vc.cell_area
-    viol = float(np.abs(sums - vc.observed).max(initial=0.0)) / vc.scale
+    gap = float(np.abs(sums - vc.observed).max(initial=0.0))
+    viol = gap / vc.scale if vc.scale else (np.inf if gap else 0.0)
     if (g.size and g.min() < -1e-12) or viol > _CONSTRAINT_TOL:
         raise NumericalFailure(
             f"volume projection violated its constraints (violation {viol:.3e}, "

@@ -265,6 +265,55 @@ def _run_command(command: str, inputs: dict, params: dict, out: Path) -> int:
     return 0
 
 
+def _integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _number(value) -> bool:
+    return _integer(value) or isinstance(value, float)
+
+
+# What each kind of manifest entry must be. An entry of a kind "... or null"
+# may also be null or missing, as the handlers read it with .get
+_KINDS = {
+    "a path": lambda v: isinstance(v, str),
+    "a list": lambda v: isinstance(v, list),
+    "an integer": _integer,
+    "a number": _number,
+    "a [low, high] pair": lambda v: isinstance(v, list) and len(v) == 2 and all(map(_number, v)),
+    "a list of numbers": lambda v: isinstance(v, list) and all(map(_number, v)),
+    "a list of method names": lambda v: isinstance(v, list) and all(isinstance(m, str) for m in v),
+}
+
+# The inputs and params each replayable command reads, and their kinds
+_REPLAYED = {
+    "synth": ({}, {"rows": "an integer", "cols": "an integer", "bumps": "an integer",
+                   "amp": "a [low, high] pair", "width": "a [low, high] pair",
+                   "beta": "a list of numbers or null", "blocks": "an integer",
+                   "noise": "a number", "seed": "an integer"}),
+    "stations": ({"field": "a path"}, {"stations": "an integer", "seed": "an integer"}),
+    "aggregate": ({"field": "a path", "stations": "a path"}, {}),
+    "recover": (dict.fromkeys(("truth", "domain", "stations", "aggregates", "features"),
+                              "a path or null"),
+                {"methods": "a list of method names", "lambda": "a number", "rho": "a number",
+                 "max_iter": "an integer", "tol": "a number", "stations": "an integer or null"}),
+    "evaluate": ({"truth": "a path", "estimates": "a list"}, {"floor": "a number"}),
+}
+
+
+def _check_entries(manifest_path: str, key: str, entries: dict, kinds: dict) -> None:
+    """SchemaError naming the first entry of ``kinds`` that ``entries`` lacks or holds ill-typed."""
+    for name, kind in kinds.items():
+        value = entries.get(name)
+        if value is None and kind.endswith(" or null"):
+            continue
+        if name not in entries:
+            raise SchemaError(f"{manifest_path}: '{key}' lacks '{name}'")
+        if not _KINDS[kind.removesuffix(" or null")](value):
+            raise SchemaError(f"{manifest_path}: '{key}' entry '{name}' must be {kind}, "
+                              f"got {value!r}")
+
+
 def _rerun_manifest(command: str, manifest_path: str, out: str | None) -> int:
     manifest = read_manifest(manifest_path)
     stored = manifest.get("command")
@@ -275,8 +324,15 @@ def _rerun_manifest(command: str, manifest_path: str, out: str | None) -> int:
     for key in ("inputs", "params"):
         if not isinstance(manifest.get(key), dict):
             raise SchemaError(f"{manifest_path}: missing '{key}' object")
-    inputs = manifest["inputs"]
-    if command == "evaluate" and "estimates" in inputs:
+    inputs, params = manifest["inputs"], manifest["params"]
+    need_inputs, need_params = _REPLAYED[command]
+    if command == "recover" and inputs.get("truth") is not None:
+        # --truth mode samples stations; file mode reads no seed, so an old
+        # file-mode manifest that holds one still replays
+        need_params = {**need_params, "seed": "an integer"}
+    _check_entries(manifest_path, "inputs", inputs, need_inputs)
+    _check_entries(manifest_path, "params", params, need_params)
+    if command == "evaluate":
         for entry in inputs["estimates"]:
             if not (isinstance(entry, list) and len(entry) == 2
                     and all(isinstance(text, str) for text in entry)):
@@ -288,7 +344,7 @@ def _rerun_manifest(command: str, manifest_path: str, out: str | None) -> int:
         inputs = dict(inputs)
         inputs["estimates"] = [tuple(e) for e in inputs["estimates"]]
     out_dir = Path(out) if out is not None else Path(manifest_path).parent
-    return _run_command(command, inputs, manifest["params"], out_dir)
+    return _run_command(command, inputs, params, out_dir)
 
 
 def _plottable(path: str, what: str, values) -> None:

@@ -2,28 +2,23 @@
 
 All writers emit rows in a deterministic order and format floats with
 round-trip repr, so rerunning a seeded pipeline reproduces files byte for
-byte. Writers and readers handle a whole column at a time: a writer formats
-each column in one pass and joins the text of each line, quoting a text
-field by csv.writer's rules; a reader takes a block of rows from
-csv.reader at once, converts each text column in one ``int``/``float``
-pass and checks indices with numpy. A block holds fewer rows than the
-garbage collector's young-generation threshold, so reading a file of any
-length starts next to no collection. The files are byte-identical to
-formatting each row with csv.writer, and a malformed file raises the
-message, naming the line, that reading it row by row would raise first.
+byte. A writer formats each column in one pass and joins the text of each
+line, quoting a text field by csv.writer's rules; the files are
+byte-identical to formatting each row with csv.writer.
 
-Field and cdf CSVs, the files a pipeline reads most, are read in two
-stages. numpy's C reader (``np.loadtxt`` with no quote or comment
-character and one dtype field per column) parses the body first. It is
-given only plain ASCII bodies (see ``_plain``); in those it splits rows
-and fields as csv.reader does and converts a number with the routine
-``float()`` uses, so every value it returns equals the row reader's bit
-for bit. What it cannot read the same way it refuses: ``1_0``, a
-non-ASCII digit, a line of spaces, a row of the wrong width. The row
-reader alone decides whenever numpy refuses the body or a parsed value
-fails a check (a negative index, a non-finite value): it reads the file
-anew, so a malformed file raises the message naming its first bad line,
-and a number only Python reads still reads.
+Field and cdf CSVs, the files a pipeline reads most, are parsed by numpy's
+C reader (``np.loadtxt`` with no quote or comment character and one dtype
+field per column). It is given only plain ASCII bodies (see ``_plain``);
+in those it splits rows and fields as csv.reader does and converts a
+number with the routine ``float()`` uses, so every value it returns equals
+the row reader's bit for bit. What it cannot read the same way it refuses:
+``1_0``, a non-ASCII digit, a line of spaces, a row of the wrong width.
+
+Every other file, and every field or cdf body that numpy refuses or whose
+parsed values fail a check (a negative index, a non-finite value), is read
+one row at a time by csv.reader, in file order. Each row's fields are
+checked in column order, so a malformed file raises the message, naming
+its line, of its first bad row, and a number only Python reads still reads.
 
 Values of fields, covariates, volumes, features and activity must be
 finite; a report or cdf may hold nan and inf. A field's grid spans rows
@@ -48,10 +43,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import warnings
-from itertools import accumulate, compress, count, islice, repeat
+from itertools import count, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -73,14 +69,6 @@ FEATURE_NAMES = (
 )
 
 CDR_HEADER = ("square_id", "timestamp", "sms_in", "sms_out", "call_in", "call_out")
-
-# Rows a reader holds as text at once: a file is read in blocks of this
-# many, so memory does not grow with its length. A block must hold fewer
-# row lists than the garbage collector's young-generation threshold
-# (gc.get_threshold()[0], 700 by default): a block of more starts young
-# collections, and the rows they find alive are promoted until a full
-# collection scans every object in the process. Larger blocks read no faster.
-_BLOCK_ROWS = 1 << 8
 
 # csv.writer's default dialect ends every row with "\r\n"; body lines are
 # joined by hand and end the same way
@@ -121,98 +109,21 @@ def _open_rows(path: str | Path):
     return handle
 
 
-def _bad_value(kind: type, column: str, text: str) -> str:
-    what = "non-integer" if kind is int else "non-numeric"
-    return f"column '{column}' has {what} value {text!r}"
-
-
-def _non_finite(column: str, text: str) -> str:
-    return f"column '{column}' has non-finite value {text!r}"
-
-
-def _int_array(values: list[int]) -> np.ndarray:
+def _parse(kind: type, text: str, path, line: int, column: str) -> int | float:
+    """``text`` read as ``kind``, int or float; a SchemaError naming the line otherwise."""
     try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        # an index beyond int64 lies outside any grid; clipped, it still does
-        return np.array([min(max(v, -2**63), 2**63 - 1) for v in values], dtype=np.int64)
+        return kind(text)
+    except ValueError:
+        what = "non-integer" if kind is int else "non-numeric"
+        raise SchemaError(f"{path}:{line}: column '{column}' has {what} value {text!r}") from None
 
 
-def _exact_ints(values: list[int]) -> np.ndarray:
-    """``values`` as int64, or as the Python ints themselves where one lies beyond int64."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
-
-
-class _Rows:
-    """A block of a CSV's data rows, parsed and checked a column at a time.
-
-    Every step looks only at the rows before ``stop``, the row of the
-    earliest failure recorded so far, so a failure it records is earlier.
-    Readers run their steps in the order a row-by-row reader checks one
-    row's fields, so ``check`` raises the error that reader would meet first.
-    """
-
-    def __init__(self, path, names: tuple[str, ...], lines: list[int],
-                 records: list[list[str]], error: str | None = None):
-        self.path = path
-        self.names = names
-        self.lines = lines          # the file line of each record
-        self.columns = list(zip(*records)) or [()] * len(names)
-        self.stop = len(records)
-        self.error = error          # a failure after the last record, if any
-
-    def fail(self, k: int, message: str) -> None:
-        """Record a failure on row ``k``, a row before ``stop``."""
-        self.stop = k
-        self.error = f"{self.path}:{self.lines[k]}: {message}"
-
-    def first(self, bad: np.ndarray, message: Callable[[int], str]) -> None:
-        """Record the first row before ``stop`` where ``bad`` holds."""
-        hits = np.flatnonzero(bad[:self.stop])
-        if hits.size:
-            self.fail(int(hits[0]), message(int(hits[0])))
-
-    def parse(self, j: int, kind: type, texts: Sequence[str] | None = None) -> list:
-        """Column ``j``, or ``texts`` in its place, read as ``kind`` on the rows before ``stop``."""
-        texts = (self.columns[j] if texts is None else texts)[:self.stop]
-        try:
-            return list(map(kind, texts))
-        except ValueError:
-            pass
-        values = []
-        for text in texts:
-            try:
-                values.append(kind(text))
-            except ValueError:
-                self.fail(len(values), _bad_value(kind, self.names[j], text))
-                break
-        return values
-
-    def parse_finite(self, j: int, texts: Sequence[str] | None = None) -> list[float]:
-        """Column ``j``, or ``texts`` in its place, read as float on the rows before
-        ``stop``, each finite."""
-        texts = self.columns[j] if texts is None else texts
-        values = self.parse(j, float, texts)
-        self.first(~np.isfinite(values), lambda k: _non_finite(self.names[j], texts[k]))
-        return values
-
-    def check(self) -> None:
-        if self.error is not None:
-            raise SchemaError(self.error)
-
-
-def _end_lines(records: list[list[str]], start: int) -> list[int]:
-    """The file line each record ends on, the first starting after line ``start``.
-
-    A record takes one line plus one per line break inside its quoted
-    fields; the file is read with ``newline=""``, so a break is ``\r\n``,
-    ``\r`` or ``\n`` and stays in the field as it was written.
-    """
-    spans = [1 + t.count("\n") + t.count("\r") - t.count("\r\n") for t in map(",".join, records)]
-    return list(accumulate(spans, initial=start))[1:]
+def _finite(text: str, path, line: int, column: str) -> float:
+    """``text`` read as a finite float; a SchemaError naming the line otherwise."""
+    value = _parse(float, text, path, line, column)
+    if not math.isfinite(value):
+        raise SchemaError(f"{path}:{line}: column '{column}' has non-finite value {text!r}")
+    return value
 
 
 def _lines(handle) -> Iterator[str]:
@@ -269,61 +180,40 @@ def _read_rows(
     what: str | None = None,
     prefix: bool = False,
     required: tuple[str, ...] = (),
-) -> Iterator[_Rows]:
-    """Yield the nonblank data rows of a CSV in blocks of at most _BLOCK_ROWS.
+) -> Iterator[tuple[int, tuple[str, ...], list[str]]]:
+    """Yield ``(line, names, fields)`` for each nonblank data row of a CSV, in file order.
 
     The header must name every column in ``required``, in any order, and
     equal ``header`` or, with ``prefix``, start with it and name at least
-    one more column; each block's ``names`` holds it. Every row must have
-    as many fields as the header: the first that does not ends the file,
-    its error pending in the last block, after the rows before it. A row
-    is known by the file line it ends on, so a quoted field spanning lines
-    shifts no later line number. A file with a header and no rows raises
+    one more column; ``names`` holds it. A row is known by the file line it
+    ends on, so a quoted field spanning lines shifts no later line number.
+    A row of another width than the header, text csv.reader cannot split
+    and a byte that does not decode raise where they are met, after every
+    row before them is given. A file with a header and no rows raises
     unless ``what`` is None.
     """
+    listed = False
     with _open_rows(path) as handle:
         reader = csv.reader(_lines(handle))
         try:
             got = next(reader, None)
+            names = () if got is None else tuple(h.strip() for h in got)
+            missing = [h for h in required if h not in names]
+            if missing:
+                raise SchemaError(f"{path}: header lacks columns {missing}")
+            if names[:len(header)] != header or (len(names) > len(header)) != prefix:
+                expected = ",".join([*header, "<names...>"] if prefix else header)
+                raise SchemaError(f"{path}: expected header {expected}, got {got}")
+            for fields in reader:
+                if not fields:
+                    continue
+                if len(fields) != len(names):
+                    raise SchemaError(f"{path}:{reader.line_num}: expected {len(names)} "
+                                      f"columns, got {len(fields)}")
+                listed = True
+                yield reader.line_num, names, fields
         except (csv.Error, UnicodeDecodeError) as exc:
             raise SchemaError(_unreadable(path, handle, reader, exc)) from exc
-        names = () if got is None else tuple(h.strip() for h in got)
-        missing = [h for h in required if h not in names]
-        if missing:
-            raise SchemaError(f"{path}: header lacks columns {missing}")
-        if names[:len(header)] != header or (len(names) > len(header)) != prefix:
-            expected = ",".join([*header, "<names...>"] if prefix else header)
-            raise SchemaError(f"{path}: expected header {expected}, got {got}")
-        width = len(names)
-        listed, end = False, reader.line_num
-        while True:
-            records, failure = [], None
-            try:
-                records.extend(islice(reader, _BLOCK_ROWS))
-            except (csv.Error, UnicodeDecodeError) as exc:
-                # pending after the rows read before it, as a read one row
-                # at a time would meet their errors first
-                failure = _unreadable(path, handle, reader, exc)
-            start, end = end, reader.line_num
-            lines = (range(start + 1, end + 1) if end - start == len(records)
-                     else _end_lines(records, start))
-            widths = list(map(len, records))
-            error = failure
-            if widths.count(width) != len(widths):
-                # blank rows are skipped; the first row of another width ends the file
-                bad = next((k for k, n in enumerate(widths) if n and n != width), len(widths))
-                if bad < len(widths):
-                    error = f"{path}:{lines[bad]}: expected {width} columns, got {widths[bad]}"
-                lines = list(compress(lines, widths[:bad]))
-                records = list(compress(records, widths[:bad]))
-            if error is not None:
-                yield _Rows(path, names, lines, records, error)
-                return
-            if records:
-                listed = True
-                yield _Rows(path, names, lines, records)
-            if len(widths) < _BLOCK_ROWS:
-                break
     if not listed and what is not None:
         raise SchemaError(f"{path}: no {what} listed")
 
@@ -388,20 +278,27 @@ def _quoted(value) -> str:
     return line.getvalue()[:-len("," + _EOL)]
 
 
-def _station_ids(rows: _Rows, start: int) -> None:
-    """Check that the block's station ids run on from ``start``."""
-    ids = rows.parse(0, int)
-    expected = np.arange(start, start + len(ids))
-    rows.first(_int_array(ids) != expected, lambda k: "station ids must run 0,1,2,...")
+def _station_id(text: str, expected: int, path, line: int) -> None:
+    """Check that a row's station id is ``expected``, its position in the file."""
+    if _parse(int, text, path, line, "station_id") != expected:
+        raise SchemaError(f"{path}:{line}: station ids must run 0,1,2,...")
 
 
-def _active_cells(rows: _Rows, j: int, domain: GridDomain) -> np.ndarray:
-    """Active-cell positions of the cells that columns j (row) and j+1 (col) name."""
-    r, c = rows.parse(j, int), rows.parse(j + 1, int)
-    n = rows.stop
-    pos = domain.positions_of(_int_array(r[:n]), _int_array(c[:n]))
-    rows.first(pos < 0, lambda k: f"cell ({r[k]}, {c[k]}) is not active")
-    return pos
+def _active_cell(domain: GridDomain, row: str, col: str, path, line: int) -> int:
+    """Active-cell position of the cell that the text ``row``, ``col`` names."""
+    r, c = _parse(int, row, path, line, "row"), _parse(int, col, path, line, "col")
+    try:
+        return domain.index_of(r, c)
+    except ShapeMismatch:
+        raise SchemaError(f"{path}:{line}: cell ({r}, {c}) is not active") from None
+
+
+def _square(text: str, n_cells: int, path, line: int) -> int:
+    """Flat grid index of the 1-based square id ``text`` on a grid of ``n_cells``."""
+    sid = _parse(int, text, path, line, "square_id")
+    if not 1 <= sid <= n_cells:
+        raise SchemaError(f"{path}:{line}: square_id {sid} outside 1..{n_cells}")
+    return sid - 1
 
 
 def _seed_text(seed: int | None) -> int | str:
@@ -416,18 +313,20 @@ def write_field_csv(field: SpatialField, path: str | Path) -> None:
 
 
 def _field_cells(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row, column and value of every cell a field CSV lists, read by the row reader."""
-    blocks = []
-    for rows in _read_rows(path, _FIELD_ROW.names, "cells"):
-        r, c = rows.parse(0, int), rows.parse(1, int)
-        n = rows.stop
-        # exact, so that the grid bound names an index past int64 as the file gives it
-        rr, cc = _exact_ints(r[:n]), _exact_ints(c[:n])
-        rows.first((rr < 0) | (cc < 0), lambda k: f"negative cell index ({r[k]}, {c[k]})")
-        values = rows.parse_finite(2)
-        rows.check()
-        blocks.append((rr, cc, values))
-    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+    """Row, column and value of every cell a field CSV lists, read by the row reader.
+
+    The indices stay Python ints, so that the grid bound names an index
+    past int64 as the file gives it.
+    """
+    rows, cols, values = [], [], []
+    for line, _, (r, c, value) in _read_rows(path, _FIELD_ROW.names, "cells"):
+        r, c = _parse(int, r, path, line, "row"), _parse(int, c, path, line, "col")
+        if r < 0 or c < 0:
+            raise SchemaError(f"{path}:{line}: negative cell index ({r}, {c})")
+        rows.append(r)
+        cols.append(c)
+        values.append(_finite(value, path, line, "value"))
+    return np.array(rows, dtype=object), np.array(cols, dtype=object), np.array(values)
 
 
 def read_field_csv(path: str | Path) -> SpatialField:
@@ -447,7 +346,7 @@ def read_field_csv(path: str | Path) -> SpatialField:
         k = int(np.argmax(r)) if n_rows >= n_cols else int(np.argmax(c))
         raise SchemaError(f"{path}: cell ({r[k]}, {c[k]}) makes the grid {n_rows} x "
                           f"{n_cols} cells, more than the {_MAX_GRID_CELLS} allowed")
-    flat = r * n_cols + c
+    flat = (r * n_cols + c).astype(np.int64, copy=False)
     mask = np.zeros(n_rows * n_cols, dtype=bool)
     mask[flat] = True
     if np.count_nonzero(mask) != flat.size:   # a cell listed twice sets one flag
@@ -468,25 +367,22 @@ def write_covariates_csv(cov: CovariateMatrix, path: str | Path) -> None:
 def read_covariates_csv(path: str | Path, domain: GridDomain) -> CovariateMatrix:
     """Read covariates for exactly the active cells of ``domain``."""
     seen = np.zeros(domain.n, dtype=bool)
-    blocks = []
-    for rows in _read_rows(path, ("row", "col"), "covariate rows", prefix=True):
-        names = rows.names[2:]
-        pos = _active_cells(rows, 0, domain)
-        dup = np.ones(pos.size, dtype=bool)
-        dup[np.unique(pos, return_index=True)[1]] = False   # all but each cell's first row
-        rows.first(dup | seen[pos],
-                   lambda k: "duplicate cell ({}, {})".format(*domain.cells[pos[k]]))
-        columns = [rows.parse_finite(j) for j in range(2, len(rows.names))]
-        rows.check()
+    cells, rows = [], []
+    for line, names, (r, c, *texts) in _read_rows(path, ("row", "col"), "covariate rows",
+                                                  prefix=True):
+        pos = _active_cell(domain, r, c, path, line)
+        if seen[pos]:
+            raise SchemaError(f"{path}:{line}: duplicate cell "
+                              "({}, {})".format(*domain.cells[pos]))
         seen[pos] = True
-        blocks.append((pos, columns))
-    values = np.zeros((domain.n, len(names)))
-    for pos, columns in blocks:
-        values[pos] = np.array(columns).T
+        cells.append(pos)
+        rows.append([_finite(text, path, line, name) for text, name in zip(texts, names[2:])])
     if not seen.all():
         missing = int((~seen).sum())
         raise SchemaError(f"{path}: {missing} active cells have no covariate row")
-    return CovariateMatrix(domain, values, names)
+    values = np.zeros((domain.n, len(names) - 2))
+    values[cells] = rows
+    return CovariateMatrix(domain, values, names[2:])
 
 
 # -------------------------------------------------------------- stations
@@ -498,12 +394,10 @@ def write_stations_csv(stations: StationSet, path: str | Path) -> None:
 
 def read_stations_csv(path: str | Path, domain: GridDomain) -> StationSet:
     cells = []
-    for rows in _read_rows(path, ("station_id", "row", "col"), "stations"):
-        _station_ids(rows, sum(map(len, cells)))
-        pos = _active_cells(rows, 1, domain)
-        rows.check()
-        cells.append(pos)
-    return StationSet(domain, np.concatenate(cells))
+    for line, _, (sid, r, c) in _read_rows(path, ("station_id", "row", "col"), "stations"):
+        _station_id(sid, len(cells), path, line)
+        cells.append(_active_cell(domain, r, c, path, line))
+    return StationSet(domain, np.array(cells))
 
 
 # ------------------------------------------------------------ aggregates
@@ -514,11 +408,9 @@ def write_aggregates_csv(volumes: AggregateObservations, path: str | Path) -> No
 
 def read_aggregates_csv(path: str | Path) -> AggregateObservations:
     vols = []
-    for rows in _read_rows(path, ("station_id", "volume"), "volumes"):
-        _station_ids(rows, len(vols))
-        values = rows.parse_finite(1)
-        rows.check()
-        vols += values
+    for line, _, (sid, volume) in _read_rows(path, ("station_id", "volume"), "volumes"):
+        _station_id(sid, len(vols), path, line)
+        vols.append(_finite(volume, path, line, "volume"))
     return AggregateObservations(np.asarray(vols))
 
 
@@ -533,12 +425,10 @@ def write_report_csv(reports: Sequence[EvalReport], path: str | Path) -> None:
 
 def read_report_csv(path: str | Path) -> list[tuple[str, str, float, int]]:
     """Rows of a report CSV as (method, seed text, mre, excluded)."""
-    out: list[tuple[str, str, float, int]] = []
-    for rows in _read_rows(path, ("method", "seed", "mre", "excluded"), "report rows"):
-        mre, excluded = rows.parse(2, float), rows.parse(3, int)
-        rows.check()
-        out += zip(rows.columns[0], rows.columns[1], mre, excluded)
-    return out
+    return [(method, seed, _parse(float, mre, path, line, "mre"),
+             _parse(int, excluded, path, line, "excluded"))
+            for line, _, (method, seed, mre, excluded)
+            in _read_rows(path, ("method", "seed", "mre", "excluded"), "report rows")]
 
 
 def write_cdf_csv(report: EvalReport, path: str | Path) -> None:
@@ -555,13 +445,10 @@ def read_cdf_csv(path: str | Path) -> tuple[str, np.ndarray, np.ndarray]:
     rows = _c_rows(path, _CDF_ROW)
     if rows is not None:
         return rows["method"][-1], rows["error"].copy(), rows["cdf"].copy()
-    errors, values, method = [], [], ""
-    for rows in _read_rows(path, _CDF_ROW.names, "cdf samples"):
-        e, p = rows.parse(2, float), rows.parse(3, float)
-        rows.check()
-        method = rows.columns[0][-1]
-        errors += e
-        values += p
+    errors, values = [], []
+    for line, _, (method, _, error, cdf) in _read_rows(path, _CDF_ROW.names, "cdf samples"):
+        errors.append(_parse(float, error, path, line, "error"))
+        values.append(_parse(float, cdf, path, line, "cdf"))
     return method, np.asarray(errors), np.asarray(values)
 
 
@@ -588,26 +475,15 @@ def load_cdr_csv(
     """
     n_cells = n_rows * n_cols
     acc = np.zeros(n_cells)
-    for rows in _read_rows(path, CDR_HEADER):
-        sid = rows.parse(0, int)
-        flat = _int_array(sid) - 1
-        rows.first((flat < 0) | (flat >= n_cells),
-                   lambda k: f"square_id {sid[k]} outside 1..{n_cells}")
-        ts = np.asarray(rows.parse(1, float))
-        inside = (np.ones(ts.size, dtype=bool) if time_range is None
-                  else (time_range[0] <= ts) & (ts <= time_range[1]))
-        keep = inside.tolist()
-        # only rows inside the time range are parsed; an empty field reads 0,
-        # which leaves a row's running total as skipping it would
-        columns = [rows.parse_finite(j, [text.strip() or "0" if k else "0"
-                                         for text, k in zip(rows.columns[j], keep)])
-                   for j in range(2, len(CDR_HEADER))]
-        rows.check()
-        total = np.zeros(len(keep))
-        for values in columns:
-            total += values
-        # np.add.at adds one row at a time in file order, as the rows are read
-        np.add.at(acc, flat[inside], total[inside])
+    for line, _, (sid, ts, *counts) in _read_rows(path, CDR_HEADER):
+        square = _square(sid, n_cells, path, line)
+        ts = _parse(float, ts, path, line, "timestamp")
+        if time_range is None or time_range[0] <= ts <= time_range[1]:
+            # only rows inside the time range are parsed; an empty field reads 0
+            total = 0.0
+            for text, column in zip(counts, CDR_HEADER[2:]):
+                total += _finite(text.strip() or "0", path, line, column)
+            acc[square] += total
     domain = make_domain(n_rows, n_cols)
     return SpatialField(domain, acc)
 
@@ -629,22 +505,15 @@ def load_features_csv(
     present = np.zeros(n_cells, dtype=bool)
     raw = np.zeros((n_cells, len(names)))
     needed = ("square_id", *names)
-    for rows in _read_rows(path, (), "squares", prefix=True, required=needed):
-        j_sid, *j_names = map(rows.names.index, needed)
-        sid = rows.parse(j_sid, int)
-        flat = _int_array(sid) - 1
-        rows.first((flat < 0) | (flat >= n_cells),
-                   lambda k: f"square_id {sid[k]} outside 1..{n_cells}")
-        flat = flat[:rows.stop]
-        dup = np.ones(flat.size, dtype=bool)
-        dup[np.unique(flat, return_index=True)[1]] = False   # all but each square's first row
-        rows.first(dup | present[flat], lambda k: f"duplicate square_id {sid[k]}")
-        rows.first(~domain.active[flat],
-                   lambda k: f"square_id {sid[k]} is inactive in the domain")
-        columns = [rows.parse_finite(j) for j in j_names]
-        rows.check()
-        present[flat] = True
-        raw[flat] = np.array(columns).T
+    for line, header, fields in _read_rows(path, (), "squares", prefix=True, required=needed):
+        sid, *texts = (fields[header.index(name)] for name in needed)
+        square = _square(sid, n_cells, path, line)
+        if present[square]:
+            raise SchemaError(f"{path}:{line}: duplicate square_id {square + 1}")
+        if not domain.active[square]:
+            raise SchemaError(f"{path}:{line}: square_id {square + 1} is inactive in the domain")
+        raw[square] = [_finite(text, path, line, name) for text, name in zip(texts, names)]
+        present[square] = True
     restricted = make_domain(
         domain.n_rows, domain.n_cols, present,
         cell_area=domain.cell_area, origin=domain.origin, cell_size=domain.cell_size,

@@ -80,13 +80,6 @@ class GridDomain:
             raise ShapeMismatch(f"cell ({row}, {col}) is inactive")
         return int(pos)
 
-    def positions_of(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Active-cell positions of cells (rows[i], cols[i]); -1 where outside or inactive."""
-        inside = (rows >= 0) & (rows < self.n_rows) & (cols >= 0) & (cols < self.n_cols)
-        pos = np.full(rows.shape, -1, dtype=np.int64)
-        pos[inside] = self._pos_of_flat[rows[inside] * self.n_cols + cols[inside]]
-        return pos
-
     def same_grid(self, other: "GridDomain") -> bool:
         return (
             self.n_rows == other.n_rows

@@ -46,6 +46,11 @@ class SynthSpec:
             raise ConfigError("beta needs at least one entry when given")
         if self.covariate_blocks < 1:
             raise ConfigError("need at least one covariate block")
+        # each blocky column anchors its blocks at distinct cells
+        cells = self.n_rows * self.n_cols
+        if self.beta is not None and len(self.beta) > 1 and self.covariate_blocks > cells:
+            raise ConfigError(f"{self.covariate_blocks} covariate blocks need as many cells; "
+                              f"the {self.n_rows}x{self.n_cols} grid has {cells}")
 
 
 def generate_field(spec: SynthSpec) -> tuple[SpatialField, CovariateMatrix | None]:

@@ -485,6 +485,32 @@ def test_constraints_project_each_volume_set_independently(rng):
         )
 
 
+@pytest.mark.parametrize("unit", [1e-6, 1.0, 1e6])
+def test_constraint_check_is_relative_in_any_unit_of_volume(unit):
+    # a projection that misses every total by 1e-6 of itself is caught
+    # whatever the unit of volume, volumes below 1 included
+    dom, truth, part, vols = make_problem(10, 10, 8, seed=3)
+    constraints = volume_constraints(part, AggregateObservations(vols.values * unit))
+    g = volume_projection(constraints, np.zeros(dom.n), np.zeros(dom.n))
+    assert csmooth.admm._check_constraints(constraints, g) <= 1e-12
+    with pytest.raises(NumericalFailure, match="violated its constraints"):
+        csmooth.admm._check_constraints(constraints, g * (1 + 1e-6))
+
+
+def test_constraint_check_with_every_volume_zero(rng):
+    # no volume sets a scale: every patch sum must be exactly 0
+    dom, truth, part, vols = make_problem(6, 6, 4, seed=3)
+    zero = AggregateObservations(np.zeros(part.m))
+    constraints = volume_constraints(part, zero)
+    g = volume_projection(constraints, rng.normal(size=dom.n), rng.normal(size=dom.n))
+    assert not g.any() and csmooth.admm._check_constraints(constraints, g) == 0.0
+    g[5] = 1e-300
+    with pytest.raises(NumericalFailure, match="violated its constraints"):
+        csmooth.admm._check_constraints(constraints, g)
+    res = css_recover(dom, part, zero)
+    assert not res.estimate.values.any() and res.constraint_violation == 0.0
+
+
 def test_constraints_keep_volume_checks():
     dom, truth, part, vols = make_problem(4, 4, 3, seed=1)
     with pytest.raises(InfeasibleVolume, match="negative volume -1.0 observed"):

@@ -155,6 +155,46 @@ def test_manifest_command_mismatch(workflow_dir, capsys):
     assert "records command" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,where,key", [
+    ("synth", "params", "seed"),
+    ("stations", "params", "stations"),
+    ("aggregate", "inputs", "stations"),
+    ("recover", "params", "max_iter"),
+    ("recover", "params", "seed"),
+    ("evaluate", "params", "floor"),
+])
+def test_replayed_manifest_lacking_a_key_exits_two(workflow_dir, capsys, command, where, key):
+    truth = workflow_dir / "synth" / "truth.csv"
+    made = {"synth": "synth", "stations": "stations", "aggregate": "agg"}.get(command, command)
+    if command == "recover":
+        assert run(["recover", "--truth", truth, "--stations", 5, "--method", "pe",
+                    "--out", workflow_dir / made]) == 0
+    elif command == "evaluate":
+        assert run(["evaluate", "--truth", truth, "--estimate", truth,
+                    "--out", workflow_dir / made]) == 0
+    manifest = json.loads((workflow_dir / made / "manifest.json").read_text())
+    del manifest[where][key]
+    edited = workflow_dir / "edited.json"
+    edited.write_text(json.dumps(manifest))
+    replay = workflow_dir / "replay"
+    assert run([command, "--from-manifest", edited, "--out", replay]) == 2
+    assert f"'{where}' lacks '{key}'" in capsys.readouterr().err
+    assert not replay.exists()
+
+
+@pytest.mark.parametrize("key,value", [("rows", "six"), ("amp", [1.0]), ("beta", ["2"]),
+                                       ("seed", True)])
+def test_replayed_manifest_with_an_ill_typed_param_exits_two(workflow_dir, capsys, key, value):
+    manifest = json.loads((workflow_dir / "synth" / "manifest.json").read_text())
+    manifest["params"][key] = value
+    edited = workflow_dir / "edited.json"
+    edited.write_text(json.dumps(manifest))
+    replay = workflow_dir / "replay"
+    assert run(["synth", "--from-manifest", edited, "--out", replay]) == 2
+    assert f"'params' entry '{key}' must be" in capsys.readouterr().err
+    assert not replay.exists()
+
+
 def test_features_flow(tmp_path):
     synth = tmp_path / "synth"
     assert run(["synth", "--rows", 8, "--cols", 8, "--bumps", 2, "--beta", "1.0,0.5",
@@ -217,6 +257,8 @@ def test_rejected_command_leaves_no_output_directory(workflow_dir, capsys):
     missing = workflow_dir / "missing.csv"
     huge = workflow_dir / "huge.csv"
     huge.write_text("row,col,value\n0,9223372036854775807,1\n")
+    bad_stations = workflow_dir / "bad_stations.csv"
+    bad_stations.write_text("station_id,row,col\n0,0,0\n1,x,1\n")
     from_files = ["--domain", truth, "--stations-csv", workflow_dir / "stations" / "stations.csv",
                   "--aggregates", workflow_dir / "agg" / "aggregates.csv"]
     rejected = {
@@ -231,6 +273,11 @@ def test_rejected_command_leaves_no_output_directory(workflow_dir, capsys):
         "count and stations csv": ["recover", *from_files, "--stations", 3, "--method", "pe"],
         "seed in file mode": ["recover", *from_files, "--seed", 7, "--method", "pe"],
         "huge field": ["stations", "--field", huge, "--stations", 1],
+        "bad stations row": ["recover", "--domain", truth, "--stations-csv", bad_stations,
+                             "--aggregates", workflow_dir / "agg" / "aggregates.csv"],
+        # a blocky covariate column anchors each block at its own cell
+        "blocks past the cells": ["synth", "--rows", 2, "--cols", 2, "--beta", "1,2",
+                                  "--blocks", 5],
         # the field is read before the missing cdf
         "plot": ["plot", "--field", truth, "--cdf", missing],
     }

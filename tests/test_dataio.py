@@ -104,16 +104,15 @@ def test_field_grid_is_bounded_before_allocating(tmp_path, cell):
     assert peak < 2**20
 
 
-@pytest.mark.parametrize("block", [None, 1])
-def test_field_grid_bound_names_the_cell_as_the_file_gives_it(tmp_path, monkeypatch, block):
+@pytest.mark.parametrize("chunk", [None, 1])
+def test_field_grid_bound_names_the_cell_as_the_file_gives_it(tmp_path, chunk):
     # an index past int64 is named by its own digits, not by a clipped value
-    if block is not None:
-        monkeypatch.setattr(dataio, "_BLOCK_ROWS", block)
     path = tmp_path / "huge.csv"
     path.write_text("row,col,value\n0,0,1\n99999999999999999999,0,1\n"
                     "100000000000000000000,1,1\n")
-    with pytest.raises(SchemaError, match=r"huge.csv: cell \(100000000000000000000, 1\) makes "
-                                          r"the grid 100000000000000000001 x 2 cells"):
+    with decoded_in_chunks(chunk), pytest.raises(
+            SchemaError, match=r"huge.csv: cell \(100000000000000000000, 1\) makes "
+                               r"the grid 100000000000000000001 x 2 cells"):
         read_field_csv(path)
 
 
@@ -126,6 +125,24 @@ def test_field_grid_may_reach_the_cap(tmp_path, monkeypatch):
     with pytest.raises(SchemaError, match=r"cell \(2, 4\) makes the grid 3 x 5 cells, "
                                           r"more than the 12 allowed"):
         read_field_csv(path)
+
+
+def decoded_in_chunks(chunk):
+    """Within this context, readers decode their file ``chunk`` bytes at a time.
+
+    None keeps the default of 8 KiB. A small chunk ends one mid-line, between
+    the "\\r" and "\\n" of a line break and inside a multibyte character;
+    what a reader gives or raises must not change.
+    """
+    opened = dataio._open_rows
+
+    def open_rows(path):
+        handle = opened(path)
+        if chunk is not None:
+            handle._CHUNK_SIZE = chunk
+        return handle
+
+    return mock.patch.object(dataio, "_open_rows", open_rows)
 
 
 def test_field_missing_file(tmp_path):
@@ -266,25 +283,22 @@ FIRST_ERRORS = [
 ]
 
 
-@pytest.mark.parametrize("block", [None, 2, 3])
+@pytest.mark.parametrize("chunk", [None, 2, 3])
 @pytest.mark.parametrize("case", range(len(FIRST_ERRORS)))
-def test_first_error_wins(tmp_path, monkeypatch, case, block):
-    """Column-wise parsing raises the error of the earliest bad line, in any block size."""
-    if block is not None:
-        monkeypatch.setattr(dataio, "_BLOCK_ROWS", block)
+def test_first_error_wins(tmp_path, case, chunk):
+    """A reader raises the error of the earliest bad line, however the file is decoded."""
     read, text, error = FIRST_ERRORS[case]
     path = tmp_path / "bad.csv"
     path.write_text(text)
-    with pytest.raises(SchemaError) as info:
+    with decoded_in_chunks(chunk), pytest.raises(SchemaError) as info:
         read(path)
     assert str(info.value) == f"{path}:{error}"
 
 
-@pytest.mark.parametrize("block", [1, 2, 3, None])
-def test_blocks_know_each_row_by_its_end_line(tmp_path, monkeypatch, rng, block):
-    """Rows and line numbers of the blocks are those of reading one row at a time."""
-    if block is not None:
-        monkeypatch.setattr(dataio, "_BLOCK_ROWS", block)
+@pytest.mark.parametrize("chunk", [1, 2, 3, None])
+def test_blocks_know_each_row_by_its_end_line(tmp_path, rng, chunk):
+    """The row reader gives csv.reader's rows, each with the line it ends on,
+    however the file is decoded."""
     breaks = ["\n", "\r", "\r\n"]
     lines = ["a,b"]
     for i in range(60):
@@ -299,8 +313,8 @@ def test_blocks_know_each_row_by_its_end_line(tmp_path, monkeypatch, rng, block)
     text = "".join(line + rng.choice(breaks) for line in lines)
     path = tmp_path / "rows.csv"
     path.write_bytes(text.encode())
-    got = [(line, list(rec)) for rows in dataio._read_rows(path, ("a", "b"))
-           for line, rec in zip(rows.lines, zip(*rows.columns))]
+    with decoded_in_chunks(chunk):
+        got = [(line, fields) for line, _, fields in dataio._read_rows(path, ("a", "b"))]
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         next(reader)
@@ -309,10 +323,11 @@ def test_blocks_know_each_row_by_its_end_line(tmp_path, monkeypatch, rng, block)
 
 
 def test_reading_stays_out_of_the_garbage_collector(tmp_path, rng):
-    """A read starts at most two young collections and no full one.
+    """A read of a field or a cdf starts at most two young collections and no full one.
 
-    A block holding more row lists than the young-generation threshold
-    would start one per block and, by promoting live rows, full ones.
+    numpy's reader holds no row lists; holding more of them alive than the
+    young-generation threshold would start collections and, by promoting
+    live rows, full ones.
     """
     domain = make_domain(100, 100)
     field = SpatialField(domain, rng.uniform(size=domain.n))
@@ -347,8 +362,7 @@ def test_readers_keep_python_number_syntax(tmp_path):
     assert [row[3] for row in read_report_csv(path)] == [2, 10]
 
 
-def test_roundtrips_across_blocks(tmp_path, monkeypatch, masked_domain, rng):
-    monkeypatch.setattr(dataio, "_BLOCK_ROWS", 3)
+def test_roundtrips_name_a_late_duplicate_by_its_line(tmp_path, masked_domain, rng):
     field = SpatialField(masked_domain, rng.uniform(size=masked_domain.n))
     write_field_csv(field, tmp_path / "field.csv")
     np.testing.assert_array_equal(read_field_csv(tmp_path / "field.csv").values, field.values)
@@ -713,7 +727,7 @@ def test_numpy_reader_takes_written_files(tmp_path, masked_domain, rng):
     assert dataio._c_rows(tmp_path / "cdf.csv", _CDF_ROW)["method"][-1] == "pe"
 
 
-# ------------------------------------------------- activity, column by column
+# ------------------------------------------------- activity, against a row loop
 
 def _parse(kind, text, path, line, column):
     try:
@@ -724,26 +738,24 @@ def _parse(kind, text, path, line, column):
 
 
 def load_cdr_rows(path, time_range=None, n_rows=100, n_cols=100):
-    """load_cdr_csv as it read one row at a time: the reference for its column-wise reading."""
+    """load_cdr_csv written as a plain row loop: the reference for its reading."""
     acc = np.zeros(n_rows * n_cols)
-    for rows in dataio._read_rows(path, CDR_HEADER):
-        for i, *rec in zip(rows.lines, *rows.columns):
-            sid = _parse(int, rec[0], path, i, "square_id")
-            if not (1 <= sid <= n_rows * n_cols):
-                raise SchemaError(f"{path}:{i}: square_id {sid} outside 1..{n_rows * n_cols}")
-            ts = _parse(float, rec[1], path, i, "timestamp")
-            if time_range is not None and not (time_range[0] <= ts <= time_range[1]):
-                continue
-            total = 0.0
-            for j, col in enumerate(CDR_HEADER[2:], start=2):
-                text = rec[j].strip()
-                if text:
-                    value = _parse(float, text, path, i, col)
-                    if not np.isfinite(value):
-                        raise SchemaError(f"{path}:{i}: column '{col}' has non-finite value {text!r}")
-                    total += value
-            acc[sid - 1] += total
-        rows.check()
+    for i, _, rec in dataio._read_rows(path, CDR_HEADER):
+        sid = _parse(int, rec[0], path, i, "square_id")
+        if not (1 <= sid <= n_rows * n_cols):
+            raise SchemaError(f"{path}:{i}: square_id {sid} outside 1..{n_rows * n_cols}")
+        ts = _parse(float, rec[1], path, i, "timestamp")
+        if time_range is not None and not (time_range[0] <= ts <= time_range[1]):
+            continue
+        total = 0.0
+        for j, col in enumerate(CDR_HEADER[2:], start=2):
+            text = rec[j].strip()
+            if text:
+                value = _parse(float, text, path, i, col)
+                if not np.isfinite(value):
+                    raise SchemaError(f"{path}:{i}: column '{col}' has non-finite value {text!r}")
+                total += value
+        acc[sid - 1] += total
     return SpatialField(make_domain(n_rows, n_cols), acc)
 
 
@@ -755,17 +767,17 @@ CDR_ODD = [st.sampled_from(["0", "7", "-1", "x", "1_0", " 2 ", "9999999999999999
     st.sampled_from(["x", "inf", " nan ", "1_0", "\u0663", "\t-inf"])] * 4
 
 
-@pytest.mark.parametrize("block", [None, 2, 3])
+@pytest.mark.parametrize("chunk", [None, 2, 3])
 @given(data=st.data())
-def test_activity_reads_as_row_by_row(tmp_path_factory, block, data):
-    """Column-wise activity sums equal the row loop's bit for bit, or raise its error."""
+def test_activity_reads_as_row_by_row(tmp_path_factory, chunk, data):
+    """Activity sums equal the reference row loop's bit for bit, or raise its error."""
     text = data.draw(csv_texts(",".join(CDR_HEADER), CDR_VALID, CDR_ODD))
     time_range = data.draw(st.sampled_from([None, (2.0, 6.0), (0, 0)]))
     path = tmp_path_factory.mktemp("cdr") / "cdr.csv"
     path.write_bytes(text.encode())
-    with mock.patch.object(dataio, "_BLOCK_ROWS", block or dataio._BLOCK_ROWS):
+    with decoded_in_chunks(chunk):
         got = outcome(lambda p: load_cdr_csv(p, time_range, 2, 3), path)
-        want = outcome(lambda p: load_cdr_rows(p, time_range, 2, 3), path)
+    want = outcome(lambda p: load_cdr_rows(p, time_range, 2, 3), path)
     assert got == want
 
 
@@ -776,7 +788,7 @@ FILLER = "".join(f"0,{k},1\n" for k in range(3000))
 UNREADABLE = [
     (b"row,col,value\n0,0,1\n0,1," + b"9" * (LIMIT + 1) + b"\n",
      "3: field larger than field limit (131072)"),
-    # an error on an earlier row of the same block wins
+    # an error on an earlier row wins
     (b"row,col,value\n0,0,x\n0,1," + b"9" * (LIMIT + 1) + b"\n",
      "2: column 'value' has non-numeric value 'x'"),
     (b'row,col,value\n0,0,1\n"0\n\n,1,' + b"9" * (LIMIT + 1) + b'"\n',
@@ -795,14 +807,12 @@ UNREADABLE = [
 ]
 
 
-@pytest.mark.parametrize("block", [None, 2])
+@pytest.mark.parametrize("chunk", [None, 2])
 @pytest.mark.parametrize("case", range(len(UNREADABLE)))
-def test_unreadable_text_is_a_schema_error_naming_its_line(tmp_path, monkeypatch, case, block):
-    if block is not None:
-        monkeypatch.setattr(dataio, "_BLOCK_ROWS", block)
+def test_unreadable_text_is_a_schema_error_naming_its_line(tmp_path, case, chunk):
     data, error = UNREADABLE[case]
     path = tmp_path / "bad.csv"
     path.write_bytes(data)
-    with pytest.raises(SchemaError) as info:
+    with decoded_in_chunks(chunk), pytest.raises(SchemaError) as info:
         read_field_csv(path)
     assert str(info.value) == f"{path}:{error}"

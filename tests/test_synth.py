@@ -73,3 +73,13 @@ def test_spec_validation():
         SynthSpec(4, 4, beta=())
     with pytest.raises(ConfigError):
         SynthSpec(4, 4, beta=(1.0, 2.0), covariate_blocks=0)
+
+
+def test_covariate_blocks_may_not_outnumber_the_cells():
+    # each blocky column draws its anchors from distinct cells
+    with pytest.raises(ConfigError, match="5 covariate blocks need as many cells"):
+        SynthSpec(2, 2, beta=(1.0, 2.0), covariate_blocks=5)
+    field, cov = generate_field(SynthSpec(2, 2, beta=(1.0, 2.0), covariate_blocks=4))
+    assert cov.values.shape == (4, 2)
+    # an intercept alone draws no blocks, so their count is not checked
+    generate_field(SynthSpec(2, 2, beta=(1.0,), covariate_blocks=5))
