@@ -28,7 +28,6 @@ from .domain import (
     CovariateMatrix,
     GridDomain,
     SpatialField,
-    field_total,
     make_domain,
 )
 from .errors import (
@@ -116,7 +115,6 @@ __all__ = [
     "compare_methods",
     "css_recover",
     "dual_update",
-    "field_total",
     "generate_field",
     "make_domain",
     "mean_mre",

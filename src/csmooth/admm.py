@@ -6,7 +6,7 @@ a smooth copy f and a constrained copy g coupled by the scaled dual u (the
 dual variable over rho), each sweep performs
 
   1. volume projection (g): per patch, minimize (1/2)||g||^2 + (u - f)' g
-     subject to the patch sum matching the observed density total T_p and
+     subject to the patch sum matching the observed volume T_p and
      g >= 0. Each patch is the one its total was measured over, and the
      patches are disjoint, so g = max(0, nu - c) with one water level nu per
      patch, the root of sum_j max(0, nu - c_j) = T_p. Newton's method on
@@ -35,12 +35,11 @@ A sweep pays only for what changes from sweep to sweep:
 
   * fixed per run, built by css_recover before any mesh is assembled or
     any system factored: the constraint set (VolumeConstraints), which
-    holds each cell's patch, each patch's density total, the patches
-    observing no volume, the cap on Newton passes, and what the
-    constraint check compares with. It depends on the partition and the
-    volumes alone. Building it checks that the volumes match the patches
-    one to one, that every patch holds a cell and that no volume is
-    negative;
+    holds each cell's patch, each patch's volume, the patches observing
+    no volume, the cap on Newton passes, and what the constraint check
+    compares with. It depends on the partition and the volumes alone.
+    Building it checks that the volumes match the patches one to one, that
+    every patch holds a cell and that no volume is negative;
   * fixed per run, set up once by css_recover: the band Cholesky factor of
     the smoothing system, the LAPACK routine that solves with it and the
     stacked matrix that maps its solution to everything read from it (see
@@ -130,7 +129,7 @@ def waterfill(costs: np.ndarray, total: float, rho: float) -> np.ndarray:
         if total != 0:
             raise InfeasibleVolume(f"no cell to hold total {total}")
         return c
-    one_patch = _constraints(np.zeros(c.size, dtype=np.int64), np.array([float(total)]), 1.0)
+    one_patch = _constraints(np.zeros(c.size, dtype=np.int64), np.array([float(total)]))
     return volume_projection(one_patch, np.zeros(c.size), c / rho)
 
 
@@ -138,14 +137,14 @@ def waterfill(costs: np.ndarray, total: float, rho: float) -> np.ndarray:
 class VolumeConstraints:
     """The constraint set of a css run, fixed by its partition and volumes.
 
-    Every patch holds at least one cell and observes a nonnegative volume.
-    ``cell_patch`` is each cell's patch and ``totals`` each patch's
-    observed density total, held at -inf where it is zero so that a Newton
-    step puts that patch's level at -inf; ``filled`` marks the patches
-    with a positive total. ``passes``, the largest patch size plus two,
-    caps the Newton passes over the cells. The constraint check compares
-    patch sums times ``cell_area`` with ``observed``, relative to ``scale``,
-    the largest volume; when every volume is 0 each sum must be exactly 0.
+    Every patch holds at least one cell and observes a nonnegative volume,
+    the sum of its cell values. ``cell_patch`` is each cell's patch and
+    ``totals`` each patch's observed volume, held at -inf where it is zero
+    so that a Newton step puts that patch's level at -inf; ``filled`` marks
+    the patches with a positive volume. ``passes``, the largest patch size
+    plus two, caps the Newton passes over the cells. The constraint check
+    compares patch sums with ``observed``, relative to ``scale``, the
+    largest volume; when every volume is 0 each sum must be exactly 0.
     """
 
     cell_patch: np.ndarray
@@ -153,7 +152,6 @@ class VolumeConstraints:
     filled: np.ndarray
     passes: int
     observed: np.ndarray
-    cell_area: float
     scale: float
 
 
@@ -163,27 +161,23 @@ def volume_constraints(partition: Partition, volumes: AggregateObservations) -> 
     negative."""
     if volumes.m != partition.m:
         raise InfeasibleVolume(f"{volumes.m} volumes for {partition.m} patches")
-    return _constraints(partition.station_of_cell, volumes.values, partition.domain.cell_area)
+    return _constraints(partition.station_of_cell, volumes.values)
 
 
-def _constraints(
-    cell_patch: np.ndarray, observed: np.ndarray, cell_area: float
-) -> VolumeConstraints:
+def _constraints(cell_patch: np.ndarray, observed: np.ndarray) -> VolumeConstraints:
     cell_patch = np.asarray(cell_patch, dtype=np.int64)
     sizes = np.bincount(cell_patch, minlength=observed.size)
     if not sizes.all():
         raise InfeasibleVolume(f"patch {int(np.argmin(sizes))} holds no cell")
-    totals = observed / cell_area
-    if (totals < 0).any():
-        raise InfeasibleVolume(f"patch volume {totals.min()} is negative")
-    filled = totals > 0
+    if (observed < 0).any():
+        raise InfeasibleVolume(f"patch volume {observed.min()} is negative")
+    filled = observed > 0
     return VolumeConstraints(
         cell_patch=cell_patch,
-        totals=np.where(filled, totals, -np.inf),
+        totals=np.where(filled, observed, -np.inf),
         filled=filled,
         passes=int(sizes.max()) + 2,
         observed=observed,
-        cell_area=cell_area,
         scale=float(np.abs(observed).max(initial=0.0)),
     )
 
@@ -241,7 +235,7 @@ def dual_update(dual: np.ndarray, f: np.ndarray, relaxed: np.ndarray) -> np.ndar
 
 def _check_constraints(vc: VolumeConstraints, g: np.ndarray) -> float:
     """Worst patch-sum violation of g relative to the scale; raises past the tolerance."""
-    sums = np.bincount(vc.cell_patch, weights=g, minlength=vc.totals.size) * vc.cell_area
+    sums = np.bincount(vc.cell_patch, weights=g, minlength=vc.totals.size)
     gap = float(np.abs(sums - vc.observed).max(initial=0.0))
     viol = gap / vc.scale if vc.scale else (np.inf if gap else 0.0)
     if (g.size and g.min() < -1e-12) or viol > _CONSTRAINT_TOL:

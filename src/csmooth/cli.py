@@ -285,25 +285,40 @@ _KINDS = {
     "a list of method names": lambda v: isinstance(v, list) and all(isinstance(m, str) for m in v),
 }
 
-# The inputs and params each replayable command reads, and their kinds
+# The inputs and params each replayable command records and reads, with
+# their kinds; a key taken from an argparse dest of another name is given
+# as (kind, dest)
 _REPLAYED = {
     "synth": ({}, {"rows": "an integer", "cols": "an integer", "bumps": "an integer",
                    "amp": "a [low, high] pair", "width": "a [low, high] pair",
                    "beta": "a list of numbers or null", "blocks": "an integer",
                    "noise": "a number", "seed": "an integer"}),
     "stations": ({"field": "a path"}, {"stations": "an integer", "seed": "an integer"}),
-    "aggregate": ({"field": "a path", "stations": "a path"}, {}),
-    "recover": (dict.fromkeys(("truth", "domain", "stations", "aggregates", "features"),
-                              "a path or null"),
-                {"methods": "a list of method names", "lambda": "a number", "rho": "a number",
+    "aggregate": ({"field": "a path", "stations": ("a path", "stations_csv")}, {}),
+    "recover": ({"truth": "a path or null", "domain": "a path or null",
+                 "stations": ("a path or null", "stations_csv"),
+                 "aggregates": "a path or null", "features": "a path or null"},
+                {"methods": ("a list of method names", "method"),
+                 "lambda": ("a number", "lam"), "rho": "a number",
                  "max_iter": "an integer", "tol": "a number", "stations": "an integer or null"}),
-    "evaluate": ({"truth": "a path", "estimates": "a list"}, {"floor": "a number"}),
+    "evaluate": ({"truth": "a path", "estimates": ("a list", "estimate")},
+                 {"floor": "a number"}),
 }
+
+
+def _kind_and_dest(key: str, entry) -> tuple[str, str]:
+    return (entry, key) if isinstance(entry, str) else entry
+
+
+def _recorded(args: argparse.Namespace, table: dict) -> dict:
+    """Each key of a ``_REPLAYED`` table with the value argparse parsed for it."""
+    return {key: getattr(args, _kind_and_dest(key, entry)[1]) for key, entry in table.items()}
 
 
 def _check_entries(manifest_path: str, key: str, entries: dict, kinds: dict) -> None:
     """SchemaError naming the first entry of ``kinds`` that ``entries`` lacks or holds ill-typed."""
-    for name, kind in kinds.items():
+    for name, entry in kinds.items():
+        kind, _ = _kind_and_dest(name, entry)
         value = entries.get(name)
         if value is None and kind.endswith(" or null"):
             continue
@@ -489,55 +504,27 @@ def _dispatch(args) -> int:
     if args.out is None:
         raise ConfigError("--out is required (or use --from-manifest)")
 
-    if args.command == "synth":
-        if args.rows is None or args.cols is None:
-            raise ConfigError("synth needs --rows and --cols")
-        inputs: dict = {}
-        params = {
-            "rows": args.rows, "cols": args.cols, "bumps": args.bumps,
-            "amp": args.amp, "width": args.width, "beta": args.beta,
-            "blocks": args.blocks, "noise": args.noise, "seed": args.seed,
-        }
-    elif args.command == "stations":
-        if args.field is None or args.stations is None:
-            raise ConfigError("stations needs --field and --stations")
-        inputs = {"field": args.field}
-        params = {"stations": args.stations, "seed": args.seed}
-    elif args.command == "aggregate":
-        if args.field is None or args.stations_csv is None:
-            raise ConfigError("aggregate needs --field and --stations-csv")
-        inputs = {"field": args.field, "stations": args.stations_csv}
-        params = {}
-    elif args.command == "recover":
-        # only --truth mode draws stations; file mode records no seed, and a
-        # manifest that holds one from before still replays
-        if args.seed is not None and args.truth is None:
-            raise ConfigError("--seed is for --truth mode, which samples stations; drop it "
-                              "or use --truth")
-        inputs = {
-            "truth": args.truth,
-            "domain": args.domain,
-            "stations": args.stations_csv,
-            "aggregates": args.aggregates,
-            "features": args.features,
-        }
-        params = {
-            "methods": args.method or ["css"],
-            "lambda": args.lam, "rho": args.rho,
-            "max_iter": args.max_iter, "tol": args.tol,
-            "stations": args.stations,
-        }
+    command = args.command
+    if command == "synth" and (args.rows is None or args.cols is None):
+        raise ConfigError("synth needs --rows and --cols")
+    if command == "stations" and (args.field is None or args.stations is None):
+        raise ConfigError("stations needs --field and --stations")
+    if command == "aggregate" and (args.field is None or args.stations_csv is None):
+        raise ConfigError("aggregate needs --field and --stations-csv")
+    # only --truth mode draws stations; file mode records no seed, and a
+    # manifest that holds one from before still replays
+    if command == "recover" and args.seed is not None and args.truth is None:
+        raise ConfigError("--seed is for --truth mode, which samples stations; drop it "
+                          "or use --truth")
+    if command == "evaluate" and (args.truth is None or not args.estimate):
+        raise ConfigError("evaluate needs --truth and at least one --estimate")
+
+    inputs, params = (_recorded(args, table) for table in _REPLAYED[command])
+    if command == "recover":
+        params["methods"] = params["methods"] or ["css"]
         if args.truth is not None:
             params["seed"] = 0 if args.seed is None else args.seed
-    elif args.command == "evaluate":
-        if args.truth is None or not args.estimate:
-            raise ConfigError("evaluate needs --truth and at least one --estimate")
-        inputs = {"truth": args.truth, "estimates": args.estimate}
-        params = {"floor": args.floor}
-    else:  # pragma: no cover - argparse enforces the choices
-        raise ConfigError(f"unknown command {args.command!r}")
-
-    return _run_command(args.command, inputs, params, Path(args.out))
+    return _run_command(command, inputs, params, Path(args.out))
 
 
 def main(argv=None) -> int:

@@ -52,7 +52,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .admm import RecoveryResult
-from .domain import CovariateMatrix, GridDomain, SpatialField, make_domain
+from .domain import MAX_GRID_CELLS, CovariateMatrix, GridDomain, SpatialField, make_domain
 from .errors import SchemaError, ShapeMismatch
 from .metrics import EvalReport
 from .partition import AggregateObservations, StationSet
@@ -79,10 +79,6 @@ _EOL = csv.excel.lineterminator
 _FIELD_ROW = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float64)])
 _CDF_ROW = np.dtype([("method", object), ("seed", object), ("error", np.float64),
                      ("cdf", np.float64)])
-
-# Most cells a field CSV's grid may span: its mask and values take 576 MiB
-# at this size, and a larger index is far likelier a typo than a grid
-_MAX_GRID_CELLS = 1 << 26
 
 # Characters numpy's reader would read otherwise than the row reader: a
 # quote (it is given no quote character), NUL (csv.reader refuses it before
@@ -342,10 +338,10 @@ def read_field_csv(path: str | Path) -> SpatialField:
     else:
         r, c, values = _field_cells(path)
     n_rows, n_cols = int(r.max()) + 1, int(c.max()) + 1
-    if n_rows * n_cols > _MAX_GRID_CELLS:   # Python ints, exact even past int64
+    if n_rows * n_cols > MAX_GRID_CELLS:   # Python ints, exact even past int64
         k = int(np.argmax(r)) if n_rows >= n_cols else int(np.argmax(c))
         raise SchemaError(f"{path}: cell ({r[k]}, {c[k]}) makes the grid {n_rows} x "
-                          f"{n_cols} cells, more than the {_MAX_GRID_CELLS} allowed")
+                          f"{n_cols} cells, more than the {MAX_GRID_CELLS} allowed")
     flat = (r * n_cols + c).astype(np.int64, copy=False)
     mask = np.zeros(n_rows * n_cols, dtype=bool)
     mask[flat] = True
@@ -514,10 +510,7 @@ def load_features_csv(
             raise SchemaError(f"{path}:{line}: square_id {square + 1} is inactive in the domain")
         raw[square] = [_finite(text, path, line, name) for text, name in zip(texts, names)]
         present[square] = True
-    restricted = make_domain(
-        domain.n_rows, domain.n_cols, present,
-        cell_area=domain.cell_area, origin=domain.origin, cell_size=domain.cell_size,
-    )
+    restricted = make_domain(domain.n_rows, domain.n_cols, present)
     return CovariateMatrix(restricted, raw[present], tuple(names))
 
 

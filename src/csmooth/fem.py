@@ -1,8 +1,9 @@
 """Structured triangulation of a masked grid and finite-element assembly.
 
-Each active unit cell is split into two right triangles along the same
-diagonal (lower-left to upper-right); vertices are the cell corners shared
-between neighbors. Vertices are numbered diagonal by diagonal, in
+Each active cell, the unit square of the domain's grid, is split into two
+right triangles along the same diagonal (lower-left to upper-right);
+vertices are the cell corners shared between neighbors, corner (r, c) at
+(x, y) = (c, r). Vertices are numbered diagonal by diagonal, in
 ascending r - c of the corner (r, c), and by row within a diagonal. A
 cell's split diagonal then lies on one diagonal and its other two corners
 on the two neighboring ones, so two triangles that share an edge have all
@@ -27,9 +28,7 @@ curvature is the distribution carried by those edge jumps. The quadratic
 form c' J' diag(1/edge_length) J c equals the sum over interior edges of
 integral_e (jump of df/dn)^2 ds, the natural squared-curvature energy for
 this element: it vanishes exactly on globally affine surfaces (continuous
-gradient) and on nothing else when the mesh is connected. It scales as
-1/cell_size; ``FemSystem.roughness_matrix`` multiplies it by cell_size to
-measure it in grid units, so no estimate depends on the unit of length.
+gradient) and on nothing else when the mesh is connected.
 
 assemble builds Psi and the roughness operator, which the smoother reads;
 M and K are assembled on first read of ``FemSystem.mass`` and
@@ -51,7 +50,7 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 # smallest doubled area a triangle may have, relative to its longest edge
-# squared; a ratio, so a valid grid passes at any cell size
+# squared; a ratio, so it judges a mesh alike at any scale
 _AREA_TOL = 1e-12
 
 
@@ -92,9 +91,7 @@ def triangulate(domain: GridDomain) -> Triangulation:
     corner_row, corner_col = corner_row[order], corner_col[order]
     vertex_id = np.full((nr + 1, nc + 1), -1, dtype=np.int64)
     vertex_id[corner_row, corner_col] = np.arange(corner_row.size)
-    ox, oy = domain.origin
-    h = domain.cell_size
-    vertices = np.column_stack([ox + corner_col * h, oy + corner_row * h]).astype(float)
+    vertices = np.column_stack([corner_col, corner_row]).astype(float)
 
     ll = vertex_id[rows, cols]
     lr = vertex_id[rows, cols + 1]
@@ -148,7 +145,7 @@ class FemSystem:
 
     @cached_property
     def roughness_matrix(self) -> sp.csr_matrix:
-        """The smoother's penalty J' diag(cell_size/edge_length) J in grid units (read-only).
+        """The smoother's penalty J' diag(1/edge_length) J (read-only).
 
         Its stored entries are the smoother's system pattern: those of the
         product, whose sums that cancel to exactly 0 scipy drops, together
@@ -158,7 +155,7 @@ class FemSystem:
         """
         import scipy.sparse as sp
 
-        w = sp.diags(self.tri.domain.cell_size / self.edge_length)
+        w = sp.diags(1.0 / self.edge_length)
         r = (self.edge_jump.T @ w @ self.edge_jump).tocsr()
         r.sort_indices()
         n_v = self.n_vertices

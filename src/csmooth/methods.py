@@ -63,7 +63,7 @@ def run_method_full(
 
     if spec.method == PE_SSR1:
         cells = partition.stations.cells
-        density = volumes.values / (partition.patch_sizes * domain.cell_area)
+        density = volumes.values / partition.patch_sizes
         solver = SsrSolver(fem, spec.admm.lam, subset=cells)
         model = solver.solve(density)
         return ssr_eval(model, domain), None

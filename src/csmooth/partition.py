@@ -1,13 +1,12 @@
 """Station placement, nearest-station patches, and volume aggregation.
 
-Each station observes the total volume of the cells closer to it than to
-any other station (Euclidean distance between cell centers). Stations sit
-on cell centers, so squared distances in cell units are the integers
-drow**2 + dcol**2 and a tie is an exact integer equality, whatever the
-cell size or origin. A cell exactly equidistant from several stations goes
-to the lowest station index, so every cell belongs to exactly one patch:
-the patches are disjoint, every total is measured over one patch, and css
-enforces it on that same patch.
+Each station observes the volume (the sum of the cell values) of the cells
+closer to it than to any other station, by Euclidean distance between cell
+centers. Stations sit on cell centers, so squared distances are the
+integers drow**2 + dcol**2 and a tie is an exact integer equality. A cell
+exactly equidistant from several stations goes to the lowest station index,
+so every cell belongs to exactly one patch: the patches are disjoint, every
+total is measured over one patch, and css enforces it on that same patch.
 """
 from __future__ import annotations
 
@@ -107,8 +106,8 @@ def sample_stations(f: SpatialField, m: int, seed: int) -> StationSet:
 class Partition:
     """Assignment of cells to station patches.
 
-    A cell is tied between the stations whose integer squared distance in
-    cell units equals its minimum exactly; ``station_of_cell`` gives it to
+    A cell is tied between the stations whose integer squared distance
+    equals its minimum exactly; ``station_of_cell`` gives it to
     the lowest of their indices, one station per cell. ``patch_sizes`` are
     the integer cell counts of the patches, summing to n, and ``has_ties``
     records whether any cell was tied.
@@ -185,20 +184,21 @@ class AggregateObservations:
 
 
 def aggregate(partition: Partition, f: SpatialField) -> AggregateObservations:
-    """Per-station volumes: each patch's sum of f times cell_area."""
+    """Per-station volumes: each patch's sum of f."""
     _check_same_domain(partition.domain, f.domain, "field")
-    z = np.bincount(partition.station_of_cell, weights=f.values, minlength=partition.m)
-    return AggregateObservations(z * f.domain.cell_area)
+    return AggregateObservations(
+        np.bincount(partition.station_of_cell, weights=f.values, minlength=partition.m)
+    )
 
 
 def patched_estimate(partition: Partition, z: AggregateObservations) -> SpatialField:
     """Spread each station volume uniformly over its patch.
 
-    Cell j gets z_i / (|patch_i| * cell_area) for the patch i holding it, so
-    aggregating the result returns z.
+    Cell j gets z_i / |patch_i| for the patch i holding it, so aggregating
+    the result returns z.
     """
     if z.m != partition.m:
         raise ShapeMismatch(f"{z.m} volumes for {partition.m} stations")
-    density = z.values / (partition.patch_sizes * partition.domain.cell_area)
+    density = z.values / partition.patch_sizes
     return SpatialField(partition.domain, density[partition.station_of_cell],
                         nonnegative=True)

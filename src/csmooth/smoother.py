@@ -4,17 +4,17 @@ Given targets h at (a subset of) cell centers, optional covariates W, and a
 smoothing weight lam, the fit solves
 
     min over (c, beta)   weight * sum_j (h_j - w_j' beta - (Psi c)_j)^2
-                         + lam * s * c' J' M_E^-1 J c,
+                         + lam * c' J' M_E^-1 J c,
 
 where c are vertex coefficients of a piecewise-linear surface, J is the
-interior-edge jump operator of the mesh (see fem), M_E = diag(edge_length)
-and s the cell size: the penalty (``FemSystem.roughness_matrix``) is lam
-times the integrated squared normal-derivative jump in grid units, free of
-the unit of length. The per-length jump density d = M_E^-1 J c is reported
-as ``laplacian`` and s d' M_E d as ``roughness``. For fixed beta,
-stationarity in c is one sparse symmetric positive definite system:
+interior-edge jump operator of the mesh (see fem) and M_E =
+diag(edge_length): the penalty (``FemSystem.roughness_matrix``) is lam
+times the integrated squared normal-derivative jump. The per-length jump
+density d = M_E^-1 J c is reported as ``laplacian`` and d' M_E d as
+``roughness``. For fixed beta, stationarity in c is one sparse symmetric
+positive definite system:
 
-    (weight * Psi'Psi + lam * s * J' M_E^-1 J) c = weight * Psi'(h - W beta),
+    (weight * Psi'Psi + lam * J' M_E^-1 J) c = weight * Psi'(h - W beta),
 
 which is factorized once and reused. It is positive definite exactly when
 the data cells pin down the penalty's null space, the surfaces affine on
@@ -117,7 +117,7 @@ class SsrModel:
     beta: np.ndarray        # covariate coefficients (empty without covariates);
                             # minimum-norm, so 0 on combinations affine at the data
     fitted: np.ndarray      # Psi c + W beta at every active cell
-    roughness: float        # cell_size * d' M_E d, in grid units
+    roughness: float        # d' M_E d
     residual: float         # relative residual of the linear solve
 
 
@@ -291,7 +291,7 @@ class SsrSolver:
             )
 
         d = products[self._jump_rows] / self.fem.edge_length
-        roughness = self.fem.tri.domain.cell_size * float(d @ (self.fem.edge_length * d))
+        roughness = float(d @ (self.fem.edge_length * d))
         return SsrModel(
             fem=self.fem,
             lam=self.lam,

@@ -13,11 +13,12 @@ makes them informative for the feature-aware recovery.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import CovariateMatrix, SpatialField, make_domain
+from .domain import MAX_GRID_CELLS, CovariateMatrix, SpatialField, make_domain
 from .errors import ConfigError
 
 
@@ -34,6 +35,17 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # checked before anything is allocated: a grid past the cap would
+        # be refused by every reader of its truth.csv
+        cells = self.n_rows * self.n_cols
+        if not (self.n_rows >= 1 and self.n_cols >= 1 and cells <= MAX_GRID_CELLS):
+            raise ConfigError(f"a grid needs positive sides and at most {MAX_GRID_CELLS} "
+                              f"cells, got {self.n_rows}x{self.n_cols}")
+        numbers = {"amplitude range": self.amp_range, "width range": self.width_range,
+                   "noise": (self.noise,), "beta": self.beta or ()}
+        for what, values in numbers.items():
+            if not all(map(math.isfinite, values)):
+                raise ConfigError(f"{what} must be finite, got {', '.join(map(repr, values))}")
         if self.bumps < 0:
             raise ConfigError("bump count cannot be negative")
         if self.amp_range[0] < 0 or self.amp_range[1] < self.amp_range[0]:
@@ -47,7 +59,6 @@ class SynthSpec:
         if self.covariate_blocks < 1:
             raise ConfigError("need at least one covariate block")
         # each blocky column anchors its blocks at distinct cells
-        cells = self.n_rows * self.n_cols
         if self.beta is not None and len(self.beta) > 1 and self.covariate_blocks > cells:
             raise ConfigError(f"{self.covariate_blocks} covariate blocks need as many cells; "
                               f"the {self.n_rows}x{self.n_cols} grid has {cells}")

@@ -204,7 +204,7 @@ def test_criterion_3_fem_analytic_values():
 
     mask = np.ones((6, 7), dtype=bool)
     mask[0, 0] = mask[5, 6] = mask[2, 3] = False
-    dom = make_domain(6, 7, mask=mask, cell_size=0.5, origin=(1.0, -2.0))
+    dom = make_domain(6, 7, mask=mask)
     fem = assemble(triangulate(dom))
     const_gap = float(np.abs(fem.stiffness @ np.ones(fem.n_vertices)).max())
 

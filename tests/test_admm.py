@@ -92,11 +92,11 @@ def test_volume_projection_matches_patchwise_oracle(rng):
     # go to the lowest station index, station 2 of the second case keeps
     # only its own cell, and the third case is one station owning all
     cases = [
-        (make_domain(5, 6, mask=corners, cell_area=0.25), [2, 9, 17, 25], [7, 8, 6, 7],
+        (make_domain(5, 6, mask=corners), [2, 9, 17, 25], [7, 8, 6, 7],
          [0.0, 3.0, 5.5, 1.25], 1.5),
         (make_domain(4, 5, mask=holed), [6, 8, 9, 10], [5, 8, 1, 4],
          [2.0, 4.5, 0.75, 0.0], 0.5),
-        (make_domain(3, 3, mask=ring, cell_area=2.0), [4], [8], [7.0], 3.0),
+        (make_domain(3, 3, mask=ring), [4], [8], [7.0], 3.0),
     ]
     for dom, cells, sizes, volumes, rho in cases:
         part = build_partition(dom, StationSet(dom, np.array(cells)))
@@ -113,11 +113,9 @@ def test_volume_projection_matches_patchwise_oracle(rng):
         g = volume_projection(volume_constraints(part, vols), field, dual / rho)
         costs = dual - rho * field
         patches = [np.flatnonzero(part.station_of_cell == i) for i in range(part.m)]
-        g_ref = constrained_qp_field_oracle(
-            patches, costs, vols.values / dom.cell_area, rho
-        )
+        g_ref = constrained_qp_field_oracle(patches, costs, vols.values, rho)
         np.testing.assert_allclose(g, g_ref, rtol=0, atol=1e-9)
-        # per-patch sums times cell area reproduce the observed volumes
+        # per-patch sums reproduce the observed volumes
         np.testing.assert_allclose(
             aggregate(part, SpatialField(dom, g)).values, vols.values, rtol=0, atol=1e-9
         )
@@ -227,7 +225,7 @@ def test_css_loop_matches_textbook_admm(rng, with_covariates):
     # to within 1e-10 of the field max (the two agree to ~1e-15)
     corners = np.ones((5, 6), dtype=bool)
     corners[0, 0] = corners[4, 5] = False
-    dom = make_domain(5, 6, mask=corners, cell_area=0.25)
+    dom = make_domain(5, 6, mask=corners)
     part = build_partition(dom, StationSet(dom, np.array([2, 9, 17, 25])))
     assert part.has_ties
     vols = AggregateObservations(np.array([0.0, 3.0, 5.5, 1.25]))
@@ -239,7 +237,7 @@ def test_css_loop_matches_textbook_admm(rng, with_covariates):
     patches = [np.flatnonzero(part.station_of_cell == i) for i in range(part.m)]
     g, f, primal, dual, objective = css_admm_oracle(
         fem.basis_eval.toarray(), fem.edge_jump.toarray(), fem.edge_length,
-        patches, vols.values / dom.cell_area, lam, rho, sweeps, w, alpha=_ALPHA,
+        patches, vols.values, lam, rho, sweeps, w, alpha=_ALPHA,
     )
     assert res.iterations == sweeps and not res.converged
     atol = 1e-10 * np.abs(g).max()
@@ -333,8 +331,8 @@ def test_each_sweep_projects_solves_and_steps_once(monkeypatch, rng, with_covari
     assert res.converged and res.iterations > 7
 
 
-def make_problem(rows, cols, n_stations, seed, cell_area=1.0):
-    dom = make_domain(rows, cols, cell_area=cell_area)
+def make_problem(rows, cols, n_stations, seed):
+    dom = make_domain(rows, cols)
     rng = np.random.default_rng(seed)
     truth = SpatialField(dom, rng.uniform(0.5, 3.0, dom.n), nonnegative=True)
     stations = sample_stations(truth, n_stations, seed=seed + 1)
@@ -345,10 +343,10 @@ def make_problem(rows, cols, n_stations, seed, cell_area=1.0):
 def test_station_per_cell_is_exact_after_one_sweep():
     # singleton patches leave the projection no freedom: g equals the
     # observed densities from the first sweep onward
-    dom, truth, part, vols = make_problem(3, 4, 12, seed=5, cell_area=0.5)
+    dom, truth, part, vols = make_problem(3, 4, 12, seed=5)
     res = css_recover(dom, part, vols, config=AdmmConfig(max_iter=1))
     np.testing.assert_allclose(
-        res.estimate.values, vols.values[part.station_of_cell] / 0.5, rtol=0, atol=1e-12
+        res.estimate.values, vols.values[part.station_of_cell], rtol=0, atol=1e-12
     )
     np.testing.assert_allclose(res.estimate.values, truth.values, rtol=0, atol=1e-9)
 

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from csmooth.cli import main
+from csmooth.cli import _REPLAYED, main
 from csmooth.dataio import read_field_csv, write_field_csv
 from csmooth.domain import SpatialField, make_domain
 
@@ -148,6 +148,31 @@ def test_file_mode_manifest_records_no_seed(workflow_dir):
     assert json.loads((truth_mode / "manifest.json").read_text())["params"]["seed"] == 0
 
 
+def test_fresh_manifests_hold_exactly_the_replayed_keys(workflow_dir):
+    truth = workflow_dir / "synth" / "truth.csv"
+    from_files = ["--domain", truth, "--stations-csv", workflow_dir / "stations" / "stations.csv",
+                  "--aggregates", workflow_dir / "agg" / "aggregates.csv"]
+    made = {
+        "synth": workflow_dir / "synth",
+        "stations": workflow_dir / "stations",
+        "aggregate": workflow_dir / "agg",
+        "recover": workflow_dir / "rec",
+        "evaluate": workflow_dir / "ev",
+    }
+    assert run(["recover", *from_files, "--method", "pe", "--out", made["recover"]]) == 0
+    assert run(["evaluate", "--truth", truth, "--estimate", truth, "--out", made["evaluate"]]) == 0
+    for command, out in made.items():
+        manifest = json.loads((out / "manifest.json").read_text())
+        need_inputs, need_params = _REPLAYED[command]
+        assert manifest["inputs"].keys() == need_inputs.keys(), command
+        assert manifest["params"].keys() == need_params.keys(), command
+    # --truth mode adds the seed it sampled with; css is the default method
+    assert run(["recover", "--truth", truth, "--stations", 3, "--out", workflow_dir / "t"]) == 0
+    params = json.loads((workflow_dir / "t" / "manifest.json").read_text())["params"]
+    assert params.keys() == {*_REPLAYED["recover"][1], "seed"}
+    assert params["methods"] == ["css"] and params["lambda"] == 1.0
+
+
 def test_manifest_command_mismatch(workflow_dir, capsys):
     code = run(["recover", "--from-manifest",
                 workflow_dir / "synth" / "manifest.json", "--out", workflow_dir / "x"])
@@ -278,6 +303,10 @@ def test_rejected_command_leaves_no_output_directory(workflow_dir, capsys):
         # a blocky covariate column anchors each block at its own cell
         "blocks past the cells": ["synth", "--rows", 2, "--cols", 2, "--beta", "1,2",
                                   "--blocks", 5],
+        "non-finite noise": ["synth", "--rows", 4, "--cols", 4, "--noise", "inf"],
+        "non-finite beta": ["synth", "--rows", 4, "--cols", 4, "--beta", "nan"],
+        # refused before anything is allocated, past the field reader's cap
+        "grid past the cap": ["synth", "--rows", 100_000, "--cols", 100_000],
         # the field is read before the missing cdf
         "plot": ["plot", "--field", truth, "--cdf", missing],
     }

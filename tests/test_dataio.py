@@ -117,7 +117,7 @@ def test_field_grid_bound_names_the_cell_as_the_file_gives_it(tmp_path, chunk):
 
 
 def test_field_grid_may_reach_the_cap(tmp_path, monkeypatch):
-    monkeypatch.setattr(dataio, "_MAX_GRID_CELLS", 12)
+    monkeypatch.setattr(dataio, "MAX_GRID_CELLS", 12)
     path = tmp_path / "f.csv"
     path.write_text("row,col,value\n0,0,1\n2,3,1\n")
     assert read_field_csv(path).domain.n_cols == 4

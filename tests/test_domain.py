@@ -7,7 +7,6 @@ from csmooth import (
     DomainEmpty,
     ShapeMismatch,
     SpatialField,
-    field_total,
     make_domain,
 )
 
@@ -20,8 +19,6 @@ def test_full_domain_enumerates_cells_row_major():
     # centers at half-integer offsets in (x, y) = (col, row) order
     assert d.centers[0] == pytest.approx([0.5, 0.5])
     assert d.centers[5] == pytest.approx([2.5, 1.5])
-    shifted = make_domain(3, 3, origin=(10.0, 20.0), cell_size=2.0)
-    assert shifted.centers[4] == pytest.approx([13.0, 23.0])
 
 
 def test_masked_domain_skips_inactive_cells():
@@ -74,13 +71,6 @@ def test_field_values_are_frozen():
     f = SpatialField(make_domain(2, 2), np.arange(4.0))
     with pytest.raises(ValueError):
         f.values[0] = 99.0
-
-
-def test_field_total_scales_with_cell_area():
-    d = make_domain(2, 2, cell_area=0.25)
-    f = SpatialField(d, [1.0, 2.0, 3.0, 4.0])
-    assert field_total(f) == pytest.approx(2.5)
-    assert f.total() == pytest.approx(2.5)
 
 
 def test_covariates_validated():

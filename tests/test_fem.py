@@ -44,14 +44,14 @@ def test_mesh_counts():
 
 
 def test_triangles_positively_oriented_and_cover_cells():
-    tri = triangulate(make_domain(3, 4, origin=(2.0, -1.0), cell_size=0.5))
+    tri = triangulate(make_domain(3, 4))
     p = tri.vertices[tri.triangles]
     cross = (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1]) - (
         p[:, 1, 1] - p[:, 0, 1]
     ) * (p[:, 2, 0] - p[:, 0, 0])
     assert (cross > 0).all()
-    # two triangles per cell, total area = cell count * cell_size^2
-    assert cross.sum() / 2.0 == pytest.approx(12 * 0.25)
+    # two triangles per unit cell, total area = cell count
+    assert cross.sum() / 2.0 == pytest.approx(12)
 
 
 def test_interior_edge_inventory_on_2x2():
@@ -63,15 +63,15 @@ def test_interior_edge_inventory_on_2x2():
 
 
 def test_stiffness_annihilates_constants():
-    fem = assemble(triangulate(make_domain(5, 7, cell_size=0.25)))
+    fem = assemble(triangulate(make_domain(5, 7)))
     ones = np.ones(fem.n_vertices)
     assert np.abs(fem.stiffness @ ones).max() <= 1e-12
     # mass entries integrate the basis: grand sum equals the domain area
-    assert fem.mass.sum() == pytest.approx(35 * 0.0625)
+    assert fem.mass.sum() == pytest.approx(35)
 
 
 def test_global_assembly_matches_element_oracles():
-    domain = make_domain(3, 3, [1, 1, 1, 1, 0, 1, 1, 1, 1], cell_size=0.5)
+    domain = make_domain(3, 3, [1, 1, 1, 1, 0, 1, 1, 1, 1])
     tri = triangulate(domain)
     fem = assemble(tri)
     n_v = tri.n_vertices
@@ -86,7 +86,7 @@ def test_global_assembly_matches_element_oracles():
 
 
 def test_basis_eval_is_a_partition_of_unity():
-    for domain in (make_domain(4, 6), make_domain(5, 7, cell_size=0.3, origin=(2.1, -1.7))):
+    for domain in (make_domain(4, 6), make_domain(5, 7, np.arange(35) % 6 != 0)):
         fem = assemble(triangulate(domain))
         np.testing.assert_allclose(
             np.asarray(fem.basis_eval.sum(axis=1)).ravel(), 1.0, atol=1e-12
@@ -257,10 +257,16 @@ def test_degenerate_triangle_rejected():
 
 
 def test_tiny_cells_assemble():
-    # the area check is relative to each triangle's size: a valid grid of
-    # micro-cells is not degenerate
-    fem = assemble(triangulate(make_domain(6, 6, cell_size=1e-6)))
+    # the area check is relative to each triangle's size: a valid mesh
+    # scaled down to micro-cells is not degenerate
+    tri = triangulate(make_domain(6, 6))
+    tiny = Triangulation(
+        domain=tri.domain,
+        vertices=_frozen(tri.vertices * 1e-6),
+        triangles=tri.triangles,
+    )
+    fem = assemble(tiny)
     assert fem.mass.sum() == pytest.approx(36e-12)
     np.testing.assert_allclose(
-        fem.basis_eval @ fem.tri.vertices, fem.tri.domain.centers, rtol=0, atol=1e-18
+        fem.basis_eval @ tiny.vertices, tri.domain.centers * 1e-6, rtol=0, atol=1e-18
     )

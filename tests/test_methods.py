@@ -30,7 +30,7 @@ from csmooth.smoother import SsrSolver, ssr_fit
 
 @pytest.fixture(scope="module")
 def problem():
-    dom = make_domain(8, 8, cell_area=0.25)
+    dom = make_domain(8, 8)
     gen = np.random.default_rng(77)
     truth = SpatialField(dom, gen.uniform(0.5, 3.0, dom.n), nonnegative=True)
     stations = sample_stations(truth, 6, seed=3)
@@ -67,7 +67,7 @@ def test_pe_ssr1_fits_station_cell_densities(problem):
     dom, truth, part, vols, cov, fem = problem
     est, res = run_method_full(MethodSpec(PE_SSR1, AdmmConfig(lam=2.0)), dom, part, vols, fem=fem)
     assert res is None
-    density = vols.values / (part.patch_sizes * dom.cell_area)
+    density = vols.values / part.patch_sizes
     manual = SsrSolver(fem, 2.0, subset=part.stations.cells).solve(density)
     np.testing.assert_array_equal(est.values, manual.fitted)
 
@@ -122,45 +122,6 @@ def test_smoothing_methods_reject_a_mesh_of_another_grid(method, monkeypatch):
     assert (other.tri.domain.n, other.n_vertices) == (dom.n, 30)
     with pytest.raises(ShapeMismatch):
         run_method_full(MethodSpec(method), dom, part, vols, cov, other)
-
-
-def _run_every_method(values, w, mask, cells, cell_size, origin):
-    dom = make_domain(9, 10, mask, cell_area=cell_size**2, origin=origin, cell_size=cell_size)
-    part = build_partition(dom, StationSet(dom, cells))
-    vols = aggregate(part, SpatialField(dom, values))
-    cov = CovariateMatrix(dom, w, names=("a", "b"))
-    fem = assemble(triangulate(dom))
-    spec = AdmmConfig(max_iter=40, tol=0.0)
-    return {m: run_method_full(MethodSpec(m, spec), dom, part, vols, cov, fem)
-            for m in ALL_METHODS}
-
-
-@pytest.mark.parametrize("cell_size", [1e-5, 0.3, 1.0, 250.0, 1e3])
-def test_estimates_do_not_depend_on_the_unit_of_length(cell_size):
-    # the same cells measured in another unit of length, at random origins
-    # within 50 cells of the grid: every method returns its grid-unit
-    # estimate, and css the same residuals and objective at every sweep
-    gen = np.random.default_rng(12)
-    mask = gen.random(90) < 0.9
-    n = int(mask.sum())
-    values = gen.gamma(2.0, 1.5, n)
-    w = gen.normal(size=(n, 2))
-    cells = np.sort(gen.choice(n, 12, replace=False))
-    want = _run_every_method(values, w, mask, cells, 1.0, (0.0, 0.0))
-    for _ in range(2):
-        origin = tuple(gen.uniform(-50.0, 50.0, 2) * cell_size)
-        got = _run_every_method(values, w, mask, cells, cell_size, origin)
-        for m in ALL_METHODS:
-            (est, res), (ref, ref_res) = got[m], want[m]
-            scale = np.abs(ref.values).max()
-            np.testing.assert_allclose(est.values, ref.values, rtol=0, atol=1e-9 * scale,
-                                       err_msg=m)
-            if res is None:
-                continue
-            for hist in ("primal_residuals", "dual_residuals", "objectives"):
-                a, b = getattr(res, hist), getattr(ref_res, hist)
-                np.testing.assert_allclose(a, b, rtol=0, atol=1e-9 * np.abs(b).max(),
-                                           err_msg=f"{m} {hist}")
 
 
 def test_relative_errors_excludes_below_floor():

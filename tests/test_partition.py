@@ -15,8 +15,6 @@ from csmooth import (
     StationSet,
     aggregate,
     build_partition,
-    css_recover,
-    field_total,
     make_domain,
     patched_estimate,
     sample_stations,
@@ -140,7 +138,7 @@ def test_total_volume_conserved_with_and_without_ties(rng):
         p = build_partition(d, StationSet(d, np.sort(cells)))
         f = SpatialField(d, rng.uniform(0.0, 5.0, size=d.n))
         z = aggregate(p, f)
-        assert z.values.sum() == pytest.approx(field_total(f), rel=1e-12)
+        assert z.values.sum() == pytest.approx(f.total(), rel=1e-12)
         # disjoint patches covering every cell, each total its patch's sum
         assert p.patch_sizes.sum() == d.n
         want = [f.values[p.station_of_cell == i].sum() for i in range(m)]
@@ -156,23 +154,20 @@ def test_total_volume_conserved_with_and_without_ties(rng):
     n_cols=st.integers(2, 12),
     m=st.integers(1, 10),
     seed=st.integers(0, 10_000),
-    cell_size=st.sampled_from([1e-5, 0.3, 1.0, 250.0]),
-    offset=st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)),
 )
 @settings(max_examples=60)
-def test_voronoi_matches_brute_force(n_rows, n_cols, m, seed, cell_size, offset):
+def test_voronoi_matches_brute_force(n_rows, n_cols, m, seed):
     rng = np.random.default_rng(seed)
     mask = rng.random(n_rows * n_cols) < 0.85
     if not mask.any():
         mask[0] = True
-    origin = (offset[0] * cell_size, offset[1] * cell_size)
-    d = make_domain(n_rows, n_cols, mask, origin=origin, cell_size=cell_size)
+    d = make_domain(n_rows, n_cols, mask)
     m = min(m, d.n)
     cells = np.sort(rng.choice(d.n, size=m, replace=False))
     p = build_partition(d, StationSet(d, cells))
-    # float distances from an origin within 50 cells of the grid round to
-    # far below this slack, and distinct squared distances differ by cell_size**2
-    owner, n_tied = voronoi_oracle(d.centers, d.centers[cells], 1e-9 * cell_size**2)
+    # centers are half-integers, so the oracle's float squared distances are
+    # exact and distinct ones differ by at least 1
+    owner, n_tied = voronoi_oracle(d.centers, d.centers[cells], 1e-9)
     np.testing.assert_array_equal(p.station_of_cell, owner)
     np.testing.assert_array_equal(p.patch_sizes, np.bincount(owner, minlength=m))
     assert p.has_ties == bool((n_tied > 1).any())
@@ -209,23 +204,15 @@ def test_partition_memory_is_linear_in_cells():
 
 
 def test_cell_area_scales_aggregates():
-    d = make_domain(1, 4, cell_area=0.5)
+    # every cell has unit area: a volume is its patch's plain sum, and the
+    # patched estimate spreads it back as that sum over the patch's cells
+    d = make_domain(1, 4)
     p = build_partition(d, StationSet(d, [0, 3]))
     z = aggregate(p, SpatialField(d, [1.0, 2.0, 3.0, 4.0]))
-    np.testing.assert_allclose(z.values, [1.5, 3.5])
-    back = aggregate(p, patched_estimate(p, z))
-    np.testing.assert_allclose(back.values, z.values, rtol=1e-12)
-
-
-def test_tie_slack_scales_with_cell_size():
-    # on 1e-5 cells every squared distance is below an absolute 1e-9 slack
-    d = make_domain(3, 3, cell_size=1e-5)
-    p = build_partition(d, StationSet(d, [0, 1]))
-    assert not p.has_ties
-    np.testing.assert_array_equal(p.patch_sizes, [3, 6])
-    vols = aggregate(p, SpatialField(d, np.arange(1.0, 10.0)))
-    res = css_recover(d, p, vols)
-    np.testing.assert_allclose(aggregate(p, res.estimate).values, vols.values, rtol=1e-9)
+    np.testing.assert_array_equal(z.values, [3.0, 7.0])
+    back = patched_estimate(p, z)
+    np.testing.assert_array_equal(back.values, [1.5, 1.5, 3.5, 3.5])
+    np.testing.assert_array_equal(aggregate(p, back).values, z.values)
 
 
 def test_negative_volume_rejected():

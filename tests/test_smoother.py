@@ -42,7 +42,7 @@ def test_constant_target_reproduced(fem6):
 @pytest.mark.parametrize("lam", [1e-3, 1.0, 1e3])
 def test_affine_target_reproduced(lam):
     # the penalty vanishes on affine surfaces, so they pass through untouched
-    dom = make_domain(5, 7, cell_size=0.5, origin=(2.0, -1.0))
+    dom = make_domain(5, 7)
     fem = assemble(triangulate(dom))
     x, y = dom.centers[:, 0], dom.centers[:, 1]
     h = 1.5 + 0.3 * x - 0.8 * y
@@ -220,12 +220,10 @@ def test_failed_cholesky_is_a_singular_system(fem6, monkeypatch):
 
 
 def test_wide_masked_grid_matches_dense(rng):
-    # more columns than rows, with a hole, off the origin and at half a cell unit
-    dom = make_domain(3, 7, np.arange(21) != 10, cell_size=0.5, origin=(1.0, 2.0))
+    # more columns than rows, with a hole
+    dom = make_domain(3, 7, np.arange(21) != 10)
     fem = assemble(triangulate(dom))
     psi, jump, lengths = dense_parts(fem)
-    # the penalty is measured in grid units: edge lengths over the cell size
-    lengths = lengths / dom.cell_size
     n = dom.n
     w = np.column_stack([rng.normal(size=n), rng.uniform(size=n)])
     cov = CovariateMatrix(dom, w, names=("a", "b"))
@@ -237,15 +235,14 @@ def test_wide_masked_grid_matches_dense(rng):
         c_ref, d_ref = dense_ssr_oracle(psi[rows], jump, lengths, h, lam, weight)
         model = solver.solve(h)
         np.testing.assert_allclose(model.coeffs, c_ref, rtol=0, atol=1e-9)
-        # the oracle's d is per grid unit of length, laplacian per physical unit
-        np.testing.assert_allclose(model.laplacian * dom.cell_size, d_ref, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(model.laplacian, d_ref, rtol=0, atol=1e-9)
         np.testing.assert_allclose(model.fitted, psi @ c_ref, rtol=0, atol=1e-9)
         c_ref, d_ref, b_ref = dense_ssr_cov_oracle(psi[rows], jump, lengths, w[rows], h,
                                                    lam, weight)
         model = solver.solve(h, cov)
         np.testing.assert_allclose(model.beta, b_ref, rtol=0, atol=1e-9)
         np.testing.assert_allclose(model.coeffs, c_ref, rtol=0, atol=1e-9)
-        np.testing.assert_allclose(model.laplacian * dom.cell_size, d_ref, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(model.laplacian, d_ref, rtol=0, atol=1e-9)
         np.testing.assert_allclose(model.fitted, psi @ c_ref + w @ b_ref, rtol=0, atol=1e-9)
 
 
@@ -256,7 +253,7 @@ def _hole_and_corridor():
     mask[3, 1] = False
     mask[3, 4:6] = True
     mask[1:6, 6:] = True
-    return make_domain(7, 9, mask.ravel(), cell_size=0.5)
+    return make_domain(7, 9, mask.ravel())
 
 
 @pytest.mark.parametrize("lam, weight", [(1.0, 1.0), (0.3, 2.5)])
@@ -268,7 +265,7 @@ def test_system_filled_by_index_matches_scipy_assembly(monkeypatch, lam, weight,
     rows = np.arange(dom.n) if subset is None else subset
     # weight Psi_d'Psi_d + lam R, both terms assembled by scipy from J and Psi
     psi_d = fem.basis_eval[rows]
-    r = fem.edge_jump.T @ sp.diags(dom.cell_size / fem.edge_length) @ fem.edge_jump
+    r = fem.edge_jump.T @ sp.diags(1.0 / fem.edge_length) @ fem.edge_jump
     want = (weight * (psi_d.T @ psi_d) + lam * r).toarray()
     bands = []
     cholesky_banded = scipy.linalg.cholesky_banded

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from csmooth import dataio, synth
 from csmooth.errors import ConfigError
 from csmooth.synth import SynthSpec, generate_field
 
@@ -83,3 +84,31 @@ def test_covariate_blocks_may_not_outnumber_the_cells():
     assert cov.values.shape == (4, 2)
     # an intercept alone draws no blocks, so their count is not checked
     generate_field(SynthSpec(2, 2, beta=(1.0,), covariate_blocks=5))
+
+
+@pytest.mark.parametrize("spec", [
+    {"noise": float("inf")},
+    {"noise": float("nan")},
+    {"beta": (float("nan"),)},
+    {"beta": (1.0, float("inf"))},
+    {"amp_range": (float("nan"), 1.0)},
+    {"amp_range": (1.0, float("inf"))},
+    {"width_range": (1.0, float("inf"))},
+    {"width_range": (float("nan"), 2.0)},
+], ids=["noise-inf", "noise-nan", "beta-nan", "beta-inf", "amp-nan", "amp-inf", "width-inf",
+        "width-nan"])
+def test_non_finite_parameters_rejected(spec):
+    with pytest.raises(ConfigError, match="must be finite"):
+        SynthSpec(4, 4, **spec)
+
+
+def test_grid_cap_checked_before_anything_is_allocated(monkeypatch):
+    # the cap is the field reader's, so every truth synth writes reads back
+    assert synth.MAX_GRID_CELLS == dataio.MAX_GRID_CELLS
+    with pytest.raises(ConfigError, match=r"at most 67108864 cells, got 100000x100000"):
+        SynthSpec(100_000, 100_000)
+    monkeypatch.setattr(synth, "MAX_GRID_CELLS", 12)
+    assert generate_field(SynthSpec(3, 4))[0].domain.n == 12
+    for rows, cols in ((3, 5), (0, 4), (-4, -4)):
+        with pytest.raises(ConfigError, match=rf"at most 12 cells, got {rows}x{cols}"):
+            SynthSpec(rows, cols)
