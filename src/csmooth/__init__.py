@@ -66,7 +66,7 @@ from .partition import (
     patched_estimate,
     sample_stations,
 )
-from .smoother import SsrModel, SsrSolver, ssr_eval, ssr_fit
+from .smoother import SsrModel, SsrSolver
 from .synth import SynthSpec, generate_field
 
 __version__ = "0.1.0"
@@ -124,8 +124,6 @@ __all__ = [
     "run_pipeline",
     "run_seed",
     "sample_stations",
-    "ssr_eval",
-    "ssr_fit",
     "triangulate",
     "volume_constraints",
     "volume_projection",

@@ -21,8 +21,7 @@ dual variable over rho), each sweep performs
      _ALPHA (Boyd et al. 2011, section 3.4.3), which cuts the sweeps a run
      needs while the objective still falls monotonically.
   3. smoothing (f): a penalized least-squares fit (see smoother) pulling
-     the surface toward r + u with data weight rho/2, covariates included
-     here and nowhere else.
+     the surface toward r + u, covariates included here and nowhere else.
   4. dual ascent: u += r - f.
 
 Iterations stop when the primal gap ||g - f||_2 and the dual movement
@@ -60,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import CovariateMatrix, GridDomain, SpatialField, _check_same_domain
+from .domain import CovariateMatrix, SpatialField, _check_same_domain
 from .errors import ConfigError, InfeasibleVolume, NumericalFailure
 from .fem import FemSystem, assemble, triangulate
 from .partition import AggregateObservations, Partition, patched_estimate
@@ -114,7 +113,6 @@ class RecoveryResult:
     dual_residuals: np.ndarray
     objectives: np.ndarray          # augmented Lagrangian after each sweep
     constraint_violation: float     # worst relative patch-sum violation seen
-    config: AdmmConfig = AdmmConfig()
 
 
 def waterfill(costs: np.ndarray, total: float, rho: float) -> np.ndarray:
@@ -247,7 +245,6 @@ def _check_constraints(vc: VolumeConstraints, g: np.ndarray) -> float:
 
 
 def css_recover(
-    domain: GridDomain,
     partition: Partition,
     volumes: AggregateObservations,
     covariates: CovariateMatrix | None = None,
@@ -260,7 +257,14 @@ def css_recover(
     the volume constraints always apply to the total field.
     """
     cfg = config if config is not None else AdmmConfig()
-    _check_same_domain(domain, partition.domain, "partition")
+    lam, rho = cfg.lam, cfg.rho
+    # the f-step minimizes (rho/2)||t - f||^2 + lam roughness, the fit at
+    # smoothing weight 2 lam / rho
+    smoothing = 2.0 * lam / rho
+    if not 0.0 < smoothing < math.inf:
+        raise ConfigError(f"2 lam / rho is {smoothing} at lam {lam}, rho {rho}; "
+                          "it must be positive and finite")
+    domain = partition.domain
     if covariates is not None:
         _check_same_domain(domain, covariates.domain, "covariates")
     # the constraint set first, so that infeasible volumes fail before any
@@ -277,8 +281,7 @@ def css_recover(
     level = np.full(partition.m, np.inf)  # a cold start
 
     # fixed for the run: the solver's factorization and the stopping threshold
-    solver = SsrSolver(fem, cfg.lam, weight=cfg.rho / 2.0)
-    lam, rho = cfg.lam, cfg.rho
+    solver = SsrSolver(fem, smoothing)
     threshold = cfg.tol * float(np.sqrt(domain.n))
     primal_hist: list[float] = []
     dual_hist: list[float] = []
@@ -325,5 +328,4 @@ def css_recover(
         dual_residuals=np.asarray(dual_hist),
         objectives=np.asarray(objective_hist),
         constraint_violation=worst_violation,
-        config=cfg,
     )

@@ -95,7 +95,7 @@ def _recover_and_score(
     outcome = SeedOutcome(seed=seed, truth=truth)
     for method in methods:
         est, res = run_method_full(
-            MethodSpec(method, admm), truth.domain, part, volumes,
+            MethodSpec(method, admm), part, volumes,
             covariates=covariates, fem=fem,
         )
         outcome.estimates[method] = est

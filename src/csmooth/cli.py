@@ -170,7 +170,7 @@ def _cmd_recover(inputs: dict, params: dict, out: Path) -> dict:
 
     # every method runs before any estimate is written
     runs = {
-        m: run_method_full(MethodSpec(m, admm), domain, part, volumes,
+        m: run_method_full(MethodSpec(m, admm), part, volumes,
                            covariates=covariates, fem=fem)
         for m in methods
     }
@@ -383,7 +383,12 @@ def _cmd_plot(args) -> int:
             _plottable(path, "cdf value", values)
             series.append((method or Path(path).stem, errors, values))
         rows = read_report_csv(args.report) if args.report else []
-        _plottable(args.report, "mre", [r[2] for r in rows])
+        mres = np.array([r[2] for r in rows], dtype=float)
+        _plottable(args.report, "mre", mres)
+        # an mre is a mean of absolute errors; a negative one would draw a bar
+        # of negative width
+        if (mres < 0).any():
+            raise SchemaError(f"{args.report}: cannot plot negative mre {float(mres.min())!r}")
         if field is not None:
             render_field_svg(field, out / "field.svg", title=args.title or "")
             print(f"wrote {out / 'field.svg'}")

@@ -22,7 +22,7 @@ class InsufficientSupport(CsmoothError):
 
 
 class DegenerateField(CsmoothError):
-    """A field with zero total mass, or a negative value, where a nonnegative mass is required."""
+    """A field with a negative value, or a total that is zero or overflows."""
 
 
 class DegenerateTriangle(CsmoothError):
@@ -42,7 +42,7 @@ class NumericalFailure(CsmoothError):
 
 
 class InfeasibleVolume(CsmoothError):
-    """A station volume is negative; no nonnegative field can match it."""
+    """A station volume is negative or not finite; no nonnegative field can match it."""
 
 
 class SchemaError(CsmoothError):

@@ -14,11 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .admm import AdmmConfig, RecoveryResult, css_recover
-from .domain import CovariateMatrix, GridDomain, SpatialField
+from .domain import CovariateMatrix, SpatialField, _check_same_domain
 from .errors import ConfigError
 from .fem import FemSystem, assemble, triangulate
 from .partition import AggregateObservations, Partition, patched_estimate
-from .smoother import SsrSolver, ssr_eval, ssr_fit
+from .smoother import SsrSolver
 
 PE = "pe"
 PE_SSR1 = "pe-ssr1"
@@ -48,7 +48,6 @@ class MethodSpec:
 
 def run_method_full(
     spec: MethodSpec,
-    domain: GridDomain,
     partition: Partition,
     volumes: AggregateObservations,
     covariates: CovariateMatrix | None = None,
@@ -58,29 +57,30 @@ def run_method_full(
     if spec.method == PE:
         return patched_estimate(partition, volumes), None
 
+    domain = partition.domain
     if fem is None:
         fem = assemble(triangulate(domain))
+    else:
+        _check_same_domain(domain, fem.tri.domain, "mesh")
 
     if spec.method == PE_SSR1:
         cells = partition.stations.cells
         density = volumes.values / partition.patch_sizes
         solver = SsrSolver(fem, spec.admm.lam, subset=cells)
         model = solver.solve(density)
-        return ssr_eval(model, domain), None
+        return SpatialField(domain, model.fitted), None
 
     if spec.method == PE_SSR2:
         patched = patched_estimate(partition, volumes)
-        model = ssr_fit(fem, patched.values, spec.admm.lam)
-        return ssr_eval(model, domain), None
+        model = SsrSolver(fem, spec.admm.lam).solve(patched.values)
+        return SpatialField(domain, model.fitted), None
 
     if spec.method == CSS:
-        result = css_recover(domain, partition, volumes, None, spec.admm, fem)
+        result = css_recover(partition, volumes, None, spec.admm, fem)
         return result.estimate, result
 
     if covariates is None:
         raise ConfigError(f"method '{CSS_FEATURES}' requires covariates")
-    result = css_recover(
-        domain, partition, volumes, covariates.standardized(), spec.admm, fem
-    )
+    result = css_recover(partition, volumes, covariates.standardized(), spec.admm, fem)
     return result.estimate, result
 

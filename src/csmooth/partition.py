@@ -77,6 +77,8 @@ def sample_stations(f: SpatialField, m: int, seed: int) -> StationSet:
     total = v.sum()
     if not total > 0:
         raise DegenerateField("field has zero total mass; cannot place stations")
+    if not np.isfinite(total):
+        raise DegenerateField(f"field total {total} overflows; cannot place stations")
     positive = np.flatnonzero(v > 0)
     if m < 1:
         raise ShapeMismatch("station count must be at least 1")
@@ -173,7 +175,7 @@ class AggregateObservations:
     def __post_init__(self) -> None:
         z = np.asarray(self.values, dtype=float).ravel()
         if not np.isfinite(z).all():
-            raise ValueError("volumes must be finite")
+            raise InfeasibleVolume("volumes must be finite")
         if z.size and z.min() < 0:
             raise InfeasibleVolume(f"negative volume {z.min()} observed")
         object.__setattr__(self, "values", _frozen(z))

@@ -3,7 +3,7 @@
 Given targets h at (a subset of) cell centers, optional covariates W, and a
 smoothing weight lam, the fit solves
 
-    min over (c, beta)   weight * sum_j (h_j - w_j' beta - (Psi c)_j)^2
+    min over (c, beta)   sum_j (h_j - w_j' beta - (Psi c)_j)^2
                          + lam * c' J' M_E^-1 J c,
 
 where c are vertex coefficients of a piecewise-linear surface, J is the
@@ -14,7 +14,7 @@ density d = M_E^-1 J c is reported as ``laplacian`` and d' M_E d as
 ``roughness``. For fixed beta, stationarity in c is one sparse symmetric
 positive definite system:
 
-    (weight * Psi'Psi + lam * J' M_E^-1 J) c = weight * Psi'(h - W beta),
+    (Psi'Psi + lam * J' M_E^-1 J) c = Psi'(h - W beta),
 
 which is factorized once and reused. It is positive definite exactly when
 the data cells pin down the penalty's null space, the surfaces affine on
@@ -67,8 +67,6 @@ costs one back-substitution for c_h and the products with h and c. Psi, J
 and the system matrix are stacked into one sparse matrix, so that one
 product with c gives the fitted surface, the edge jumps and the system's
 image for the residual check, each row summed as its own product sums it.
-``weight`` scales the data term so callers embedding this solve in a larger
-objective can pass their own multiplier instead of re-deriving lam.
 scipy.linalg loads when the first system is factored, not when this module
 is imported.
 """
@@ -79,8 +77,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import CovariateMatrix, GridDomain, SpatialField
-from .errors import CollinearCovariates, NumericalFailure, ShapeMismatch
+from .domain import CovariateMatrix
+from .errors import CollinearCovariates, ConfigError, NumericalFailure, ShapeMismatch
 from .fem import FemSystem
 
 _RESIDUAL_TOL = 1e-8
@@ -97,12 +95,12 @@ _RANK_RCOND = 1e-10
 # The ratios hang on rounding, so they move with the vertex numbering;
 # measured with the diagonal numbering of fem.triangulate. Well-posed fits
 # stay above it, though not always far: the ratio falls about in step with
-# lam / weight or weight / lam, to 5e-9 at 1e8 on a 6 x 6 grid with every
+# lam or 1 / lam, to 5e-9 at 1e8 on a 6 x 6 grid with every
 # cell as data. With three non-collinear data cells there at 1e8 it falls
 # to 7e-13 to 1.9e-12, and 4 of 1,702 random subsets (6 seeds of 300 draws)
 # are rejected, against 5 under a row-by-row numbering; at 1e3 it stays
 # above 7e-8. On a 100 x 100 grid with 20 to 200 data cells at
-# lam = weight = 1 it stays above 1e-4.
+# lam = 1 it stays above 1e-4.
 _PIVOT_RATIO_TOL = 1e-12
 
 
@@ -110,19 +108,16 @@ _PIVOT_RATIO_TOL = 1e-12
 class SsrModel:
     """A fitted surface: coefficients, edge Laplacian, and fitted cell values."""
 
-    fem: FemSystem
-    lam: float
     coeffs: np.ndarray      # vertex coefficients c
     laplacian: np.ndarray   # edge density d = M_E^-1 J c
     beta: np.ndarray        # covariate coefficients (empty without covariates);
                             # minimum-norm, so 0 on combinations affine at the data
     fitted: np.ndarray      # Psi c + W beta at every active cell
     roughness: float        # d' M_E d
-    residual: float         # relative residual of the linear solve
 
 
 class SsrSolver:
-    """Pre-factorized penalized least-squares solve for one (lam, weight, subset).
+    """Pre-factorized penalized least-squares solve for one (lam, subset).
 
     ``subset`` restricts the data term to those active-cell indices; the
     fitted surface is still evaluated everywhere. Reuse one instance when
@@ -133,19 +128,14 @@ class SsrSolver:
         self,
         fem: FemSystem,
         lam: float,
-        weight: float = 1.0,
         subset: np.ndarray | None = None,
     ) -> None:
         import scipy.linalg
         import scipy.sparse as sp
 
         if not (np.isfinite(lam) and lam > 0):
-            raise ShapeMismatch(f"smoothing weight lam must be positive, got {lam}")
-        if not (np.isfinite(weight) and weight > 0):
-            raise ShapeMismatch(f"data weight must be positive, got {weight}")
+            raise ConfigError(f"smoothing weight lam must be positive, got {lam}")
         self.fem = fem
-        self.lam = float(lam)
-        self.weight = float(weight)
         pattern = fem.system_pattern
         if subset is None:
             self.subset = None
@@ -170,11 +160,10 @@ class SsrSolver:
              np.concatenate([[0], np.cumsum(np.bincount(corners, minlength=n_v))])),
             shape=(n_v, self._n_data),
         )
-        # weight * Psi_d'Psi_d + lam * R on R's pattern: each data cell adds
+        # Psi_d'Psi_d + lam * R on R's pattern: each data cell adds
         # 1/4 to each of its four Psi'Psi entries
         system = np.bincount(entries.ravel(), minlength=r.nnz) * 0.25
-        system *= self.weight
-        system += self.lam * r.data
+        system += lam * r.data
         # Psi, J and the system stacked: one product with the coefficients
         # gives the fitted surface, the edge jumps and the system's image,
         # row for row as the three products would
@@ -211,9 +200,6 @@ class SsrSolver:
             )
         self._pbtrs = scipy.linalg.get_lapack_funcs("pbtrs", (self._chol,))
 
-    def _rhs(self, target: np.ndarray) -> np.ndarray:
-        return self.weight * (self._psi_data_t @ target)
-
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
         # rhs is one vector or a matrix of columns, each from a data-cell target
         c, info = self._pbtrs(self._chol, rhs, lower=0)
@@ -243,7 +229,7 @@ class SsrSolver:
             scipy.linalg.cho_factor(gram)
         except np.linalg.LinAlgError as exc:
             raise CollinearCovariates("covariate columns are linearly dependent") from exc
-        rhs_w = self._rhs(w_data)
+        rhs_w = self._psi_data_t @ w_data
         c_w = self._solve(rhs_w)
         fit_w = self.fem.basis_eval @ c_w
         fit_w_data = fit_w if self.subset is None else fit_w[self.subset]
@@ -262,7 +248,7 @@ class SsrSolver:
         if not np.isfinite(h).all():
             raise ShapeMismatch("targets must be finite")
 
-        rhs = self._rhs(h)
+        rhs = self._psi_data_t @ h
         c = self._solve(rhs)
         if covariates is None:
             beta = np.zeros(0)
@@ -293,29 +279,10 @@ class SsrSolver:
         d = products[self._jump_rows] / self.fem.edge_length
         roughness = float(d @ (self.fem.edge_length * d))
         return SsrModel(
-            fem=self.fem,
-            lam=self.lam,
             coeffs=c,
             laplacian=d,
             beta=beta,
             fitted=fitted,
             roughness=roughness,
-            residual=residual,
         )
 
-
-def ssr_fit(
-    fem: FemSystem,
-    h: np.ndarray,
-    lam: float,
-    covariates: CovariateMatrix | None = None,
-) -> SsrModel:
-    """Fit the penalized surface to targets at every active cell."""
-    return SsrSolver(fem, lam).solve(h, covariates)
-
-
-def ssr_eval(model: SsrModel, domain: GridDomain) -> SpatialField:
-    """Fitted values of a model as a field over its own domain."""
-    if not model.fem.tri.domain.same_grid(domain):
-        raise ShapeMismatch("model was fitted on a different domain")
-    return SpatialField(domain, model.fitted)

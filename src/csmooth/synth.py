@@ -95,4 +95,8 @@ def generate_field(spec: SynthSpec) -> tuple[SpatialField, CovariateMatrix | Non
         values += np.maximum(0.0, rng.normal(0.0, spec.noise, size=domain.n))
 
     values = np.maximum(values, 0.0)
+    total = values.sum()
+    if not np.isfinite(total):
+        raise ConfigError(f"generated field total {total} is not finite; "
+                          "amplitudes, beta or noise are too large")
     return SpatialField(domain, values, nonnegative=True), covariates

@@ -35,7 +35,7 @@ from csmooth.dataio import (
 from csmooth.domain import _frozen, make_domain
 from csmooth.fem import Triangulation, assemble, triangulate
 from csmooth.methods import ALL_METHODS, CSS, CSS_FEATURES, PE, PE_SSR1, PE_SSR2
-from csmooth.smoother import SsrSolver, ssr_fit
+from csmooth.smoother import SsrSolver
 
 from oracles import dense_ssr_oracle, qp_patch_oracle
 
@@ -211,7 +211,7 @@ def test_criterion_3_fem_analytic_values():
     x, y = dom.centers[:, 0], dom.centers[:, 1]
     affine = 2.0 + 0.7 * x - 0.4 * y
     affine_gap = max(
-        float(np.abs(ssr_fit(fem, affine, lam).fitted - affine).max())
+        float(np.abs(SsrSolver(fem, lam).solve(affine).fitted - affine).max())
         for lam in (1e-3, 1.0, 1e3)
     )
     ok = mass_gap <= 1e-12 and stiff_gap <= 1e-12 and const_gap <= 1e-12 and affine_gap <= 1e-9
@@ -234,7 +234,7 @@ def test_criterion_4_smoother_matches_dense_factorization():
     for lam, weight in [(0.1, 1.0), (1.0, 1.0), (5.0, 0.5), (1.0, 2.0), (0.5, 0.5)]:
         h = rng.normal(2.0, 1.5, 36)
         c_ref, d_ref = dense_ssr_oracle(psi, jump, fem.edge_length, h, lam, weight)
-        model = SsrSolver(fem, lam, weight=weight).solve(h)
+        model = SsrSolver(fem, lam / weight).solve(h)
         worst = max(
             worst,
             float(np.abs(model.coeffs - c_ref).max()),

@@ -202,7 +202,7 @@ def test_smooth_update_matches_dense_oracle(rng, rho):
     g = rng.uniform(0.0, 3.0, 25)
     dual = rng.normal(0.0, 1.0, 25)
     lam = 0.8
-    model = SsrSolver(fem, lam, weight=rho / 2.0).solve(g + dual / rho)
+    model = SsrSolver(fem, 2.0 * lam / rho).solve(g + dual / rho)
     c_ref, _ = dense_f_update_oracle(psi, jump, fem.edge_length, g, dual, rho, lam)
     np.testing.assert_allclose(model.fitted, psi @ c_ref, rtol=0, atol=1e-9)
     assert model.beta.size == 0
@@ -233,7 +233,7 @@ def test_css_loop_matches_textbook_admm(rng, with_covariates):
     w = rng.normal(size=(dom.n, 2)) if with_covariates else None
     cov = None if w is None else CovariateMatrix(dom, w, names=("a", "b"))
     lam, rho, sweeps = 0.8, 1.5, 25
-    res = css_recover(dom, part, vols, cov, AdmmConfig(lam, rho, sweeps, tol=0.0), fem)
+    res = css_recover(part, vols, cov, AdmmConfig(lam, rho, sweeps, tol=0.0), fem)
     patches = [np.flatnonzero(part.station_of_cell == i) for i in range(part.m)]
     g, f, primal, dual, objective = css_admm_oracle(
         fem.basis_eval.toarray(), fem.edge_jump.toarray(), fem.edge_length,
@@ -326,7 +326,7 @@ def test_each_sweep_projects_solves_and_steps_once(monkeypatch, rng, with_covari
         cov = CovariateMatrix(dom, rng.normal(size=(dom.n, 2)), names=("a", "b"))
     for cfg in (AdmmConfig(max_iter=7, tol=0.0), AdmmConfig()):
         calls.update(dict.fromkeys(calls, 0))
-        res = css_recover(dom, part, vols, cov, cfg)
+        res = css_recover(part, vols, cov, cfg)
         assert calls == dict.fromkeys(calls, res.iterations)
     assert res.converged and res.iterations > 7
 
@@ -344,7 +344,7 @@ def test_station_per_cell_is_exact_after_one_sweep():
     # singleton patches leave the projection no freedom: g equals the
     # observed densities from the first sweep onward
     dom, truth, part, vols = make_problem(3, 4, 12, seed=5)
-    res = css_recover(dom, part, vols, config=AdmmConfig(max_iter=1))
+    res = css_recover(part, vols, config=AdmmConfig(max_iter=1))
     np.testing.assert_allclose(
         res.estimate.values, vols.values[part.station_of_cell], rtol=0, atol=1e-12
     )
@@ -357,7 +357,7 @@ def test_constant_field_recovered_immediately():
     part = build_partition(dom, StationSet(dom, np.array([2, 18, 31, 34])))
     assert not part.has_ties
     vols = aggregate(part, truth)
-    res = css_recover(dom, part, vols)
+    res = css_recover(part, vols)
     assert res.converged
     assert res.iterations <= 2
     np.testing.assert_allclose(res.estimate.values, 2.5, rtol=0, atol=1e-9)
@@ -366,8 +366,8 @@ def test_constant_field_recovered_immediately():
 def test_estimate_scales_with_volumes():
     dom, truth, part, vols = make_problem(8, 8, 6, seed=11)
     cfg = AdmmConfig(max_iter=30, tol=0.0)
-    res_1 = css_recover(dom, part, vols, config=cfg)
-    res_s = css_recover(dom, part, AggregateObservations(vols.values * 7.0), config=cfg)
+    res_1 = css_recover(part, vols, config=cfg)
+    res_s = css_recover(part, AggregateObservations(vols.values * 7.0), config=cfg)
     assert res_1.iterations == res_s.iterations == 30
     np.testing.assert_allclose(
         res_s.estimate.values, 7.0 * res_1.estimate.values, rtol=1e-9, atol=1e-9
@@ -376,7 +376,7 @@ def test_estimate_scales_with_volumes():
 
 def test_histories_and_flags():
     dom, truth, part, vols = make_problem(8, 8, 6, seed=2)
-    res = css_recover(dom, part, vols, config=AdmmConfig(max_iter=3))
+    res = css_recover(part, vols, config=AdmmConfig(max_iter=3))
     assert not res.converged
     assert res.iterations == 3
     assert res.primal_residuals.shape == (3,)
@@ -390,7 +390,7 @@ def test_histories_and_flags():
 def test_converged_run_meets_tolerances():
     dom, truth, part, vols = make_problem(8, 8, 6, seed=2)
     cfg = AdmmConfig()
-    res = css_recover(dom, part, vols, config=cfg)
+    res = css_recover(part, vols, config=cfg)
     assert res.converged
     sqrt_n = np.sqrt(dom.n)
     assert res.primal_residuals[-1] <= cfg.tol * sqrt_n
@@ -411,7 +411,7 @@ def test_estimate_reproduces_the_aggregated_totals_on_a_tied_partition(rng):
     assert part.has_ties
     vols = aggregate(part, truth)
     for sweeps in (1, 20):
-        res = css_recover(dom, part, vols, config=AdmmConfig(max_iter=sweeps))
+        res = css_recover(part, vols, config=AdmmConfig(max_iter=sweeps))
         np.testing.assert_allclose(
             aggregate(part, res.estimate).values, vols.values, rtol=1e-12
         )
@@ -421,7 +421,7 @@ def test_covariates_enter_smoothing(rng):
     dom, truth, part, vols = make_problem(8, 8, 6, seed=9)
     w = np.column_stack([np.ones(dom.n), rng.normal(size=dom.n)])
     cov = CovariateMatrix(dom, w, names=("one", "x"))
-    res = css_recover(dom, part, vols, covariates=cov, config=AdmmConfig(max_iter=40))
+    res = css_recover(part, vols, covariates=cov, config=AdmmConfig(max_iter=40))
     assert res.beta.shape == (2,)
     # the constant column is affine, so the surface carries it: beta 0
     assert abs(res.beta[0]) <= 1e-9
@@ -431,8 +431,8 @@ def test_covariates_enter_smoothing(rng):
 
 def test_determinism():
     dom, truth, part, vols = make_problem(8, 8, 6, seed=4)
-    res_a = css_recover(dom, part, vols)
-    res_b = css_recover(dom, part, vols)
+    res_a = css_recover(part, vols)
+    res_b = css_recover(part, vols)
     np.testing.assert_array_equal(res_a.estimate.values, res_b.estimate.values)
     np.testing.assert_array_equal(res_a.objectives, res_b.objectives)
 
@@ -454,13 +454,13 @@ def test_config_validation():
 def test_recover_input_validation():
     dom, truth, part, vols = make_problem(4, 4, 3, seed=1)
     with pytest.raises(InfeasibleVolume):
-        css_recover(dom, part, AggregateObservations(np.ones(2)))
+        css_recover(part, AggregateObservations(np.ones(2)))
     other = make_domain(4, 5)
     with pytest.raises(ShapeMismatch):
-        css_recover(other, part, vols)
+        css_recover(part, vols, fem=assemble(triangulate(other)))
     cov = CovariateMatrix(other, np.ones((20, 1)), names=("one",))
     with pytest.raises(ShapeMismatch):
-        css_recover(dom, part, vols, covariates=cov)
+        css_recover(part, vols, covariates=cov)
 
 
 def test_constraints_project_each_volume_set_independently(rng):
@@ -505,14 +505,14 @@ def test_constraint_check_with_every_volume_zero(rng):
     g[5] = 1e-300
     with pytest.raises(NumericalFailure, match="violated its constraints"):
         csmooth.admm._check_constraints(constraints, g)
-    res = css_recover(dom, part, zero)
+    res = css_recover(part, zero)
     assert not res.estimate.values.any() and res.constraint_violation == 0.0
 
 
 def test_constraints_keep_volume_checks():
     dom, truth, part, vols = make_problem(4, 4, 3, seed=1)
     with pytest.raises(InfeasibleVolume, match="negative volume -1.0 observed"):
-        css_recover(dom, part, AggregateObservations(np.array([-1.0, 2.0, 3.0])))
+        css_recover(part, AggregateObservations(np.array([-1.0, 2.0, 3.0])))
     # past the observations' own check, the constraint set still rejects it
     negative = AggregateObservations(np.array([1.0, 2.0, 3.0]))
     object.__setattr__(negative, "values", np.array([-1.0, 2.0, 3.0]))
@@ -531,10 +531,25 @@ def test_infeasible_volumes_fail_before_factoring(monkeypatch):
     dom, truth, part, vols = make_problem(4, 4, 3, seed=1)
     emptied = dataclasses.replace(part, station_of_cell=np.zeros(dom.n, dtype=np.int64))
     with pytest.raises(InfeasibleVolume, match="patch 1 holds no cell"):
-        css_recover(dom, emptied, vols)
+        css_recover(emptied, vols)
     with pytest.raises(InfeasibleVolume, match="2 volumes for 3 patches"):
-        css_recover(dom, part, AggregateObservations(np.ones(2)))
+        css_recover(part, AggregateObservations(np.ones(2)))
     negative = AggregateObservations(np.array([1.0, 2.0, 3.0]))
     object.__setattr__(negative, "values", np.array([1.0, -2.0, 3.0]))
     with pytest.raises(InfeasibleVolume, match="patch volume -2.0 is negative"):
-        css_recover(dom, part, negative)
+        css_recover(part, negative)
+
+
+@pytest.mark.parametrize("lam, rho", [(5e-324, 10.0), (1e308, 1e-10)])
+def test_smoothing_weight_out_of_range_fails_before_factoring(monkeypatch, lam, rho):
+    # each setting is valid alone, but the f-step's smoothing weight
+    # 2 lam / rho rounds to 0 or overflows; css refuses it before any mesh
+    # is assembled or system factored
+    def never(*args, **kwargs):
+        raise AssertionError("called before the smoothing weight was checked")
+
+    monkeypatch.setattr("csmooth.admm.assemble", never)
+    monkeypatch.setattr("csmooth.admm.SsrSolver", never)
+    dom, truth, part, vols = make_problem(4, 4, 3, seed=1)
+    with pytest.raises(ConfigError, match=r"2 lam / rho .* lam .*, rho "):
+        css_recover(part, vols, config=AdmmConfig(lam=lam, rho=rho))

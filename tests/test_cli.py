@@ -305,6 +305,10 @@ def test_rejected_command_leaves_no_output_directory(workflow_dir, capsys):
                                   "--blocks", 5],
         "non-finite noise": ["synth", "--rows", 4, "--cols", 4, "--noise", "inf"],
         "non-finite beta": ["synth", "--rows", 4, "--cols", 4, "--beta", "nan"],
+        # finite settings whose field sums past the largest float
+        "overflowing amplitudes": ["synth", "--rows", 4, "--cols", 4, "--amp", "1e308,1e308",
+                                   "--bumps", 3],
+        "overflowing noise": ["synth", "--rows", 4, "--cols", 4, "--noise", "1e308"],
         # refused before anything is allocated, past the field reader's cap
         "grid past the cap": ["synth", "--rows", 100_000, "--cols", 100_000],
         # the field is read before the missing cdf
@@ -428,11 +432,25 @@ def test_negative_field_cell_exits_one(workflow_dir, capsys):
     lines = (workflow_dir / "synth" / "truth.csv").read_text().splitlines()
     lines[2] = lines[2].rsplit(",", 1)[0] + ",-0.5"
     field.write_text("\n".join(lines) + "\n")
-    for args in (["stations", "--field", field, "--stations", 3],
-                 ["recover", "--truth", field, "--stations", 3, "--method", "pe"]):
+    # finite values whose sum overflows
+    overflow = workflow_dir / "overflow.csv"
+    overflow.write_text("row,col,value\n0,0,1e308\n0,1,1e308\n1,0,1\n1,1,1\n")
+    corners = workflow_dir / "corners.csv"
+    corners.write_text("station_id,row,col\n0,0,0\n1,1,1\n")
+    cases = [
+        (["stations", "--field", field, "--stations", 3], "field has a negative value"),
+        (["recover", "--truth", field, "--stations", 3, "--method", "pe"],
+         "field has a negative value"),
+        (["stations", "--field", overflow, "--stations", 2], "field total inf overflows"),
+        (["aggregate", "--field", overflow, "--stations-csv", corners],
+         "volumes must be finite"),
+        (["recover", "--truth", overflow, "--stations", 2, "--method", "pe"],
+         "field total inf overflows"),
+    ]
+    for args, message in cases:
         out = workflow_dir / "negative" / "out"
         assert run([*args, "--out", out]) == 1
-        assert "error: field has a negative value" in capsys.readouterr().err
+        assert f"error: {message}" in capsys.readouterr().err
         assert not (workflow_dir / "negative").exists()
 
 
@@ -441,7 +459,8 @@ def test_plot_refuses_non_finite_values(workflow_dir, capsys):
     bad = {
         "cdf": [f"method,seed,error,cdf\npe,,0.25,0.5\npe,,{e},{p}\n"
                 for e, p in (("inf", "1.0"), ("nan", "1.0"), ("0.5", "nan"))],
-        "report": [f"method,seed,mre,excluded\npe,,0.5,0\ncss,,{mre},0\n" for mre in ("nan", "inf")],
+        "report": [f"method,seed,mre,excluded\npe,,0.5,0\ncss,,{mre},0\n"
+                   for mre in ("nan", "inf", "-0.5")],
     }
     for option, texts in bad.items():
         for k, text in enumerate(texts):
@@ -450,7 +469,8 @@ def test_plot_refuses_non_finite_values(workflow_dir, capsys):
             top = workflow_dir / f"plot_{option}_{k}"
             args = ["plot", "--field", truth, f"--{option}", path, "--out", top / "out"]
             assert run(args) == 2
-            assert f"error: {path}: cannot plot non-finite" in capsys.readouterr().err
+            what = "negative mre -0.5" if "-0.5" in text else "non-finite"
+            assert f"error: {path}: cannot plot {what}" in capsys.readouterr().err
             assert not top.exists()
             # into an existing directory: no SVG is written, not even the field's
             (top / "out").mkdir(parents=True)

@@ -491,7 +491,7 @@ def test_diagnostics_thinning(tmp_path):
     truth = SpatialField(dom, np.linspace(1.0, 2.0, 16), nonnegative=True)
     part = build_partition(dom, StationSet(dom, np.array([2, 9])))
     vols = aggregate(part, truth)
-    res = css_recover(dom, part, vols, config=AdmmConfig(max_iter=5, tol=0.0))
+    res = css_recover(part, vols, config=AdmmConfig(max_iter=5, tol=0.0))
     path = tmp_path / "diag.csv"
     write_diagnostics_csv(res, path)
     with open(path, newline="") as handle:

@@ -128,7 +128,7 @@ def test_roughness_matrix_built_once_and_read_only():
         assert not a.flags.writeable
     # a solver's system is a new matrix: scaling and adding leave r alone
     before = r.toarray()
-    SsrSolver(fem, 2.0, weight=0.5)
+    SsrSolver(fem, 4.0)
     np.testing.assert_array_equal(r.toarray(), before)
 
 

@@ -25,7 +25,7 @@ from csmooth.partition import (
     patched_estimate,
     sample_stations,
 )
-from csmooth.smoother import SsrSolver, ssr_fit
+from csmooth.smoother import SsrSolver
 
 
 @pytest.fixture(scope="module")
@@ -58,14 +58,14 @@ def test_method_spec_validation():
 
 def test_pe_is_the_patched_estimate(problem):
     dom, truth, part, vols, cov, fem = problem
-    est, res = run_method_full(MethodSpec(PE), dom, part, vols, fem=fem)
+    est, res = run_method_full(MethodSpec(PE), part, vols, fem=fem)
     assert res is None
     np.testing.assert_array_equal(est.values, patched_estimate(part, vols).values)
 
 
 def test_pe_ssr1_fits_station_cell_densities(problem):
     dom, truth, part, vols, cov, fem = problem
-    est, res = run_method_full(MethodSpec(PE_SSR1, AdmmConfig(lam=2.0)), dom, part, vols, fem=fem)
+    est, res = run_method_full(MethodSpec(PE_SSR1, AdmmConfig(lam=2.0)), part, vols, fem=fem)
     assert res is None
     density = vols.values / part.patch_sizes
     manual = SsrSolver(fem, 2.0, subset=part.stations.cells).solve(density)
@@ -74,17 +74,17 @@ def test_pe_ssr1_fits_station_cell_densities(problem):
 
 def test_pe_ssr2_smooths_the_patched_estimate(problem):
     dom, truth, part, vols, cov, fem = problem
-    est, res = run_method_full(MethodSpec(PE_SSR2, AdmmConfig(lam=2.0)), dom, part, vols, fem=fem)
+    est, res = run_method_full(MethodSpec(PE_SSR2, AdmmConfig(lam=2.0)), part, vols, fem=fem)
     assert res is None
-    manual = ssr_fit(fem, patched_estimate(part, vols).values, 2.0)
+    manual = SsrSolver(fem, 2.0).solve(patched_estimate(part, vols).values)
     np.testing.assert_array_equal(est.values, manual.fitted)
 
 
 def test_css_matches_direct_recovery(problem):
     dom, truth, part, vols, cov, fem = problem
     spec = MethodSpec(CSS)
-    est, res = run_method_full(spec, dom, part, vols, fem=fem)
-    direct = css_recover(dom, part, vols, None, spec.admm, fem)
+    est, res = run_method_full(spec, part, vols, fem=fem)
+    direct = css_recover(part, vols, None, spec.admm, fem)
     np.testing.assert_array_equal(est.values, direct.estimate.values)
     assert res is not None
     assert res.iterations == direct.iterations
@@ -93,8 +93,8 @@ def test_css_matches_direct_recovery(problem):
 def test_css_features_standardizes_covariates(problem):
     dom, truth, part, vols, cov, fem = problem
     spec = MethodSpec(CSS_FEATURES)
-    est, res = run_method_full(spec, dom, part, vols, covariates=cov, fem=fem)
-    direct = css_recover(dom, part, vols, cov.standardized(), spec.admm, fem)
+    est, res = run_method_full(spec, part, vols, covariates=cov, fem=fem)
+    direct = css_recover(part, vols, cov.standardized(), spec.admm, fem)
     np.testing.assert_array_equal(est.values, direct.estimate.values)
     assert res is not None and res.beta.shape == (2,)
 
@@ -102,17 +102,18 @@ def test_css_features_standardizes_covariates(problem):
 def test_css_features_requires_covariates(problem):
     dom, truth, part, vols, cov, fem = problem
     with pytest.raises(ConfigError):
-        run_method_full(MethodSpec(CSS_FEATURES), dom, part, vols, fem=fem)
+        run_method_full(MethodSpec(CSS_FEATURES), part, vols, fem=fem)
 
 
 @pytest.mark.parametrize("method", [PE_SSR1, PE_SSR2, CSS, CSS_FEATURES])
 def test_smoothing_methods_reject_a_mesh_of_another_grid(method, monkeypatch):
     # a 5 x 4 mesh has the cell and vertex counts of a 4 x 5 one, so only
-    # the grid itself tells them apart; css rejects it before it factors
+    # the grid itself tells them apart; it is rejected before any factorization
     def no_factorization(*args, **kwargs):
-        raise AssertionError("css factored a system on a foreign mesh")
+        raise AssertionError("a system was factored on a foreign mesh")
 
     monkeypatch.setattr("csmooth.admm.SsrSolver", no_factorization)
+    monkeypatch.setattr("csmooth.methods.SsrSolver", no_factorization)
     dom = make_domain(4, 5)
     truth = SpatialField(dom, np.random.default_rng(5).uniform(0.5, 3.0, dom.n))
     part = build_partition(dom, StationSet(dom, np.array([0, 7, 13, 19])))
@@ -121,7 +122,7 @@ def test_smoothing_methods_reject_a_mesh_of_another_grid(method, monkeypatch):
     other = assemble(triangulate(make_domain(5, 4)))
     assert (other.tri.domain.n, other.n_vertices) == (dom.n, 30)
     with pytest.raises(ShapeMismatch):
-        run_method_full(MethodSpec(method), dom, part, vols, cov, other)
+        run_method_full(MethodSpec(method), part, vols, cov, other)
 
 
 def test_relative_errors_excludes_below_floor():

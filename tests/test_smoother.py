@@ -5,9 +5,11 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from csmooth.domain import CovariateMatrix, make_domain
-from csmooth.errors import CollinearCovariates, NumericalFailure, ShapeMismatch
+from csmooth.errors import CollinearCovariates, ConfigError, NumericalFailure, ShapeMismatch
 from csmooth.fem import FemSystem, assemble, triangulate
-from csmooth.smoother import SsrSolver, ssr_eval, ssr_fit
+from csmooth.methods import CSS, CSS_FEATURES, PE_SSR1, PE_SSR2, MethodSpec, run_method_full
+from csmooth.partition import AggregateObservations, StationSet, build_partition
+from csmooth.smoother import SsrSolver
 
 from oracles import dense_ssr_cov_oracle, dense_ssr_oracle
 
@@ -24,7 +26,7 @@ def dense_parts(fem):
 def test_frozen_2x2_fit():
     # values from the dense stationarity solve, frozen
     fem = assemble(triangulate(make_domain(2, 2)))
-    model = ssr_fit(fem, np.array([1.0, 4.0, 2.0, 7.0]), lam=1.0)
+    model = SsrSolver(fem, 1.0).solve(np.array([1.0, 4.0, 2.0, 7.0]))
     expected = np.array(
         [0.5211618561623961, 4.478838143837603, 2.4788381438376033, 6.521161856162397]
     )
@@ -33,7 +35,7 @@ def test_frozen_2x2_fit():
 
 
 def test_constant_target_reproduced(fem6):
-    model = ssr_fit(fem6, np.full(36, 7.0), lam=1.0)
+    model = SsrSolver(fem6, 1.0).solve(np.full(36, 7.0))
     np.testing.assert_allclose(model.fitted, 7.0, rtol=0, atol=1e-9)
     np.testing.assert_allclose(model.laplacian, 0.0, rtol=0, atol=1e-9)
     assert model.roughness < 1e-18
@@ -46,7 +48,7 @@ def test_affine_target_reproduced(lam):
     fem = assemble(triangulate(dom))
     x, y = dom.centers[:, 0], dom.centers[:, 1]
     h = 1.5 + 0.3 * x - 0.8 * y
-    model = ssr_fit(fem, h, lam=lam)
+    model = SsrSolver(fem, lam).solve(h)
     np.testing.assert_allclose(model.fitted, h, rtol=0, atol=1e-9)
     assert model.roughness < 1e-16
 
@@ -58,7 +60,7 @@ def test_matches_dense_solve_6x6(fem6, rng, lam, weight):
     psi, jump, lengths = dense_parts(fem6)
     h = rng.normal(2.0, 1.0, 36)
     c_ref, d_ref = dense_ssr_oracle(psi, jump, lengths, h, lam, weight)
-    model = SsrSolver(fem6, lam, weight=weight).solve(h)
+    model = SsrSolver(fem6, lam / weight).solve(h)
     np.testing.assert_allclose(model.coeffs, c_ref, rtol=0, atol=1e-9)
     np.testing.assert_allclose(model.laplacian, d_ref, rtol=0, atol=1e-9)
     np.testing.assert_allclose(model.fitted, psi @ c_ref, rtol=0, atol=1e-9)
@@ -73,7 +75,7 @@ def test_matches_dense_solve_with_covariates(fem6, rng):
     cov = CovariateMatrix(fem6.tri.domain, w, names=("a", "b"))
     for lam, weight in [(0.5, 1.0), (2.0, 0.5)]:
         c_ref, d_ref, b_ref = dense_ssr_cov_oracle(psi, jump, lengths, w, h, lam, weight)
-        model = SsrSolver(fem6, lam, weight=weight).solve(h, cov)
+        model = SsrSolver(fem6, lam / weight).solve(h, cov)
         np.testing.assert_allclose(model.beta, b_ref, rtol=0, atol=1e-9)
         np.testing.assert_allclose(model.coeffs, c_ref, rtol=0, atol=1e-9)
         np.testing.assert_allclose(model.laplacian, d_ref, rtol=0, atol=1e-9)
@@ -95,7 +97,7 @@ def test_subset_fit_with_covariates_matches_dense(fem6, rng):
     for lam, weight in [(0.5, 1.0), (2.0, 0.5)]:
         h = rng.normal(2.0, 1.0, idx.size)
         c_ref, d_ref, b_ref = dense_ssr_cov_oracle(psi[idx], jump, lengths, w[idx], h, lam, weight)
-        solver = SsrSolver(fem6, lam, weight=weight, subset=idx)
+        solver = SsrSolver(fem6, lam / weight, subset=idx)
         # the second solve reuses the cached covariate system
         for model in (solver.solve(h, cov), solver.solve(h, cov)):
             np.testing.assert_allclose(model.beta, b_ref, rtol=0, atol=1e-9)
@@ -115,7 +117,7 @@ def test_exact_covariate_field_recovered(fem6, rng):
     cov = CovariateMatrix(dom, w, names=("a", "b"))
     beta_star = np.array([2.0, -1.2])
     h = 0.5 + 0.1 * dom.centers[:, 0] + w @ beta_star
-    model = ssr_fit(fem6, h, lam=1.0, covariates=cov)
+    model = SsrSolver(fem6, 1.0).solve(h, cov)
     np.testing.assert_allclose(model.beta, beta_star, rtol=0, atol=1e-8)
     np.testing.assert_allclose(model.fitted, h, rtol=0, atol=1e-8)
     assert model.roughness < 1e-14
@@ -123,7 +125,7 @@ def test_exact_covariate_field_recovered(fem6, rng):
 
 def test_roughness_monotone_in_lam(fem6, rng):
     h = rng.normal(3.0, 1.5, 36)
-    rough = [ssr_fit(fem6, h, lam).roughness for lam in [1e-2, 1e-1, 1.0, 1e1, 1e2]]
+    rough = [SsrSolver(fem6, lam).solve(h).roughness for lam in [1e-2, 1e-1, 1.0, 1e1, 1e2]]
     for lo, hi in zip(rough[1:], rough[:-1]):
         assert lo <= hi * (1 + 1e-12)
     assert rough[-1] < rough[0] / 1e3
@@ -133,7 +135,7 @@ def test_small_lam_approaches_interpolation(fem6, rng):
     # more vertices than cells, so the surface can match any data as lam -> 0
     h = rng.normal(3.0, 1.5, 36)
     errs = [
-        float(np.abs(ssr_fit(fem6, h, lam).fitted - h).max())
+        float(np.abs(SsrSolver(fem6, lam).solve(h).fitted - h).max())
         for lam in [1e-2, 1e-4, 1e-6]
     ]
     assert errs[0] > errs[1] > errs[2]
@@ -145,8 +147,8 @@ def test_half_turn_equivariance(fem6, rng):
     dom = fem6.tri.domain
     h = rng.normal(1.0, 2.0, 36)
     perm = np.array([dom.index_of(5 - r, 5 - c) for r, c in dom.cells])
-    fit = ssr_fit(fem6, h, lam=0.7).fitted
-    fit_rot = ssr_fit(fem6, h[perm], lam=0.7).fitted
+    fit = SsrSolver(fem6, 0.7).solve(h).fitted
+    fit_rot = SsrSolver(fem6, 0.7).solve(h[perm]).fitted
     np.testing.assert_allclose(fit_rot[perm], fit, rtol=0, atol=1e-9)
 
 
@@ -231,7 +233,7 @@ def test_wide_masked_grid_matches_dense(rng):
     for idx, lam, weight in [(None, 0.5, 1.0), (subset, 2.0, 0.5), (subset, 1e-3, 1.0)]:
         rows = np.arange(n) if idx is None else idx
         h = rng.normal(2.0, 1.0, rows.size)
-        solver = SsrSolver(fem, lam, weight=weight, subset=idx)
+        solver = SsrSolver(fem, lam / weight, subset=idx)
         c_ref, d_ref = dense_ssr_oracle(psi[rows], jump, lengths, h, lam, weight)
         model = solver.solve(h)
         np.testing.assert_allclose(model.coeffs, c_ref, rtol=0, atol=1e-9)
@@ -263,10 +265,10 @@ def test_system_filled_by_index_matches_scipy_assembly(monkeypatch, lam, weight,
     fem = assemble(triangulate(dom))
     subset = np.array([40, 3, 17, 29, 8, 43, 21, 35]) if with_subset else None
     rows = np.arange(dom.n) if subset is None else subset
-    # weight Psi_d'Psi_d + lam R, both terms assembled by scipy from J and Psi
+    # Psi_d'Psi_d + (lam / weight) R, both terms assembled by scipy from J and Psi
     psi_d = fem.basis_eval[rows]
     r = fem.edge_jump.T @ sp.diags(1.0 / fem.edge_length) @ fem.edge_jump
-    want = (weight * (psi_d.T @ psi_d) + lam * r).toarray()
+    want = (psi_d.T @ psi_d + (lam / weight) * r).toarray()
     bands = []
     cholesky_banded = scipy.linalg.cholesky_banded
 
@@ -275,7 +277,7 @@ def test_system_filled_by_index_matches_scipy_assembly(monkeypatch, lam, weight,
         return cholesky_banded(ab, *args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "cholesky_banded", spy)
-    solver = SsrSolver(fem, lam, weight=weight, subset=subset)
+    solver = SsrSolver(fem, lam / weight, subset=subset)
     np.testing.assert_array_equal(solver._products[solver._system_rows].toarray(), want)
     (band,) = bands
     u = band.shape[0] - 1
@@ -300,7 +302,7 @@ def test_system_pattern_is_built_once_and_left_alone():
     assert not any(a.flags.writeable for a in arrays)
     before = [a.copy() for a in arrays]
     for subset in (None, np.arange(0, fem.tri.domain.n, 3)):
-        SsrSolver(fem, 2.0, weight=0.5, subset=subset).solve(np.ones(
+        SsrSolver(fem, 4.0, subset=subset).solve(np.ones(
             fem.tri.domain.n if subset is None else subset.size))
     assert fem.system_pattern is pattern
     for a, b in zip(arrays, before):
@@ -369,16 +371,13 @@ def test_collinear_covariates_rejected(fem6, rng):
         fem6.tri.domain, np.column_stack([w, 2.0 * w]), names=("a", "aa")
     )
     with pytest.raises(CollinearCovariates):
-        ssr_fit(fem6, np.ones(36), lam=1.0, covariates=cov)
+        SsrSolver(fem6, 1.0).solve(np.ones(36), cov)
 
 
 def test_validation_errors(fem6):
-    with pytest.raises(ShapeMismatch):
-        SsrSolver(fem6, lam=0.0)
-    with pytest.raises(ShapeMismatch):
-        SsrSolver(fem6, lam=-1.0)
-    with pytest.raises(ShapeMismatch):
-        SsrSolver(fem6, lam=1.0, weight=0.0)
+    for lam in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ConfigError):
+            SsrSolver(fem6, lam=lam)
     with pytest.raises(ShapeMismatch):
         SsrSolver(fem6, lam=1.0, subset=np.array([], dtype=int))
     with pytest.raises(ShapeMismatch):
@@ -396,8 +395,16 @@ def test_validation_errors(fem6):
 
 
 def test_eval_checks_domain(fem6):
-    model = ssr_fit(fem6, np.ones(36), lam=1.0)
-    field = ssr_eval(model, fem6.tri.domain)
-    np.testing.assert_allclose(field.values, 1.0, rtol=0, atol=1e-9)
-    with pytest.raises(ShapeMismatch):
-        ssr_eval(model, make_domain(6, 7))
+    # a smoothing method's estimate lives on the partition's grid; a mesh of
+    # another grid is refused for every method that smooths
+    dom = fem6.tri.domain
+    part = build_partition(dom, StationSet(dom, np.array([0, 5, 16, 32])))
+    vols = AggregateObservations(np.full(part.m, 1.0) * part.patch_sizes)
+    cov = CovariateMatrix(dom, np.arange(36.0)[:, None], names=("x",))
+    other = assemble(triangulate(make_domain(6, 7)))
+    for method in (PE_SSR1, PE_SSR2, CSS, CSS_FEATURES):
+        field, _ = run_method_full(MethodSpec(method), part, vols, cov, fem6)
+        assert field.domain is dom
+        np.testing.assert_allclose(field.values, 1.0, rtol=0, atol=1e-6)
+        with pytest.raises(ShapeMismatch):
+            run_method_full(MethodSpec(method), part, vols, cov, other)
