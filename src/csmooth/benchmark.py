@@ -16,6 +16,7 @@ import numpy as np
 
 from .admm import AdmmConfig, RecoveryResult
 from .domain import CovariateMatrix, SpatialField, make_domain
+from .errors import ConfigError
 from .fem import FemSystem, assemble, triangulate
 from .methods import ALL_METHODS, CSS_FEATURES, MethodSpec, run_method_full
 from .metrics import EvalReport, relative_errors
@@ -35,8 +36,7 @@ class EnsembleSpec:
     max_iter: int = AdmmConfig.max_iter
     bump_choices: ClassVar[tuple[int, ...]] = (3, 4, 5)
     amp_range: tuple[float, float] = (1.0, 3.0)
-    width_range: tuple[float, float] = (5.5, 9.0)
-    noise: float = 0.0
+    width_range: ClassVar[tuple[float, float]] = (5.5, 9.0)
     beta: tuple[float, ...] | None = None
     covariate_blocks: int = 4
     # station draws use their own seed stream so placement does not replay
@@ -52,7 +52,6 @@ class EnsembleSpec:
             width_range=self.width_range,
             beta=self.beta,
             covariate_blocks=self.covariate_blocks,
-            noise=self.noise,
             seed=seed,
         )
 
@@ -126,9 +125,9 @@ def compare_methods(
 ) -> list[SeedOutcome]:
     """Run every method on every seed, in seed order."""
     if not seeds:
-        raise ValueError("at least one seed is required")
+        raise ConfigError("at least one seed is required")
     if CSS_FEATURES in methods and spec.beta is None:
-        raise ValueError("css-features in the method list needs spec.beta set")
+        raise ConfigError("css-features in the method list needs spec.beta set")
     fem = assemble(triangulate(make_domain(spec.n_rows, spec.n_cols)))
     return [run_seed(spec, s, methods, fem) for s in seeds]
 

@@ -484,23 +484,19 @@ def load_cdr_csv(
     return SpatialField(domain, acc)
 
 
-def load_features_csv(
-    path: str | Path,
-    domain: GridDomain,
-    names: tuple[str, ...] = FEATURE_NAMES,
-) -> CovariateMatrix:
+def load_features_csv(path: str | Path, domain: GridDomain) -> CovariateMatrix:
     """Read per-square features; squares absent from the file become inactive.
 
     The returned CovariateMatrix lives on a new domain restricted to the
     squares present (its ``domain`` attribute). The header must contain
-    ``square_id`` and every requested feature name, in any order; extra
+    ``square_id`` and every name in ``FEATURE_NAMES``, in any order; extra
     columns are ignored. A row of the wrong width, a duplicated square id
     or a malformed value is a SchemaError naming its line.
     """
     n_cells = domain.n_rows * domain.n_cols
     present = np.zeros(n_cells, dtype=bool)
-    raw = np.zeros((n_cells, len(names)))
-    needed = ("square_id", *names)
+    raw = np.zeros((n_cells, len(FEATURE_NAMES)))
+    needed = ("square_id", *FEATURE_NAMES)
     for line, header, fields in _read_rows(path, (), "squares", prefix=True, required=needed):
         sid, *texts = (fields[header.index(name)] for name in needed)
         square = _square(sid, n_cells, path, line)
@@ -508,10 +504,10 @@ def load_features_csv(
             raise SchemaError(f"{path}:{line}: duplicate square_id {square + 1}")
         if not domain.active[square]:
             raise SchemaError(f"{path}:{line}: square_id {square + 1} is inactive in the domain")
-        raw[square] = [_finite(text, path, line, name) for text, name in zip(texts, names)]
+        raw[square] = [_finite(text, path, line, name) for text, name in zip(texts, FEATURE_NAMES)]
         present[square] = True
     restricted = make_domain(domain.n_rows, domain.n_cols, present)
-    return CovariateMatrix(restricted, raw[present], tuple(names))
+    return CovariateMatrix(restricted, raw[present], FEATURE_NAMES)
 
 
 # -------------------------------------------------------------- manifest

@@ -13,8 +13,6 @@ mask, whose diagonals hold about 1/sqrt(2) as many corners as its rows, the
 band is about 1/sqrt(2) as wide as numbering row by row would make it. On
 this mesh we assemble, for linear barycentric elements:
 
-  * the mass matrix M, M_ab = integral(psi_a psi_b),
-  * the stiffness matrix K, K_ab = integral(grad psi_a . grad psi_b),
   * the evaluation matrix Psi with one row per active cell giving the
     surface at its center: the center is the midpoint of the split
     diagonal, so each row holds exactly 1/2 at the cell's lower-left and
@@ -30,10 +28,8 @@ integral_e (jump of df/dn)^2 ds, the natural squared-curvature energy for
 this element: it vanishes exactly on globally affine surfaces (continuous
 gradient) and on nothing else when the mesh is connected.
 
-assemble builds Psi and the roughness operator, which the smoother reads;
-M and K are assembled on first read of ``FemSystem.mass`` and
-``FemSystem.stiffness``. scipy.sparse loads when the first matrix is built,
-not when this module is imported.
+scipy.sparse loads when the first matrix is built, not when this module is
+imported.
 """
 from __future__ import annotations
 
@@ -111,10 +107,8 @@ def triangulate(domain: GridDomain) -> Triangulation:
 class FemSystem:
     """Assembled matrices for one triangulation.
 
-    ``mass`` and ``stiffness`` are assembled on first read and kept; the
-    smoother reads neither. ``roughness_matrix`` and ``system_pattern``,
-    which every smoothing solver on the mesh reads, are built on first read
-    and kept too.
+    ``roughness_matrix`` and ``system_pattern``, which every smoothing
+    solver on the mesh reads, are built on first read and kept.
     """
 
     tri: Triangulation
@@ -129,19 +123,6 @@ class FemSystem:
     @property
     def n_edges(self) -> int:
         return self.edge_length.size
-
-    @cached_property
-    def mass(self) -> sp.csr_matrix:
-        """(n_v, n_v) SPD mass matrix; row sums integrate to the domain area."""
-        area2, _ = _element_geometry(self.tri)
-        return _assemble_elements(self.tri, (area2 / 2.0)[:, None, None] * _MASS_TEMPLATE)
-
-    @cached_property
-    def stiffness(self) -> sp.csr_matrix:
-        """(n_v, n_v) PSD stiffness matrix, K 1 = 0."""
-        area2, grads = _element_geometry(self.tri)
-        k_local = np.einsum("tad,tbd->tab", grads, grads) * (area2 / 2.0)[:, None, None]
-        return _assemble_elements(self.tri, k_local)
 
     @cached_property
     def roughness_matrix(self) -> sp.csr_matrix:
@@ -205,9 +186,9 @@ class FemSystem:
 
 @dataclass(frozen=True, eq=False)
 class SystemPattern:
-    """The smoother's system layout on one mesh, fixed whatever lam, weight or data.
+    """The smoother's system layout on one mesh, fixed whatever lam or data.
 
-    A system weight * Psi_d'Psi_d + lam * R holds one value per stored entry
+    A system Psi_d'Psi_d + lam * R holds one value per stored entry
     of R = ``FemSystem.roughness_matrix``. ``cell_entries[i]`` are the
     positions there of active cell i's four Psi'Psi terms, (ll, ll),
     (ll, ur), (ur, ll) and (ur, ur). The entries at positions ``upper`` fill
@@ -234,11 +215,8 @@ def _narrow(index: np.ndarray, bound: int) -> np.ndarray:
     return index.astype(np.min_scalar_type(max(bound - 1, 0)))
 
 
-_MASS_TEMPLATE = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
-
-
-def _element_geometry(tri: Triangulation) -> tuple[np.ndarray, np.ndarray]:
-    """Doubled area and basis gradients of every triangle; rejects flat triangles."""
+def _element_geometry(tri: Triangulation) -> np.ndarray:
+    """Basis gradients of every triangle; rejects flat triangles."""
     p = tri.vertices[tri.triangles]               # (n_t, 3, 2)
     e1 = p[:, 1] - p[:, 0]
     e2 = p[:, 2] - p[:, 0]
@@ -257,26 +235,13 @@ def _element_geometry(tri: Triangulation) -> tuple[np.ndarray, np.ndarray]:
         grads[:, i, 0] = -d[:, 1]
         grads[:, i, 1] = d[:, 0]
     grads /= area2[:, None, None]
-    return area2, grads
-
-
-def _assemble_elements(tri: Triangulation, local: np.ndarray) -> sp.csr_matrix:
-    """Sum (n_t, 3, 3) symmetric element matrices into an (n_v, n_v) matrix."""
-    import scipy.sparse as sp
-
-    # entry order per triangle is row-major in (a, b); the local matrices
-    # are symmetric so a plain ravel lines up
-    t = tri.triangles
-    rows = np.repeat(t, 3, axis=1).ravel()
-    cols = np.tile(t, (1, 3)).ravel()
-    n_v = tri.n_vertices
-    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n_v, n_v)).tocsr()
+    return grads
 
 
 def assemble(tri: Triangulation) -> FemSystem:
     import scipy.sparse as sp
 
-    _, grads = _element_geometry(tri)
+    grads = _element_geometry(tri)
 
     # cell i's center is the midpoint of the ll-ur diagonal of triangle 2i
     n = tri.domain.n

@@ -57,6 +57,7 @@ class StationSet:
         return self.domain.centers[self.cells]
 
 
+@np.errstate(over="ignore")  # an overflowing total is the typed error below
 def sample_stations(f: SpatialField, m: int, seed: int) -> StationSet:
     """Draw m station cells without replacement, Pr(cell) proportional to f.
 

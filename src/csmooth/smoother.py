@@ -44,9 +44,9 @@ pattern of ``FemSystem.roughness_matrix``, which holds each cell's four
 Psi'Psi positions. The mesh keeps, built once and read-only, where those
 positions lie in it and where each entry of the upper band lands in
 LAPACK's layout (``fem.SystemPattern``). A build counts the data cells'
-Psi'Psi terms with one bincount (all cells and a subset alike), adds
-lam R in one scaled add, and fills the band and the stacked matrix below by
-index before the factorization; no sparse product, sum or conversion runs.
+Psi'Psi terms with one bincount, adds lam R in one scaled add, and fills the
+band and the stacked matrix below by index before the factorization; no
+sparse product, sum or conversion runs.
 
 Write S for the linear map from data-cell targets to fitted surface values
 at the data cells. The coefficients are the partial-spline estimate (Green
@@ -138,32 +138,32 @@ class SsrSolver:
         self.fem = fem
         pattern = fem.system_pattern
         if subset is None:
-            self.subset = None
-            entries = pattern.cell_entries
+            idx = np.arange(fem.tri.domain.n)
         else:
             idx = np.asarray(subset, dtype=np.int64).ravel()
             if idx.size == 0 or np.unique(idx).size != idx.size:
                 raise ShapeMismatch("data subset must be nonempty and distinct")
             if idx.min() < 0 or idx.max() >= fem.tri.domain.n:
                 raise ShapeMismatch("data subset index out of range")
-            self.subset = idx
-            entries = pattern.cell_entries[idx]
-        self._n_data = entries.shape[0]
+        self.subset = idx
+        entries = pattern.cell_entries[idx]
         psi, jump, r = fem.basis_eval, fem.edge_jump, fem.roughness_matrix
         n_v = fem.n_vertices
         # Psi_d': data cell k holds 1/2 at its two corners, so row v lists
         # the data cells with a corner at v, in ascending order
-        corners = psi.indices.reshape(-1, 2)
-        corners = (corners if subset is None else corners[idx]).ravel()
+        corners = psi.indices.reshape(-1, 2)[idx].ravel()
         self._psi_data_t = sp.csr_matrix(
             (np.full(corners.size, 0.5), np.argsort(corners, kind="stable") // 2,
              np.concatenate([[0], np.cumsum(np.bincount(corners, minlength=n_v))])),
-            shape=(n_v, self._n_data),
+            shape=(n_v, idx.size),
         )
         # Psi_d'Psi_d + lam * R on R's pattern: each data cell adds
         # 1/4 to each of its four Psi'Psi entries
         system = np.bincount(entries.ravel(), minlength=r.nnz) * 0.25
-        system += lam * r.data
+        with np.errstate(over="ignore"):
+            system += lam * r.data
+        if not np.isfinite(system).all():
+            raise ConfigError(f"smoothing weight lam={lam} overflows the smoothing system")
         # Psi, J and the system stacked: one product with the coefficients
         # gives the fitted surface, the edge jumps and the system's image,
         # row for row as the three products would
@@ -222,8 +222,7 @@ class SsrSolver:
 
         if not covariates.domain.same_grid(self.fem.tri.domain):
             raise ShapeMismatch("covariates live on a different domain")
-        w_full = covariates.values
-        w_data = w_full if self.subset is None else w_full[self.subset]
+        w_data = covariates.values[self.subset]
         gram = w_data.T @ w_data
         try:
             scipy.linalg.cho_factor(gram)
@@ -232,8 +231,7 @@ class SsrSolver:
         rhs_w = self._psi_data_t @ w_data
         c_w = self._solve(rhs_w)
         fit_w = self.fem.basis_eval @ c_w
-        fit_w_data = fit_w if self.subset is None else fit_w[self.subset]
-        a = w_data.T @ (w_data - fit_w_data)
+        a = w_data.T @ (w_data - fit_w[self.subset])
         # a is symmetric up to rounding; pinvh reads its lower triangle
         a_pinv = scipy.linalg.pinvh(a, atol=_RANK_RCOND * np.linalg.norm(gram, 2), rtol=0.0)
         system = (w_data, rhs_w, fit_w, c_w, a_pinv)
@@ -242,7 +240,7 @@ class SsrSolver:
 
     def solve(self, h: np.ndarray, covariates: CovariateMatrix | None = None) -> SsrModel:
         h = np.asarray(h, dtype=float).ravel()
-        n_data = self._n_data
+        n_data = self.subset.size
         if h.size != n_data:
             raise ShapeMismatch(f"{h.size} targets for {n_data} data cells")
         if not np.isfinite(h).all():
@@ -261,8 +259,7 @@ class SsrSolver:
             # rhs_h - rhs_W beta and surface Psi c_h - Psi c_W beta
             w_data, rhs_w, fit_w, c_w, a_pinv = self._covariate_system(covariates)
             fitted = self.fem.basis_eval @ c
-            fit_data = fitted if self.subset is None else fitted[self.subset]
-            beta = a_pinv @ (w_data.T @ (h - fit_data))
+            beta = a_pinv @ (w_data.T @ (h - fitted[self.subset]))
             c = c - c_w @ beta
             rhs = rhs - rhs_w @ beta
             fitted = fitted - fit_w @ beta + covariates.values @ beta

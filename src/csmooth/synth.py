@@ -64,6 +64,7 @@ class SynthSpec:
                               f"the {self.n_rows}x{self.n_cols} grid has {cells}")
 
 
+@np.errstate(over="ignore")  # an overflowing total is the typed error below
 def generate_field(spec: SynthSpec) -> tuple[SpatialField, CovariateMatrix | None]:
     domain = make_domain(spec.n_rows, spec.n_cols)
     rng = np.random.default_rng(spec.seed)

@@ -79,27 +79,6 @@ def sample_stations_oracle(values: np.ndarray, m: int, seed: int) -> np.ndarray:
     return np.sort(np.array(chosen, dtype=np.int64))
 
 
-def tri_mass_oracle(coords: np.ndarray) -> np.ndarray:
-    """Element mass matrix by exact quadrature of barycentric products.
-
-    integral over T of psi_a psi_b equals area/6 when a == b and area/12
-    otherwise, for linear elements on any triangle.
-    """
-    a, b, c = coords
-    area = 0.5 * abs((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
-    m = np.full((3, 3), area / 12.0)
-    np.fill_diagonal(m, area / 6.0)
-    return m
-
-
-def tri_stiffness_oracle(coords: np.ndarray) -> np.ndarray:
-    """Element stiffness matrix from explicitly fitted basis gradients."""
-    grads = np.stack([plane_gradient(coords, np.eye(3)[i]) for i in range(3)])
-    a, b, c = coords
-    area = 0.5 * abs((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
-    return area * (grads @ grads.T)
-
-
 def plane_gradient(coords: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Gradient of the plane through three (x, y, value) points."""
     a = np.column_stack([coords, np.ones(3)])

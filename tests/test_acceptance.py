@@ -32,8 +32,8 @@ from csmooth.dataio import (
     write_cdf_csv,
     write_report_csv,
 )
-from csmooth.domain import _frozen, make_domain
-from csmooth.fem import Triangulation, assemble, triangulate
+from csmooth.domain import make_domain
+from csmooth.fem import assemble, triangulate
 from csmooth.methods import ALL_METHODS, CSS, CSS_FEATURES, PE, PE_SSR1, PE_SSR2
 from csmooth.smoother import SsrSolver
 
@@ -191,22 +191,21 @@ def test_criterion_2_projection_matches_kkt_oracle():
 
 
 def test_criterion_3_fem_analytic_values():
-    ref_tri = Triangulation(
-        domain=make_domain(1, 1),
-        vertices=_frozen(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])),
-        triangles=_frozen(np.array([[0, 1, 2]])),
-    )
-    fem_ref = assemble(ref_tri)
-    ref_mass = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 24.0
-    ref_stiff = 0.5 * np.array([[2.0, -1.0, -1.0], [-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
-    mass_gap = float(np.abs(fem_ref.mass.toarray() - ref_mass).max())
-    stiff_gap = float(np.abs(fem_ref.stiffness.toarray() - ref_stiff).max())
+    # one unit cell: its corners are numbered lr, ll, ur, ul (diagonal r - c,
+    # then row); its one interior edge is the ll-ur diagonal
+    fem_one = assemble(triangulate(make_domain(1, 1)))
+    shapes_ok = fem_one.edge_jump.shape == (1, 4) and fem_one.basis_eval.shape == (1, 4)
+    jump_gap = float(np.abs(fem_one.edge_jump.toarray() - [[2.0, -2.0, -2.0, 2.0]]).max())
+    length_gap = float(np.abs(fem_one.edge_length - [np.sqrt(2.0)]).max())
+    psi_gap = float(np.abs(fem_one.basis_eval.toarray() - [[0.0, 0.5, 0.5, 0.0]]).max())
 
     mask = np.ones((6, 7), dtype=bool)
     mask[0, 0] = mask[5, 6] = mask[2, 3] = False
     dom = make_domain(6, 7, mask=mask)
     fem = assemble(triangulate(dom))
-    const_gap = float(np.abs(fem.stiffness @ np.ones(fem.n_vertices)).max())
+    vx, vy = fem.tri.vertices.T
+    null_gap = max(float(np.abs(fem.edge_jump @ a).max())
+                   for a in (np.ones(fem.n_vertices), vx, vy))
 
     x, y = dom.centers[:, 0], dom.centers[:, 1]
     affine = 2.0 + 0.7 * x - 0.4 * y
@@ -214,14 +213,16 @@ def test_criterion_3_fem_analytic_values():
         float(np.abs(SsrSolver(fem, lam).solve(affine).fitted - affine).max())
         for lam in (1e-3, 1.0, 1e3)
     )
-    ok = mass_gap <= 1e-12 and stiff_gap <= 1e-12 and const_gap <= 1e-12 and affine_gap <= 1e-9
+    ok = (shapes_ok and max(jump_gap, length_gap, psi_gap, null_gap) <= 1e-12
+          and affine_gap <= 1e-9)
     _record(
         3,
-        "element matrices and affine reproduction",
+        "element operators and affine reproduction",
         ok,
-        f"reference mass gap {mass_gap:.2e}, stiffness gap {stiff_gap:.2e}, "
-        f"|K 1| {const_gap:.2e} (limits 1e-12); affine fit gap {affine_gap:.2e} "
-        f"over lam in {{1e-3, 1, 1e3}} (limit 1e-9)",
+        f"unit cell jump row gap {jump_gap:.2e}, edge length gap {length_gap:.2e}, "
+        f"Psi row gap {psi_gap:.2e}, |J a| {null_gap:.2e} for a in {{1, x, y}} "
+        f"(limits 1e-12); affine fit gap {affine_gap:.2e} over lam in {{1e-3, 1, 1e3}} "
+        f"(limit 1e-9)",
     )
 
 

@@ -1,5 +1,6 @@
 """End-to-end command line workflows in temporary directories."""
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -309,6 +310,9 @@ def test_rejected_command_leaves_no_output_directory(workflow_dir, capsys):
         "overflowing amplitudes": ["synth", "--rows", 4, "--cols", 4, "--amp", "1e308,1e308",
                                    "--bumps", 3],
         "overflowing noise": ["synth", "--rows", 4, "--cols", 4, "--noise", "1e308"],
+        # a finite smoothing weight whose penalty overflows
+        "overflowing lambda": ["recover", "--truth", truth, "--stations", 5, "--method", "pe-ssr2",
+                               "--lambda", "1e308"],
         # refused before anything is allocated, past the field reader's cap
         "grid past the cap": ["synth", "--rows", 100_000, "--cols", 100_000],
         # the field is read before the missing cdf
@@ -316,7 +320,10 @@ def test_rejected_command_leaves_no_output_directory(workflow_dir, capsys):
     }
     for what, args in rejected.items():
         top = workflow_dir / "rejected" / what
-        assert run([*args, "--out", top / "out"]) == 2, what
+        # the typed error is all a user reads: no numpy warning before it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([*args, "--out", top / "out"]) == 2, what
         assert "error:" in capsys.readouterr().err
         assert not top.exists(), what
         # a directory that already existed keeps what it held
@@ -449,7 +456,9 @@ def test_negative_field_cell_exits_one(workflow_dir, capsys):
     ]
     for args, message in cases:
         out = workflow_dir / "negative" / "out"
-        assert run([*args, "--out", out]) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([*args, "--out", out]) == 1
         assert f"error: {message}" in capsys.readouterr().err
         assert not (workflow_dir / "negative").exists()
 

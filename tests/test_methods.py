@@ -163,8 +163,11 @@ def test_relative_errors_checks_domain():
 
 
 def test_compare_methods_needs_a_seed():
-    with pytest.raises(ValueError, match="at least one seed"):
-        compare_methods(EnsembleSpec(n_rows=8, n_cols=8, n_stations=5), (), (PE,))
+    spec = EnsembleSpec(n_rows=8, n_cols=8, n_stations=5)
+    with pytest.raises(ConfigError, match="at least one seed"):
+        compare_methods(spec, (), (PE,))
+    with pytest.raises(ConfigError, match="needs spec.beta"):
+        compare_methods(spec, (0,), (PE, CSS_FEATURES))
 
 
 def test_ensemble_summaries():

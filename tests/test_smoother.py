@@ -374,8 +374,22 @@ def test_collinear_covariates_rejected(fem6, rng):
         SsrSolver(fem6, 1.0).solve(np.ones(36), cov)
 
 
+def test_all_cells_fit_as_every_index(fem6, rng):
+    # no subset means every active cell is data, exactly as listing them all
+    n = fem6.tri.domain.n
+    h = rng.normal(2.0, 1.0, n)
+    w = np.column_stack([np.ones(n), rng.random(n)])
+    for cov in (None, CovariateMatrix(fem6.tri.domain, w, names=("one", "x"))):
+        every = SsrSolver(fem6, 0.7).solve(h, cov)
+        listed = SsrSolver(fem6, 0.7, subset=np.arange(n)).solve(h, cov)
+        for name in ("fitted", "coeffs", "beta"):
+            np.testing.assert_array_equal(getattr(every, name), getattr(listed, name))
+        assert every.roughness == listed.roughness
+
+
 def test_validation_errors(fem6):
-    for lam in (0.0, -1.0, np.inf, np.nan):
+    # 1e308 is finite, but lam R overflows: a bad setting, not singular data
+    for lam in (0.0, -1.0, np.inf, np.nan, 1e308):
         with pytest.raises(ConfigError):
             SsrSolver(fem6, lam=lam)
     with pytest.raises(ShapeMismatch):
