@@ -194,7 +194,7 @@ def volume_projection(
     p, m = constraints.cell_patch, constraints.totals.size
     costs = dual - field
     nu = level = np.full(m, np.inf) if level is None else level
-    active = None
+    active = floor = None
     for _ in range(constraints.passes):
         at = nu[p]
         new = costs <= at
@@ -217,11 +217,18 @@ def volume_projection(
         # count 0 where the total is positive: no cost at or below the start
         stuck = count < constraints.filled
         if np.count_nonzero(stuck):
+            if floor is None:
+                low = np.full(m, np.inf)
+                np.minimum.at(low, p, costs)
+                floor = np.where(constraints.filled, low, -np.inf)
             # restart from min cost + total, above the root, where the
             # cheapest cell is active
-            low = np.full(m, np.inf)
-            np.minimum.at(low, p, costs)
-            step[stuck] = low[stuck] + constraints.totals[stuck]
+            step[stuck] = floor[stuck] + constraints.totals[stuck]
+        if floor is not None:
+            # a positive total puts the root above the patch's min cost; a
+            # step rounded below it would empty the active set again and
+            # restart without end when the total is below the cost's ulp
+            np.maximum(step, floor, out=step)
         nu, active = step, new
     raise NumericalFailure(f"water levels did not settle within {constraints.passes} Newton passes")
 
