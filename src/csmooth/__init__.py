@@ -36,7 +36,6 @@ from .errors import (
     CsmoothError,
     DegenerateCovariate,
     DegenerateField,
-    DegenerateTriangle,
     DomainEmpty,
     InfeasibleVolume,
     InsufficientSupport,
@@ -83,7 +82,6 @@ __all__ = [
     "CSS_FEATURES",
     "DegenerateCovariate",
     "DegenerateField",
-    "DegenerateTriangle",
     "DomainEmpty",
     "EnsembleSpec",
     "EvalReport",

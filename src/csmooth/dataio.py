@@ -122,52 +122,35 @@ def _finite(text: str, path, line: int, column: str) -> float:
     return value
 
 
-def _lines(handle) -> Iterator[str]:
-    """The lines of an open text file, up to a byte that does not decode.
+def _lines(handle, path) -> Iterator[str]:
+    """Lines of an open text file; a SchemaError names the line of a byte that does not decode.
 
-    The decoder fails on a whole chunk of the file, so the whole lines of
-    that chunk before the byte are decoded from the file's bytes and given
-    before the decoder's error: a row before the byte is read, and its
-    errors met, first.
+    The decoder fails on a whole chunk of the file, so the byte is found in
+    the file's bytes, and the whole lines of that chunk before it are given
+    before the error: a row before the byte is read, and its errors met, first.
     """
     given = 0
     try:
         for line in handle:
             given += 1
             yield line
-    except UnicodeDecodeError:
+    except UnicodeDecodeError as exc:
         raw = Path(handle.name).read_bytes()
         try:
             raw.decode(handle.encoding)
         except UnicodeDecodeError as whole:
-            head = io.StringIO(raw[:whole.start].decode(handle.encoding), newline="")
-            lines = head.readlines()[given:]
+            head = raw[:whole.start].decode(handle.encoding)
+            lines = io.StringIO(head, newline="").readlines()[given:]
             # all but the line the byte continues; a byte that starts a line ends the last
             if lines and not lines[-1].endswith(("\n", "\r")):
                 lines.pop()
             yield from lines
-        raise
-
-
-def _unreadable(path, handle, reader, exc: csv.Error | UnicodeDecodeError) -> str:
-    """The error, naming its line, of a file csv.reader cannot split or ``handle`` cannot decode.
-
-    The decoder fails on a whole chunk of the file, so the line of a byte
-    it cannot decode is found in the file's bytes.
-    """
-    if isinstance(exc, csv.Error):
-        return f"{path}:{reader.line_num}: {exc}"
-    raw = Path(path).read_bytes()
-    try:
-        raw.decode(handle.encoding)
-    except UnicodeDecodeError as whole:
-        exc = whole
-        # the lines before the byte, the one it starts or continues included
-        head = raw[:exc.start].decode(handle.encoding)
-        line = sum(1 for _ in io.StringIO(head + "?", newline=""))
-    else:  # the file changed since the decoder failed
-        line = reader.line_num + 1
-    return f"{path}:{line}: not {exc.encoding} text ({exc.reason})"
+            # the lines before the byte, the one it starts or continues included
+            line = sum(1 for _ in io.StringIO(head + "?", newline=""))
+            bad = whole
+        else:  # the file changed since the decoder failed
+            line, bad = given + 1, exc
+        raise SchemaError(f"{path}:{line}: not {bad.encoding} text ({bad.reason})") from exc
 
 
 def _read_rows(
@@ -190,7 +173,7 @@ def _read_rows(
     """
     listed = False
     with _open_rows(path) as handle:
-        reader = csv.reader(_lines(handle))
+        reader = csv.reader(_lines(handle, path))
         try:
             got = next(reader, None)
             names = () if got is None else tuple(h.strip() for h in got)
@@ -208,8 +191,8 @@ def _read_rows(
                                       f"columns, got {len(fields)}")
                 listed = True
                 yield reader.line_num, names, fields
-        except (csv.Error, UnicodeDecodeError) as exc:
-            raise SchemaError(_unreadable(path, handle, reader, exc)) from exc
+        except csv.Error as exc:
+            raise SchemaError(f"{path}:{reader.line_num}: {exc}") from exc
     if not listed and what is not None:
         raise SchemaError(f"{path}: no {what} listed")
 

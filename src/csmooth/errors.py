@@ -25,10 +25,6 @@ class DegenerateField(CsmoothError):
     """A field with a negative value, or a total that is zero or overflows."""
 
 
-class DegenerateTriangle(CsmoothError):
-    """A mesh triangle with (near) zero area."""
-
-
 class DegenerateCovariate(CsmoothError):
     """A covariate column that is identically zero."""
 

@@ -19,7 +19,10 @@ this mesh we assemble, for linear barycentric elements:
     upper-right corners and nothing else,
   * the roughness operator: for each interior edge e shared by triangles
     T1 < T2, row e of J is |e| times the jump of the surface's normal
-    derivative across e, and edge_length holds |e|.
+    derivative across e, and edge_length holds |e|. All triangles are one
+    unit right triangle, so J has three fixed stencils (see ``assemble``):
+    a cell's diagonal, its side shared with the cell to its right, and
+    its side shared with the cell above it.
 
 A piecewise-linear surface has no second derivative inside elements; its
 curvature is the distribution carried by those edge jumps. The quadratic
@@ -40,14 +43,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .domain import GridDomain, _frozen
-from .errors import DegenerateTriangle
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
-
-# smallest doubled area a triangle may have, relative to its longest edge
-# squared; a ratio, so it judges a mesh alike at any scale
-_AREA_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,86 +213,46 @@ def _narrow(index: np.ndarray, bound: int) -> np.ndarray:
     return index.astype(np.min_scalar_type(max(bound - 1, 0)))
 
 
-def _element_geometry(tri: Triangulation) -> np.ndarray:
-    """Basis gradients of every triangle; rejects flat triangles."""
-    p = tri.vertices[tri.triangles]               # (n_t, 3, 2)
-    e1 = p[:, 1] - p[:, 0]
-    e2 = p[:, 2] - p[:, 0]
-    area2 = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    longest2 = np.max([(e1 * e1).sum(1), (e2 * e2).sum(1), ((e2 - e1) ** 2).sum(1)], axis=0)
-    flat = area2 <= _AREA_TOL * longest2
-    if flat.any():
-        bad = int(np.argmax(flat))
-        raise DegenerateTriangle(f"triangle {bad} has area {area2[bad] / 2.0}")
-
-    # grad psi_i rotates the opposite edge by +90 degrees: with
-    # d = p_{i+2} - p_{i+1}, grad psi_i = (-d_y, d_x) / (2 area)
-    grads = np.empty((tri.n_triangles, 3, 2))
-    for i in range(3):
-        d = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
-        grads[:, i, 0] = -d[:, 1]
-        grads[:, i, 1] = d[:, 0]
-    grads /= area2[:, None, None]
-    return grads
-
-
 def assemble(tri: Triangulation) -> FemSystem:
     import scipy.sparse as sp
 
-    grads = _element_geometry(tri)
-
-    # cell i's center is the midpoint of the ll-ur diagonal of triangle 2i
-    n = tri.domain.n
+    n, n_v = tri.domain.n, tri.n_vertices
     t = tri.triangles
+    ll, lr, ur = t[0::2].T
+    ul = t[1::2, 2]
+    # cell i's center is the midpoint of its ll-ur diagonal
     psi = sp.csr_matrix(
         (np.full(2 * n, 0.5), t[0::2, 0::2].ravel(), np.arange(0, 2 * n + 1, 2)),
-        shape=(n, tri.n_vertices),
+        shape=(n, n_v),
     )
 
-    edge_jump, edge_length = _assemble_edges(tri, grads)
+    # the interior edges: each cell A's diagonal, and the side A shares with
+    # the cell B to its right or above it, the cell whose ll corner is A's
+    # lr or ul. A stencil lists the apex of A's triangle, the edge's two
+    # ends, then the apex of B's
+    cell_at = np.full(n_v, -1)
+    cell_at[ll] = np.arange(n)
+    stencils = [np.column_stack([lr, ll, ur, ul])]
+    for end in (lr, ul):
+        b = cell_at[end]
+        a = np.flatnonzero(b >= 0)
+        stencils.append(np.column_stack([ll[a], end[a], ur[a], ur[b[a]]]))
+    corners = np.concatenate(stencils)
+    # rows in ascending (lower end, higher end); the first n stencils are diagonals
+    ends = np.sort(corners[:, 1:3], axis=1)
+    order = np.argsort(ends[:, 0] * n_v + ends[:, 1])
+    diagonal = order < n
+    # a row is (1, -1, -1, 1) on its stencil, times 2 across a diagonal and
+    # -1 across a side; the penalty squares it, so its sign only has to be fixed
+    values = np.where(diagonal, 2.0, -1.0)[:, None] * np.array([1.0, -1.0, -1.0, 1.0])
+    edge_jump = sp.csr_matrix(
+        (values.ravel(), corners[order].ravel(), np.arange(0, 4 * order.size + 1, 4)),
+        shape=(order.size, n_v),
+    )
+    edge_jump.sort_indices()  # columns ascending in a row
     return FemSystem(
         tri=tri,
         basis_eval=psi,
         edge_jump=edge_jump,
-        edge_length=_frozen(edge_length),
+        edge_length=_frozen(np.where(diagonal, np.sqrt(2.0), 1.0)),
     )
-
-
-def _assemble_edges(tri: Triangulation, grads: np.ndarray):
-    """Rows of J: |e| * (grad_T1 - grad_T2) . n_e over interior edges.
-
-    The edge normal is folded into the row unscaled (rotate the edge vector
-    by 90 degrees), so each row already carries the |e| weight. Orientation
-    follows ascending triangle index; the penalty squares the rows, only
-    determinism needs the sign fixed. With the companion edge lengths,
-    (J c)_e^2 / |e| = |e| * jump^2 = integral of the squared jump along e.
-    """
-    import scipy.sparse as sp
-
-    t = tri.triangles
-    pair_local = np.array([[0, 1], [1, 2], [2, 0]])
-    pairs = np.sort(t[:, pair_local], axis=2).reshape(-1, 2)      # (3 n_t, 2)
-    # one int64 key per (a, b) with a < b; keys sort as the pairs do
-    n_v = tri.n_vertices
-    keys, inverse, counts = np.unique(
-        pairs[:, 0] * n_v + pairs[:, 1], return_inverse=True, return_counts=True
-    )
-
-    # slot s is local edge s % 3 of triangle s // 3; a stable sort by edge
-    # lists an interior edge's two slots side by side, lower triangle first
-    slots = np.argsort(inverse, kind="stable")
-    t12 = (slots[counts[inverse[slots]] == 2] // 3).reshape(-1, 2)   # (n_e, 2)
-    n_e = t12.shape[0]
-
-    interior = keys[counts == 2]
-    ends = tri.vertices[np.column_stack([interior // n_v, interior % n_v])]   # (n_e, 2, 2)
-    evec = ends[:, 1] - ends[:, 0]
-    normal = np.column_stack([evec[:, 1], -evec[:, 0]])              # length |e|
-    vals = np.einsum("ekd,ed->ek", grads[t12].reshape(n_e, 6, 2), normal)
-    vals[:, 3:] *= -1.0
-
-    edge_jump = sp.coo_matrix(
-        (vals.ravel(), (np.repeat(np.arange(n_e), 6), t[t12].ravel())),
-        shape=(n_e, n_v),
-    ).tocsr()
-    return edge_jump, np.hypot(evec[:, 0], evec[:, 1])

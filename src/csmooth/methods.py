@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .admm import AdmmConfig, RecoveryResult, css_recover
 from .domain import CovariateMatrix, SpatialField, _check_same_domain
-from .errors import ConfigError
+from .errors import ConfigError, ShapeMismatch
 from .fem import FemSystem, assemble, triangulate
 from .partition import AggregateObservations, Partition, patched_estimate
 from .smoother import SsrSolver
@@ -54,6 +54,8 @@ def run_method_full(
     fem: FemSystem | None = None,
 ) -> tuple[SpatialField, RecoveryResult | None]:
     """Run one method; returns the estimate plus solver details for css runs."""
+    if volumes.m != partition.m:
+        raise ShapeMismatch(f"{volumes.m} volumes for {partition.m} stations")
     if spec.method == PE:
         return patched_estimate(partition, volumes), None
 

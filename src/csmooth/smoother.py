@@ -195,8 +195,9 @@ class SsrSolver:
             ratio = pivots.min() / pivots.max()
         if not ratio > _PIVOT_RATIO_TOL:
             raise NumericalFailure(
-                f"smoothing system is singular (pivot ratio {ratio:.1e}); the data "
-                "cells do not pin down the affine null space of the penalty"
+                f"smoothing system is singular (pivot ratio {ratio:.1e}) at lam={lam:g}: "
+                "the data cells do not pin down the affine null space of the penalty, "
+                "or lam is so far from 1 that the ratio is lost to its scale"
             )
         self._pbtrs = scipy.linalg.get_lapack_funcs("pbtrs", (self._chol,))
 

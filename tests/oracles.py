@@ -86,6 +86,19 @@ def plane_gradient(coords: np.ndarray, values: np.ndarray) -> np.ndarray:
     return sol[:2]
 
 
+def interior_edges(triangles) -> dict[tuple[int, int], list[int]]:
+    """Each edge two triangles share, as (lower vertex, higher vertex): its two triangles.
+
+    Found by counting, over every side of every triangle, the triangles
+    that hold its vertex pair.
+    """
+    owners: dict[tuple[int, int], list[int]] = {}
+    for ti, t in enumerate(triangles):
+        for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
+            owners.setdefault((min(a, b), max(a, b)), []).append(ti)
+    return {edge: ts for edge, ts in owners.items() if len(ts) == 2}
+
+
 def roughness_oracle(vertices, triangles, coeffs) -> float:
     """Sum over interior edges of |e| * (jump of normal derivative)^2.
 
@@ -95,14 +108,8 @@ def roughness_oracle(vertices, triangles, coeffs) -> float:
     tri_grad = np.array([
         plane_gradient(vertices[t], np.asarray(coeffs)[t]) for t in triangles
     ])
-    owners: dict[tuple[int, int], list[int]] = {}
-    for ti, t in enumerate(triangles):
-        for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-            owners.setdefault((min(a, b), max(a, b)), []).append(ti)
     total = 0.0
-    for (a, b), ts in owners.items():
-        if len(ts) != 2:
-            continue
+    for (a, b), ts in interior_edges(triangles).items():
         evec = vertices[b] - vertices[a]
         length = float(np.hypot(*evec))
         unit_normal = np.array([evec[1], -evec[0]]) / length

@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csmooth import DegenerateTriangle, make_domain
-from csmooth.domain import _frozen
-from csmooth.fem import Triangulation, assemble, triangulate
+from csmooth import make_domain
+from csmooth.fem import assemble, triangulate
 from csmooth.smoother import SsrSolver
-from oracles import roughness_oracle
+from oracles import interior_edges, roughness_oracle
 
 
 def test_mesh_counts():
@@ -54,15 +53,36 @@ def test_basis_eval_is_a_partition_of_unity():
         assert fem.basis_eval.nnz == 2 * domain.n
 
 
-@given(seed=st.integers(0, 10_000))
+@st.composite
+def grid_domains(draw, max_side):
+    """A grid of sides 1 to ``max_side``: a random mask, or a diagonal or anti-diagonal strip."""
+    n_rows, n_cols = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    kind = draw(st.sampled_from(["random", "diagonal", "anti-diagonal"]))
+    r, c = np.divmod(np.arange(n_rows * n_cols), n_cols)
+    if kind == "random":
+        density = draw(st.floats(0.3, 1.0))
+        seed = draw(st.integers(0, 2**32 - 1))
+        active = np.random.default_rng(seed).random(n_rows * n_cols) < density
+    else:
+        width = draw(st.integers(0, 3))
+        shift = draw(st.integers(-5, 5))
+        far = n_cols - 1 - c if kind == "anti-diagonal" else c
+        active = np.abs(far - r - shift) <= width
+    if not active.any():
+        active[0] = True
+    return make_domain(n_rows, n_cols, active)
+
+
+@given(grid_domains(12), st.integers(0, 10_000))
 @settings(max_examples=25)
-def test_roughness_form_matches_brute_force(seed):
+def test_roughness_form_matches_brute_force(domain, seed):
     rng = np.random.default_rng(seed)
-    mask = rng.random(20) < 0.8
-    if not mask.any():
-        mask[3] = True
-    tri = triangulate(make_domain(4, 5, mask))
+    tri = triangulate(domain)
     fem = assemble(tri)
+    edges = interior_edges(tri.triangles)
+    assert fem.n_edges == len(edges)
+    lengths = [np.hypot(*(tri.vertices[b] - tri.vertices[a])) for a, b in edges]
+    assert np.array_equal(np.sort(fem.edge_length), np.sort(lengths))
     c = rng.normal(size=tri.n_vertices)
     jumps = fem.edge_jump @ c
     form = float(jumps @ (jumps / fem.edge_length))
@@ -115,24 +135,10 @@ def test_smoothing_system_is_banded(domain, bound):
     assert fem.system_pattern.bandwidth == width
 
 
-@given(st.integers(1, 30), st.integers(1, 30), st.data())
-def test_band_bound_holds_on_any_mask(n_rows, n_cols, data):
-    kind = data.draw(st.sampled_from(["random", "diagonal", "anti-diagonal"]))
-    r, c = np.divmod(np.arange(n_rows * n_cols), n_cols)
-    if kind == "random":
-        density = data.draw(st.floats(0.3, 1.0))
-        seed = data.draw(st.integers(0, 2**32 - 1))
-        active = np.random.default_rng(seed).random(n_rows * n_cols) < density
-    else:
-        width = data.draw(st.integers(0, 3))
-        shift = data.draw(st.integers(-5, 5))
-        far = n_cols - 1 - c if kind == "anti-diagonal" else c
-        active = np.abs(far - r - shift) <= width
-    if not active.any():
-        active[0] = True
-    domain = make_domain(n_rows, n_cols, active)
+@given(grid_domains(30))
+def test_band_bound_holds_on_any_mask(domain):
     fem = assemble(triangulate(domain))
-    assert fem.system_pattern.bandwidth <= 2 * (min(n_rows, n_cols) + 1) + 1
+    assert fem.system_pattern.bandwidth <= 2 * (min(domain.n_rows, domain.n_cols) + 1) + 1
 
 
 def test_roughness_vanishes_only_on_affines(rng):
@@ -194,32 +200,3 @@ def test_edge_matrix_frozen_values():
     assert np.array_equal(jump[order], RING_JUMP)
     r2 = np.sqrt(2.0)
     assert np.array_equal(fem.edge_length[order], [r2, 1.0] * 7 + [1.0, r2])
-
-
-def test_degenerate_triangle_rejected():
-    tri = triangulate(make_domain(1, 1))
-    squashed = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
-    bad = Triangulation(
-        domain=tri.domain,
-        vertices=_frozen(squashed),
-        triangles=tri.triangles,
-    )
-    with pytest.raises(DegenerateTriangle):
-        assemble(bad)
-
-
-def test_tiny_cells_assemble():
-    # the area check is relative to each triangle's size: a valid mesh
-    # scaled down to micro-cells is not degenerate
-    tri = triangulate(make_domain(6, 6))
-    tiny = Triangulation(
-        domain=tri.domain,
-        vertices=_frozen(tri.vertices * 1e-6),
-        triangles=tri.triangles,
-    )
-    fem = assemble(tiny)
-    unit = assemble(tri)
-    np.testing.assert_allclose(fem.edge_length, unit.edge_length * 1e-6, rtol=1e-12)
-    np.testing.assert_allclose(
-        fem.basis_eval @ tiny.vertices, tri.domain.centers * 1e-6, rtol=0, atol=1e-18
-    )

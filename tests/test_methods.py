@@ -19,6 +19,7 @@ from csmooth.methods import (
 )
 from csmooth.metrics import relative_errors
 from csmooth.partition import (
+    AggregateObservations,
     StationSet,
     aggregate,
     build_partition,
@@ -54,6 +55,16 @@ def test_method_spec_validation():
     assert MethodSpec(CSS).admm == AdmmConfig()
     custom = AdmmConfig(lam=5.0, rho=3.0)
     assert MethodSpec(CSS, custom).admm is custom
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("method", ALL_METHODS)
+def test_volume_count_must_match_stations(problem, method, m, monkeypatch):
+    dom, truth, part, vols, cov, fem = problem
+    # the count is checked before a mesh is built
+    monkeypatch.setattr("csmooth.methods.assemble", None)
+    with pytest.raises(ShapeMismatch, match=f"^{m} volumes for 6 stations$"):
+        run_method_full(MethodSpec(method), part, AggregateObservations(vols.values[:m]), cov)
 
 
 def test_pe_is_the_patched_estimate(problem):

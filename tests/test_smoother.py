@@ -1,4 +1,6 @@
 """Penalized surface fitting against dense reference solves."""
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -199,6 +201,16 @@ def test_singular_data_rejected(domain, cells):
     subset = None if cells is None else np.array([domain.index_of(r, c) for r, c in cells])
     with pytest.raises(NumericalFailure, match="singular"):
         SsrSolver(assemble(triangulate(domain)), 1.0, subset=subset)
+
+
+@pytest.mark.parametrize("lam", [1e20, 1e-300])
+def test_extreme_lam_is_named_by_the_singular_message(fem6, lam):
+    # every cell pins the fit down at lam = 1, but at these lam the pivot
+    # ratio is lost to lam's scale; the pivot test cannot tell that from
+    # data that leave an affine direction free, so the message names lam
+    SsrSolver(fem6, 1.0)
+    with pytest.raises(NumericalFailure, match="singular .*" + re.escape(f"lam={lam:g}")):
+        SsrSolver(fem6, lam)
 
 
 def test_failed_cholesky_is_a_singular_system(fem6, monkeypatch):
