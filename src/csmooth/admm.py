@@ -37,7 +37,7 @@ A sweep pays only for what changes from sweep to sweep:
     holds each cell's patch, each patch's volume, the patches observing
     no volume, the cap on Newton passes, and what the constraint check
     compares with. It depends on the partition and the volumes alone.
-    Building it checks that the volumes match the patches one to one, that
+    Building it checks that the volumes match the stations one to one, that
     every patch holds a cell and that no volume is negative;
   * fixed per run, set up once by css_recover: the band Cholesky factor of
     the smoothing system, the LAPACK routine that solves with it and the
@@ -60,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import CovariateMatrix, SpatialField, _check_same_domain
-from .errors import ConfigError, InfeasibleVolume, NumericalFailure
+from .errors import ConfigError, InfeasibleVolume, NumericalFailure, ShapeMismatch
 from .fem import FemSystem, assemble, triangulate
 from .partition import AggregateObservations, Partition, patched_estimate
 from .smoother import SsrSolver
@@ -154,11 +154,11 @@ class VolumeConstraints:
 
 
 def volume_constraints(partition: Partition, volumes: AggregateObservations) -> VolumeConstraints:
-    """Each patch's volume as css enforces it; InfeasibleVolume if the volumes
-    do not match the patches one to one, a patch holds no cell or a volume is
-    negative."""
+    """Each patch's volume as css enforces it; ShapeMismatch if the volumes
+    do not match the stations one to one, InfeasibleVolume if a patch holds
+    no cell or a volume is negative."""
     if volumes.m != partition.m:
-        raise InfeasibleVolume(f"{volumes.m} volumes for {partition.m} patches")
+        raise ShapeMismatch(f"{volumes.m} volumes for {partition.m} stations")
     return _constraints(partition.station_of_cell, volumes.values)
 
 

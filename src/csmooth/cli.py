@@ -148,10 +148,6 @@ def _cmd_recover(inputs: dict, params: dict, out: Path) -> dict:
         stations = read_stations_csv(inputs["stations"], domain)
         part = build_partition(domain, stations)
         volumes = read_aggregates_csv(inputs["aggregates"])
-        if volumes.values.size != stations.m:
-            raise ShapeMismatch(
-                f"{volumes.values.size} volumes for {stations.m} stations"
-            )
 
     covariates = None
     if inputs.get("features") is not None:

@@ -4,8 +4,9 @@ Each station observes the volume (the sum of the cell values) of the cells
 closer to it than to any other station, by Euclidean distance between cell
 centers. Stations sit on cell centers, so squared distances are the
 integers drow**2 + dcol**2 and a tie is an exact integer equality. A cell
-exactly equidistant from several stations goes to the lowest station index,
-so every cell belongs to exactly one patch: the patches are disjoint, every
+exactly equidistant from several stations goes to the one whose cell comes
+first in row-major order, whatever order the stations are listed in, so
+every cell belongs to exactly one patch: the patches are disjoint, every
 total is measured over one patch, and css enforces it on that same patch.
 """
 from __future__ import annotations
@@ -110,10 +111,11 @@ class Partition:
     """Assignment of cells to station patches.
 
     A cell is tied between the stations whose integer squared distance
-    equals its minimum exactly; ``station_of_cell`` gives it to
-    the lowest of their indices, one station per cell. ``patch_sizes`` are
-    the integer cell counts of the patches, summing to n, and ``has_ties``
-    records whether any cell was tied.
+    equals its minimum exactly; ``station_of_cell`` gives it to the one
+    whose cell comes first in row-major order, one station per cell, so the
+    patches do not depend on the order the stations are listed in.
+    ``patch_sizes`` are the integer cell counts of the patches, summing to
+    n, and ``has_ties`` records whether any cell was tied.
     """
 
     stations: StationSet
@@ -147,7 +149,9 @@ class Partition:
 def build_partition(domain: GridDomain, stations: StationSet) -> Partition:
     _check_same_domain(domain, stations.domain, "station set")
     cells = domain.cells
-    srow, scol = cells[stations.cells].T
+    # stations ranked by cell, so a tie goes to the first cell, not list slot
+    order = np.argsort(stations.cells)
+    srow, scol = cells[stations.cells[order]].T
     n, m = domain.n, stations.m
     step = max(1, _BLOCK_PAIRS // m)
     station_of_cell = np.empty(n, dtype=np.int64)
@@ -156,7 +160,7 @@ def build_partition(domain: GridDomain, stations: StationSet) -> Partition:
         r, c = cells[lo:lo + step].T
         d2 = (r[:, None] - srow) ** 2 + (c[:, None] - scol) ** 2
         tied = d2 == d2.min(axis=1, keepdims=True)
-        station_of_cell[lo:lo + step] = np.argmax(tied, axis=1)
+        station_of_cell[lo:lo + step] = order[np.argmax(tied, axis=1)]
         # a row holding more than its one nearest station is a tied cell
         has_ties = has_ties or np.count_nonzero(tied) > tied.shape[0]
     return Partition(

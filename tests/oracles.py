@@ -41,19 +41,22 @@ def qp_patch_oracle(costs: np.ndarray, total: float, rho: float):
     return best
 
 
-def voronoi_oracle(centers: np.ndarray, sites: np.ndarray, tie_tol: float):
+def voronoi_oracle(centers: np.ndarray, site_cells: np.ndarray, tie_tol: float):
     """Nearest site of every cell by brute force, one cell at a time.
 
-    Returns (owner, n_tied): the lowest index among the sites nearest to
-    cell j, and how many sites are that near.
+    Sites sit at the centers of the cells ``site_cells``, listed in any
+    order. Returns (owner, n_tied): the index in that list of the site on
+    the lowest cell among the sites nearest to cell j, and how many sites
+    are that near.
     """
     n = centers.shape[0]
+    sites = centers[site_cells]
     owner = np.zeros(n, dtype=np.int64)
     n_tied = np.zeros(n, dtype=np.int64)
     for j in range(n):
         d2 = ((sites - centers[j]) ** 2).sum(axis=1)
         tied = np.flatnonzero(d2 <= d2.min() + tie_tol)
-        owner[j], n_tied[j] = tied.min(), tied.size
+        owner[j], n_tied[j] = tied[np.argmin(site_cells[tied])], tied.size
     return owner, n_tied
 
 

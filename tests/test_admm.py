@@ -92,7 +92,7 @@ def test_volume_projection_matches_patchwise_oracle(rng):
     ring = np.ones((3, 3), dtype=bool)
     ring[1, 1] = False
     # (domain, station cells, binary patch sizes, volumes, rho); tied cells
-    # go to the lowest station index, station 2 of the second case keeps
+    # go to the station on the lowest cell, station 2 of the second case keeps
     # only its own cell, and the third case is one station owning all
     cases = [
         (make_domain(5, 6, mask=corners), [2, 9, 17, 25], [7, 8, 6, 7],
@@ -129,7 +129,7 @@ def test_volume_projection_checks_station_count():
     # the constraint set a projection reads checks the count when it is built
     dom = make_domain(2, 2)
     part = build_partition(dom, StationSet(dom, np.array([0])))
-    with pytest.raises(InfeasibleVolume, match="2 volumes for 1 patches"):
+    with pytest.raises(ShapeMismatch, match="^2 volumes for 1 stations$"):
         volume_constraints(part, AggregateObservations([1.0, 2.0]))
     # build_partition always leaves a station its own cell, so empty
     # station 1's binary patch by hand
@@ -456,7 +456,7 @@ def test_config_validation():
 
 def test_recover_input_validation():
     dom, truth, part, vols = make_problem(4, 4, 3, seed=1)
-    with pytest.raises(InfeasibleVolume):
+    with pytest.raises(ShapeMismatch, match="^2 volumes for 3 stations$"):
         css_recover(part, AggregateObservations(np.ones(2)))
     other = make_domain(4, 5)
     with pytest.raises(ShapeMismatch):
@@ -535,7 +535,7 @@ def test_infeasible_volumes_fail_before_factoring(monkeypatch):
     emptied = dataclasses.replace(part, station_of_cell=np.zeros(dom.n, dtype=np.int64))
     with pytest.raises(InfeasibleVolume, match="patch 1 holds no cell"):
         css_recover(emptied, vols)
-    with pytest.raises(InfeasibleVolume, match="2 volumes for 3 patches"):
+    with pytest.raises(ShapeMismatch, match="^2 volumes for 3 stations$"):
         css_recover(part, AggregateObservations(np.ones(2)))
     negative = AggregateObservations(np.array([1.0, 2.0, 3.0]))
     object.__setattr__(negative, "values", np.array([1.0, -2.0, 3.0]))

@@ -233,6 +233,36 @@ def test_features_flow(tmp_path):
     assert (rec / "estimate_css-features.csv").exists()
 
 
+def test_file_mode_estimates_ignore_the_station_listing_order(tmp_path):
+    # a draw with tied cells, listed again in reverse with ids renumbered:
+    # a tie goes by cell, not by list position, so no estimate moves
+    synth, st, agg = (tmp_path / d for d in ("synth", "st", "agg"))
+    assert run(["synth", "--rows", 20, "--cols", 20, "--seed", 1, "--beta", "0.5,2.0,1.5",
+                "--out", synth]) == 0
+    assert run(["stations", "--field", synth / "truth.csv", "--stations", 30, "--seed", 2,
+                "--out", st]) == 0
+    assert run(["aggregate", "--field", synth / "truth.csv", "--stations-csv", st / "stations.csv",
+                "--out", agg]) == 0
+    assert json.loads((agg / "manifest.json").read_text())["results"]["ties"]
+    for path in (st / "stations.csv", agg / "aggregates.csv"):
+        header, *rows = path.read_text().splitlines()
+        relisted = [f"{i},{row.split(',', 1)[1]}" for i, row in enumerate(reversed(rows))]
+        (tmp_path / f"reversed_{path.name}").write_text("\n".join([header, *relisted]) + "\n")
+    methods = [arg for m in ("pe", "pe-ssr1", "pe-ssr2", "css", "css-features")
+               for arg in ("--method", m)]
+    for stations, volumes, out in [(st / "stations.csv", agg / "aggregates.csv", "rec"),
+                                   (tmp_path / "reversed_stations.csv",
+                                    tmp_path / "reversed_aggregates.csv", "rec-reversed")]:
+        assert run(["recover", "--domain", synth / "truth.csv", "--stations-csv", stations,
+                    "--aggregates", volumes, "--features", synth / "covariates.csv",
+                    *methods, "--out", tmp_path / out]) == 0
+    written = sorted(p.name for p in (tmp_path / "rec").glob("*.csv"))
+    assert len(written) == 7   # five estimates and two css diagnostics
+    for name in written:
+        assert (tmp_path / "rec" / name).read_bytes() == \
+            (tmp_path / "rec-reversed" / name).read_bytes(), name
+
+
 def test_usage_errors_exit_two(tmp_path, capsys):
     assert run(["synth", "--cols", 4, "--out", tmp_path / "x"]) == 2
     assert run(["stations", "--stations", 3, "--out", tmp_path / "x"]) == 2
@@ -285,6 +315,9 @@ def test_rejected_command_leaves_no_output_directory(workflow_dir, capsys):
     huge.write_text("row,col,value\n0,9223372036854775807,1\n")
     bad_stations = workflow_dir / "bad_stations.csv"
     bad_stations.write_text("station_id,row,col\n0,0,0\n1,x,1\n")
+    short_volumes = workflow_dir / "short_volumes.csv"
+    short_volumes.write_text(
+        "\n".join((workflow_dir / "agg" / "aggregates.csv").read_text().splitlines()[:-1]) + "\n")
     from_files = ["--domain", truth, "--stations-csv", workflow_dir / "stations" / "stations.csv",
                   "--aggregates", workflow_dir / "agg" / "aggregates.csv"]
     rejected = {
@@ -301,6 +334,10 @@ def test_rejected_command_leaves_no_output_directory(workflow_dir, capsys):
         "huge field": ["stations", "--field", huge, "--stations", 1],
         "bad stations row": ["recover", "--domain", truth, "--stations-csv", bad_stations,
                              "--aggregates", workflow_dir / "agg" / "aggregates.csv"],
+        # one volume fewer than stations: refused before any method runs
+        "volume count": ["recover", "--domain", truth, "--stations-csv",
+                         workflow_dir / "stations" / "stations.csv", "--aggregates", short_volumes,
+                         "--method", "pe", "--method", "css"],
         # a blocky covariate column anchors each block at its own cell
         "blocks past the cells": ["synth", "--rows", 2, "--cols", 2, "--beta", "1,2",
                                   "--blocks", 5],

@@ -139,6 +139,12 @@ def test_smoothing_system_is_banded(domain, bound):
 def test_band_bound_holds_on_any_mask(domain):
     fem = assemble(triangulate(domain))
     assert fem.system_pattern.bandwidth <= 2 * (min(domain.n_rows, domain.n_cols) + 1) + 1
+    # the penalty cancels no entry and stores every cell's four Psi'Psi keys
+    r = fem.roughness_matrix
+    assert (r.data != 0).all()
+    ll, ur = fem.basis_eval.indices.reshape(-1, 2).T
+    for i, j in ((ll, ll), (ll, ur), (ur, ll), (ur, ur)):
+        assert (np.asarray(r[i, j]).ravel() != 0).all()
 
 
 def test_roughness_vanishes_only_on_affines(rng):

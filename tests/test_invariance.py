@@ -1,0 +1,93 @@
+"""Estimates that must not move when the inputs are only relabeled.
+
+Each property maps the inputs, recovers with the same method, and compares
+the estimates bit for bit: listing the stations in another order (their
+totals carried along), and padding the grid with inactive rows and columns.
+"""
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from csmooth.admm import AdmmConfig
+from csmooth.domain import CovariateMatrix, SpatialField, make_domain
+from csmooth.errors import CsmoothError
+from csmooth.fem import assemble, triangulate
+from csmooth.methods import ALL_METHODS, CSS, PE_SSR1, PE_SSR2, MethodSpec, run_method_full
+from csmooth.partition import AggregateObservations, StationSet, aggregate, build_partition
+
+# a short cap keeps the runs cheap; listing and padding must not move any
+# sweep, so the capped iterates agree as the converged ones would
+_ADMM = AdmmConfig(max_iter=40)
+
+
+@st.composite
+def problems(draw, max_side=12):
+    """A masked grid, a positive truth, two covariate columns and listed station cells."""
+    n_rows, n_cols = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    active = rng.random(n_rows * n_cols) < draw(st.floats(0.3, 1.0))
+    active[rng.integers(active.size)] = True
+    domain = make_domain(n_rows, n_cols, active)
+    m = draw(st.integers(1, min(domain.n, 8)))
+    cells = rng.choice(domain.n, size=m, replace=False)
+    return domain, cells, rng.uniform(0.5, 3.0, domain.n), rng.normal(size=(domain.n, 2))
+
+
+def _recover(method, domain, cells, truth, covariates, volumes=None):
+    """(estimate, css (iterations, converged) or None) of one method, or its typed error's type."""
+    part = build_partition(domain, StationSet(domain, cells))
+    if volumes is None:
+        volumes = aggregate(part, SpatialField(domain, truth))
+    cov = CovariateMatrix(domain, covariates, names=("a", "b"))
+    try:
+        est, res = run_method_full(MethodSpec(method, _ADMM), part, volumes, covariates=cov,
+                                   fem=assemble(triangulate(domain)))
+    except CsmoothError as exc:
+        return type(exc)
+    return est.values, None if res is None else (res.iterations, res.converged)
+
+
+def _same(a, b):
+    if isinstance(a, type) or isinstance(b, type):
+        assert a == b
+    else:
+        np.testing.assert_array_equal(a[0], b[0])
+        assert a[1] == b[1]
+
+
+# a tied case: on the 5x5 grid the center cell 12 is equidistant from all
+# four stations, and cells 6, 8, 16 and 18 each from two of them
+_TIED = (make_domain(5, 5), np.array([2, 10, 14, 22]), np.linspace(0.5, 3.0, 25),
+         np.random.default_rng(5).normal(size=(25, 2)))
+
+
+@given(problems(), st.integers(0, 2**32 - 1))
+@example(_TIED, 0)
+@settings(max_examples=30)
+def test_estimates_ignore_the_station_listing_order(problem, seed):
+    domain, cells, truth, covariates = problem
+    part = build_partition(domain, StationSet(domain, cells))
+    volumes = aggregate(part, SpatialField(domain, truth)).values
+    # another listing, the reverse where a shuffle leaves the list as it was
+    order = np.random.default_rng(seed).permutation(cells.size)
+    if (order == np.arange(cells.size)).all():
+        order = order[::-1]
+    for method in ALL_METHODS:
+        listed = _recover(method, domain, cells, truth, covariates)
+        relisted = _recover(method, domain, cells[order], truth, covariates,
+                            AggregateObservations(volumes[order]))
+        _same(listed, relisted)
+
+
+@given(problems(), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+@settings(max_examples=30)
+def test_estimates_ignore_inactive_padding(problem, top, bottom, left, right):
+    domain, cells, truth, covariates = problem
+    mask = np.zeros((domain.n_rows + top + bottom, domain.n_cols + left + right), dtype=bool)
+    mask[top:top + domain.n_rows, left:left + domain.n_cols] = domain.active.reshape(
+        domain.n_rows, domain.n_cols)
+    padded = make_domain(*mask.shape, mask.ravel())
+    # row-major order is kept, so every active cell keeps its index
+    for method in (PE_SSR1, PE_SSR2, CSS):
+        _same(_recover(method, domain, cells, truth, covariates),
+              _recover(method, padded, cells, truth, covariates))

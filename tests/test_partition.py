@@ -79,7 +79,7 @@ def test_aggregate_examples():
 
 
 def test_aggregate_with_tie_weights():
-    # the tied middle cell counts wholly for the lowest station
+    # the tied middle cell counts wholly for the station on the lower cell
     d = line_domain(3)
     p = build_partition(d, StationSet(d, [0, 2]))
     z = aggregate(p, SpatialField(d, [2.0, 4.0, 6.0]))
@@ -163,11 +163,12 @@ def test_voronoi_matches_brute_force(n_rows, n_cols, m, seed):
         mask[0] = True
     d = make_domain(n_rows, n_cols, mask)
     m = min(m, d.n)
-    cells = np.sort(rng.choice(d.n, size=m, replace=False))
+    # listed in draw order: a tie goes by cell, not by list position
+    cells = rng.choice(d.n, size=m, replace=False)
     p = build_partition(d, StationSet(d, cells))
     # centers are half-integers, so the oracle's float squared distances are
     # exact and distinct ones differ by at least 1
-    owner, n_tied = voronoi_oracle(d.centers, d.centers[cells], 1e-9)
+    owner, n_tied = voronoi_oracle(d.centers, cells, 1e-9)
     np.testing.assert_array_equal(p.station_of_cell, owner)
     np.testing.assert_array_equal(p.patch_sizes, np.bincount(owner, minlength=m))
     assert p.has_ties == bool((n_tied > 1).any())

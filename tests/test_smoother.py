@@ -321,9 +321,10 @@ def test_system_pattern_is_built_once_and_left_alone():
         np.testing.assert_array_equal(a, b)
 
 
-def test_system_pattern_holds_the_psi_terms_the_penalty_cancels():
+def test_system_pattern_refuses_a_penalty_that_cancels_a_psi_term():
     # a penalty whose two rows cancel at the cell's (ll, ur) pair: the
-    # product drops that entry, the pattern keeps it as an explicit 0
+    # product drops that entry, so a system has nowhere to hold its Psi'Psi
+    # term there and the mesh has no pattern
     tri = triangulate(make_domain(1, 1))
     psi = assemble(tri).basis_eval
     ll, ur = psi.indices
@@ -332,13 +333,11 @@ def test_system_pattern_holds_the_psi_terms_the_penalty_cancels():
                                     for v in range(4)]]))
     fem = FemSystem(tri=tri, basis_eval=psi, edge_jump=jump, edge_length=np.ones(2))
     assert (jump.T @ jump).nnz == 2
-    r = fem.roughness_matrix
-    np.testing.assert_array_equal(r.toarray(), (jump.T @ jump).toarray())
-    stored = np.repeat(np.arange(4), np.diff(r.indptr)), r.indices
-    pairs = [(ll, ll), (ll, ur), (ur, ll), (ur, ur)]
-    assert [(int(stored[0][k]), int(stored[1][k])) for k in fem.system_pattern.cell_entries[0]] \
-        == pairs
-    assert r.data[fem.system_pattern.cell_entries[0]].tolist() == [2.0, 0.0, 0.0, 2.0]
+    np.testing.assert_array_equal(fem.roughness_matrix.toarray(), (jump.T @ jump).toarray())
+    with pytest.raises(ShapeMismatch, match="Psi'Psi"):
+        fem.system_pattern
+    with pytest.raises(ShapeMismatch, match="Psi'Psi"):
+        SsrSolver(fem, 1.0)
 
 
 def test_affine_covariate_gets_zero_coefficient(fem6, rng):
