@@ -288,7 +288,11 @@ def css_recover(
     level = np.full(partition.m, np.inf)  # a cold start
 
     # fixed for the run: the solver's factorization and the stopping threshold
-    solver = SsrSolver(fem, smoothing)
+    try:
+        solver = SsrSolver(fem, smoothing)
+    except NumericalFailure as exc:  # name the lam and rho the user set, not their weight
+        raise NumericalFailure(
+            f"css at lam={lam:g}, rho={rho:g} smooths at weight 2 lam / rho: {exc}") from exc
     threshold = cfg.tol * float(np.sqrt(domain.n))
     primal_hist: list[float] = []
     dual_hist: list[float] = []

@@ -61,12 +61,14 @@ constant column always is) therefore lies in the null space of that
 system; beta is its minimum-norm solution, which gives such combinations
 coefficient 0 and leaves their effect to the surface. By linearity the fit
 to h - W beta is c_h - c_W beta, where c_W solves the system for each
-column of W; c_W, its right-hand sides and its fitted surfaces Psi c_W
-depend on W alone and are cached per covariate matrix, so a repeated solve
-costs one back-substitution for c_h and the products with h and c. Psi, J
-and the system matrix are stacked into one sparse matrix, so that one
-product with c gives the fitted surface, the edge jumps and the system's
-image for the residual check, each row summed as its own product sums it.
+column of W. As W'(S v) = (Psi_d'W)'c_v, the beta system is read off the
+right-hand sides: W'W - (Psi_d'W)'c_W, with the Gram matrix W'W of the
+collinearity check, and W'h - (Psi_d'W)'c_h. W at the data cells, Psi_d'W,
+c_W and the pseudo-inverse are cached per covariate matrix. Psi, J and the
+system matrix are stacked into one sparse matrix, so that one product with
+c (with covariates, c_h - c_W beta) gives the fitted surface less W beta,
+the edge jumps and the system's image for the residual check, each row
+summed as its own product sums it.
 scipy.linalg loads when the first system is factored, not when this module
 is imported.
 """
@@ -211,11 +213,9 @@ class SsrSolver:
         return c
 
     def _covariate_system(self, covariates: CovariateMatrix) -> tuple[np.ndarray, ...]:
-        # (W at the data cells, right-hand sides of its columns, fitted
-        # surfaces Psi c_W of their solutions c_W, those solutions, and the
-        # pseudo-inverse of W'(W - S W)); everything here depends on the
-        # covariates alone, so it is cached per covariate matrix and repeated
-        # solves pay for the column solves once
+        # W at the data cells, Psi_d'W, its solutions c_W and the pseudo-inverse
+        # of W'(W - S W) depend on the covariates alone: cached per covariate
+        # matrix, so repeated solves pay for the column solves once
         cached = self._covariate_cache
         if cached is not None and cached[0] is covariates:
             return cached[1]
@@ -231,11 +231,10 @@ class SsrSolver:
             raise CollinearCovariates("covariate columns are linearly dependent") from exc
         rhs_w = self._psi_data_t @ w_data
         c_w = self._solve(rhs_w)
-        fit_w = self.fem.basis_eval @ c_w
-        a = w_data.T @ (w_data - fit_w[self.subset])
         # a is symmetric up to rounding; pinvh reads its lower triangle
+        a = gram - rhs_w.T @ c_w
         a_pinv = scipy.linalg.pinvh(a, atol=_RANK_RCOND * np.linalg.norm(gram, 2), rtol=0.0)
-        system = (w_data, rhs_w, fit_w, c_w, a_pinv)
+        system = (w_data, rhs_w, c_w, a_pinv)
         self._covariate_cache = (covariates, system)
         return system
 
@@ -249,22 +248,18 @@ class SsrSolver:
 
         rhs = self._psi_data_t @ h
         c = self._solve(rhs)
-        if covariates is None:
-            beta = np.zeros(0)
-            products = self._products @ c
-            fitted = products[self._fit_rows]
-        else:
-            # partial-spline coefficients: minimum-norm solution of
-            # W'(W - S W) beta = W'(h - S h); by linearity of the solve
-            # the fit to h - W beta is c_h - c_W beta, with right-hand side
-            # rhs_h - rhs_W beta and surface Psi c_h - Psi c_W beta
-            w_data, rhs_w, fit_w, c_w, a_pinv = self._covariate_system(covariates)
-            fitted = self.fem.basis_eval @ c
-            beta = a_pinv @ (w_data.T @ (h - fitted[self.subset]))
+        beta = np.zeros(0)
+        if covariates is not None:
+            # partial-spline beta, the minimum-norm solution of W'(W - S W) beta = W'(h - S h)
+            # with W'(S h) = (Psi_d'W)'c_h; the fit to h - W beta follows by linearity
+            w_data, rhs_w, c_w, a_pinv = self._covariate_system(covariates)
+            beta = a_pinv @ (w_data.T @ h - rhs_w.T @ c)
             c = c - c_w @ beta
             rhs = rhs - rhs_w @ beta
-            fitted = fitted - fit_w @ beta + covariates.values @ beta
-            products = self._products @ c
+        products = self._products @ c
+        fitted = products[self._fit_rows]
+        if covariates is not None:
+            fitted = fitted + covariates.values @ beta
 
         # sqrt(x @ x) is exactly what np.linalg.norm computes for a real vector
         r = products[self._system_rows] - rhs

@@ -1,5 +1,6 @@
 """Operator-splitting recovery: projection step, smoothing step, full loop."""
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -556,3 +557,12 @@ def test_smoothing_weight_out_of_range_fails_before_factoring(monkeypatch, lam, 
     dom, truth, part, vols = make_problem(4, 4, 3, seed=1)
     with pytest.raises(ConfigError, match=r"2 lam / rho .* lam .*, rho "):
         css_recover(part, vols, config=AdmmConfig(lam=lam, rho=rho))
+
+
+@pytest.mark.parametrize("rho", [1e-300, 1e300])
+def test_singular_smoothing_system_names_css_settings(rho):
+    # css smooths at weight 2 lam / rho, so at these rho the pivot ratio is
+    # lost to the weight's scale; the message names lam and rho as given
+    dom, truth, part, vols = make_problem(6, 6, 4, seed=1)
+    with pytest.raises(NumericalFailure, match=re.escape(f"lam=1, rho={rho:g}") + ".*singular"):
+        css_recover(part, vols, config=AdmmConfig(lam=1.0, rho=rho))

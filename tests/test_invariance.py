@@ -3,6 +3,9 @@
 Each property maps the inputs, recovers with the same method, and compares
 the estimates bit for bit: listing the stations in another order (their
 totals carried along), and padding the grid with inactive rows and columns.
+Transposing the grid or turning it by half a turn renumbers the cells, so
+the sums run in another order: those estimates agree to 1e-9 of the field
+max, not bit for bit.
 """
 import numpy as np
 from hypothesis import example, given, settings
@@ -12,8 +15,12 @@ from csmooth.admm import AdmmConfig
 from csmooth.domain import CovariateMatrix, SpatialField, make_domain
 from csmooth.errors import CsmoothError
 from csmooth.fem import assemble, triangulate
-from csmooth.methods import ALL_METHODS, CSS, PE_SSR1, PE_SSR2, MethodSpec, run_method_full
-from csmooth.partition import AggregateObservations, StationSet, aggregate, build_partition
+from csmooth.methods import (
+    ALL_METHODS, CSS, CSS_FEATURES, PE_SSR1, PE_SSR2, MethodSpec, run_method_full,
+)
+from csmooth.partition import (
+    AggregateObservations, Partition, StationSet, aggregate, build_partition,
+)
 
 # a short cap keeps the runs cheap; listing and padding must not move any
 # sweep, so the capped iterates agree as the converged ones would
@@ -33,14 +40,15 @@ def problems(draw, max_side=12):
     return domain, cells, rng.uniform(0.5, 3.0, domain.n), rng.normal(size=(domain.n, 2))
 
 
-def _recover(method, domain, cells, truth, covariates, volumes=None):
+def _recover(method, domain, cells, truth, covariates, volumes=None, part=None, admm=_ADMM):
     """(estimate, css (iterations, converged) or None) of one method, or its typed error's type."""
-    part = build_partition(domain, StationSet(domain, cells))
+    if part is None:
+        part = build_partition(domain, StationSet(domain, cells))
     if volumes is None:
         volumes = aggregate(part, SpatialField(domain, truth))
     cov = CovariateMatrix(domain, covariates, names=("a", "b"))
     try:
-        est, res = run_method_full(MethodSpec(method, _ADMM), part, volumes, covariates=cov,
+        est, res = run_method_full(MethodSpec(method, admm), part, volumes, covariates=cov,
                                    fem=assemble(triangulate(domain)))
     except CsmoothError as exc:
         return type(exc)
@@ -91,3 +99,45 @@ def test_estimates_ignore_inactive_padding(problem, top, bottom, left, right):
     for method in (PE_SSR1, PE_SSR2, CSS):
         _same(_recover(method, domain, cells, truth, covariates),
               _recover(method, padded, cells, truth, covariates))
+
+
+
+# no tolerance stops the loop, so both sides run the same 40 sweeps
+_FIXED_SWEEPS = AdmmConfig(max_iter=40, tol=0.0)
+_SYMMETRIES = {"transpose": np.transpose, "half-turn": lambda grid: grid[::-1, ::-1]}
+
+
+@given(problems())
+@settings(max_examples=30)
+def test_estimates_follow_a_transpose_and_a_half_turn(problem):
+    domain, cells, truth, covariates = problem
+    part = build_partition(domain, StationSet(domain, cells))
+    volumes = aggregate(part, SpatialField(domain, truth))
+    methods = (PE_SSR1, PE_SSR2, CSS, CSS_FEATURES)
+    unmapped = {method: _recover(method, domain, cells, truth, covariates, volumes,
+                                 admm=_FIXED_SWEEPS) for method in methods}
+    index = np.full(domain.n_rows * domain.n_cols, -1)
+    index[domain.active] = np.arange(domain.n)
+    for name, symmetry in _SYMMETRIES.items():
+        mapped = symmetry(index.reshape(domain.n_rows, domain.n_cols))
+        mapped_domain = make_domain(*mapped.shape, mapped.ravel() >= 0)
+        # cell j of the mapped grid is cell old[j] of the given one
+        old = mapped[mapped >= 0]
+        # the patches are carried through the map, not rebuilt, so a tied
+        # cell stays with its station
+        mapped_part = Partition(
+            stations=StationSet(mapped_domain, np.argsort(old)[cells]),
+            patch_sizes=part.patch_sizes,
+            station_of_cell=part.station_of_cell[old],
+            has_ties=part.has_ties,
+        )
+        for method in methods:
+            expected = unmapped[method]
+            got = _recover(method, mapped_domain, None, None, covariates[old], volumes,
+                           part=mapped_part, admm=_FIXED_SWEEPS)
+            if isinstance(expected, type) or isinstance(got, type):
+                assert got == expected, (name, method)
+            else:
+                np.testing.assert_allclose(got[0], expected[0][old], rtol=0,
+                                           atol=1e-9 * np.abs(expected[0]).max(),
+                                           err_msg=f"{name} {method}")

@@ -82,8 +82,8 @@ def test_matches_dense_solve_with_covariates(fem6, rng):
         np.testing.assert_allclose(model.coeffs, c_ref, rtol=0, atol=1e-9)
         np.testing.assert_allclose(model.laplacian, d_ref, rtol=0, atol=1e-9)
         np.testing.assert_allclose(model.fitted, psi @ c_ref + w @ b_ref, rtol=0, atol=1e-9)
-        # the fit assembled from cached covariate surfaces is the surface of
-        # the returned coefficients plus the covariate effect
+        # the fitted surface is the surface of the returned coefficients
+        # plus the covariate effect
         np.testing.assert_allclose(
             model.fitted, fem6.basis_eval @ model.coeffs + w @ model.beta, rtol=0, atol=1e-12
         )
@@ -374,6 +374,27 @@ def test_covariate_cache_keyed_by_object(fem6, rng):
     fresh = solver.solve(h, cov_b)
     np.testing.assert_array_equal(again.fitted, first.fitted)
     np.testing.assert_allclose(fresh.fitted, first.fitted, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("subset", [None, np.array([0, 3, 7, 10, 14, 19, 21, 22, 28, 30, 33, 35])])
+def test_covariate_solve_forms_one_product_with_the_coefficients(rng, subset):
+    # both partial-spline terms come from the right-hand sides, so once the
+    # covariate system is cached a solve never multiplies by Psi alone: the
+    # surface comes from the stacked product, as without covariates
+    fem = assemble(triangulate(make_domain(6, 6)))  # its own mesh: Psi is swapped below
+    h = rng.normal(2.0, 1.0, 36 if subset is None else subset.size)
+    cov = CovariateMatrix(fem.tri.domain, rng.normal(size=(36, 2)), names=("a", "b"))
+    solver = SsrSolver(fem, 0.7, subset=subset)
+    first = solver.solve(h, cov)
+
+    class NoProduct:
+        def __matmul__(self, other):
+            raise AssertionError("a covariate solve multiplied by Psi alone")
+
+    object.__setattr__(fem, "basis_eval", NoProduct())
+    again = solver.solve(h, cov)
+    np.testing.assert_array_equal(again.fitted, first.fitted)
+    np.testing.assert_array_equal(again.beta, first.beta)
 
 
 def test_collinear_covariates_rejected(fem6, rng):
