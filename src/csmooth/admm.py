@@ -55,6 +55,7 @@ A sweep pays only for what changes from sweep to sweep:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,8 +94,9 @@ class AdmmConfig:
             raise ConfigError(f"lam must be positive, got {self.lam}")
         if not (np.isfinite(self.rho) and self.rho > 0):
             raise ConfigError(f"rho must be positive, got {self.rho}")
-        if self.max_iter < 1:
-            raise ConfigError("max_iter must be at least 1")
+        n = self.max_iter
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ConfigError(f"max_iter must be an integer of at least 1, got {n!r}")
         if not (np.isfinite(self.tol) and self.tol >= 0):
             raise ConfigError(f"tol must be nonnegative and finite, got {self.tol}")
 

@@ -20,6 +20,11 @@ one row at a time by csv.reader, in file order. Each row's fields are
 checked in column order, so a malformed file raises the message, naming
 its line, of its first bad row, and a number only Python reads still reads.
 
+Every CSV is decoded with surrogateescape, so a byte that does not decode
+reaches csv.reader as a lone surrogate, which numpy's reader refuses as
+non-ASCII. The row reader decodes each line that is not ASCII again, strictly:
+such a byte is a SchemaError naming its line, met in one pass over the file.
+
 Values of fields, covariates, volumes, features and activity must be
 finite; a report or cdf may hold nan and inf. A field's grid spans rows
 and columns 0 up to its largest listed indices, and may hold at most
@@ -99,7 +104,7 @@ def _ints(values: np.ndarray) -> Iterator[str]:
 
 def _open_rows(path: str | Path):
     try:
-        handle = open(path, newline="")
+        handle = open(path, newline="", errors="surrogateescape")
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     return handle
@@ -123,34 +128,15 @@ def _finite(text: str, path, line: int, column: str) -> float:
 
 
 def _lines(handle, path) -> Iterator[str]:
-    """Lines of an open text file; a SchemaError names the line of a byte that does not decode.
-
-    The decoder fails on a whole chunk of the file, so the byte is found in
-    the file's bytes, and the whole lines of that chunk before it are given
-    before the error: a row before the byte is read, and its errors met, first.
-    """
-    given = 0
-    try:
-        for line in handle:
-            given += 1
-            yield line
-    except UnicodeDecodeError as exc:
-        raw = Path(handle.name).read_bytes()
-        try:
-            raw.decode(handle.encoding)
-        except UnicodeDecodeError as whole:
-            head = raw[:whole.start].decode(handle.encoding)
-            lines = io.StringIO(head, newline="").readlines()[given:]
-            # all but the line the byte continues; a byte that starts a line ends the last
-            if lines and not lines[-1].endswith(("\n", "\r")):
-                lines.pop()
-            yield from lines
-            # the lines before the byte, the one it starts or continues included
-            line = sum(1 for _ in io.StringIO(head + "?", newline=""))
-            bad = whole
-        else:  # the file changed since the decoder failed
-            line, bad = given + 1, exc
-        raise SchemaError(f"{path}:{line}: not {bad.encoding} text ({bad.reason})") from exc
+    """The lines of ``handle``; a SchemaError names the first that does not decode strictly."""
+    for number, line in enumerate(handle, 1):
+        if not line.isascii():
+            try:
+                line.encode(handle.encoding, "surrogateescape").decode(handle.encoding)
+            except UnicodeDecodeError as bad:
+                raise SchemaError(f"{path}:{number}: not {bad.encoding} text "
+                                  f"({bad.reason})") from bad
+        yield line
 
 
 def _read_rows(
@@ -168,8 +154,9 @@ def _read_rows(
     ends on, so a quoted field spanning lines shifts no later line number.
     A row of another width than the header, text csv.reader cannot split
     and a byte that does not decode raise where they are met, after every
-    row before them is given. A file with a header and no rows raises
-    unless ``what`` is None.
+    row before them is given: lines are decoded with surrogateescape and
+    each one that is not ASCII is checked strictly, in one pass over the
+    file. A file with a header and no rows raises unless ``what`` is None.
     """
     listed = False
     with _open_rows(path) as handle:
@@ -222,7 +209,7 @@ def _c_rows(path: str | Path, row: np.dtype) -> np.ndarray | None:
         try:
             got = next(csv.reader(handle), None)
             body = handle.read()
-        except (csv.Error, UnicodeDecodeError):
+        except csv.Error:
             return None
     if got is None or tuple(h.strip() for h in got) != row.names or not _plain(body):
         return None

@@ -19,7 +19,13 @@ positive definite system:
 which is factorized once and reused. It is positive definite exactly when
 the data cells pin down the penalty's null space, the surfaces affine on
 each edge-connected piece of the mesh (on a connected mesh: when the data
-centers do not all lie on one line); a singular system is rejected.
+centers do not all lie on one line). A build refuses a factorization whose
+smallest pivot is at most ``_PIVOT_RATIO_TOL`` of its largest. That catches a
+singular system only where its null direction leaves a pivot below that
+ratio, and the rounding level of such a pivot grows with the grid: on a
+20 x 20 grid, 55 of 720 placements of three data cells in one column pass
+at lam 1 and 1e3, and their fits to targets 1, 2, 3 span up to 59.6.
+Deciding solvability from the cells' geometry is ROADMAP item 3.
 
 The system is banded: Psi couples the two ends of a cell's diagonal and the
 penalty couples the vertices of two triangles that share an edge, all within

@@ -455,6 +455,18 @@ def test_config_validation():
             AdmmConfig(tol=tol)
 
 
+@pytest.mark.parametrize("max_iter", [2.5, float("inf"), float("nan"), "7", True, None])
+def test_max_iter_must_be_an_integer(max_iter):
+    # none of these is a count of sweeps
+    with pytest.raises(ConfigError, match="max_iter must be an integer"):
+        AdmmConfig(max_iter=max_iter)
+
+
+def test_max_iter_takes_a_numpy_integer():
+    dom, truth, part, vols = make_problem(4, 4, 3, seed=1)
+    assert css_recover(part, vols, config=AdmmConfig(max_iter=np.int64(3))).iterations <= 3
+
+
 def test_recover_input_validation():
     dom, truth, part, vols = make_problem(4, 4, 3, seed=1)
     with pytest.raises(ShapeMismatch, match="^2 volumes for 3 stations$"):

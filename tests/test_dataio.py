@@ -816,3 +816,35 @@ def test_unreadable_text_is_a_schema_error_naming_its_line(tmp_path, case, chunk
     with decoded_in_chunks(chunk), pytest.raises(SchemaError) as info:
         read_field_csv(path)
     assert str(info.value) == f"{path}:{error}"
+
+
+# rows padded with spaces to 1 KiB, so that 8,300 of them make 8 MiB
+PAD = " " * 1000
+LATE_BYTE = {
+    # reader, header, row k, traced peak allowed per byte of the file
+    "activity": (load_cdr_csv, ",".join(CDR_HEADER), lambda k: f"1,0,{PAD}1,2,3,4", 0),
+    # numpy's reader takes a field's whole body, held at two bytes a
+    # character once it holds a surrogate: about four times the file
+    "field": (read_field_csv, "row,col,value", lambda k: f"{k},0,{PAD}1.5", 5),
+}
+
+
+@pytest.mark.parametrize("kind", LATE_BYTE)
+def test_unreadable_last_line_is_found_in_one_pass(tmp_path, kind):
+    # the reader meets the byte as it reaches its line; a second read of
+    # the file to find it would hold the file's text several times over
+    read, header, row, per_byte = LATE_BYTE[kind]
+    path = tmp_path / "late.csv"
+    rows = "".join(f"{row(k)}\n" for k in range(8300))
+    path.write_bytes(f"{header}\n{rows}".encode() + b"0,1,\xff\n")
+    size = path.stat().st_size
+    assert size >= 8 * 2**20
+    tracemalloc.start()
+    try:
+        with pytest.raises(SchemaError) as info:
+            read(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == f"{path}:8302: not utf-8 text (invalid start byte)"
+    assert peak < per_byte * size + 2**20
