@@ -90,6 +90,10 @@ class AdmmConfig:
     tol: float = 1e-6
 
     def __post_init__(self) -> None:
+        for name in ("lam", "rho", "tol"):
+            x = getattr(self, name)
+            if isinstance(x, bool) or not isinstance(x, numbers.Real):
+                raise ConfigError(f"{name} must be a real number, got {x!r}")
         if not (np.isfinite(self.lam) and self.lam > 0):
             raise ConfigError(f"lam must be positive, got {self.lam}")
         if not (np.isfinite(self.rho) and self.rho > 0):

@@ -8,10 +8,12 @@ byte-identical to formatting each row with csv.writer.
 
 Field and cdf CSVs, the files a pipeline reads most, are parsed by numpy's
 C reader (``np.loadtxt`` with no quote or comment character and one dtype
-field per column). It is given only plain ASCII bodies (see ``_plain``);
-in those it splits rows and fields as csv.reader does and converts a
-number with the routine ``float()`` uses, so every value it returns equals
-the row reader's bit for bit. What it cannot read the same way it refuses:
+field per column). It reads the file as bytes and refuses one that is not
+ASCII before decoding any of it; it then decodes the body once and is
+given only plain bodies (see ``_plain``). In those it splits rows and
+fields as csv.reader does and converts a number with the routine
+``float()`` uses, so every value it returns equals the row reader's bit
+for bit. What it cannot read the same way it refuses:
 ``1_0``, a non-ASCII digit, a line of spaces, a row of the wrong width.
 
 Every other file, and every field or cdf body that numpy refuses or whose
@@ -20,10 +22,10 @@ one row at a time by csv.reader, in file order. Each row's fields are
 checked in column order, so a malformed file raises the message, naming
 its line, of its first bad row, and a number only Python reads still reads.
 
-Every CSV is decoded with surrogateescape, so a byte that does not decode
-reaches csv.reader as a lone surrogate, which numpy's reader refuses as
-non-ASCII. The row reader decodes each line that is not ASCII again, strictly:
-such a byte is a SchemaError naming its line, met in one pass over the file.
+The row reader decodes every CSV with surrogateescape, so a byte that does
+not decode reaches csv.reader as a lone surrogate; it decodes each line that
+is not ASCII again, strictly: such a byte is a SchemaError naming its line,
+met in one pass over the file.
 
 Values of fields, covariates, volumes, features and activity must be
 finite; a report or cdf may hold nan and inf. A field's grid spans rows
@@ -200,18 +202,33 @@ def _plain(body: str) -> bool:
 def _c_rows(path: str | Path, row: np.dtype) -> np.ndarray | None:
     """The data rows of a CSV parsed by numpy's C reader, or None where it refuses them.
 
-    It refuses a file whose header is not exactly the names of ``row``, a
-    body that is not ``_plain``, and a body numpy does not parse as rows of
-    ``row`` without a warning (it warns on one with no rows). Every row of a
-    body it takes reads the same through ``_read_rows``.
+    It refuses a file it cannot open (the row reader names it), a file
+    that is not ASCII, before decoding any of it, a first line that is not
+    exactly the names of ``row`` as one strict csv record, a body that is
+    not ``_plain``, and a body numpy does not parse as rows of ``row``
+    without a warning (it warns on one with no rows). The body is decoded
+    once, straight from the file's bytes, which are dropped before numpy
+    parses it. Every row of a body it takes reads the same through
+    ``_read_rows``.
     """
-    with _open_rows(path) as handle:
-        try:
-            got = next(csv.reader(handle), None)
-            body = handle.read()
-        except csv.Error:
-            return None
-    if got is None or tuple(h.strip() for h in got) != row.names or not _plain(body):
+    try:
+        data = Path(path).read_bytes()
+    except OSError:
+        return None
+    if not data.isascii():
+        return None
+    end = data.find(b"\n") + 1 or len(data)
+    try:
+        # strict: a quote left open at the line's end is an error, not a
+        # header that runs on into the body
+        got = next(csv.reader([data[:end].decode("ascii")], strict=True))
+    except csv.Error:
+        return None
+    if tuple(h.strip() for h in got) != row.names:
+        return None
+    body = str(memoryview(data)[end:], "ascii")
+    del data
+    if not _plain(body):
         return None
     try:
         with warnings.catch_warnings():

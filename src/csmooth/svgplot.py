@@ -4,13 +4,14 @@ Everything is emitted as plain text with fixed-precision coordinates and no
 timestamps or random ids, so the same inputs always produce the same bytes.
 Coordinates and colors are computed over whole arrays, in the same
 floating-point operations as one cell or point at a time, so the files are
-byte-identical to formatting each element by hand. Titles and labels are
-escaped as XML text.
+byte-identical to formatting each element by hand. Every label is one
+``<text>`` element from ``_label``, escaped as XML, and every chart scales
+to ``_top`` of its values: the largest, or 1 when none is positive.
 """
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -51,6 +52,20 @@ def _text(s: str) -> str:
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
+def _label(x: float, y: float, text: str, size: int = 10, anchor: str = "", fill: str = "") -> str:
+    """One monospace ``<text>`` element at (x, y), its ``text`` escaped."""
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    fill = f' fill="{fill}"' if fill else ""
+    return (f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="monospace" '
+            f'font-size="{size}"{anchor}{fill}>{_text(text)}</text>')
+
+
+def _top(values: Iterable[float]) -> float:
+    """The largest of ``values``, the top of a chart's scale; 1 when none is positive."""
+    top = max(map(float, values), default=1.0)
+    return 1.0 if top <= 0 else top
+
+
 def _svg(width: float, height: float, body: list[str]) -> str:
     head = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
@@ -71,15 +86,10 @@ def render_field_svg(
     title_h = 18.0 if title else 0.0
     width = dom.n_cols * cell_px + 2 * margin
     height = dom.n_rows * cell_px + 2 * margin + title_h
-    top = float(field.values.max())
-    if top <= 0:
-        top = 1.0
-    body = [f'<rect width="100%" height="100%" fill="#e8e8e8"/>']
+    top = _top(field.values.tolist())
+    body = ['<rect width="100%" height="100%" fill="#e8e8e8"/>']
     if title:
-        body.append(
-            f'<text x="{_fmt(width / 2)}" y="13" font-family="monospace" '
-            f'font-size="12" text-anchor="middle">{_text(title)}</text>'
-        )
+        body.append(_label(width / 2, 13, title, 12, "middle"))
     xs = [_fmt(margin + c * cell_px) for c in range(dom.n_cols)]
     ys = [_fmt(margin + title_h + r * cell_px) for r in range(dom.n_rows)]
     size = _fmt(cell_px)
@@ -101,10 +111,7 @@ def render_cdf_svg(
     width, height = 420.0, 300.0
     ml, mr, mt, mb = 46.0, 12.0, 26.0, 34.0
     pw, ph = width - ml - mr, height - mt - mb
-    if x_max is None:
-        x_max = max((float(e[-1]) for _, e, _ in series if len(e)), default=1.0)
-    if x_max <= 0:
-        x_max = 1.0
+    x_max = _top([x_max] if x_max is not None else (e[-1] for _, e, _ in series if len(e)))
 
     # both take a number or an array
     def sx(x):
@@ -113,11 +120,8 @@ def render_cdf_svg(
     def sy(p):
         return mt + ph * (1.0 - p)
 
-    body = [f'<rect width="100%" height="100%" fill="#ffffff"/>']
-    body.append(
-        f'<text x="{_fmt(width / 2)}" y="16" font-family="monospace" '
-        f'font-size="12" text-anchor="middle">{_text(title)}</text>'
-    )
+    body = ['<rect width="100%" height="100%" fill="#ffffff"/>',
+            _label(width / 2, 16, title, 12, "middle")]
     # axes
     body.append(
         f'<path d="M {_fmt(ml)} {_fmt(mt)} L {_fmt(ml)} {_fmt(mt + ph)} '
@@ -129,19 +133,13 @@ def render_cdf_svg(
             f'<line x1="{_fmt(ml - 3)}" y1="{_fmt(y)}" x2="{_fmt(ml)}" '
             f'y2="{_fmt(y)}" stroke="#333"/>'
         )
-        body.append(
-            f'<text x="{_fmt(ml - 6)}" y="{_fmt(y + 4)}" font-family="monospace" '
-            f'font-size="10" text-anchor="end">{_fmt(frac)}</text>'
-        )
+        body.append(_label(ml - 6, y + 4, _fmt(frac), anchor="end"))
         x = ml + pw * frac
         body.append(
             f'<line x1="{_fmt(x)}" y1="{_fmt(mt + ph)}" x2="{_fmt(x)}" '
             f'y2="{_fmt(mt + ph + 3)}" stroke="#333"/>'
         )
-        body.append(
-            f'<text x="{_fmt(x)}" y="{_fmt(mt + ph + 14)}" font-family="monospace" '
-            f'font-size="10" text-anchor="middle">{_fmt(frac * x_max)}</text>'
-        )
+        body.append(_label(x, mt + ph + 14, _fmt(frac * x_max), anchor="middle"))
     for k, (label, errors, cdf) in enumerate(series):
         color = _SERIES[k % len(_SERIES)]
         n = min(len(errors), len(cdf))
@@ -156,15 +154,8 @@ def render_cdf_svg(
         steps = [f"L {x} {y0} L {x} {y1}" for x, y0, y1 in zip(xs, ys, ys[1:])]
         pts = [f"M {_fmt(sx(0))} {ys[0]}", *steps, f"L {_fmt(sx(x_max))} {ys[-1]}"]
         body.append(f'<path d="{" ".join(pts)}" stroke="{color}" fill="none" stroke-width="1.5"/>')
-        body.append(
-            f'<text x="{_fmt(ml + pw - 4)}" y="{_fmt(mt + 14 + 13 * k)}" '
-            f'font-family="monospace" font-size="10" text-anchor="end" '
-            f'fill="{color}">{_text(label)}</text>'
-        )
-    body.append(
-        f'<text x="{_fmt(ml + pw / 2)}" y="{_fmt(height - 6)}" font-family="monospace" '
-        f'font-size="10" text-anchor="middle">relative error</text>'
-    )
+        body.append(_label(ml + pw - 4, mt + 14 + 13 * k, label, anchor="end", fill=color))
+    body.append(_label(ml + pw / 2, height - 6, "relative error", anchor="middle"))
     Path(path).write_text(_svg(width, height, body))
 
 
@@ -179,15 +170,10 @@ def render_bars_svg(
     bar_h, gap = 22.0, 8.0
     ml, mr, mt, mb = 96.0, 16.0, 26.0, 10.0
     height = mt + mb + len(labels) * (bar_h + gap)
-    top = max((float(v) for v in values), default=1.0)
-    if top <= 0:
-        top = 1.0
+    top = _top(values)
     pw = width - ml - mr
-    body = [f'<rect width="100%" height="100%" fill="#ffffff"/>']
-    body.append(
-        f'<text x="{_fmt(width / 2)}" y="16" font-family="monospace" '
-        f'font-size="12" text-anchor="middle">{_text(title)}</text>'
-    )
+    body = ['<rect width="100%" height="100%" fill="#ffffff"/>',
+            _label(width / 2, 16, title, 12, "middle")]
     for k, (label, value) in enumerate(zip(labels, values)):
         y = mt + k * (bar_h + gap)
         w = pw * float(value) / top
@@ -196,12 +182,6 @@ def render_bars_svg(
             f'<rect x="{_fmt(ml)}" y="{_fmt(y)}" width="{_fmt(w)}" '
             f'height="{_fmt(bar_h)}" fill="{color}"/>'
         )
-        body.append(
-            f'<text x="{_fmt(ml - 6)}" y="{_fmt(y + bar_h / 2 + 4)}" '
-            f'font-family="monospace" font-size="10" text-anchor="end">{_text(label)}</text>'
-        )
-        body.append(
-            f'<text x="{_fmt(ml + w + 4)}" y="{_fmt(y + bar_h / 2 + 4)}" '
-            f'font-family="monospace" font-size="10">{repr(float(value))}</text>'
-        )
+        body.append(_label(ml - 6, y + bar_h / 2 + 4, label, anchor="end"))
+        body.append(_label(ml + w + 4, y + bar_h / 2 + 4, repr(float(value))))
     Path(path).write_text(_svg(width, height, body))

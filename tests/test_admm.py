@@ -462,6 +462,22 @@ def test_max_iter_must_be_an_integer(max_iter):
         AdmmConfig(max_iter=max_iter)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("lam", "1"), ("lam", True), ("lam", None), ("rho", None), ("rho", True),
+    ("rho", "0.8"), ("tol", "0"), ("tol", False), ("tol", 1j),
+])
+def test_weights_and_tol_must_be_real_numbers(field, value):
+    # a string or None would escape np.isfinite as a TypeError, and a bool
+    # would pass as 0 or 1
+    with pytest.raises(ConfigError, match=f"{field} must be a real number"):
+        AdmmConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["lam", "rho", "tol"])
+def test_weights_and_tol_take_numpy_floats(field):
+    assert getattr(AdmmConfig(**{field: np.float32(0.5)}), field) == 0.5
+
+
 def test_max_iter_takes_a_numpy_integer():
     dom, truth, part, vols = make_problem(4, 4, 3, seed=1)
     assert css_recover(part, vols, config=AdmmConfig(max_iter=np.int64(3))).iterations <= 3

@@ -124,6 +124,22 @@ def test_recover_manifest_replay(workflow_dir):
     assert (replay / "estimate_css.csv").read_bytes() == (rec / "estimate_css.csv").read_bytes()
 
 
+@pytest.mark.parametrize("command,made", [("stations", "stations"), ("aggregate", "agg"),
+                                          ("evaluate", "ev")])
+def test_manifest_replay_rewrites_the_same_csvs(workflow_dir, command, made):
+    if command == "evaluate":
+        truth = workflow_dir / "synth" / "truth.csv"
+        assert run(["evaluate", "--truth", truth, "--estimate", truth,
+                    "--estimate", f"copy={truth}", "--out", workflow_dir / made]) == 0
+    replay = workflow_dir / "replay"
+    assert run([command, "--from-manifest", workflow_dir / made / "manifest.json",
+                "--out", replay]) == 0
+    written = sorted(p.name for p in (workflow_dir / made).glob("*.csv"))
+    assert written and written == sorted(p.name for p in replay.glob("*.csv"))
+    for name in written:
+        assert (replay / name).read_bytes() == (workflow_dir / made / name).read_bytes(), name
+
+
 def test_file_mode_manifest_records_no_seed(workflow_dir):
     rec = workflow_dir / "rec"
     assert run([
@@ -219,6 +235,32 @@ def test_replayed_manifest_with_an_ill_typed_param_exits_two(workflow_dir, capsy
     assert run(["synth", "--from-manifest", edited, "--out", replay]) == 2
     assert f"'params' entry '{key}' must be" in capsys.readouterr().err
     assert not replay.exists()
+
+
+@pytest.mark.parametrize("where", ["inputs", "params"])
+@pytest.mark.parametrize("value", [None, [], "truth.csv"])
+def test_replayed_manifest_section_must_be_an_object(workflow_dir, capsys, where, value):
+    manifest = json.loads((workflow_dir / "stations" / "manifest.json").read_text())
+    manifest[where] = value
+    edited = workflow_dir / "edited.json"
+    edited.write_text(json.dumps(manifest))
+    replay = workflow_dir / "replay"
+    assert run(["stations", "--from-manifest", edited, "--out", replay]) == 2
+    assert f"missing '{where}' object" in capsys.readouterr().err
+    assert not replay.exists()
+
+
+@pytest.mark.parametrize("flag,text,message", [
+    ("--amp", "1", "expected 'low,high', got '1'"),
+    ("--amp", "1,x", "could not convert string to float: 'x'"),
+    ("--beta", "1,x", "could not convert string to float: 'x'"),
+])
+def test_ill_formed_number_lists_are_usage_errors(tmp_path, capsys, flag, text, message):
+    with pytest.raises(SystemExit) as exc:
+        run(["synth", "--rows", 4, "--cols", 4, flag, text, "--out", tmp_path / "x"])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_features_flow(tmp_path):
@@ -327,6 +369,7 @@ def test_rejected_command_leaves_no_output_directory(workflow_dir, capsys):
         "method": ["recover", "--truth", truth, "--stations", 3, "--method", "pe",
                    "--method", "pe"],
         "stations": ["recover", "--truth", truth, "--method", "pe"],
+        "aggregate without stations": ["aggregate", "--field", truth],
         # a flag the mode would ignore
         "truth and domain": ["recover", "--truth", truth, "--stations", 3, "--domain", missing],
         "count and stations csv": ["recover", *from_files, "--stations", 3, "--method", "pe"],

@@ -823,9 +823,9 @@ PAD = " " * 1000
 LATE_BYTE = {
     # reader, header, row k, traced peak allowed per byte of the file
     "activity": (load_cdr_csv, ",".join(CDR_HEADER), lambda k: f"1,0,{PAD}1,2,3,4", 0),
-    # numpy's reader takes a field's whole body, held at two bytes a
-    # character once it holds a surrogate: about four times the file
-    "field": (read_field_csv, "row,col,value", lambda k: f"{k},0,{PAD}1.5", 5),
+    # numpy's reader is offered a field's whole body, but one that is not
+    # ASCII is refused before any of it is decoded: the file's bytes, once
+    "field": (read_field_csv, "row,col,value", lambda k: f"{k},0,{PAD}1.5", 1.25),
 }
 
 

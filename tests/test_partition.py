@@ -105,6 +105,14 @@ def test_patched_estimate_examples():
     np.testing.assert_allclose(f.values, [5.0, 4.0, 4.0])
 
 
+@pytest.mark.parametrize("volumes", [[6.0], [1.0, 2.0, 3.0]])
+def test_patched_estimate_needs_one_volume_per_station(volumes):
+    d = line_domain(3)
+    two = build_partition(d, StationSet(d, [0, 1]))
+    with pytest.raises(ShapeMismatch, match=f"{len(volumes)} volumes for 2 stations"):
+        patched_estimate(two, AggregateObservations(volumes))
+
+
 def test_patched_estimate_tied_cell_takes_its_patch_density():
     # stations at both ends of a 1x3 line; the middle cell is tied and
     # belongs to station 0, so it takes that patch's density

@@ -91,3 +91,23 @@ def test_text_is_escaped(tmp_path):
         assert text in shown
         if name != "field.svg":
             assert "a&b" in shown and "<pe>" in shown
+
+
+def test_all_zero_charts_scale_to_one(tmp_path):
+    # a perfect estimate: every error and every mre is 0, so no value is
+    # positive and each chart's scale falls back to 1
+    errors, cdf = np.zeros(4), np.array([0.25, 0.5, 0.75, 1.0])
+    render_cdf_svg([("perfect", errors, cdf)], tmp_path / "cdf.svg")
+    render_bars_svg(["perfect", "also"], [0.0, 0.0], tmp_path / "bars.svg")
+    for name in ("cdf.svg", "bars.svg"):
+        text = (tmp_path / name).read_text()
+        assert "nan" not in text and "inf" not in text, name
+        doc = minidom.parse(str(tmp_path / name))
+        shown = [t.firstChild.data for t in doc.getElementsByTagName("text") if t.firstChild]
+        if name == "cdf.svg":
+            # each tick labels the cdf axis, then the error axis: 0 to 1
+            assert shown[2:12:2] == ["0", "0.25", "0.5", "0.75", "1"]
+        else:
+            assert shown[1:] == ["perfect", "0.0", "also", "0.0"]
+            widths = [r.getAttribute("width") for r in doc.getElementsByTagName("rect")]
+            assert widths[1:] == ["0", "0"]
