@@ -13,7 +13,6 @@ from .admm import (
     dual_update,
     volume_constraints,
     volume_projection,
-    waterfill,
 )
 from .benchmark import (
     EnsembleSpec,
@@ -125,7 +124,6 @@ __all__ = [
     "triangulate",
     "volume_constraints",
     "volume_projection",
-    "waterfill",
     "win_fraction",
     "__version__",
 ]

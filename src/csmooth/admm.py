@@ -62,7 +62,7 @@ import numpy as np
 
 from .domain import CovariateMatrix, SpatialField, _check_same_domain
 from .errors import ConfigError, InfeasibleVolume, NumericalFailure, ShapeMismatch
-from .fem import FemSystem, assemble, triangulate
+from .fem import FemSystem, mesh_for
 from .partition import AggregateObservations, Partition, patched_estimate
 from .smoother import SsrSolver
 
@@ -121,22 +121,6 @@ class RecoveryResult:
     constraint_violation: float     # worst relative patch-sum violation seen
 
 
-def waterfill(costs: np.ndarray, total: float, rho: float) -> np.ndarray:
-    """Minimize (rho/2)||g||^2 + costs' g  s.t.  sum(g) = total, g >= 0.
-
-    Closed form: g_j = max(0, nu - costs_j / rho) where the water level nu
-    makes the sum match; volume_projection finds it from a cold start. With
-    no cell, only a zero total is feasible.
-    """
-    c = np.asarray(costs, dtype=float).ravel()
-    if not c.size:
-        if total != 0:
-            raise InfeasibleVolume(f"no cell to hold total {total}")
-        return c
-    one_patch = _constraints(np.zeros(c.size, dtype=np.int64), np.array([float(total)]))
-    return volume_projection(one_patch, np.zeros(c.size), c / rho)
-
-
 @dataclass(frozen=True, eq=False)
 class VolumeConstraints:
     """The constraint set of a css run, fixed by its partition and volumes.
@@ -165,11 +149,7 @@ def volume_constraints(partition: Partition, volumes: AggregateObservations) -> 
     no cell or a volume is negative."""
     if volumes.m != partition.m:
         raise ShapeMismatch(f"{volumes.m} volumes for {partition.m} stations")
-    return _constraints(partition.station_of_cell, volumes.values)
-
-
-def _constraints(cell_patch: np.ndarray, observed: np.ndarray) -> VolumeConstraints:
-    cell_patch = np.asarray(cell_patch, dtype=np.int64)
+    cell_patch, observed = partition.station_of_cell, volumes.values
     sizes = np.bincount(cell_patch, minlength=observed.size)
     if not sizes.all():
         raise InfeasibleVolume(f"patch {int(np.argmin(sizes))} holds no cell")
@@ -283,10 +263,7 @@ def css_recover(
     # the constraint set first, so that infeasible volumes fail before any
     # mesh is assembled or any system factored
     constraints = volume_constraints(partition, volumes)
-    if fem is None:
-        fem = assemble(triangulate(domain))
-    else:
-        _check_same_domain(domain, fem.tri.domain, "mesh")
+    fem = mesh_for(domain, fem)
 
     g = patched_estimate(partition, volumes).values
     f = g.copy()

@@ -17,7 +17,7 @@ import numpy as np
 from .admm import AdmmConfig, RecoveryResult
 from .domain import CovariateMatrix, SpatialField, make_domain
 from .errors import ConfigError
-from .fem import FemSystem, assemble, triangulate
+from .fem import FemSystem, mesh_for
 from .methods import ALL_METHODS, CSS_FEATURES, MethodSpec, run_method_full
 from .metrics import EvalReport, relative_errors
 from .partition import aggregate, build_partition, sample_stations
@@ -82,15 +82,14 @@ def _recover_and_score(
 ) -> SeedOutcome:
     """Observe ``truth`` at sampled stations, recover it with each method, score.
 
-    ``fem`` is reused when it is on the truth's grid. Each stage is called
-    through its module-level name, so a wrapper rebound over one (as a
-    tracer does) sees every call.
+    ``fem`` is used when given and built otherwise; a mesh of another grid is
+    a ShapeMismatch. Each stage is called through its module-level name, so
+    a wrapper rebound over one (as a tracer does) sees every call.
     """
     stations = sample_stations(truth, n_stations, seed=station_seed)
     part = build_partition(truth.domain, stations)
     volumes = aggregate(part, truth)
-    if fem is None or not fem.tri.domain.same_grid(truth.domain):
-        fem = assemble(triangulate(truth.domain))
+    fem = mesh_for(truth.domain, fem)
     outcome = SeedOutcome(seed=seed, truth=truth)
     for method in methods:
         est, res = run_method_full(
@@ -128,7 +127,7 @@ def compare_methods(
         raise ConfigError("at least one seed is required")
     if CSS_FEATURES in methods and spec.beta is None:
         raise ConfigError("css-features in the method list needs spec.beta set")
-    fem = assemble(triangulate(make_domain(spec.n_rows, spec.n_cols)))
+    fem = mesh_for(make_domain(spec.n_rows, spec.n_cols))
     return [run_seed(spec, s, methods, fem) for s in seeds]
 
 

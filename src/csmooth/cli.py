@@ -44,8 +44,8 @@ from .dataio import (
     write_report_csv,
     write_stations_csv,
 )
-from .errors import ConfigError, CsmoothError, SchemaError, ShapeMismatch
-from .fem import assemble, triangulate
+from .errors import ConfigError, CsmoothError, DegenerateField, SchemaError, ShapeMismatch
+from .fem import mesh_for
 from .methods import ALL_METHODS, CSS_FEATURES, PE, MethodSpec, run_method_full
 from .metrics import relative_errors
 from .partition import aggregate, build_partition, sample_stations
@@ -116,12 +116,13 @@ def _cmd_aggregate(inputs: dict, params: dict, out: Path) -> dict:
     stations = read_stations_csv(inputs["stations"], field.domain)
     part = build_partition(field.domain, stations)
     volumes = aggregate(part, field)
+    with np.errstate(over="ignore"):  # an overflowing total is the typed error below
+        total = float(volumes.values.sum())
+    if not np.isfinite(total):
+        raise DegenerateField(f"volume total {total} overflows; the manifest cannot record it")
     write_aggregates_csv(volumes, out / "aggregates.csv")
     print(f"wrote {out / 'aggregates.csv'} ({volumes.values.size} volumes)")
-    return {
-        "outputs": ["aggregates.csv"],
-        "results": {"total": float(volumes.values.sum()), "ties": part.has_ties},
-    }
+    return {"outputs": ["aggregates.csv"], "results": {"total": total, "ties": part.has_ties}}
 
 
 def _cmd_recover(inputs: dict, params: dict, out: Path) -> dict:
@@ -162,7 +163,7 @@ def _cmd_recover(inputs: dict, params: dict, out: Path) -> dict:
         tol=float(params["tol"]),
     )
     # pe reads no mesh; every other method smooths on the one built here
-    fem = assemble(triangulate(domain)) if set(methods) - {PE} else None
+    fem = mesh_for(domain) if set(methods) - {PE} else None
 
     # every method runs before any estimate is written
     runs = {

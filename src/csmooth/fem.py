@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .domain import GridDomain, _frozen
+from .domain import GridDomain, _check_same_domain, _frozen
 from .errors import ShapeMismatch
 
 if TYPE_CHECKING:
@@ -237,3 +237,12 @@ def assemble(tri: Triangulation) -> FemSystem:
         edge_jump=edge_jump,
         edge_length=_frozen(np.where(diagonal, np.sqrt(2.0), 1.0)),
     )
+
+
+def mesh_for(domain: GridDomain, fem: FemSystem | None = None) -> FemSystem:
+    """Every run's mesh: ``fem`` if on ``domain``'s grid (else ShapeMismatch), or one built
+    by this module's ``triangulate`` and ``assemble``, so wrappers rebound over them see it."""
+    if fem is None:
+        return assemble(triangulate(domain))
+    _check_same_domain(domain, fem.tri.domain, "mesh")
+    return fem

@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .admm import AdmmConfig, RecoveryResult, css_recover
-from .domain import CovariateMatrix, SpatialField, _check_same_domain
+from .domain import CovariateMatrix, SpatialField
 from .errors import ConfigError, ShapeMismatch
-from .fem import FemSystem, assemble, triangulate
+from .fem import FemSystem, mesh_for
 from .partition import AggregateObservations, Partition, patched_estimate
 from .smoother import SsrSolver
 
@@ -60,10 +60,7 @@ def run_method_full(
         return patched_estimate(partition, volumes), None
 
     domain = partition.domain
-    if fem is None:
-        fem = assemble(triangulate(domain))
-    else:
-        _check_same_domain(domain, fem.tri.domain, "mesh")
+    fem = mesh_for(domain, fem)
 
     if spec.method == PE_SSR1:
         cells = partition.stations.cells

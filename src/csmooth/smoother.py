@@ -269,8 +269,13 @@ class SsrSolver:
 
         # sqrt(x @ x) is exactly what np.linalg.norm computes for a real vector
         r = products[self._system_rows] - rhs
-        residual = math.sqrt(r @ r) / max(math.sqrt(rhs @ rhs), 1e-30)
-        if residual > _RESIDUAL_TOL:
+        rr, bb = float(r @ r), float(rhs @ rhs)
+        if not math.isfinite(rr + bb):  # a square overflows past ~1e154: rescale by max|rhs|
+            with np.errstate(all="ignore"):  # a ratio still inf or nan fails below
+                s = np.abs(rhs).max()
+                rr, bb = float((r / s) @ (r / s)), float((rhs / s) @ (rhs / s))
+        residual = math.sqrt(rr) / max(math.sqrt(bb), 1e-30)
+        if not residual <= _RESIDUAL_TOL:
             raise NumericalFailure(
                 f"smoothing solve residual {residual:.3e} exceeds {_RESIDUAL_TOL}"
             )

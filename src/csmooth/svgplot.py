@@ -6,7 +6,8 @@ Coordinates and colors are computed over whole arrays, in the same
 floating-point operations as one cell or point at a time, so the files are
 byte-identical to formatting each element by hand. Every label is one
 ``<text>`` element from ``_label``, escaped as XML, and every chart scales
-to ``_top`` of its values: the largest, or 1 when none is positive.
+to ``_top`` of its values: the largest, or 1 when none is positive. A value
+that is not finite is a ConfigError, raised before any file is written.
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .domain import SpatialField
+from .errors import ConfigError
 
 # Anchor colors of the viridis ramp, interpolated linearly in RGB.
 _RAMP = (
@@ -111,6 +113,8 @@ def render_cdf_svg(
     width, height = 420.0, 300.0
     ml, mr, mt, mb = 46.0, 12.0, 26.0, 34.0
     pw, ph = width - ml - mr, height - mt - mb
+    if x_max is not None and not np.isfinite(x_max):
+        raise ConfigError(f"x_max {x_max!r} is not finite")
     x_max = _top([x_max] if x_max is not None else (e[-1] for _, e, _ in series if len(e)))
 
     # both take a number or an array
@@ -141,6 +145,8 @@ def render_cdf_svg(
         )
         body.append(_label(x, mt + ph + 14, _fmt(frac * x_max), anchor="middle"))
     for k, (label, errors, cdf) in enumerate(series):
+        if not (np.isfinite(errors).all() and np.isfinite(cdf).all()):
+            raise ConfigError(f"cdf series {label!r} holds a value that is not finite")
         color = _SERIES[k % len(_SERIES)]
         n = min(len(errors), len(cdf))
         e = np.asarray(errors, dtype=float)[:n]
@@ -175,6 +181,8 @@ def render_bars_svg(
     body = ['<rect width="100%" height="100%" fill="#ffffff"/>',
             _label(width / 2, 16, title, 12, "middle")]
     for k, (label, value) in enumerate(zip(labels, values)):
+        if not np.isfinite(value):
+            raise ConfigError(f"bar {label!r} has value {float(value)!r}, which is not finite")
         y = mt + k * (bar_h + gap)
         w = pw * float(value) / top
         color = _SERIES[k % len(_SERIES)]

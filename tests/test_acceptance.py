@@ -20,7 +20,7 @@ from csmooth.benchmark import (
     run_pipeline,
     win_fraction,
 )
-from csmooth.admm import waterfill
+from csmooth.admm import volume_constraints, volume_projection
 from csmooth.cli import main as cli_main
 from csmooth.dataio import (
     FEATURE_NAMES,
@@ -35,6 +35,7 @@ from csmooth.dataio import (
 from csmooth.domain import make_domain
 from csmooth.fem import assemble, triangulate
 from csmooth.methods import ALL_METHODS, CSS, CSS_FEATURES, PE, PE_SSR1, PE_SSR2
+from csmooth.partition import AggregateObservations, StationSet, build_partition
 from csmooth.smoother import SsrSolver
 
 from oracles import dense_ssr_oracle, qp_patch_oracle
@@ -174,7 +175,11 @@ def test_criterion_2_projection_matches_kkt_oracle():
         costs = rng.uniform(-10.0, 10.0, size=size)
         total = 0.0 if trial % 10 == 0 else float(rng.uniform(0.0, 20.0))
         rho = float(rng.uniform(0.25, 4.0))
-        g = waterfill(costs, total, rho)
+        # one station owning every cell; costs are the dual scaled by 1/rho
+        dom = make_domain(1, size)
+        one = build_partition(dom, StationSet(dom, np.arange(1)))
+        constraints = volume_constraints(one, AggregateObservations([total]))
+        g = volume_projection(constraints, np.zeros(size), costs / rho)
         g_ref, obj_ref = qp_patch_oracle(costs, total, rho)
         obj = 0.5 * rho * float(g @ g) + float(costs @ g)
         worst_sol = max(worst_sol, float(np.abs(g - g_ref).max()))

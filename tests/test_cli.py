@@ -522,6 +522,9 @@ def test_negative_field_cell_exits_one(workflow_dir, capsys):
     # finite values whose sum overflows
     overflow = workflow_dir / "overflow.csv"
     overflow.write_text("row,col,value\n0,0,1e308\n0,1,1e308\n1,0,1\n1,1,1\n")
+    # each patch's volume is finite, but not their total, which the manifest records
+    diagonal = workflow_dir / "diagonal.csv"
+    diagonal.write_text("row,col,value\n0,0,1e308\n0,1,1\n1,0,1\n1,1,1e308\n")
     corners = workflow_dir / "corners.csv"
     corners.write_text("station_id,row,col\n0,0,0\n1,1,1\n")
     cases = [
@@ -531,6 +534,8 @@ def test_negative_field_cell_exits_one(workflow_dir, capsys):
         (["stations", "--field", overflow, "--stations", 2], "field total inf overflows"),
         (["aggregate", "--field", overflow, "--stations-csv", corners],
          "volumes must be finite"),
+        (["aggregate", "--field", diagonal, "--stations-csv", corners],
+         "volume total inf overflows"),
         (["recover", "--truth", overflow, "--stations", 2, "--method", "pe"],
          "field total inf overflows"),
     ]
@@ -568,7 +573,7 @@ def test_plot_refuses_non_finite_values(workflow_dir, capsys):
 
 
 def test_pe_only_recover_builds_no_mesh(workflow_dir, monkeypatch):
-    from csmooth import cli
+    from csmooth import fem
 
     built = []
 
@@ -576,8 +581,8 @@ def test_pe_only_recover_builds_no_mesh(workflow_dir, monkeypatch):
         built.append(tri)
         return real_assemble(tri)
 
-    real_assemble = cli.assemble
-    monkeypatch.setattr(cli, "assemble", assemble)
+    real_assemble = fem.assemble
+    monkeypatch.setattr(fem, "assemble", assemble)
     truth = workflow_dir / "synth" / "truth.csv"
     base = ["recover", "--truth", truth, "--stations", 5]
     assert run([*base, "--method", "pe", "--out", workflow_dir / "pe"]) == 0

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csmooth import make_domain
-from csmooth.fem import assemble, triangulate
+from csmooth.errors import ShapeMismatch
+from csmooth.fem import assemble, mesh_for, triangulate
 from csmooth.smoother import SsrSolver
 from oracles import interior_edges, roughness_oracle
 
@@ -163,6 +164,20 @@ def test_assembly_deterministic():
     b = assemble(triangulate(d))
     assert np.array_equal(a.edge_jump.toarray(), b.edge_jump.toarray())
     assert np.array_equal(a.edge_length, b.edge_length)
+
+
+
+def test_mesh_for_keeps_a_mesh_of_the_grid_and_builds_one_otherwise():
+    d = make_domain(3, 4, np.arange(12) != 5)
+    fem = assemble(triangulate(d))
+    # the same grid given as another domain object
+    assert mesh_for(make_domain(3, 4, np.arange(12) != 5), fem) is fem
+    built = mesh_for(d)
+    assert built.tri.domain is d
+    assert np.array_equal(built.edge_jump.toarray(), fem.edge_jump.toarray())
+    # a 4 x 3 grid has as many cells, but it is another grid
+    with pytest.raises(ShapeMismatch, match="^mesh is defined on a different domain$"):
+        mesh_for(make_domain(4, 3, np.arange(12) != 5), fem)
 
 
 # J of the 3x3 grid with its center masked: one row per interior edge in

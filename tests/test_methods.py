@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from csmooth.admm import AdmmConfig, css_recover
-from csmooth.benchmark import EnsembleSpec, compare_methods, mean_mre, win_fraction
+from csmooth.benchmark import EnsembleSpec, compare_methods, mean_mre, run_seed, win_fraction
 from csmooth.domain import CovariateMatrix, SpatialField, make_domain
 from csmooth.errors import ConfigError, NoEvaluableCells, ShapeMismatch
 from csmooth.fem import assemble, triangulate
@@ -62,7 +62,7 @@ def test_method_spec_validation():
 def test_volume_count_must_match_stations(problem, method, m, monkeypatch):
     dom, truth, part, vols, cov, fem = problem
     # the count is checked before a mesh is built
-    monkeypatch.setattr("csmooth.methods.assemble", None)
+    monkeypatch.setattr("csmooth.fem.assemble", None)
     with pytest.raises(ShapeMismatch, match=f"^{m} volumes for 6 stations$"):
         run_method_full(MethodSpec(method), part, AggregateObservations(vols.values[:m]), cov)
 
@@ -179,6 +179,22 @@ def test_compare_methods_needs_a_seed():
         compare_methods(spec, (), (PE,))
     with pytest.raises(ConfigError, match="needs spec.beta"):
         compare_methods(spec, (0,), (PE, CSS_FEATURES))
+
+
+def test_run_seed_uses_the_mesh_it_is_given(monkeypatch):
+    # a mesh on the spec's grid is used as it is; one on another grid is
+    # refused, not replaced by a mesh built for the seed
+    spec = EnsembleSpec(n_rows=8, n_cols=8, n_stations=5)
+    same = assemble(triangulate(make_domain(8, 8)))
+    other = assemble(triangulate(make_domain(8, 9)))
+
+    def never(*args, **kwargs):
+        raise AssertionError("a mesh was built for the seed")
+
+    monkeypatch.setattr("csmooth.fem.assemble", never)
+    assert run_seed(spec, 0, (PE_SSR2,), same).mre(PE_SSR2) > 0
+    with pytest.raises(ShapeMismatch, match="^mesh is defined on a different domain$"):
+        run_seed(spec, 0, (PE, PE_SSR2), other)
 
 
 def test_ensemble_summaries():

@@ -454,3 +454,18 @@ def test_eval_checks_domain(fem6):
         np.testing.assert_allclose(field.values, 1.0, rtol=0, atol=1e-6)
         with pytest.raises(ShapeMismatch):
             run_method_full(MethodSpec(method), part, vols, cov, other)
+
+
+def test_residual_check_holds_where_the_squared_norms_overflow(fem6, rng, monkeypatch):
+    # targets near 1e160 put rhs @ rhs past the float range; the check then
+    # measures both norms over rhs's scale, so the right coefficients pass
+    # and coefficients off by one part in a million still fail
+    h = rng.uniform(1.0, 2.0, 36) * 1e160
+    solver = SsrSolver(fem6, 1.0)
+    with np.errstate(over="ignore"):  # the roughness overflows at this scale
+        scaled = SsrSolver(fem6, 1.0).solve(h / 1e160).fitted
+        np.testing.assert_allclose(solver.solve(h).fitted, scaled * 1e160, rtol=1e-12)
+        exact = solver._solve
+        monkeypatch.setattr(solver, "_solve", lambda rhs: exact(rhs) * (1 + 1e-6))
+        with pytest.raises(NumericalFailure, match="smoothing solve residual 1.000e-06 exceeds"):
+            solver.solve(h)

@@ -1,9 +1,12 @@
 """SVG rendering: structure, determinism, color ramp anchors, text escaping."""
+import re
 from xml.dom import minidom
 
 import numpy as np
+import pytest
 
 from csmooth.domain import SpatialField, make_domain
+from csmooth.errors import ConfigError
 from csmooth.svgplot import _RAMP, _ramp_colors, render_bars_svg, render_cdf_svg, render_field_svg
 
 
@@ -111,3 +114,22 @@ def test_all_zero_charts_scale_to_one(tmp_path):
             assert shown[1:] == ["perfect", "0.0", "also", "0.0"]
             widths = [r.getAttribute("width") for r in doc.getElementsByTagName("rect")]
             assert widths[1:] == ["0", "0"]
+
+
+def test_charts_refuse_values_they_cannot_draw(tmp_path):
+    # an infinite error level would scale every coordinate to nan, and a nan
+    # mre would give its bar a nan width: each is refused, naming its series
+    # or bar, and no file is written
+    inf, nan = float("inf"), float("nan")
+    cases = [
+        (lambda p: render_cdf_svg([("a", [0.1, inf], [0.5, 1.0])], p), "cdf series 'a'"),
+        (lambda p: render_cdf_svg([("b", [0.1, 0.2], [0.5, nan])], p), "cdf series 'b'"),
+        (lambda p: render_cdf_svg([("c", [0.1], [1.0])], p, x_max=inf), "x_max inf"),
+        (lambda p: render_bars_svg(["pe", "css"], [nan, 2.0], p), "bar 'pe' has value nan"),
+        (lambda p: render_bars_svg(["pe", "css"], [1.0, inf], p), "bar 'css' has value inf"),
+    ]
+    for k, (render, named) in enumerate(cases):
+        path = tmp_path / f"{k}.svg"
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            render(path)
+        assert not path.exists()
