@@ -145,22 +145,20 @@ class VolumeConstraints:
 
 def volume_constraints(partition: Partition, volumes: AggregateObservations) -> VolumeConstraints:
     """Each patch's volume as css enforces it; ShapeMismatch if the volumes
-    do not match the stations one to one, InfeasibleVolume if a patch holds
-    no cell or a volume is negative."""
+    do not match the stations one to one, InfeasibleVolume if a volume is
+    negative. The partition has already checked that every patch holds a
+    cell, and its ``patch_sizes`` set the Newton pass cap."""
     if volumes.m != partition.m:
         raise ShapeMismatch(f"{volumes.m} volumes for {partition.m} stations")
-    cell_patch, observed = partition.station_of_cell, volumes.values
-    sizes = np.bincount(cell_patch, minlength=observed.size)
-    if not sizes.all():
-        raise InfeasibleVolume(f"patch {int(np.argmin(sizes))} holds no cell")
+    observed = volumes.values
     if (observed < 0).any():
         raise InfeasibleVolume(f"patch volume {observed.min()} is negative")
     filled = observed > 0
     return VolumeConstraints(
-        cell_patch=cell_patch,
+        cell_patch=partition.station_of_cell,
         totals=np.where(filled, observed, -np.inf),
         filled=filled,
-        passes=int(sizes.max()) + 2,
+        passes=int(partition.patch_sizes.max()) + 2,
         observed=observed,
         scale=float(np.abs(observed).max(initial=0.0)),
     )

@@ -11,13 +11,14 @@ total is measured over one patch, and css enforces it on that same patch.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .domain import GridDomain, SpatialField, _check_same_domain, _frozen
 from .errors import (
+    ConfigError,
     DegenerateField,
     InfeasibleVolume,
     InsufficientSupport,
@@ -72,6 +73,8 @@ def sample_stations(f: SpatialField, m: int, seed: int) -> StationSet:
     and with it every pick, is the one that deleting the drawn cell would
     give.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     v = f.values
     if v.size and v.min() < 0:
         raise DegenerateField("field has a negative value; station sampling weights "
@@ -110,18 +113,37 @@ def sample_stations(f: SpatialField, m: int, seed: int) -> StationSet:
 class Partition:
     """Assignment of cells to station patches.
 
-    A cell is tied between the stations whose integer squared distance
-    equals its minimum exactly; ``station_of_cell`` gives it to the one
-    whose cell comes first in row-major order, one station per cell, so the
-    patches do not depend on the order the stations are listed in.
-    ``patch_sizes`` are the integer cell counts of the patches, summing to
-    n, and ``has_ties`` records whether any cell was tied.
+    ``station_of_cell`` labels each active cell with its patch, one integer
+    in 0..m-1 per cell; a label array of another length, dtype or range is a
+    ShapeMismatch and a patch with no cell an InfeasibleVolume, both raised
+    when the partition is built. The labels are kept as a read-only int64
+    copy, and ``patch_sizes``, the integer cell counts of the patches
+    summing to n, is derived from them rather than given, so the two cannot
+    disagree. ``has_ties`` records whether any cell was tied (see
+    ``build_partition``).
     """
 
     stations: StationSet
-    patch_sizes: np.ndarray
     station_of_cell: np.ndarray
     has_ties: bool
+    patch_sizes: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        labels, n, m = np.asarray(self.station_of_cell), self.domain.n, self.m
+        if labels.shape != (n,):
+            raise ShapeMismatch(f"{labels.size} patch labels in shape {labels.shape} "
+                                f"for {n} active cells")
+        if labels.dtype.kind not in "iu":
+            raise ShapeMismatch(f"patch labels must be integers, got dtype {labels.dtype}")
+        if labels.min() < 0 or labels.max() >= m:
+            raise ShapeMismatch(f"patch labels must lie in 0..{m - 1}, got "
+                                f"{labels.min()}..{labels.max()}")
+        labels = labels.astype(np.int64)
+        sizes = np.bincount(labels, minlength=m)
+        if not sizes.all():
+            raise InfeasibleVolume(f"patch {int(np.argmin(sizes))} holds no cell")
+        object.__setattr__(self, "station_of_cell", _frozen(labels))
+        object.__setattr__(self, "patch_sizes", _frozen(sizes))
 
     @property
     def domain(self) -> GridDomain:
@@ -147,6 +169,15 @@ class Partition:
 
 
 def build_partition(domain: GridDomain, stations: StationSet) -> Partition:
+    """Nearest-station patches: each cell goes to the station closest to it.
+
+    A cell is tied between the stations whose integer squared distance
+    equals its minimum exactly; it goes to the one whose cell comes first in
+    row-major order, one station per cell, so the patches do not depend on
+    the order the stations are listed in. Every station's own cell is
+    nearest to it, so no patch is empty. The labels and the tie flag go to
+    the ``Partition`` constructor, which checks them and counts the patches.
+    """
     _check_same_domain(domain, stations.domain, "station set")
     cells = domain.cells
     # stations ranked by cell, so a tie goes to the first cell, not list slot
@@ -163,12 +194,7 @@ def build_partition(domain: GridDomain, stations: StationSet) -> Partition:
         station_of_cell[lo:lo + step] = order[np.argmax(tied, axis=1)]
         # a row holding more than its one nearest station is a tied cell
         has_ties = has_ties or np.count_nonzero(tied) > tied.shape[0]
-    return Partition(
-        stations=stations,
-        patch_sizes=_frozen(np.bincount(station_of_cell, minlength=m)),
-        station_of_cell=_frozen(station_of_cell),
-        has_ties=bool(has_ties),
-    )
+    return Partition(stations, station_of_cell, bool(has_ties))
 
 
 @dataclass(frozen=True, eq=False)

@@ -190,14 +190,20 @@ class SsrSolver:
         # the upper band in LAPACK's layout, filled by index (see
         # fem.SystemPattern); Fortran order, so the factor overwrites it in place
         u = pattern.bandwidth
-        band = np.zeros((u + 1) * n_v)
-        band[pattern.band_index] = system[pattern.upper]
-        band = band.reshape((u + 1, n_v), order="F")
         try:
+            band = np.zeros((u + 1) * n_v)
+            band[pattern.band_index] = system[pattern.upper]
+            band = band.reshape((u + 1, n_v), order="F")
             self._chol = scipy.linalg.cholesky_banded(band, overwrite_ab=True,
                                                       check_finite=False)
         except np.linalg.LinAlgError:  # a pivot that is not positive
             ratio = 0.0
+        except MemoryError as exc:
+            # the band grows as n^1.5 with the cells (ROADMAP item 14)
+            raise NumericalFailure(
+                f"the smoothing system's band of {(u + 1) * n_v * 8 / 2**20:.0f} MiB "
+                f"({u + 1} x {n_v}) does not fit in memory"
+            ) from exc
         else:
             pivots = self._chol[u] ** 2
             ratio = pivots.min() / pivots.max()

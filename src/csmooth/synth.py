@@ -46,6 +46,8 @@ class SynthSpec:
         for what, values in numbers.items():
             if not all(map(math.isfinite, values)):
                 raise ConfigError(f"{what} must be finite, got {', '.join(map(repr, values))}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.bumps < 0:
             raise ConfigError("bump count cannot be negative")
         if self.amp_range[0] < 0 or self.amp_range[1] < self.amp_range[0]:

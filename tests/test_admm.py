@@ -132,12 +132,12 @@ def test_volume_projection_checks_station_count():
     part = build_partition(dom, StationSet(dom, np.array([0])))
     with pytest.raises(ShapeMismatch, match="^2 volumes for 1 stations$"):
         volume_constraints(part, AggregateObservations([1.0, 2.0]))
-    # build_partition always leaves a station its own cell, so empty
-    # station 1's binary patch by hand
+    # build_partition always leaves a station its own cell, and a partition
+    # that empties station 1's patch is refused when it is built, before
+    # any constraint set can read it
     part = build_partition(dom, StationSet(dom, np.array([0, 1])))
-    part = dataclasses.replace(part, station_of_cell=np.zeros(4, dtype=np.int64))
     with pytest.raises(InfeasibleVolume, match="patch 1 holds no cell"):
-        volume_constraints(part, AggregateObservations([1.0, 2.0]))
+        dataclasses.replace(part, station_of_cell=np.zeros(4, dtype=np.int64))
 
 
 def lexsort_waterfill(
@@ -186,8 +186,7 @@ def test_newton_waterfill_matches_lexsort(rng, m):
     totals[::5] = 0.0
     # a one-row grid of unit cells, so the volumes are the densities
     dom = make_domain(1, n)
-    part = Partition(StationSet(dom, np.arange(m)), np.bincount(station_of_cell),
-                     station_of_cell, has_ties=False)
+    part = Partition(StationSet(dom, np.arange(m)), station_of_cell, has_ties=False)
     constraints = volume_constraints(part, AggregateObservations(totals))
     for rho in (0.5, 1.7):
         # costs / rho = dual - 0 with the dual scaled by 1/rho
@@ -272,8 +271,7 @@ def test_warm_projection_matches_cold(data, sizes, start):
     totals = np.array(data.draw(st.lists(
         st.just(0.0) | st.floats(0.01, 20), min_size=len(sizes), max_size=len(sizes))))
     dom = make_domain(1, cell_patch.size)
-    part = Partition(StationSet(dom, np.arange(len(sizes))), np.array(sizes), cell_patch,
-                     has_ties=False)
+    part = Partition(StationSet(dom, np.arange(len(sizes))), cell_patch, has_ties=False)
     constraints = volume_constraints(part, AggregateObservations(totals))
     cold_level = np.full(len(sizes), np.inf)
     cold = volume_projection(constraints, np.zeros(dom.n), costs, cold_level)
@@ -296,8 +294,7 @@ def test_warm_projection_matches_cold(data, sizes, start):
 def test_newton_pass_cap_raises():
     # a cap that cannot hold the passes a cold start takes is a typed error
     dom = make_domain(1, 4)
-    part = Partition(StationSet(dom, np.arange(1)), np.array([4]), np.zeros(4, dtype=np.int64),
-                     has_ties=False)
+    part = Partition(StationSet(dom, np.arange(1)), np.zeros(4, dtype=np.int64), has_ties=False)
     constraints = dataclasses.replace(
         volume_constraints(part, AggregateObservations([1.0])), passes=1
     )
@@ -561,9 +558,9 @@ def test_infeasible_volumes_fail_before_factoring(monkeypatch):
     monkeypatch.setattr("csmooth.fem.assemble", never)
     monkeypatch.setattr("csmooth.admm.SsrSolver", never)
     dom, truth, part, vols = make_problem(4, 4, 3, seed=1)
-    emptied = dataclasses.replace(part, station_of_cell=np.zeros(dom.n, dtype=np.int64))
+    # a partition with an empty patch is refused before css can be called
     with pytest.raises(InfeasibleVolume, match="patch 1 holds no cell"):
-        css_recover(emptied, vols)
+        dataclasses.replace(part, station_of_cell=np.zeros(dom.n, dtype=np.int64))
     with pytest.raises(ShapeMismatch, match="^2 volumes for 3 stations$"):
         css_recover(part, AggregateObservations(np.ones(2)))
     negative = AggregateObservations(np.array([1.0, 2.0, 3.0]))

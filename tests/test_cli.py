@@ -318,6 +318,24 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["synth", "--rows", 4, "--cols", 4, "--seed", -2],
+    ["stations", "--field", "synth/truth.csv", "--stations", 3, "--seed", -1],
+    ["recover", "--truth", "synth/truth.csv", "--stations", 3, "--method", "pe", "--seed", -1],
+], ids=["synth", "stations", "recover"])
+def test_negative_seed_is_a_usage_error(workflow_dir, capsys, args):
+    # numpy refuses a negative seed with a ValueError of its own; the
+    # command refuses it first, as a usage error on one line
+    capsys.readouterr()
+    out = workflow_dir / "negative-seed"
+    args = [workflow_dir / a if str(a).endswith(".csv") else a for a in args]
+    assert run([*args, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1, err
+    assert "seed must be nonnegative" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_bad_floor_and_tol_exit_two(tmp_path, capsys):
     truth = tmp_path / "truth.csv"
     write_field_csv(SpatialField(make_domain(1, 3), np.array([1.0, 0.0, 2.0])), truth)

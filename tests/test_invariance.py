@@ -2,6 +2,7 @@
 
 Each property maps the inputs, recovers with the same method, and compares
 the estimates bit for bit: listing the stations in another order (their
+totals carried along), renumbering the patches of a partition (stations and
 totals carried along), and padding the grid with inactive rows and columns.
 Transposing the grid or turning it by half a turn renumbers the cells, so
 the sums run in another order: those estimates agree to 1e-9 of the field
@@ -87,6 +88,27 @@ def test_estimates_ignore_the_station_listing_order(problem, seed):
         _same(listed, relisted)
 
 
+@given(problems(), st.integers(0, 2**32 - 1))
+@example(_TIED, 0)
+@settings(max_examples=30)
+def test_estimates_ignore_the_patch_labels(problem, seed):
+    domain, cells, truth, covariates = problem
+    part = build_partition(domain, StationSet(domain, cells))
+    volumes = aggregate(part, SpatialField(domain, truth)).values
+    # new label k names old patch old[k], the reverse where a shuffle keeps
+    # every label; each patch carries its station and its total along
+    old = np.random.default_rng(seed).permutation(cells.size)
+    if (old == np.arange(cells.size)).all():
+        old = old[::-1]
+    relabeled = Partition(StationSet(domain, part.stations.cells[old]),
+                          np.argsort(old)[part.station_of_cell], part.has_ties)
+    for method in ALL_METHODS:
+        labeled = _recover(method, domain, None, None, covariates,
+                           AggregateObservations(volumes), part=part)
+        _same(labeled, _recover(method, domain, None, None, covariates,
+                                AggregateObservations(volumes[old]), part=relabeled))
+
+
 @given(problems(), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
 @settings(max_examples=30)
 def test_estimates_ignore_inactive_padding(problem, top, bottom, left, right):
@@ -125,12 +147,8 @@ def test_estimates_follow_a_transpose_and_a_half_turn(problem):
         old = mapped[mapped >= 0]
         # the patches are carried through the map, not rebuilt, so a tied
         # cell stays with its station
-        mapped_part = Partition(
-            stations=StationSet(mapped_domain, np.argsort(old)[cells]),
-            patch_sizes=part.patch_sizes,
-            station_of_cell=part.station_of_cell[old],
-            has_ties=part.has_ties,
-        )
+        mapped_part = Partition(StationSet(mapped_domain, np.argsort(old)[cells]),
+                                part.station_of_cell[old], part.has_ties)
         for method in methods:
             expected = unmapped[method]
             got = _recover(method, mapped_domain, None, None, covariates[old], volumes,

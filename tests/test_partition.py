@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from csmooth import (
     AggregateObservations,
+    ConfigError,
     DegenerateField,
     InfeasibleVolume,
     InsufficientSupport,
@@ -67,6 +69,44 @@ def test_single_station_owns_everything():
     p = build_partition(d, StationSet(d, [7]))
     assert p.patch_sizes[0] == d.n
     assert (p.station_of_cell == 0).all()
+
+
+def test_hand_built_partition_checks_its_labels_and_counts_its_patches():
+    # two stations on a 2x2 grid: every malformed label array is refused
+    # when the partition is built, not by the first method that reads it
+    d = make_domain(2, 2)
+    stations = StationSet(d, [0, 3])
+    labels = np.array([0, 0, 1, 1])
+    p = partition.Partition(stations, labels, has_ties=False)
+    np.testing.assert_array_equal(p.patch_sizes, [2, 2])
+    assert p.station_of_cell.dtype == np.int64
+    assert not p.station_of_cell.flags.writeable and not p.patch_sizes.flags.writeable
+    # the labels are copied: a later write to the caller's array moves nothing
+    labels[0] = 1
+    np.testing.assert_array_equal(p.station_of_cell, [0, 0, 1, 1])
+    # the sizes are derived, so no count that disagrees with the labels is taken
+    with pytest.raises(TypeError):
+        partition.Partition(stations, [0, 1, 1, 1], False, patch_sizes=np.array([3, 1]))
+    with pytest.raises(ShapeMismatch, match="patch labels must lie in 0..1, got 0..2"):
+        partition.Partition(stations, [0, 1, 2, 1], False)
+    with pytest.raises(ShapeMismatch, match="must lie in 0..1, got -1..1"):
+        partition.Partition(stations, [0, -1, 1, 1], False)
+    with pytest.raises(ShapeMismatch, match="must be integers, got dtype float64"):
+        partition.Partition(stations, [0.0, 0.0, 1.0, 1.0], False)
+    with pytest.raises(ShapeMismatch, match="must be integers, got dtype bool"):
+        partition.Partition(stations, [False, False, True, True], False)
+    with pytest.raises(ShapeMismatch, match="3 patch labels in shape .* for 4 active cells"):
+        partition.Partition(stations, [0, 0, 1], False)
+    with pytest.raises(ShapeMismatch, match="4 patch labels in shape \\(2, 2\\)"):
+        partition.Partition(stations, [[0, 0], [1, 1]], False)
+    with pytest.raises(InfeasibleVolume, match="^patch 1 holds no cell$"):
+        partition.Partition(stations, [0, 0, 0, 0], False)
+    # dataclasses.replace builds through the same checks
+    with pytest.raises(InfeasibleVolume, match="^patch 0 holds no cell$"):
+        dataclasses.replace(p, station_of_cell=np.ones(4, dtype=np.int64))
+    relabeled = dataclasses.replace(p, station_of_cell=np.array([1, 1, 1, 0], dtype=np.int32))
+    np.testing.assert_array_equal(relabeled.patch_sizes, [1, 3])
+    assert relabeled.station_of_cell.dtype == np.int64
 
 
 def test_aggregate_examples():
@@ -251,6 +291,8 @@ def test_sampling_errors():
         sample_stations(SpatialField(d, [1.0, 0.0, 0.0]), 2, seed=0)
     with pytest.raises(ShapeMismatch):
         sample_stations(SpatialField(d, np.ones(3)), 0, seed=0)
+    with pytest.raises(ConfigError, match="seed must be nonnegative, got -1"):
+        sample_stations(SpatialField(d, np.ones(3)), 1, seed=-1)
 
 
 def test_sampling_frequency_tracks_field_mass():

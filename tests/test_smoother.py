@@ -233,6 +233,23 @@ def test_failed_cholesky_is_a_singular_system(fem6, monkeypatch):
     assert failed
 
 
+def test_band_past_memory_is_a_typed_error(fem6, monkeypatch):
+    # a band the machine cannot hold is named by its size and shape, not
+    # left to surface as numpy's MemoryError
+    u, n_v = fem6.system_pattern.bandwidth, fem6.n_vertices
+    zeros = np.zeros
+
+    def refuse_the_band(shape, *args, **kwargs):
+        if shape == (u + 1) * n_v:
+            raise MemoryError(f"Unable to allocate an array with shape ({shape},)")
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", refuse_the_band)
+    with pytest.raises(NumericalFailure,
+                       match=re.escape(f"band of 0 MiB ({u + 1} x {n_v}) does not fit")):
+        SsrSolver(fem6, 1.0)
+
+
 def test_wide_masked_grid_matches_dense(rng):
     # more columns than rows, with a hole
     dom = make_domain(3, 7, np.arange(21) != 10)

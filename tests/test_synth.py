@@ -74,6 +74,8 @@ def test_spec_validation():
         SynthSpec(4, 4, beta=())
     with pytest.raises(ConfigError):
         SynthSpec(4, 4, beta=(1.0, 2.0), covariate_blocks=0)
+    with pytest.raises(ConfigError, match="seed must be nonnegative, got -2"):
+        SynthSpec(4, 4, seed=-2)
 
 
 def test_covariate_blocks_may_not_outnumber_the_cells():
