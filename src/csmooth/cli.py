@@ -137,18 +137,17 @@ def _cmd_recover(inputs: dict, params: dict, out: Path) -> dict:
         truth = read_field_csv(inputs["truth"])
         domain = truth.domain
         stations = sample_stations(truth, int(params["stations"]), seed=int(params["seed"]))
-        part = build_partition(domain, stations)
-        volumes = aggregate(part, truth)
     else:
         if not (inputs.get("domain") and inputs.get("stations") and inputs.get("aggregates")):
             raise ConfigError("recover needs either --truth with --stations <count>, "
                               "or --domain, --stations-csv, and --aggregates")
         if params.get("stations") is not None:
             raise ConfigError("--stations <count> is for --truth mode; drop it or --stations-csv")
+        truth = None
         domain = read_field_csv(inputs["domain"]).domain
         stations = read_stations_csv(inputs["stations"], domain)
-        part = build_partition(domain, stations)
-        volumes = read_aggregates_csv(inputs["aggregates"])
+    part = build_partition(domain, stations)
+    volumes = read_aggregates_csv(inputs["aggregates"]) if truth is None else aggregate(part, truth)
 
     covariates = None
     if inputs.get("features") is not None:
@@ -177,24 +176,19 @@ def _cmd_recover(inputs: dict, params: dict, out: Path) -> dict:
         name = f"estimate_{m}.csv"
         write_field_csv(est, out / name)
         outputs.append(name)
-        if res is not None:
-            diag = f"diagnostics_{m}.csv"
-            write_diagnostics_csv(res, out / diag)
-            outputs.append(diag)
-            results[m] = {
-                "iterations": res.iterations,
-                "converged": res.converged,
-                "constraint_max_violation": res.constraint_violation,
-            }
-            print(f"wrote {out / name} (iterations={res.iterations}, "
-                  f"converged={res.converged})")
-        else:
-            results[m] = {
-                "iterations": None,
-                "converged": None,
-                "constraint_max_violation": None,
-            }
+        if res is None:   # pe and the pe-ssr fits run no sweeps
+            results[m] = dict.fromkeys(("iterations", "converged", "constraint_max_violation"))
             print(f"wrote {out / name}")
+            continue
+        diag = f"diagnostics_{m}.csv"
+        write_diagnostics_csv(res, out / diag)
+        outputs.append(diag)
+        results[m] = {
+            "iterations": res.iterations,
+            "converged": res.converged,
+            "constraint_max_violation": res.constraint_violation,
+        }
+        print(f"wrote {out / name} (iterations={res.iterations}, converged={res.converged})")
     return {"outputs": outputs, "results": results}
 
 
@@ -214,10 +208,7 @@ def _cmd_evaluate(inputs: dict, params: dict, out: Path) -> dict:
         print(f"{label}: mre={rep.mre!r} excluded={rep.excluded}")
     write_report_csv(reports, out / "report.csv")
     outputs.insert(0, "report.csv")
-    return {
-        "outputs": outputs,
-        "results": {rep.method: rep.mre for rep in reports},
-    }
+    return {"outputs": outputs, "results": {rep.method: rep.mre for rep in reports}}
 
 
 _HANDLERS = {
@@ -233,11 +224,15 @@ _HANDLERS = {
 def _output_dir(out: Path):
     """Create ``out`` for a command's outputs; if the command fails, remove what this created.
 
-    A directory that already existed is left as it is.
+    A directory that already existed is left as it is; an ``out`` that
+    cannot be a directory (it or a parent is a file) is a ConfigError.
     """
     created = next((d for d in reversed((out, *out.parents)) if not d.exists()), None)
-    out.mkdir(parents=True, exist_ok=True)
     try:
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out {out} cannot be a directory: {exc.strerror}") from exc
         yield out
     except BaseException:
         if created is not None:
@@ -330,9 +325,7 @@ def _rerun_manifest(command: str, manifest_path: str, out: str | None) -> int:
     manifest = read_manifest(manifest_path)
     stored = manifest.get("command")
     if stored != command:
-        raise ConfigError(
-            f"manifest {manifest_path} records command '{stored}', not '{command}'"
-        )
+        raise ConfigError(f"manifest {manifest_path} records command '{stored}', not '{command}'")
     for key in ("inputs", "params"):
         if not isinstance(manifest.get(key), dict):
             raise SchemaError(f"{manifest_path}: missing '{key}' object")
@@ -393,12 +386,8 @@ def _cmd_plot(args) -> int:
             render_cdf_svg(series, out / "cdf.svg", title=args.title or "error cdf")
             print(f"wrote {out / 'cdf.svg'}")
         if rows:
-            render_bars_svg(
-                [r[0] for r in rows],
-                [r[2] for r in rows],
-                out / "report.svg",
-                title=args.title or "mean relative error",
-            )
+            render_bars_svg([r[0] for r in rows], [r[2] for r in rows], out / "report.svg",
+                            title=args.title or "mean relative error")
             print(f"wrote {out / 'report.svg'}")
     return 0
 
@@ -409,9 +398,7 @@ def _estimate_arg(text: str) -> tuple[str, str]:
     if "=" in text:
         label, path = text.split("=", 1)
     else:
-        path = text
-        label = Path(text).stem
-        label = label.removeprefix("estimate_")
+        label, path = Path(text).stem.removeprefix("estimate_"), text
     if not label:
         raise argparse.ArgumentTypeError(f"empty estimate label in {text!r}")
     if _has_separator(label):

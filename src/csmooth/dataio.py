@@ -507,9 +507,10 @@ def write_manifest(manifest: dict, path: str | Path) -> None:
 
 def read_manifest(path: str | Path) -> dict:
     try:
-        with open(path) as handle:
+        # JSON text is UTF-8 (RFC 8259), whatever the locale
+        with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise SchemaError(f"cannot read manifest {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise SchemaError(f"{path}: manifest must be a JSON object")

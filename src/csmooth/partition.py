@@ -25,9 +25,7 @@ from .errors import (
     ShapeMismatch,
 )
 
-# Cell-station pairs whose distances are held at once: cells are assigned a
-# block at a time, so memory grows with the number of cells, not with cells
-# times stations.
+# Cell-site pairs whose distances ``_nearest_site`` holds at once
 _BLOCK_PAIRS = 1 << 16
 
 
@@ -168,6 +166,26 @@ class Partition:
         )
 
 
+def _nearest_site(cells: np.ndarray, sites: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Index in ``sites`` of each cell's nearest site, and whether any cell was tied.
+
+    Both hold integer (row, col) pairs, so squared distances tie exactly; a
+    tied cell goes to the site listed first. Taking ``_BLOCK_PAIRS``
+    cell-site pairs at a time keeps memory linear in the cells."""
+    srow, scol = sites.T
+    step = max(1, _BLOCK_PAIRS // srow.size)
+    nearest = np.empty(len(cells), dtype=np.int64)
+    has_ties = False
+    for lo in range(0, len(cells), step):
+        r, c = cells[lo:lo + step].T
+        d2 = (r[:, None] - srow) ** 2 + (c[:, None] - scol) ** 2
+        tied = d2 == d2.min(axis=1, keepdims=True)
+        nearest[lo:lo + step] = np.argmax(tied, axis=1)
+        # a row holding more than its one nearest site is a tied cell
+        has_ties = has_ties or np.count_nonzero(tied) > tied.shape[0]
+    return nearest, bool(has_ties)
+
+
 def build_partition(domain: GridDomain, stations: StationSet) -> Partition:
     """Nearest-station patches: each cell goes to the station closest to it.
 
@@ -175,26 +193,15 @@ def build_partition(domain: GridDomain, stations: StationSet) -> Partition:
     equals its minimum exactly; it goes to the one whose cell comes first in
     row-major order, one station per cell, so the patches do not depend on
     the order the stations are listed in. Every station's own cell is
-    nearest to it, so no patch is empty. The labels and the tie flag go to
-    the ``Partition`` constructor, which checks them and counts the patches.
+    nearest to it, so no patch is empty. The labels (``_nearest_site``'s,
+    in memory linear in the cells) and the tie flag go to the ``Partition``
+    constructor, which checks them and counts the patches.
     """
     _check_same_domain(domain, stations.domain, "station set")
-    cells = domain.cells
     # stations ranked by cell, so a tie goes to the first cell, not list slot
     order = np.argsort(stations.cells)
-    srow, scol = cells[stations.cells[order]].T
-    n, m = domain.n, stations.m
-    step = max(1, _BLOCK_PAIRS // m)
-    station_of_cell = np.empty(n, dtype=np.int64)
-    has_ties = False
-    for lo in range(0, n, step):
-        r, c = cells[lo:lo + step].T
-        d2 = (r[:, None] - srow) ** 2 + (c[:, None] - scol) ** 2
-        tied = d2 == d2.min(axis=1, keepdims=True)
-        station_of_cell[lo:lo + step] = order[np.argmax(tied, axis=1)]
-        # a row holding more than its one nearest station is a tied cell
-        has_ties = has_ties or np.count_nonzero(tied) > tied.shape[0]
-    return Partition(stations, station_of_cell, bool(has_ties))
+    nearest, has_ties = _nearest_site(domain.cells, domain.cells[stations.cells[order]])
+    return Partition(stations, order[nearest], has_ties)
 
 
 @dataclass(frozen=True, eq=False)

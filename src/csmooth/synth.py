@@ -20,6 +20,7 @@ import numpy as np
 
 from .domain import MAX_GRID_CELLS, CovariateMatrix, SpatialField, make_domain
 from .errors import ConfigError
+from .partition import _nearest_site
 
 
 @dataclass(frozen=True)
@@ -68,6 +69,10 @@ class SynthSpec:
 
 @np.errstate(over="ignore")  # an overflowing total is the typed error below
 def generate_field(spec: SynthSpec) -> tuple[SpatialField, CovariateMatrix | None]:
+    """The truth field of ``spec`` and its covariates (None without ``beta``).
+
+    A blocky column gives each cell the level of its nearest anchor, the first
+    drawn on a tie, by ``partition._nearest_site`` in memory linear in the cells."""
     domain = make_domain(spec.n_rows, spec.n_cols)
     rng = np.random.default_rng(spec.seed)
     centers = domain.centers
@@ -86,10 +91,9 @@ def generate_field(spec: SynthSpec) -> tuple[SpatialField, CovariateMatrix | Non
         w = np.empty((domain.n, q))
         w[:, 0] = 1.0
         for j in range(1, q):
-            anchors = centers[rng.choice(domain.n, size=spec.covariate_blocks, replace=False)]
+            anchors = domain.cells[rng.choice(domain.n, size=spec.covariate_blocks, replace=False)]
             levels = rng.uniform(0.05, 1.0, size=spec.covariate_blocks)
-            d2 = ((centers[:, None, :] - anchors[None, :, :]) ** 2).sum(axis=2)
-            w[:, j] = levels[np.argmin(d2, axis=1)]
+            w[:, j] = levels[_nearest_site(domain.cells, anchors)[0]]
         names = tuple(f"x{j}" for j in range(q))
         covariates = CovariateMatrix(domain, w, names)
         values += w @ np.asarray(spec.beta, dtype=float)

@@ -628,3 +628,34 @@ def test_unreadable_csv_exits_two(workflow_dir, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}:{message}"), err
         assert not (workflow_dir / "unreadable").exists()
+
+
+def test_manifest_that_is_not_utf8_exits_two(workflow_dir, capsys):
+    """JSON is UTF-8 text: other bytes are a schema error, not a decode traceback."""
+    manifest = workflow_dir / "utf16.json"
+    manifest.write_bytes(b"\xff\xfe" + (workflow_dir / "synth" / "manifest.json").read_bytes())
+    out = workflow_dir / "replay"
+    capsys.readouterr()
+    assert run(["synth", "--from-manifest", manifest, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read manifest {manifest}: 'utf-8' codec"), err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["synth", "--rows", 4, "--cols", 4],
+    ["plot", "--field", "synth/truth.csv"],
+    ["synth", "--from-manifest", "synth/manifest.json"],
+], ids=["synth", "plot", "replay"])
+@pytest.mark.parametrize("out", ["afile", "afile/sub"], ids=["file", "under-a-file"])
+def test_out_that_cannot_be_a_directory_is_a_usage_error(workflow_dir, capsys, args, out):
+    afile = workflow_dir / "afile"
+    afile.write_bytes(b"kept as it is\n")
+    args = [workflow_dir / a if str(a).startswith("synth/") else a for a in args]
+    capsys.readouterr()
+    assert run([*args, "--out", workflow_dir / out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --out {workflow_dir / out} cannot be a directory"), err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert afile.read_bytes() == b"kept as it is\n"

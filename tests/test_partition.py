@@ -236,6 +236,32 @@ def test_block_size_does_not_change_the_partition(monkeypatch, block_pairs):
     np.testing.assert_array_equal(whole.station_of_cell, blocked.station_of_cell)
 
 
+@given(
+    n_rows=st.integers(1, 12),
+    n_cols=st.integers(1, 12),
+    m=st.integers(1, 8),
+    seed=st.integers(0, 10_000),
+)
+def test_nearest_site_matches_a_per_cell_argmin(n_rows, n_cols, m, seed):
+    rng = np.random.default_rng(seed)
+    mask = rng.random(n_rows * n_cols) < 0.85
+    mask[rng.integers(mask.size)] = True
+    cells = make_domain(n_rows, n_cols, mask).cells
+    # each site comes with its mirror image through an active cell, which
+    # ties between the two; a zero offset lists one site twice
+    pivots = cells[rng.integers(len(cells), size=m)]
+    offsets = rng.integers(-3, 4, size=(m, 2))
+    sites = rng.permutation(np.concatenate([pivots + offsets, pivots - offsets]))
+    for listed in (sites, sites[::-1]):
+        nearest, has_ties = partition._nearest_site(cells, listed)
+        tied = False
+        for j, cell in enumerate(cells):
+            d2 = ((listed - cell) ** 2).sum(axis=1)
+            assert nearest[j] == np.argmin(d2)
+            tied = tied or np.count_nonzero(d2 == d2.min()) > 1
+        assert has_ties == tied
+
+
 def test_partition_memory_is_linear_in_cells():
     # 200 x 200 cells and 800 stations: a dense cells x stations distance
     # table alone takes 244 MiB; the blocked build stays within 32 MiB

@@ -1,8 +1,10 @@
 """Synthetic field generation: reproducibility and composition."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from csmooth import dataio, synth
+from csmooth import dataio, partition, synth
 from csmooth.errors import ConfigError
 from csmooth.synth import SynthSpec, generate_field
 
@@ -86,6 +88,31 @@ def test_covariate_blocks_may_not_outnumber_the_cells():
     assert cov.values.shape == (4, 2)
     # an intercept alone draws no blocks, so their count is not checked
     generate_field(SynthSpec(2, 2, beta=(1.0,), covariate_blocks=5))
+
+
+@pytest.mark.parametrize("block_pairs", [8, 24, 40])
+def test_block_size_does_not_change_the_covariates(monkeypatch, block_pairs):
+    # anchors are assigned 1, 3 and 5 cells at a time against all at once
+    spec = SynthSpec(9, 11, bumps=1, beta=(1.0, 2.0, 0.5), covariate_blocks=8, seed=6)
+    whole = generate_field(spec)
+    monkeypatch.setattr(partition, "_BLOCK_PAIRS", block_pairs)
+    blocked = generate_field(spec)
+    np.testing.assert_array_equal(whole[1].values, blocked[1].values)
+    np.testing.assert_array_equal(whole[0].values, blocked[0].values)
+
+
+def test_covariate_memory_is_linear_in_cells():
+    # 200 x 200 cells and 800 blocks: a dense cells x anchors x 2 table of
+    # offsets alone takes 488 MiB; the blocked assignment stays within 32 MiB
+    spec = SynthSpec(200, 200, beta=(1.0, 2.0), covariate_blocks=800, seed=7)
+    tracemalloc.start()
+    try:
+        _, cov = generate_field(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.unique(cov.values[:, 1]).size == 800
+    assert peak <= 32 * 2**20, f"generate_field peaked at {peak / 2**20:.0f} MiB"
 
 
 @pytest.mark.parametrize("spec", [
