@@ -168,16 +168,16 @@ def volume_projection(
     constraints: VolumeConstraints,
     field: np.ndarray,
     dual: np.ndarray,
-    level: np.ndarray | None = None,
+    level: np.ndarray,
 ) -> np.ndarray:
     """Exact g-step: per-patch water-filling against costs dual - field, the
     dual scaled by 1/rho. Newton starts from ``level``, each patch's water
     level from an earlier projection, and overwrites it with the new levels.
-    Without it, or from +inf, every cell starts active: the first step is
-    then the one from max cost + total / size, a cold start."""
+    From +inf every cell starts active: the first step is then the one from
+    max cost + total / size, a cold start."""
     p, m = constraints.cell_patch, constraints.totals.size
     costs = dual - field
-    nu = level = np.full(m, np.inf) if level is None else level
+    nu = level
     active = floor = None
     for _ in range(constraints.passes):
         at = nu[p]

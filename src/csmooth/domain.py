@@ -161,10 +161,6 @@ class CovariateMatrix:
         object.__setattr__(self, "values", _frozen(w))
         object.__setattr__(self, "names", tuple(self.names))
 
-    @property
-    def q(self) -> int:
-        return self.values.shape[1]
-
     def standardized(self) -> "CovariateMatrix":
         """Columns rescaled to zero mean and unit variance.
 

@@ -3,22 +3,25 @@
 Each active cell, the unit square of the domain's grid, is split into two
 right triangles along the same diagonal (lower-left to upper-right);
 vertices are the cell corners shared between neighbors, corner (r, c) at
-(x, y) = (c, r). Vertices are numbered diagonal by diagonal, in
-ascending r - c of the corner (r, c), and by row within a diagonal. A
-cell's split diagonal then lies on one diagonal and its other two corners
-on the two neighboring ones, so two triangles that share an edge have all
-their vertices within two diagonals of corners. That keeps the smoother's
-system in a band of half-width at most 2 (short side + 1) + 1; on a round
-mask, whose diagonals hold about 1/sqrt(2) as many corners as its rows, the
-band is about 1/sqrt(2) as wide as numbering row by row would make it. On
-this mesh we assemble, for linear barycentric elements:
+(x, y) = (c, r). The mesh is one row of vertex ids per active cell, its
+lower-left, lower-right, upper-left and upper-right corners
+(``Triangulation.corners``): ``assemble`` builds every matrix from them, and
+the smoother reads each cell's (ll, ur) pair there. Vertices are numbered
+diagonal by diagonal, in ascending r - c of the corner (r, c), and by row
+within a diagonal. A cell's split diagonal then lies on one diagonal and its
+other two corners on the two neighboring ones, so two triangles that share
+an edge have all their vertices within two diagonals of corners. That keeps
+the smoother's system in a band of half-width at most 2 (short side + 1)
++ 1; on a round mask, whose diagonals hold about 1/sqrt(2) as many corners
+as its rows, the band is about 1/sqrt(2) as wide as numbering row by row
+would make it. On this mesh we assemble, for linear barycentric elements:
 
   * the evaluation matrix Psi with one row per active cell giving the
     surface at its center: the center is the midpoint of the split
     diagonal, so each row holds exactly 1/2 at the cell's lower-left and
     upper-right corners and nothing else,
-  * the roughness operator: for each interior edge e shared by triangles
-    T1 < T2, row e of J is |e| times the jump of the surface's normal
+  * the roughness operator: for each interior edge e shared by two
+    triangles, row e of J is |e| times the jump of the surface's normal
     derivative across e, and edge_length holds |e|. All triangles are one
     unit right triangle, so J has three fixed stencils (see ``assemble``):
     a cell's diagonal, its side shared with the cell to its right, and
@@ -53,13 +56,15 @@ if TYPE_CHECKING:
 class Triangulation:
     """Mesh of a grid domain.
 
-    Active cell i owns triangles 2i = (ll, lr, ur), below its diagonal, and
-    2i+1 = (ll, ur, ul), above it, named by the cell's corners.
+    Row i of ``corners`` holds the vertex ids of active cell i's lower-left,
+    lower-right, upper-left and upper-right corners. The cell's two
+    triangles are (ll, lr, ur), below its diagonal, and (ll, ur, ul), above
+    it, both positively oriented; the package never lists them.
     """
 
     domain: GridDomain
     vertices: np.ndarray        # (n_v, 2) coordinates
-    triangles: np.ndarray       # (n_t, 3) vertex indices, positive orientation
+    corners: np.ndarray         # (n, 4) vertex ids (ll, lr, ul, ur) per active cell
 
     @property
     def n_vertices(self) -> int:
@@ -67,16 +72,16 @@ class Triangulation:
 
     @property
     def n_triangles(self) -> int:
-        return self.triangles.shape[0]
+        return 2 * self.corners.shape[0]
 
 
 def triangulate(domain: GridDomain) -> Triangulation:
     nr, nc = domain.n_rows, domain.n_cols
+    # the row and column of each cell's ll, lr, ul and ur corner
+    rows = domain.cells[:, :1] + np.array([0, 0, 1, 1])
+    cols = domain.cells[:, 1:] + np.array([0, 1, 0, 1])
     corner_used = np.zeros((nr + 1, nc + 1), dtype=bool)
-    rows, cols = domain.cells[:, 0], domain.cells[:, 1]
-    for dr in (0, 1):
-        for dc in (0, 1):
-            corner_used[rows + dr, cols + dc] = True
+    corner_used[rows, cols] = True
 
     # number the corners diagonal by diagonal (r - c ascending, then by row):
     # only a cell's ul-lr coupling spans two diagonals, which bounds the
@@ -88,18 +93,8 @@ def triangulate(domain: GridDomain) -> Triangulation:
     vertex_id[corner_row, corner_col] = np.arange(corner_row.size)
     vertices = np.column_stack([corner_col, corner_row]).astype(float)
 
-    ll = vertex_id[rows, cols]
-    lr = vertex_id[rows, cols + 1]
-    ul = vertex_id[rows + 1, cols]
-    ur = vertex_id[rows + 1, cols + 1]
-    triangles = np.empty((2 * domain.n, 3), dtype=np.int64)
-    triangles[0::2] = np.column_stack([ll, lr, ur])   # below the diagonal
-    triangles[1::2] = np.column_stack([ll, ur, ul])   # above the diagonal
-    return Triangulation(
-        domain=domain,
-        vertices=_frozen(vertices),
-        triangles=_frozen(triangles),
-    )
+    return Triangulation(domain=domain, vertices=_frozen(vertices),
+                         corners=_frozen(vertex_id[rows, cols]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,7 +148,7 @@ class FemSystem:
         rows = np.repeat(np.arange(n_v, dtype=np.int64), np.diff(r.indptr))
         cols = r.indices.astype(np.int64)
         keys = rows * n_v + cols
-        ll, ur = self.basis_eval.indices.reshape(-1, 2).T.astype(np.int64)
+        ll, _, _, ur = self.tri.corners.T
         cell_keys = np.column_stack([ll * n_v + ll, ll * n_v + ur, ur * n_v + ll, ur * n_v + ur])
         cell_entries = np.searchsorted(keys, cell_keys)
         if not (keys.take(cell_entries, mode="clip") == cell_keys).all():
@@ -198,12 +193,10 @@ def assemble(tri: Triangulation) -> FemSystem:
     import scipy.sparse as sp
 
     n, n_v = tri.domain.n, tri.n_vertices
-    t = tri.triangles
-    ll, lr, ur = t[0::2].T
-    ul = t[1::2, 2]
+    ll, lr, ul, ur = tri.corners.T
     # cell i's center is the midpoint of its ll-ur diagonal
     psi = sp.csr_matrix(
-        (np.full(2 * n, 0.5), t[0::2, 0::2].ravel(), np.arange(0, 2 * n + 1, 2)),
+        (np.full(2 * n, 0.5), np.column_stack([ll, ur]).ravel(), np.arange(0, 2 * n + 1, 2)),
         shape=(n, n_v),
     )
 
@@ -218,16 +211,16 @@ def assemble(tri: Triangulation) -> FemSystem:
         b = cell_at[end]
         a = np.flatnonzero(b >= 0)
         stencils.append(np.column_stack([ll[a], end[a], ur[a], ur[b[a]]]))
-    corners = np.concatenate(stencils)
+    stencil = np.concatenate(stencils)
     # rows in ascending (lower end, higher end); the first n stencils are diagonals
-    ends = np.sort(corners[:, 1:3], axis=1)
+    ends = np.sort(stencil[:, 1:3], axis=1)
     order = np.argsort(ends[:, 0] * n_v + ends[:, 1])
     diagonal = order < n
     # a row is (1, -1, -1, 1) on its stencil, times 2 across a diagonal and
     # -1 across a side; the penalty squares it, so its sign only has to be fixed
     values = np.where(diagonal, 2.0, -1.0)[:, None] * np.array([1.0, -1.0, -1.0, 1.0])
     edge_jump = sp.csr_matrix(
-        (values.ravel(), corners[order].ravel(), np.arange(0, 4 * order.size + 1, 4)),
+        (values.ravel(), stencil[order].ravel(), np.arange(0, 4 * order.size + 1, 4)),
         shape=(order.size, n_v),
     )
     edge_jump.sort_indices()  # columns ascending in a row

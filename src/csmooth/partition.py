@@ -52,10 +52,6 @@ class StationSet:
     def m(self) -> int:
         return self.cells.size
 
-    @property
-    def positions(self) -> np.ndarray:
-        return self.domain.centers[self.cells]
-
 
 @np.errstate(over="ignore")  # an overflowing total is the typed error below
 def sample_stations(f: SpatialField, m: int, seed: int) -> StationSet:

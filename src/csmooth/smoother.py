@@ -90,6 +90,9 @@ from .errors import CollinearCovariates, ConfigError, NumericalFailure, ShapeMis
 from .fem import FemSystem
 
 _RESIDUAL_TOL = 1e-8
+# the residual check divides by max|h| above this: the entries of Psi_d'h
+# are at most max|h|, and their squares overflow from about 1e154
+_RESCALE_ABOVE = 1e100
 # eigenvalues of W'(W - S W) below this fraction of the largest eigenvalue
 # of W'W count as zero: those directions are affine at the data cells. The
 # scale is W'W, not the system itself, so an all-affine W (a system that is
@@ -157,9 +160,9 @@ class SsrSolver:
         entries = pattern.cell_entries[idx]
         psi, jump, r = fem.basis_eval, fem.edge_jump, fem.roughness_matrix
         n_v = fem.n_vertices
-        # Psi_d': data cell k holds 1/2 at its two corners, so row v lists
-        # the data cells with a corner at v, in ascending order
-        corners = psi.indices.reshape(-1, 2)[idx].ravel()
+        # Psi_d': data cell k holds 1/2 at its ll and ur corners, so row v
+        # lists the data cells with such a corner at v, in ascending order
+        corners = fem.tri.corners[idx, ::3].ravel()
         self._psi_data_t = sp.csr_matrix(
             (np.full(corners.size, 0.5), np.argsort(corners, kind="stable") // 2,
              np.concatenate([[0], np.cumsum(np.bincount(corners, minlength=n_v))])),
@@ -255,7 +258,8 @@ class SsrSolver:
         n_data = self.subset.size
         if h.size != n_data:
             raise ShapeMismatch(f"{h.size} targets for {n_data} data cells")
-        if not np.isfinite(h).all():
+        h_max = np.abs(h).max()
+        if not math.isfinite(h_max):
             raise ShapeMismatch("targets must be finite")
 
         rhs = self._psi_data_t @ h
@@ -275,12 +279,9 @@ class SsrSolver:
 
         # sqrt(x @ x) is exactly what np.linalg.norm computes for a real vector
         r = products[self._system_rows] - rhs
-        rr, bb = float(r @ r), float(rhs @ rhs)
-        if not math.isfinite(rr + bb):  # a square overflows past ~1e154: rescale by max|rhs|
-            with np.errstate(all="ignore"):  # a ratio still inf or nan fails below
-                s = np.abs(rhs).max()
-                rr, bb = float((r / s) @ (r / s)), float((rhs / s) @ (rhs / s))
-        residual = math.sqrt(rr) / max(math.sqrt(bb), 1e-30)
+        if h_max > _RESCALE_ABOVE:
+            r, rhs = r / h_max, rhs / h_max
+        residual = math.sqrt(float(r @ r)) / max(math.sqrt(float(rhs @ rhs)), 1e-30)
         if not residual <= _RESIDUAL_TOL:
             raise NumericalFailure(
                 f"smoothing solve residual {residual:.3e} exceeds {_RESIDUAL_TOL}"

@@ -89,6 +89,18 @@ def plane_gradient(coords: np.ndarray, values: np.ndarray) -> np.ndarray:
     return sol[:2]
 
 
+def cell_triangles(corners) -> np.ndarray:
+    """Each cell's two triangles: (ll, lr, ur) below its diagonal, (ll, ur, ul) above it.
+
+    ``corners`` holds one row (ll, lr, ul, ur) of vertex ids per cell; cell i
+    owns triangles 2i and 2i + 1.
+    """
+    triangles = []
+    for ll, lr, ul, ur in np.asarray(corners):
+        triangles += [(ll, lr, ur), (ll, ur, ul)]
+    return np.array(triangles, dtype=np.int64).reshape(-1, 3)
+
+
 def interior_edges(triangles) -> dict[tuple[int, int], list[int]]:
     """Each edge two triangles share, as (lower vertex, higher vertex): its two triangles.
 

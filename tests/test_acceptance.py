@@ -179,7 +179,7 @@ def test_criterion_2_projection_matches_kkt_oracle():
         dom = make_domain(1, size)
         one = build_partition(dom, StationSet(dom, np.arange(1)))
         constraints = volume_constraints(one, AggregateObservations([total]))
-        g = volume_projection(constraints, np.zeros(size), costs / rho)
+        g = volume_projection(constraints, np.zeros(size), costs / rho, np.full(1, np.inf))
         g_ref, obj_ref = qp_patch_oracle(costs, total, rho)
         obj = 0.5 * rho * float(g @ g) + float(costs @ g)
         worst_sol = max(worst_sol, float(np.abs(g - g_ref).max()))

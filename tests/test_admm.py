@@ -46,7 +46,7 @@ def waterfill(costs, total: float, rho: float) -> np.ndarray:
     dom = make_domain(1, c.size)
     part = build_partition(dom, StationSet(dom, np.arange(1)))
     return volume_projection(volume_constraints(part, AggregateObservations([total])),
-                             np.zeros(c.size), c / rho)
+                             np.zeros(c.size), c / rho, np.full(1, np.inf))
 
 
 def test_waterfill_worked_example():
@@ -114,7 +114,8 @@ def test_volume_projection_matches_patchwise_oracle(rng):
         zero = np.isin(part.station_of_cell, np.flatnonzero(vols.values == 0))
         field[zero], dual[zero] = 0.0, 0.7
         # the projection reads the dual scaled by 1/rho
-        g = volume_projection(volume_constraints(part, vols), field, dual / rho)
+        g = volume_projection(volume_constraints(part, vols), field, dual / rho,
+                              np.full(part.m, np.inf))
         costs = dual - rho * field
         patches = [np.flatnonzero(part.station_of_cell == i) for i in range(part.m)]
         g_ref = constrained_qp_field_oracle(patches, costs, vols.values, rho)
@@ -190,7 +191,7 @@ def test_newton_waterfill_matches_lexsort(rng, m):
     constraints = volume_constraints(part, AggregateObservations(totals))
     for rho in (0.5, 1.7):
         # costs / rho = dual - 0 with the dual scaled by 1/rho
-        g = volume_projection(constraints, np.zeros(n), costs / rho)
+        g = volume_projection(constraints, np.zeros(n), costs / rho, np.full(totals.size, np.inf))
         g_ref = lexsort_waterfill(costs, station_of_cell, totals, rho)
         np.testing.assert_allclose(g, g_ref, rtol=0, atol=1e-12 * g_ref.max())
         assert (g[totals[station_of_cell] == 0] == 0.0).all()
@@ -299,7 +300,8 @@ def test_newton_pass_cap_raises():
         volume_constraints(part, AggregateObservations([1.0])), passes=1
     )
     with pytest.raises(NumericalFailure, match="did not settle within 1 Newton passes"):
-        volume_projection(constraints, np.zeros(4), np.array([0.0, 1.0, 2.0, 3.0]))
+        volume_projection(constraints, np.zeros(4), np.array([0.0, 1.0, 2.0, 3.0]),
+                          np.full(1, np.inf))
 
 
 @pytest.mark.parametrize("with_covariates", [False, True])
@@ -507,8 +509,8 @@ def test_constraints_project_each_volume_set_independently(rng):
     for constraints, (volumes, rho) in zip(sets, runs):
         fresh = volume_constraints(build_partition(dom, part.stations), volumes)
         np.testing.assert_array_equal(
-            volume_projection(constraints, field, dual / rho),
-            volume_projection(fresh, field, dual / rho),
+            volume_projection(constraints, field, dual / rho, np.full(part.m, np.inf)),
+            volume_projection(fresh, field, dual / rho, np.full(part.m, np.inf)),
         )
 
 
@@ -518,7 +520,7 @@ def test_constraint_check_is_relative_in_any_unit_of_volume(unit):
     # whatever the unit of volume, volumes below 1 included
     dom, truth, part, vols = make_problem(10, 10, 8, seed=3)
     constraints = volume_constraints(part, AggregateObservations(vols.values * unit))
-    g = volume_projection(constraints, np.zeros(dom.n), np.zeros(dom.n))
+    g = volume_projection(constraints, np.zeros(dom.n), np.zeros(dom.n), np.full(part.m, np.inf))
     assert csmooth.admm._check_constraints(constraints, g) <= 1e-12
     with pytest.raises(NumericalFailure, match="violated its constraints"):
         csmooth.admm._check_constraints(constraints, g * (1 + 1e-6))
@@ -529,7 +531,8 @@ def test_constraint_check_with_every_volume_zero(rng):
     dom, truth, part, vols = make_problem(6, 6, 4, seed=3)
     zero = AggregateObservations(np.zeros(part.m))
     constraints = volume_constraints(part, zero)
-    g = volume_projection(constraints, rng.normal(size=dom.n), rng.normal(size=dom.n))
+    g = volume_projection(constraints, rng.normal(size=dom.n), rng.normal(size=dom.n),
+                          np.full(part.m, np.inf))
     assert not g.any() and csmooth.admm._check_constraints(constraints, g) == 0.0
     g[5] = 1e-300
     with pytest.raises(NumericalFailure, match="violated its constraints"):

@@ -455,6 +455,16 @@ def test_label_with_path_separator_is_a_usage_error(workflow_dir, capsys):
     assert "path separator" in capsys.readouterr().err
 
 
+def test_empty_estimate_label_is_a_usage_error(workflow_dir, capsys):
+    truth = workflow_dir / "synth" / "truth.csv"
+    ev = workflow_dir / "ev"
+    with pytest.raises(SystemExit) as exc:
+        run(["evaluate", "--truth", truth, "--estimate", f"={truth}", "--out", ev])
+    assert exc.value.code == 2
+    assert "empty estimate label" in capsys.readouterr().err
+    assert not ev.exists()
+
+
 def test_non_finite_inputs_exit_two(workflow_dir, capsys):
     bad_field = workflow_dir / "bad_field.csv"
     lines = (workflow_dir / "synth" / "truth.csv").read_text().splitlines()

@@ -77,7 +77,7 @@ def test_covariates_validated():
     d = make_domain(2, 2)
     w = np.column_stack([np.ones(4), np.arange(4.0)])
     cov = CovariateMatrix(d, w, ("intercept", "trend"))
-    assert cov.q == 2
+    assert cov.values.shape == (4, 2)
     with pytest.raises(ShapeMismatch):
         CovariateMatrix(d, w, ("only_one",))
     with pytest.raises(ShapeMismatch):
@@ -86,6 +86,11 @@ def test_covariates_validated():
         CovariateMatrix(d, w[:3], ("a", "b"))
     with pytest.raises(DegenerateCovariate):
         CovariateMatrix(d, np.zeros((4, 1)), ("dead",))
+    with pytest.raises(ShapeMismatch, match="at least one column"):
+        CovariateMatrix(d, np.zeros((4, 0)), ())
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            CovariateMatrix(d, np.column_stack([np.ones(4), [1.0, bad, 2.0, 3.0]]), ("a", "b"))
 
 
 def test_standardized_centers_and_scales():

@@ -7,7 +7,7 @@ from csmooth import make_domain
 from csmooth.errors import ShapeMismatch
 from csmooth.fem import assemble, mesh_for, triangulate
 from csmooth.smoother import SsrSolver
-from oracles import interior_edges, roughness_oracle
+from oracles import cell_triangles, interior_edges, roughness_oracle
 
 
 def test_mesh_counts():
@@ -19,9 +19,20 @@ def test_mesh_counts():
     assert (ell.n_vertices, ell.n_triangles) == (8, 6)
 
 
+def test_corners_are_each_cells_lower_left_lower_right_upper_left_upper_right():
+    domain = make_domain(3, 4, np.arange(12) != 6)
+    tri = triangulate(domain)
+    assert tri.corners.shape == (domain.n, 4)
+    assert not tri.corners.flags.writeable
+    # vertex (x, y) sits at corner (row, col) = (y, x)
+    at = tri.vertices[tri.corners][..., ::-1] - domain.cells[:, None, :]
+    assert np.array_equal(at, np.broadcast_to([[0, 0], [0, 1], [1, 0], [1, 1]], at.shape))
+    assert np.array_equal(np.unique(tri.corners), np.arange(tri.n_vertices))
+
+
 def test_triangles_positively_oriented_and_cover_cells():
     tri = triangulate(make_domain(3, 4))
-    p = tri.vertices[tri.triangles]
+    p = tri.vertices[cell_triangles(tri.corners)]
     cross = (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1]) - (
         p[:, 1, 1] - p[:, 0, 1]
     ) * (p[:, 2, 0] - p[:, 0, 0])
@@ -80,14 +91,15 @@ def test_roughness_form_matches_brute_force(domain, seed):
     rng = np.random.default_rng(seed)
     tri = triangulate(domain)
     fem = assemble(tri)
-    edges = interior_edges(tri.triangles)
+    triangles = cell_triangles(tri.corners)
+    edges = interior_edges(triangles)
     assert fem.n_edges == len(edges)
     lengths = [np.hypot(*(tri.vertices[b] - tri.vertices[a])) for a, b in edges]
     assert np.array_equal(np.sort(fem.edge_length), np.sort(lengths))
     c = rng.normal(size=tri.n_vertices)
     jumps = fem.edge_jump @ c
     form = float(jumps @ (jumps / fem.edge_length))
-    want = roughness_oracle(tri.vertices, tri.triangles, c)
+    want = roughness_oracle(tri.vertices, triangles, c)
     assert form == pytest.approx(want, rel=1e-10, abs=1e-12)
     assert fem.roughness_matrix @ c == pytest.approx(
         fem.edge_jump.T @ (jumps / fem.edge_length), rel=1e-12
@@ -143,7 +155,7 @@ def test_band_bound_holds_on_any_mask(domain):
     # the penalty cancels no entry and stores every cell's four Psi'Psi keys
     r = fem.roughness_matrix
     assert (r.data != 0).all()
-    ll, ur = fem.basis_eval.indices.reshape(-1, 2).T
+    ll, _, _, ur = fem.tri.corners.T
     for i, j in ((ll, ll), (ll, ur), (ur, ll), (ur, ur)):
         assert (np.asarray(r[i, j]).ravel() != 0).all()
 
@@ -211,7 +223,7 @@ def test_edge_matrix_frozen_values():
     # (the edge normal turns with the edge)
     x, y = fem.tri.vertices.T
     row_major = (y * 4 + x).astype(np.int64)
-    t = fem.tri.triangles
+    t = cell_triangles(fem.tri.corners)
     pairs = np.sort(t[:, [[0, 1], [1, 2], [2, 0]]], axis=2).reshape(-1, 2)
     ends, counts = np.unique(pairs, axis=0, return_counts=True)
     a, b = row_major[ends[counts == 2]].T

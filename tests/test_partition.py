@@ -33,7 +33,7 @@ def test_station_set_invariants():
     d = line_domain(4)
     s = StationSet(d, [0, 3])
     assert s.m == 2
-    np.testing.assert_allclose(s.positions, [[0.5, 0.5], [3.5, 0.5]])
+    np.testing.assert_array_equal(s.cells, [0, 3])
     with pytest.raises(ShapeMismatch):
         StationSet(d, [])
     with pytest.raises(ShapeMismatch):

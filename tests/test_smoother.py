@@ -1,5 +1,6 @@
 """Penalized surface fitting against dense reference solves."""
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -344,7 +345,7 @@ def test_system_pattern_refuses_a_penalty_that_cancels_a_psi_term():
     # term there and the mesh has no pattern
     tri = triangulate(make_domain(1, 1))
     psi = assemble(tri).basis_eval
-    ll, ur = psi.indices
+    ll, _, _, ur = tri.corners[0]
     jump = sp.csr_matrix(np.array([[1.0 if v in (ll, ur) else 0.0 for v in range(4)],
                                    [1.0 if v == ll else -1.0 if v == ur else 0.0
                                     for v in range(4)]]))
@@ -473,10 +474,22 @@ def test_eval_checks_domain(fem6):
             run_method_full(MethodSpec(method), part, vols, cov, other)
 
 
+def test_targets_near_1e154_fit_without_a_warning(fem6, rng):
+    # rhs @ rhs would overflow here; the check measures both norms over
+    # max|h| before it squares them, and the roughness, 1.73e307, is a float
+    h = rng.uniform(1.0, 2.0, 36)
+    unit = SsrSolver(fem6, 1.0).solve(h)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = SsrSolver(fem6, 1.0).solve(h * 1e154)
+    np.testing.assert_allclose(model.fitted, unit.fitted * 1e154, rtol=1e-12)
+    assert model.roughness == pytest.approx(unit.roughness * 1e308, rel=1e-12)
+
+
 def test_residual_check_holds_where_the_squared_norms_overflow(fem6, rng, monkeypatch):
     # targets near 1e160 put rhs @ rhs past the float range; the check then
-    # measures both norms over rhs's scale, so the right coefficients pass
-    # and coefficients off by one part in a million still fail
+    # measures both norms over max|h|, so the right coefficients pass and
+    # coefficients off by one part in a million still fail
     h = rng.uniform(1.0, 2.0, 36) * 1e160
     solver = SsrSolver(fem6, 1.0)
     with np.errstate(over="ignore"):  # the roughness overflows at this scale
