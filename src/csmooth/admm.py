@@ -174,7 +174,8 @@ def volume_projection(
     dual scaled by 1/rho. Newton starts from ``level``, each patch's water
     level from an earlier projection, and overwrites it with the new levels.
     From +inf every cell starts active: the first step is then the one from
-    max cost + total / size, a cold start."""
+    max cost + total / size, a cold start. ``field`` and ``dual`` must be
+    finite: a NaN cost gives NaN cells."""
     p, m = constraints.cell_patch, constraints.totals.size
     costs = dual - field
     nu = level
@@ -227,7 +228,8 @@ def _check_constraints(vc: VolumeConstraints, g: np.ndarray) -> float:
     sums = np.bincount(vc.cell_patch, weights=g, minlength=vc.totals.size)
     gap = float(np.abs(sums - vc.observed).max(initial=0.0))
     viol = gap / vc.scale if vc.scale else (np.inf if gap else 0.0)
-    if (g.size and g.min() < -1e-12) or viol > _CONSTRAINT_TOL:
+    # written so that a NaN cell or sum fails both tests
+    if (g.size and not g.min() >= -1e-12) or not viol <= _CONSTRAINT_TOL:
         raise NumericalFailure(
             f"volume projection violated its constraints (violation {viol:.3e}, "
             f"min {g.min():.3e})"

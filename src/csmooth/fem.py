@@ -5,8 +5,11 @@ right triangles along the same diagonal (lower-left to upper-right);
 vertices are the cell corners shared between neighbors, corner (r, c) at
 (x, y) = (c, r). The mesh is one row of vertex ids per active cell, its
 lower-left, lower-right, upper-left and upper-right corners
-(``Triangulation.corners``): ``assemble`` builds every matrix from them, and
-the smoother reads each cell's (ll, ur) pair there. Vertices are numbered
+(``Triangulation.corners``): ``assemble`` builds every matrix from them.
+Which corners Psi reads, and with what weight, is stated once here
+(``_PSI_CORNERS``, ``_PSI_WEIGHT``); ``assemble`` builds Psi from it and
+``FemSystem.system_pattern`` places and weighs each cell's Psi'Psi terms
+from it, so the smoother takes both from the mesh. Vertices are numbered
 diagonal by diagonal, in ascending r - c of the corner (r, c), and by row
 within a diagonal. A cell's split diagonal then lies on one diagonal and its
 other two corners on the two neighboring ones, so two triangles that share
@@ -50,6 +53,10 @@ from .errors import ShapeMismatch
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
+
+# Psi reads a cell's surface at its center, the midpoint of its ll-ur
+# diagonal: _PSI_WEIGHT at these columns of Triangulation.corners
+_PSI_CORNERS, _PSI_WEIGHT = [0, 3], 0.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,7 +114,7 @@ class FemSystem:
     """
 
     tri: Triangulation
-    basis_eval: sp.csr_matrix  # (n, n_v) 1/2 at each cell's ll and ur corner
+    basis_eval: sp.csr_matrix  # (n, n_v) _PSI_WEIGHT at each cell's _PSI_CORNERS
     edge_jump: sp.csr_matrix   # (n_e, n_v) |e| * normal-derivative jump per interior edge
     edge_length: np.ndarray    # (n_e,) length |e| per interior edge
 
@@ -148,8 +155,9 @@ class FemSystem:
         rows = np.repeat(np.arange(n_v, dtype=np.int64), np.diff(r.indptr))
         cols = r.indices.astype(np.int64)
         keys = rows * n_v + cols
-        ll, _, _, ur = self.tri.corners.T
-        cell_keys = np.column_stack([ll * n_v + ll, ll * n_v + ur, ur * n_v + ll, ur * n_v + ur])
+        # each cell's Psi'Psi positions: every ordered pair of its Psi corners
+        psi = self.tri.corners[:, _PSI_CORNERS]
+        cell_keys = (psi[:, :, None] * n_v + psi[:, None, :]).reshape(psi.shape[0], -1)
         cell_entries = np.searchsorted(keys, cell_keys)
         if not (keys.take(cell_entries, mode="clip") == cell_keys).all():
             raise ShapeMismatch("the penalty does not store every cell's Psi'Psi entries")
@@ -162,6 +170,7 @@ class FemSystem:
             upper=_frozen(_narrow(upper, r.nnz)),
             band_index=_frozen(_narrow(band_index, (u + 1) * n_v)),
             bandwidth=u,
+            cell_term=_PSI_WEIGHT ** 2,
         )
 
 
@@ -171,8 +180,9 @@ class SystemPattern:
 
     A system Psi_d'Psi_d + lam * R holds one value per stored entry
     of R = ``FemSystem.roughness_matrix``. ``cell_entries[i]`` are the
-    positions there of active cell i's four Psi'Psi terms, (ll, ll),
-    (ll, ur), (ur, ll) and (ur, ur). The entries at positions ``upper``, all
+    positions there of active cell i's Psi'Psi terms, one per ordered pair
+    of the corners Psi reads, (ll, ll), (ll, ur), (ur, ll) and (ur, ur); a
+    data cell adds ``cell_term`` at each. The entries at positions ``upper``, all
     on or above the diagonal, fill the upper band of half-width
     ``bandwidth`` in LAPACK's layout, entry (i, j) at row bandwidth + i - j
     of column j: flattened in Fortran order, at ``band_index``.
@@ -182,6 +192,7 @@ class SystemPattern:
     upper: np.ndarray
     band_index: np.ndarray
     bandwidth: int
+    cell_term: float
 
 
 def _narrow(index: np.ndarray, bound: int) -> np.ndarray:
@@ -194,11 +205,9 @@ def assemble(tri: Triangulation) -> FemSystem:
 
     n, n_v = tri.domain.n, tri.n_vertices
     ll, lr, ul, ur = tri.corners.T
-    # cell i's center is the midpoint of its ll-ur diagonal
-    psi = sp.csr_matrix(
-        (np.full(2 * n, 0.5), np.column_stack([ll, ur]).ravel(), np.arange(0, 2 * n + 1, 2)),
-        shape=(n, n_v),
-    )
+    at = tri.corners[:, _PSI_CORNERS]  # the vertices Psi reads, one row per cell
+    psi = sp.csr_matrix((np.full(at.size, _PSI_WEIGHT), at.ravel(),
+                         np.arange(0, at.size + 1, at.shape[1])), shape=(n, n_v))
 
     # the interior edges: each cell A's diagonal, and the side A shares with
     # the cell B to its right or above it, the cell whose ll corner is A's

@@ -37,16 +37,18 @@ class StationSet:
     cells: np.ndarray
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.cells, dtype=np.int64).ravel()
+        c = np.asarray(self.cells).ravel()
         if c.size < 1:
             raise ShapeMismatch("at least one station is required")
+        if c.dtype.kind not in "iu":
+            raise ShapeMismatch(f"station cells must be integer indices, got dtype {c.dtype}")
         if c.size > self.domain.n:
             raise ShapeMismatch("more stations than active cells")
         if c.min() < 0 or c.max() >= self.domain.n:
             raise ShapeMismatch("station cell index out of range")
         if np.unique(c).size != c.size:
             raise ShapeMismatch("station cells must be distinct")
-        object.__setattr__(self, "cells", _frozen(c))
+        object.__setattr__(self, "cells", _frozen(c.astype(np.int64, copy=False)))
 
     @property
     def m(self) -> int:

@@ -45,14 +45,16 @@ the finiteness of its result checked on every call. The pivots of
 the factorization are the squares of the factor's diagonal; a pivot that is
 not positive stops the factorization and counts as ratio 0.
 
-A solver is built from values alone. Every system lives on the stored
-pattern of ``FemSystem.roughness_matrix``, which holds each cell's four
-Psi'Psi positions. The mesh keeps, built once and read-only, where those
-positions lie in it and where each entry of the upper band lands in
-LAPACK's layout (``fem.SystemPattern``). A build counts the data cells'
-Psi'Psi terms with one bincount, adds lam R in one scaled add, and fills the
-band and the stacked matrix below by index before the factorization; no
-sparse product, sum or conversion runs.
+A solver is built from values alone, and Psi from the mesh alone: Psi_d'
+is the transpose of Psi's data-cell rows. Every system lives on the stored
+pattern of ``FemSystem.roughness_matrix``, which holds each cell's Psi'Psi
+positions. The mesh keeps, built once and read-only, where those positions
+lie in it, the Psi'Psi term a data cell adds at each, and where each entry
+of the upper band lands in LAPACK's layout (``fem.SystemPattern``). A build
+counts the data cells' Psi'Psi positions with one bincount, scales the
+counts by that term, adds lam R in one scaled add, and fills the band and
+the stacked matrix below by index before the factorization; no sparse
+product, sum or conversion runs.
 
 Write S for the linear map from data-cell targets to fitted surface values
 at the data cells. The coefficients are the partial-spline estimate (Green
@@ -148,29 +150,22 @@ class SsrSolver:
             raise ConfigError(f"smoothing weight lam must be positive, got {lam}")
         self.fem = fem
         pattern = fem.system_pattern
-        if subset is None:
-            idx = np.arange(fem.tri.domain.n)
-        else:
-            idx = np.asarray(subset, dtype=np.int64).ravel()
-            if idx.size == 0 or np.unique(idx).size != idx.size:
-                raise ShapeMismatch("data subset must be nonempty and distinct")
-            if idx.min() < 0 or idx.max() >= fem.tri.domain.n:
-                raise ShapeMismatch("data subset index out of range")
+        n = fem.tri.domain.n
+        idx = np.arange(n) if subset is None else np.asarray(subset).ravel()
+        if idx.size and idx.dtype.kind not in "iu":
+            raise ShapeMismatch(f"data subset indices must be integers, got dtype {idx.dtype}")
+        if idx.size == 0 or (np.diff(np.sort(idx)) == 0).any():
+            raise ShapeMismatch("data subset must be nonempty and distinct")
+        if idx.min() < 0 or idx.max() >= n:
+            raise ShapeMismatch("data subset index out of range")
         self.subset = idx
-        entries = pattern.cell_entries[idx]
         psi, jump, r = fem.basis_eval, fem.edge_jump, fem.roughness_matrix
         n_v = fem.n_vertices
-        # Psi_d': data cell k holds 1/2 at its ll and ur corners, so row v
-        # lists the data cells with such a corner at v, in ascending order
-        corners = fem.tri.corners[idx, ::3].ravel()
-        self._psi_data_t = sp.csr_matrix(
-            (np.full(corners.size, 0.5), np.argsort(corners, kind="stable") // 2,
-             np.concatenate([[0], np.cumsum(np.bincount(corners, minlength=n_v))])),
-            shape=(n_v, idx.size),
-        )
-        # Psi_d'Psi_d + lam * R on R's pattern: each data cell adds
-        # 1/4 to each of its four Psi'Psi entries
-        system = np.bincount(entries.ravel(), minlength=r.nnz) * 0.25
+        self._psi_data_t = psi[idx].T
+        # Psi_d'Psi_d + lam * R on R's pattern: each data cell adds the
+        # mesh's Psi'Psi term at each of its Psi'Psi positions
+        counts = np.bincount(pattern.cell_entries[idx].ravel(), minlength=r.nnz)
+        system = counts * pattern.cell_term
         with np.errstate(over="ignore"):
             system += lam * r.data
         if not np.isfinite(system).all():
@@ -185,7 +180,7 @@ class SsrSolver:
                              r.indptr[1:] + (psi.nnz + jump.nnz)])),
             shape=(psi.shape[0] + jump.shape[0] + n_v, n_v),
         )
-        n, n_e = fem.tri.domain.n, fem.n_edges
+        n_e = fem.n_edges
         self._fit_rows = slice(0, n)
         self._jump_rows = slice(n, n + n_e)
         self._system_rows = slice(n + n_e, None)

@@ -541,6 +541,30 @@ def test_constraint_check_with_every_volume_zero(rng):
     assert not res.estimate.values.any() and res.constraint_violation == 0.0
 
 
+def test_constraint_check_catches_nan():
+    # NaN compares false both ways: a NaN cell or patch sum must fail the check
+    dom, truth, part, vols = make_problem(6, 6, 4, seed=3)
+    constraints = volume_constraints(part, vols)
+    with pytest.raises(NumericalFailure, match="violated its constraints"):
+        csmooth.admm._check_constraints(constraints, np.full(dom.n, np.nan))
+
+
+def test_nan_projection_is_a_numerical_failure(monkeypatch):
+    # a NaN cell from the projection is a numerical fault of css, caught
+    # before the smoothing solve would refuse it as a bad target
+    project = csmooth.admm.volume_projection
+
+    def nan_cell(*args):
+        g = project(*args)
+        g[0] = np.nan
+        return g
+
+    monkeypatch.setattr(csmooth.admm, "volume_projection", nan_cell)
+    dom, truth, part, vols = make_problem(6, 6, 4, seed=3)
+    with pytest.raises(NumericalFailure, match="violated its constraints"):
+        css_recover(part, vols)
+
+
 def test_constraints_keep_volume_checks():
     dom, truth, part, vols = make_problem(4, 4, 3, seed=1)
     with pytest.raises(InfeasibleVolume, match="negative volume -1.0 observed"):

@@ -3,7 +3,14 @@ import numpy as np
 import pytest
 
 from csmooth.admm import AdmmConfig, css_recover
-from csmooth.benchmark import EnsembleSpec, compare_methods, mean_mre, run_seed, win_fraction
+from csmooth.benchmark import (
+    EnsembleSpec,
+    compare_methods,
+    mean_mre,
+    run_pipeline,
+    run_seed,
+    win_fraction,
+)
 from csmooth.domain import CovariateMatrix, SpatialField, make_domain
 from csmooth.errors import ConfigError, NoEvaluableCells, ShapeMismatch
 from csmooth.fem import assemble, triangulate
@@ -195,6 +202,16 @@ def test_run_seed_uses_the_mesh_it_is_given(monkeypatch):
     assert run_seed(spec, 0, (PE_SSR2,), same).mre(PE_SSR2) > 0
     with pytest.raises(ShapeMismatch, match="^mesh is defined on a different domain$"):
         run_seed(spec, 0, (PE, PE_SSR2), other)
+
+
+def test_run_pipeline_runs_every_method_its_inputs_allow(problem):
+    # without covariates css-features cannot run, so the default list is the
+    # other four methods; with covariates it is all five
+    dom, truth, part, vols, cov, fem = problem
+    plain = run_pipeline(truth, n_stations=6, seed=3)
+    assert tuple(plain.results) == (PE, PE_SSR1, PE_SSR2, CSS)
+    with_cov = run_pipeline(truth, covariates=cov, n_stations=6, seed=3)
+    assert tuple(with_cov.results) == (PE, PE_SSR1, PE_SSR2, CSS, CSS_FEATURES)
 
 
 def test_ensemble_summaries():

@@ -34,7 +34,7 @@ def test_station_set_invariants():
     s = StationSet(d, [0, 3])
     assert s.m == 2
     np.testing.assert_array_equal(s.cells, [0, 3])
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ShapeMismatch, match="^at least one station is required$"):
         StationSet(d, [])
     with pytest.raises(ShapeMismatch):
         StationSet(d, [0, 0])
@@ -42,6 +42,13 @@ def test_station_set_invariants():
         StationSet(d, [0, 4])
     with pytest.raises(ShapeMismatch):
         StationSet(d, [0, 1, 2, 3, 3])
+
+
+@pytest.mark.parametrize("cells", [np.array([0.5, 2.7, 3.9]), np.array([True, False, True])])
+def test_station_cells_must_be_integers(cells):
+    # float indices would be truncated and a mask read as 0/1 indices
+    with pytest.raises(ShapeMismatch, match=f"integer indices, got dtype {cells.dtype}"):
+        StationSet(line_domain(4), cells)
 
 
 def test_nearest_assignment_on_a_line():

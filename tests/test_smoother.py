@@ -442,8 +442,9 @@ def test_validation_errors(fem6):
     for lam in (0.0, -1.0, np.inf, np.nan, 1e308):
         with pytest.raises(ConfigError):
             SsrSolver(fem6, lam=lam)
-    with pytest.raises(ShapeMismatch):
-        SsrSolver(fem6, lam=1.0, subset=np.array([], dtype=int))
+    for empty in (np.array([], dtype=int), []):
+        with pytest.raises(ShapeMismatch, match="^data subset must be nonempty and distinct$"):
+            SsrSolver(fem6, lam=1.0, subset=empty)
     with pytest.raises(ShapeMismatch):
         SsrSolver(fem6, lam=1.0, subset=np.array([1, 1]))
     with pytest.raises(ShapeMismatch):
@@ -456,6 +457,32 @@ def test_validation_errors(fem6):
     other = make_domain(3, 12)
     with pytest.raises(ShapeMismatch):
         solver.solve(np.ones(36), CovariateMatrix(other, np.ones((36, 1)), names=("one",)))
+
+
+@pytest.mark.parametrize("subset", [np.array([0.5, 2.7, 9.9]), np.arange(36) % 3 == 0])
+def test_non_integer_subset_is_refused(fem6, subset):
+    # float indices would be truncated and a mask read as 0/1 indices
+    with pytest.raises(ShapeMismatch, match=f"integers, got dtype {subset.dtype}"):
+        SsrSolver(fem6, 1.0, subset=subset)
+
+
+@pytest.mark.parametrize("stub, message", [
+    (lambda chol, rhs, lower: (np.zeros_like(rhs), 1), r"substitution failed \(pbtrs info 1\)"),
+    (lambda chol, rhs, lower: (np.full_like(rhs, np.nan), 0), "non-finite coefficients"),
+], ids=["info", "nan"])
+def test_failed_back_substitution_is_a_numerical_failure(fem6, rng, stub, message):
+    # the check guards the targets' solve and the covariate columns' solve
+    # for c_W alike: the stub fails one of them, and the other is exact
+    cov = CovariateMatrix(fem6.tri.domain, rng.normal(size=(36, 2)), names=("a", "b"))
+    solver = SsrSolver(fem6, 1.0)
+    exact = solver._pbtrs
+    for columns in (False, True):
+        def pbtrs(chol, rhs, lower, columns=columns):
+            return (stub if (rhs.ndim == 2) == columns else exact)(chol, rhs, lower=lower)
+
+        solver._pbtrs = pbtrs
+        with pytest.raises(NumericalFailure, match=message):
+            solver.solve(rng.normal(size=36), cov if columns else None)
 
 
 def test_eval_checks_domain(fem6):
