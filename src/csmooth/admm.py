@@ -48,7 +48,9 @@ A sweep pays only for what changes from sweep to sweep:
     comparison over the cells, and two bincounts where it steps), one band
     solve, the relaxed target, the dual step, and the checks on what the
     sweep produced or was handed (the projection's constraints, the solve's
-    targets, residual and finiteness). Each 2-norm is sqrt(x @ x), the
+    targets, residual and finiteness, and that the residuals and objective
+    are finite: data near the top of the float range overflow there, a
+    NumericalFailure naming the sweep). Each 2-norm is sqrt(x @ x), the
     value np.linalg.norm computes for a real vector, and the objective
     reuses the primal gap's squared norm.
 """
@@ -283,31 +285,40 @@ def css_recover(
     worst_violation = 0.0
     converged = False
 
-    for k in range(1, cfg.max_iter + 1):
-        g_prev = g
-        g = volume_projection(constraints, f, dual, level)
-        worst_violation = max(worst_violation, _check_constraints(constraints, g))
+    # for data near the top of the float range the squared norms below
+    # overflow; the test after each sweep makes that a NumericalFailure, so
+    # numpy's overflow warnings are off in the loop
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, cfg.max_iter + 1):
+            g_prev = g
+            g = volume_projection(constraints, f, dual, level)
+            worst_violation = max(worst_violation, _check_constraints(constraints, g))
 
-        # the over-relaxed copy replaces g in the smoothing target and the dual step
-        relaxed = f + _ALPHA * (g - f)
-        model = solver.solve(relaxed + dual, covariates)
-        f = model.fitted
+            # the over-relaxed copy replaces g in the smoothing target and the dual step
+            relaxed = f + _ALPHA * (g - f)
+            model = solver.solve(relaxed + dual, covariates)
+            f = model.fitted
 
-        gap = g - f
-        gap_sq = float(gap @ gap)
-        step = g - g_prev
-        primal = math.sqrt(gap_sq)
-        dual_res = rho * math.sqrt(step @ step)
-        dual = dual_update(dual, f, relaxed)
-        # augmented Lagrangian at the end of the sweep, ascended dual included
-        objective = lam * model.roughness + rho * float(dual @ gap) + 0.5 * rho * gap_sq
+            gap = g - f
+            gap_sq = float(gap @ gap)
+            step = g - g_prev
+            primal = math.sqrt(gap_sq)
+            dual_res = rho * math.sqrt(step @ step)
+            dual = dual_update(dual, f, relaxed)
+            # augmented Lagrangian at the end of the sweep, ascended dual included
+            objective = lam * model.roughness + rho * float(dual @ gap) + 0.5 * rho * gap_sq
+            if not (math.isfinite(primal) and math.isfinite(dual_res) and math.isfinite(objective)):
+                raise NumericalFailure(
+                    f"css sweep {k}: primal residual {primal:.3e}, dual residual {dual_res:.3e} "
+                    f"or objective {objective:.3e} is not finite; the data overflow in floating "
+                    f"point (largest volume {constraints.scale:.3e})")
 
-        primal_hist.append(primal)
-        dual_hist.append(dual_res)
-        objective_hist.append(objective)
-        if primal <= threshold and dual_res <= threshold:
-            converged = True
-            break
+            primal_hist.append(primal)
+            dual_hist.append(dual_res)
+            objective_hist.append(objective)
+            if primal <= threshold and dual_res <= threshold:
+                converged = True
+                break
 
     covariate_effect = (
         np.zeros(domain.n) if covariates is None else covariates.values @ model.beta

@@ -162,14 +162,16 @@ class CovariateMatrix:
         object.__setattr__(self, "names", tuple(self.names))
 
     def standardized(self) -> "CovariateMatrix":
-        """Columns rescaled to zero mean and unit variance.
+        """Every column rescaled to unit size, whatever its units.
 
-        (Near) constant columns are returned untouched: centering would zero
-        them out and there is no scale to normalize.
+        A column whose sd exceeds 1e-12 of its largest magnitude gets zero
+        mean and unit variance. A (near) constant one, which centering would
+        zero out, is divided by its largest magnitude: a constant becomes
+        +-1, and a constant 1 stays as it is.
         """
         w = self.values.copy()
         for j in range(w.shape[1]):
-            sd = w[:, j].std()
-            if sd > 1e-12:
-                w[:, j] = (w[:, j] - w[:, j].mean()) / sd
+            col = w[:, j]
+            size, sd = np.abs(col).max(), col.std()
+            w[:, j] = (col - col.mean()) / sd if sd > 1e-12 * size else col / size
         return CovariateMatrix(self.domain, w, self.names)

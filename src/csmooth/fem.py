@@ -166,9 +166,9 @@ class FemSystem:
         upper = np.flatnonzero(offset >= 0)
         band_index = (u - offset[upper]) + cols[upper] * (u + 1)
         return SystemPattern(
-            cell_entries=_frozen(_narrow(cell_entries, r.nnz)),
-            upper=_frozen(_narrow(upper, r.nnz)),
-            band_index=_frozen(_narrow(band_index, (u + 1) * n_v)),
+            cell_entries=_frozen(cell_entries),
+            upper=_frozen(upper),
+            band_index=_frozen(band_index),
             bandwidth=u,
             cell_term=_PSI_WEIGHT ** 2,
         )
@@ -185,7 +185,9 @@ class SystemPattern:
     data cell adds ``cell_term`` at each. The entries at positions ``upper``, all
     on or above the diagonal, fill the upper band of half-width
     ``bandwidth`` in LAPACK's layout, entry (i, j) at row bandwidth + i - j
-    of column j: flattened in Fortran order, at ``band_index``.
+    of column j: flattened in Fortran order, at ``band_index``. The three
+    index arrays are numpy's index type, intp, which fancy indexing and
+    bincount read without a conversion.
     """
 
     cell_entries: np.ndarray
@@ -193,11 +195,6 @@ class SystemPattern:
     band_index: np.ndarray
     bandwidth: int
     cell_term: float
-
-
-def _narrow(index: np.ndarray, bound: int) -> np.ndarray:
-    """``index`` in the narrowest unsigned dtype holding values below ``bound``."""
-    return index.astype(np.min_scalar_type(max(bound - 1, 0)))
 
 
 def assemble(tri: Triangulation) -> FemSystem:

@@ -6,8 +6,10 @@ pe-ssr2    smooth fit to the patched estimate at every cell
 css        constrained recovery (volume-exact, nonnegative)
 css-features   css with covariates in the smoothing step
 
-Covariates are standardized (constant columns untouched) before fitting;
-raw values stay on the CovariateMatrix handed in.
+Covariates are standardized before fitting, so their units do not matter: a
+column is z-scored, or divided by its largest magnitude where it is (near)
+constant (see ``CovariateMatrix.standardized``); raw values stay on the
+CovariateMatrix handed in.
 """
 from __future__ import annotations
 

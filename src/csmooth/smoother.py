@@ -36,14 +36,15 @@ Two neighboring diagonals of a full grid hold at most 2 (short side + 1)
 corners, so the half-bandwidth is at most 2 (short side + 1) + 1 whatever
 the mask; on a round mask a diagonal holds about 1/sqrt(2) as many corners
 as a row (143 on the 100 x 100 disc, against 203 numbered row by row). The
-system is therefore factorized by LAPACK's band Cholesky (pbtrf, George &
-Liu 1981, ch. 4) on its upper band, which the Cholesky factor fills but
-never leaves, and solved by two band
-back-substitutions, all covariate columns in one call: LAPACK's pbtrs,
-fetched once per factorization and called directly, with its info flag and
-the finiteness of its result checked on every call. The pivots of
-the factorization are the squares of the factor's diagonal; a pivot that is
-not positive stops the factorization and counts as ratio 0.
+system is therefore factorized in place by LAPACK's band Cholesky, pbtrf
+(George & Liu 1981, ch. 4), on its upper band, which the Cholesky factor
+fills but never leaves, and solved by two band back-substitutions, all
+covariate columns in one call, by LAPACK's pbtrs. Both routines are fetched
+together, once per factorization, and called directly. The pivots of the
+factorization are the squares of the factor's diagonal; pbtrf's info > 0, a
+pivot that is not positive, which stops the factorization, reads as ratio 0.
+pbtrs's info flag and the finiteness of its result are checked on every
+call.
 
 A solver is built from values alone, and Psi from the mesh alone: Psi_d'
 is the transpose of Psi's data-cell rows. Every system lives on the stored
@@ -92,8 +93,9 @@ from .errors import CollinearCovariates, ConfigError, NumericalFailure, ShapeMis
 from .fem import FemSystem
 
 _RESIDUAL_TOL = 1e-8
-# the residual check divides by max|h| above this: the entries of Psi_d'h
-# are at most max|h|, and their squares overflow from about 1e154
+# the residual check and the roughness divide by max|h| above this: the
+# entries of Psi_d'h are at most max|h|, the edge jumps of its order, and
+# their squares overflow from about 1e154
 _RESCALE_ABOVE = 1e100
 # eigenvalues of W'(W - S W) below this fraction of the largest eigenvalue
 # of W'W count as zero: those directions are affine at the data cells. The
@@ -190,18 +192,17 @@ class SsrSolver:
         u = pattern.bandwidth
         try:
             band = np.zeros((u + 1) * n_v)
-            band[pattern.band_index] = system[pattern.upper]
-            band = band.reshape((u + 1, n_v), order="F")
-            self._chol = scipy.linalg.cholesky_banded(band, overwrite_ab=True,
-                                                      check_finite=False)
-        except np.linalg.LinAlgError:  # a pivot that is not positive
-            ratio = 0.0
         except MemoryError as exc:
             # the band grows as n^1.5 with the cells (ROADMAP item 14)
             raise NumericalFailure(
                 f"the smoothing system's band of {(u + 1) * n_v * 8 / 2**20:.0f} MiB "
                 f"({u + 1} x {n_v}) does not fit in memory"
             ) from exc
+        band[pattern.band_index] = system[pattern.upper]
+        pbtrf, self._pbtrs = scipy.linalg.get_lapack_funcs(("pbtrf", "pbtrs"), (band,))
+        self._chol, info = pbtrf(band.reshape((u + 1, n_v), order="F"), lower=0, overwrite_ab=1)
+        if info > 0:  # a pivot that is not positive stopped the factorization
+            ratio = 0.0
         else:
             pivots = self._chol[u] ** 2
             ratio = pivots.min() / pivots.max()
@@ -211,7 +212,6 @@ class SsrSolver:
                 "the data cells do not pin down the affine null space of the penalty, "
                 "or lam is so far from 1 that the ratio is lost to its scale"
             )
-        self._pbtrs = scipy.linalg.get_lapack_funcs("pbtrs", (self._chol,))
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
         # rhs is one vector or a matrix of columns, each from a data-cell target
@@ -274,16 +274,20 @@ class SsrSolver:
 
         # sqrt(x @ x) is exactly what np.linalg.norm computes for a real vector
         r = products[self._system_rows] - rhs
+        d = products[self._jump_rows] / self.fem.edge_length
+        jumps, scale = d, 1.0
         if h_max > _RESCALE_ABOVE:
-            r, rhs = r / h_max, rhs / h_max
+            # square over max|h|; the roughness is scaled back by Python
+            # float products, which overflow to inf without a warning
+            scale = float(h_max)
+            r, rhs, jumps = r / scale, rhs / scale, d / scale
         residual = math.sqrt(float(r @ r)) / max(math.sqrt(float(rhs @ rhs)), 1e-30)
         if not residual <= _RESIDUAL_TOL:
             raise NumericalFailure(
                 f"smoothing solve residual {residual:.3e} exceeds {_RESIDUAL_TOL}"
             )
 
-        d = products[self._jump_rows] / self.fem.edge_length
-        roughness = float(d @ (self.fem.edge_length * d))
+        roughness = float(jumps @ (self.fem.edge_length * jumps)) * scale * scale
         return SsrModel(
             coeffs=c,
             laplacian=d,

@@ -669,3 +669,19 @@ def test_out_that_cannot_be_a_directory_is_a_usage_error(workflow_dir, capsys, a
     assert err.startswith(f"error: --out {workflow_dir / out} cannot be a directory"), err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert afile.read_bytes() == b"kept as it is\n"
+
+
+def test_overflowing_css_run_exits_one(tmp_path, capsys):
+    # values near 1e306 have a finite total, but css's squared norms
+    # overflow at its first sweep: a typed failure, and nothing written
+    dom = make_domain(8, 8)
+    truth = tmp_path / "truth.csv"
+    write_field_csv(SpatialField(dom, np.random.default_rng(0).uniform(1e306, 2e306, dom.n)),
+                    truth)
+    out = tmp_path / "rec"
+    assert run(["recover", "--truth", truth, "--stations", 6, "--method", "css",
+                "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: css sweep 1:")
+    assert "Traceback" not in err
+    assert not out.exists()

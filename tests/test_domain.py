@@ -97,7 +97,14 @@ def test_standardized_centers_and_scales():
     d = make_domain(2, 2)
     w = np.column_stack([np.ones(4), [1.0, 2.0, 3.0, 4.0]])
     std = CovariateMatrix(d, w, ("one", "x")).standardized()
-    # constant column untouched, varying column exactly standardized
-    np.testing.assert_allclose(std.values[:, 0], 1.0)
+    # a constant 1 stays as it is, a varying column is exactly standardized
+    np.testing.assert_array_equal(std.values[:, 0], 1.0)
     assert std.values[:, 1].mean() == pytest.approx(0.0, abs=1e-15)
     assert std.values[:, 1].std() == pytest.approx(1.0)
+    # whatever the units: a constant becomes +-1, and a column of sd 1e-12
+    # is standardized like the same column in units a trillion times larger
+    small = CovariateMatrix(d, w * [1e6, 1e-12], ("one", "x")).standardized()
+    np.testing.assert_array_equal(small.values[:, 0], 1.0)
+    np.testing.assert_allclose(small.values[:, 1], std.values[:, 1], rtol=1e-12)
+    negative = CovariateMatrix(d, np.full((4, 1), -3.0), ("c",)).standardized()
+    np.testing.assert_array_equal(negative.values, -1.0)

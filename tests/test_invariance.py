@@ -9,10 +9,12 @@ the sums run in another order: those estimates agree to 1e-9 of the field
 max, not bit for bit.
 """
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from csmooth.admm import AdmmConfig
+from csmooth.benchmark import EnsembleSpec
 from csmooth.domain import CovariateMatrix, SpatialField, make_domain
 from csmooth.errors import CsmoothError
 from csmooth.fem import assemble, triangulate
@@ -20,8 +22,9 @@ from csmooth.methods import (
     ALL_METHODS, CSS, CSS_FEATURES, PE_SSR1, PE_SSR2, MethodSpec, run_method_full,
 )
 from csmooth.partition import (
-    AggregateObservations, Partition, StationSet, aggregate, build_partition,
+    AggregateObservations, Partition, StationSet, aggregate, build_partition, sample_stations,
 )
+from csmooth.synth import generate_field
 
 # a short cap keeps the runs cheap; listing and padding must not move any
 # sweep, so the capped iterates agree as the converged ones would
@@ -159,3 +162,45 @@ def test_estimates_follow_a_transpose_and_a_half_turn(problem):
                 np.testing.assert_allclose(got[0], expected[0][old], rtol=0,
                                            atol=1e-9 * np.abs(expected[0]).max(),
                                            err_msg=f"{name} {method}")
+
+
+# covariate columns given in other units: x0 is the constant 1, x1 and x2 are
+# blocky levels in (0.05, 1)
+_UNITS = {
+    "x1 x 1e-12": [1.0, 1e-12, 1.0],
+    "x2 x 1e-12": [1.0, 1.0, 1e-12],
+    "constant 1e6": [1e6, 1.0, 1.0],
+    "all x 1e-12": 1e-12,
+    "all x 1e-6": 1e-6,
+    "all x 1e6": 1e6,
+    "all x 1e12": 1e12,
+}
+
+
+@pytest.fixture(scope="module")
+def desk_problems():
+    """Desk seeds 1, 3 and 7 (20x20, 15 stations, beta (0.5, 2, 1.5)), each with its
+    partition, volumes, covariates, mesh and css-features estimate in the given units."""
+    spec = EnsembleSpec(beta=(0.5, 2.0, 1.5))
+    mesh = assemble(triangulate(make_domain(spec.n_rows, spec.n_cols)))
+    out = []
+    for seed in (1, 3, 7):
+        truth, cov = generate_field(spec.synth_spec(seed))
+        part = build_partition(truth.domain, sample_stations(
+            truth, spec.n_stations, seed=seed + spec.station_seed_offset))
+        volumes = aggregate(part, truth)
+        est, _ = run_method_full(MethodSpec(CSS_FEATURES), part, volumes, cov, mesh)
+        out.append((part, volumes, cov, mesh, est.values))
+    return out
+
+
+@pytest.mark.parametrize("units", list(_UNITS.values()), ids=list(_UNITS))
+def test_css_features_ignores_the_covariate_units(desk_problems, units):
+    # standardizing gives every column unit size, so neither the smoother's
+    # rank cut, relative to the largest column, nor a near-constant test
+    # sees the units the covariates came in
+    for part, volumes, cov, mesh, expected in desk_problems:
+        scaled = CovariateMatrix(cov.domain, cov.values * np.asarray(units), cov.names)
+        got, _ = run_method_full(MethodSpec(CSS_FEATURES), part, volumes, scaled, mesh)
+        np.testing.assert_allclose(got.values, expected, rtol=0,
+                                   atol=1e-9 * np.abs(expected).max())

@@ -1,4 +1,6 @@
 """Method dispatch, error metrics, and the ensemble comparison helpers."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from csmooth.benchmark import (
     win_fraction,
 )
 from csmooth.domain import CovariateMatrix, SpatialField, make_domain
-from csmooth.errors import ConfigError, NoEvaluableCells, ShapeMismatch
+from csmooth.errors import ConfigError, NoEvaluableCells, NumericalFailure, ShapeMismatch
 from csmooth.fem import assemble, triangulate
 from csmooth.methods import (
     ALL_METHODS,
@@ -224,3 +226,34 @@ def test_ensemble_summaries():
     assert wins == pytest.approx(float(direct))
     # a method never beats itself under the strict comparison
     assert win_fraction(outs, PE, PE) == 0.0
+
+
+def _near_the_float_limit():
+    """An 8x8 field uniform in [1e306, 2e306] at 6 stations: every volume and
+    the total are finite, but squares of numbers of this size overflow."""
+    dom = make_domain(8, 8)
+    truth = SpatialField(dom, np.random.default_rng(0).uniform(1e306, 2e306, dom.n))
+    part = build_partition(dom, sample_stations(truth, 6, seed=1))
+    return part, aggregate(part, truth)
+
+
+def test_overflowing_css_run_is_a_numerical_failure():
+    # the first sweep's objective overflows: a typed failure naming the sweep
+    # and the largest volume, not 500 sweeps of inf and nan
+    part, volumes = _near_the_float_limit()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure, match=r"css sweep 1: .* is not finite.*"
+                                                   r"largest volume \d\.\d{3}e\+307"):
+            css_recover(part, volumes)
+
+
+@pytest.mark.parametrize("method", [PE_SSR1, PE_SSR2])
+def test_smoothing_near_the_float_limit_is_quiet(method):
+    # the surface is finite; its roughness overflows, and is reported as inf
+    # without a warning
+    part, volumes = _near_the_float_limit()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est, _ = run_method_full(MethodSpec(method), part, volumes)
+    assert np.isfinite(est.values).all()

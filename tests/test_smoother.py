@@ -214,24 +214,36 @@ def test_extreme_lam_is_named_by_the_singular_message(fem6, lam):
         SsrSolver(fem6, lam)
 
 
+def _spy_on_pbtrf(monkeypatch):
+    """Record, for each band factorization, the band handed to LAPACK's pbtrf and its info."""
+    factored = []
+    get_lapack_funcs = scipy.linalg.get_lapack_funcs
+
+    def lookup(names, *args, **kwargs):
+        funcs = get_lapack_funcs(names, *args, **kwargs)
+        pbtrf = funcs[names.index("pbtrf")]
+
+        def spy(ab, *a, **k):
+            band = ab.copy()
+            c, info = pbtrf(ab, *a, **k)
+            factored.append((band, info))
+            return c, info
+
+        return tuple(spy if name == "pbtrf" else f for name, f in zip(names, funcs))
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", lookup)
+    return factored
+
+
 def test_failed_cholesky_is_a_singular_system(fem6, monkeypatch):
     # one data cell leaves an affine direction free: the band Cholesky meets
-    # a pivot that is not positive, which reads as pivot ratio 0
-    failed = []
-    cholesky_banded = scipy.linalg.cholesky_banded
-
-    def spy(*args, **kwargs):
-        try:
-            return cholesky_banded(*args, **kwargs)
-        except scipy.linalg.LinAlgError:
-            failed.append(True)
-            raise
-
-    monkeypatch.setattr(scipy.linalg, "cholesky_banded", spy)
+    # a pivot that is not positive (info > 0), which reads as pivot ratio 0
+    factored = _spy_on_pbtrf(monkeypatch)
     subset = np.array([fem6.tri.domain.index_of(2, 3)])
     with pytest.raises(NumericalFailure, match=r"singular \(pivot ratio 0\.0e\+00\)"):
         SsrSolver(fem6, 1.0, subset=subset)
-    assert failed
+    ((_, info),) = factored
+    assert info > 0
 
 
 def test_band_past_memory_is_a_typed_error(fem6, monkeypatch):
@@ -299,17 +311,11 @@ def test_system_filled_by_index_matches_scipy_assembly(monkeypatch, lam, weight,
     psi_d = fem.basis_eval[rows]
     r = fem.edge_jump.T @ sp.diags(1.0 / fem.edge_length) @ fem.edge_jump
     want = (psi_d.T @ psi_d + (lam / weight) * r).toarray()
-    bands = []
-    cholesky_banded = scipy.linalg.cholesky_banded
-
-    def spy(ab, *args, **kwargs):
-        bands.append(ab.copy())
-        return cholesky_banded(ab, *args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "cholesky_banded", spy)
+    factored = _spy_on_pbtrf(monkeypatch)
     solver = SsrSolver(fem, lam / weight, subset=subset)
     np.testing.assert_array_equal(solver._products[solver._system_rows].toarray(), want)
-    (band,) = bands
+    ((band, info),) = factored
+    assert info == 0
     u = band.shape[0] - 1
     i, j = np.nonzero(want)
     assert (np.abs(i - j) <= u).all()
@@ -330,6 +336,8 @@ def test_system_pattern_is_built_once_and_left_alone():
     assert fem.system_pattern is pattern
     arrays = (pattern.cell_entries, pattern.upper, pattern.band_index)
     assert not any(a.flags.writeable for a in arrays)
+    # numpy's own index type: fancy indexing and bincount take it as it is
+    assert all(a.dtype == np.intp for a in arrays)
     before = [a.copy() for a in arrays]
     for subset in (None, np.arange(0, fem.tri.domain.n, 3)):
         SsrSolver(fem, 4.0, subset=subset).solve(np.ones(
@@ -519,10 +527,12 @@ def test_residual_check_holds_where_the_squared_norms_overflow(fem6, rng, monkey
     # coefficients off by one part in a million still fail
     h = rng.uniform(1.0, 2.0, 36) * 1e160
     solver = SsrSolver(fem6, 1.0)
-    with np.errstate(over="ignore"):  # the roughness overflows at this scale
-        scaled = SsrSolver(fem6, 1.0).solve(h / 1e160).fitted
-        np.testing.assert_allclose(solver.solve(h).fitted, scaled * 1e160, rtol=1e-12)
-        exact = solver._solve
-        monkeypatch.setattr(solver, "_solve", lambda rhs: exact(rhs) * (1 + 1e-6))
-        with pytest.raises(NumericalFailure, match="smoothing solve residual 1.000e-06 exceeds"):
-            solver.solve(h)
+    # the roughness overflows at this scale, to inf without a warning
+    scaled = SsrSolver(fem6, 1.0).solve(h / 1e160).fitted
+    model = solver.solve(h)
+    np.testing.assert_allclose(model.fitted, scaled * 1e160, rtol=1e-12)
+    assert model.roughness == np.inf
+    exact = solver._solve
+    monkeypatch.setattr(solver, "_solve", lambda rhs: exact(rhs) * (1 + 1e-6))
+    with pytest.raises(NumericalFailure, match="smoothing solve residual 1.000e-06 exceeds"):
+        solver.solve(h)
